@@ -9,7 +9,7 @@ Besides the pytest-benchmark cases, this file doubles as a script::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py --json BENCH_kernels.json
 
-which times each vectorized non-sweep kernel (owner-bucketing pack,
+which times each vectorized kernel (local sweep, owner-bucketing pack,
 aggregate sync, merge assembly) against its retained scalar reference on
 the 56k-edge Barabasi-Albert reference graph and writes the
 before/after/speedup table as machine-readable JSON (see
@@ -29,7 +29,9 @@ import pytest
 from repro.bench import load_dataset
 from repro.core import DistributedConfig, distributed_louvain, sequential_louvain
 from repro.core.coarsen import coarsen_graph
-from repro.core.community_table import OwnerTable
+from repro.core.community_table import CommunityTable, OwnerTable
+from repro.core.heuristics import get_heuristic
+from repro.core.local_clustering import LocalClustering
 from repro.core.merging import (
     _aggregate_pairs,
     _assemble_scalar,
@@ -37,10 +39,12 @@ from repro.core.merging import (
 )
 from repro.core.modularity import modularity
 from repro.core.pack import pack_by_owner
+from repro.core.sweep_kernel import bulk_best_moves
 from repro.graph.csr import build_symmetric_csr
 from repro.graph.generators import barabasi_albert
 from repro.partition import delegate_partition, oned_partition
 from repro.quality import score_all
+from repro.runtime import run_spmd
 
 
 @pytest.fixture(scope="module")
@@ -163,13 +167,72 @@ def test_kernel_sweep_vectorized(benchmark, scalefree_graph):
 
 
 # ---------------------------------------------------------------------------
-# Non-sweep kernel workloads (pack / aggregate sync / merge assembly), each
+# Kernel workloads (sweep / pack / aggregate sync / merge assembly), each
 # with its scalar reference.  Shared between the pytest-benchmark cases
 # below and the BENCH_kernels.json script mode.
 # ---------------------------------------------------------------------------
 
 P_RANKS = 16  # bucket count for the pack workload
 SYNC_RANKS = 4
+SWEEP_WARM_ITERS = 3
+
+
+def _sweep_snapshot_program(comm, partition):
+    lc = LocalClustering(comm, partition.locals[comm.rank], get_heuristic("enhanced"))
+    lc.sync_aggregates()
+    for _ in range(SWEEP_WARM_ITERS):
+        _moved, hub_gain, hub_target = lc.find_best_pass()
+        lc.broadcast_delegates(hub_gain, hub_target)
+        lc.swap_ghosts()
+        lc.sync_aggregates()
+    return lc if comm.rank == 0 else None
+
+
+def _sweep_workload(graph, size=SYNC_RANKS):
+    """Rank 0's state a few inner iterations into level 1.
+
+    Communities then have several members, so rows reach one community
+    through several entries.  Returns the rank's LocalClustering (its list
+    views refreshed for ``_evaluate_vertex``) and a CommunityTable holding
+    the same cache values, as the vectorized sweep reads them.
+    """
+    partition = delegate_partition(graph, size, d_high=64)
+    lc = run_spmd(size, _sweep_snapshot_program, partition, backend="thread").results[0]
+    lc._cof_list = lc.comm_of.tolist()
+    labs = np.array(sorted(lc.sigma_tot), dtype=np.int64)
+    table = CommunityTable()
+    table.rebuild(
+        labs,
+        np.array([lc.sigma_tot[lab] for lab in labs.tolist()]),
+        np.array([lc.csize[lab] for lab in labs.tolist()], dtype=np.int64),
+    )
+    census = np.array(sorted(lc.local_members), dtype=np.int64)
+    table.set_local_census(
+        census,
+        np.array([lc.local_members[lab] for lab in census.tolist()], dtype=np.int64),
+    )
+    return lc, table
+
+
+def _sweep_scalar(lc, table):
+    return [lc._evaluate_vertex(u) for u in range(lc.lg.n_rows)]
+
+
+def _sweep_vectorized(lc, table):
+    lg = lc.lg
+    return bulk_best_moves(
+        entry_rows=lc._entry_rows,
+        indices=lg.indices,
+        weights=lg.weights,
+        comm_of=lc.comm_of,
+        row_wdeg=lg.row_weighted_degree,
+        n_rows=lg.n_rows,
+        table=table,
+        two_m=lc.two_m,
+        resolution=lc.resolution,
+        theta=lc.theta,
+        heuristic_name=lc.heuristic.name,
+    )
 
 
 def _pack_workload(graph):
@@ -323,6 +386,23 @@ def _merge_workload(graph, size=SYNC_RANKS, rank=0):
     return rank, size, k, ncu[keep], ncv[keep], nw[keep]
 
 
+def test_kernel_sweep_bulk(benchmark, scalefree_graph):
+    snap = _sweep_workload(scalefree_graph)
+    chosen, gain, stay = benchmark(lambda: _sweep_vectorized(*snap))
+    ref = _sweep_scalar(*snap)
+    assert [c for c, _g, _s in ref] == chosen.tolist()
+    assert np.allclose([g for _c, g, _s in ref], gain, rtol=0, atol=1e-9)
+    assert np.allclose([s for _c, _g, s in ref], stay, rtol=0, atol=1e-9)
+
+
+def test_kernel_sweep_scalar_reference(benchmark, scalefree_graph):
+    """The per-vertex ``_evaluate_vertex`` loop that the bulk kernel
+    replaces, on the same snapshot."""
+    snap = _sweep_workload(scalefree_graph)
+    got = benchmark(lambda: _sweep_scalar(*snap))
+    assert len(got) == snap[0].lg.n_rows
+
+
 def test_kernel_pack_by_owner(benchmark, scalefree_graph):
     owner, arrays = _pack_workload(scalefree_graph)
     got = benchmark(lambda: _pack_vectorized(owner, arrays))
@@ -394,10 +474,15 @@ def run_kernel_suite(quick=False, pipeline=True):
         "kernels": {},
     }
 
+    snap = _sweep_workload(graph)
     owner, arrays = _pack_workload(graph)
     streams = _sync_workload(graph)
     merge_args = _merge_workload(graph)
     cases = {
+        "sweep": (
+            lambda: _sweep_scalar(*snap),
+            lambda: _sweep_vectorized(*snap),
+        ),
         "pack_by_owner": (
             lambda: _pack_scalar(owner, arrays),
             lambda: _pack_vectorized(owner, arrays),

@@ -235,10 +235,52 @@ class LocalClustering:
             return self._sync_aggregates_scalar()
         return self._sync_aggregates_dense()
 
+    def _contributions_dense(
+        self, labels_all: np.ndarray, cidx: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`_contributions` on the compact label index
+        ``labels_all, cidx = np.unique(comm_of, return_inverse=True)``.
+
+        ``np.bincount`` adds its weights one by one in stream order, as
+        ``np.add.at`` does in :meth:`_contributions`; the zeros that method
+        pads each column with change no sum, so every value is
+        bit-identical.
+        """
+        lg = self.lg
+        k = labels_all.size
+        mem_ids = cidx[: lg.n_owned]
+        mem_w = lg.row_weighted_degree[: lg.n_owned]
+        if lg.n_hubs:
+            hub_rows = lg.n_owned + np.flatnonzero(self._hub_designated)
+            mem_ids = np.concatenate([mem_ids, cidx[hub_rows]])
+            mem_w = np.concatenate([mem_w, lg.row_weighted_degree[hub_rows]])
+
+        cu = cidx[self._entry_rows]
+        internal = cu == cidx[lg.indices]
+        in_ids = cu[internal]
+        del cu
+        w_in = lg.weights[internal]
+        w_in = np.where(self._is_self_entry[internal], 2.0 * w_in, w_in)
+        del internal
+
+        present = np.zeros(k, dtype=bool)
+        present[mem_ids] = True
+        present[in_ids] = True
+        tot = np.bincount(mem_ids, weights=mem_w, minlength=k)[present]
+        cnt = np.bincount(mem_ids, minlength=k)[present].astype(np.float64)
+        s_in = np.bincount(in_ids, weights=w_in, minlength=k)[present]
+        return labels_all[present], tot, cnt, s_in
+
     def _sync_aggregates_dense(self) -> float:
-        """Dense-table implementation of :meth:`sync_aggregates`."""
+        """Dense-table implementation of :meth:`sync_aggregates`.
+
+        One compact label index, rebuilt on every call because ``comm_of``
+        changes between calls, yields the contributions, the request set
+        of the pull and the owned-vertex census.
+        """
         comm = self.comm
-        labels, tot, cnt, s_in = self._contributions()
+        labels_all, cidx = np.unique(self.comm_of, return_inverse=True)
+        labels, tot, cnt, s_in = self._contributions_dense(labels_all, cidx)
 
         if self.sync_mode == "delta":
             report = (labels, tot, cnt, s_in)
@@ -269,17 +311,17 @@ class LocalClustering:
                     self._sub_to[r] = np.setdiff1d(
                         self._sub_to[r], dead, assume_unique=True
                     )
-            self._delta_pull_dense(own, changed)
+            self._delta_pull_dense(own, changed, labels_all)
         else:
-            self._full_pull_dense(own)
+            self._full_pull_dense(own, labels_all)
 
         # local membership census over OWNED vertices only (hubs must not
         # mark communities as "local" — see the scalar path)
-        labs, cnts = np.unique(
-            self.comm_of[: self.lg.n_owned], return_counts=True
-        )
+        cnts = np.bincount(cidx[: self.lg.n_owned], minlength=labels_all.size)
+        present = cnts > 0
+        labs, cnts = labels_all[present], cnts[present]
         if self._dense_tables:
-            self.ctab.set_local_census(labs, cnts.astype(np.int64))
+            self.ctab.set_local_census(labs, cnts)
         else:
             self.local_members = dict(zip(labs.tolist(), cnts.tolist()))
 
@@ -490,11 +532,11 @@ class LocalClustering:
             self.sigma_tot.update(zip(labels.tolist(), sigma.tolist()))
             self.csize.update(zip(labels.tolist(), size.tolist()))
 
-    def _full_pull_dense(self, own: OwnerTable) -> None:
+    def _full_pull_dense(self, own: OwnerTable, needed: np.ndarray) -> None:
         """Vectorized :meth:`_full_pull`: same requests, same replies, the
-        per-label Python loops replaced by one table lookup per exchange."""
+        per-label Python loops replaced by one table lookup per exchange.
+        ``needed`` is ``np.unique(comm_of)``."""
         comm = self.comm
-        needed = np.unique(self.comm_of)
         requests = pack_by_owner(
             self._owner(needed) if needed.size else needed, comm.size, needed
         )
@@ -514,11 +556,14 @@ class LocalClustering:
             self.sigma_tot = dict(zip(lab.tolist(), vals[:, 0].tolist()))
             self.csize = dict(zip(lab.tolist(), sz.tolist()))
 
-    def _delta_pull_dense(self, own: OwnerTable, changed: np.ndarray) -> None:
+    def _delta_pull_dense(
+        self, own: OwnerTable, changed: np.ndarray, needed: np.ndarray
+    ) -> None:
         """Vectorized :meth:`_delta_pull`: pushes are built per peer by
         intersecting its subscription array with the changed set (sorted
         label order — same label multiset and bytes as the scalar path),
-        and the first-reference requests come from one membership test."""
+        and the first-reference requests come from one membership test
+        over ``needed``, which is ``np.unique(comm_of)``."""
         comm = self.comm
 
         # 1. push changed values to subscribers (dead labels were dropped
@@ -540,7 +585,6 @@ class LocalClustering:
         self._cache_update(p_lab, p_tot, np.rint(p_cnt).astype(np.int64))
 
         # 2. request communities not yet cached (and subscribe to them)
-        needed = np.unique(self.comm_of)
         if self._dense_tables:
             missing = needed[~self.ctab.contains(needed)]
         else:

@@ -6,16 +6,21 @@ one CSR row at a time, which makes the stage-1/stage-2 sweep the dominant
 cost of the whole simulation.  This module expresses the identical Eq. 4
 move evaluation as *bulk* NumPy array operations over all rows at once:
 
-1. **Pair aggregation** — the per-(row, neighbour-community) link weights
-   ``w(u -> c)`` are computed for every row simultaneously by lexsorting
-   the CSR entries on ``(row, community)`` and segment-reducing with
-   :func:`numpy.add.reduceat`;
-2. **Gain evaluation** — Eq. 4 gains against the cached ``sigma_tot`` are
-   one broadcasted expression over the aggregated pairs;
+1. **Pair aggregation** — a compact index ``labels_all, cidx =
+   np.unique(comm_of, return_inverse=True)`` numbers the rank's
+   communities ``0..K-1`` in label order.  The per-(row, neighbour-
+   community) link weights ``w(u -> c)`` are computed for every row
+   simultaneously by one stable argsort of the int64 key
+   ``row * K + cidx[v]`` and a segment reduction with
+   :func:`numpy.add.reduceat`.  The pairs come out in (row, label) order
+   and each sum runs in CSR entry order;
+2. **Gain evaluation** — the cache is read once per distinct label and
+   gathered by compact id; Eq. 4 gains against the cached ``sigma_tot``
+   are then one broadcasted expression over the aggregated pairs;
 3. **Heuristic-gated argmax** — the greedy / minlabel / enhanced
    tie-breaking rules of :mod:`repro.core.heuristics` are expressed as
    vectorized sort keys (the enhanced rule's local > remote-multi >
-   remote-singleton preference becomes an integer ``category * L + label``
+   remote-singleton preference becomes an integer ``category * K + id``
    key) reduced per row with :func:`numpy.minimum.reduceat`, followed by
    the same anti-swap vetoes applied to the winning candidate.
 
@@ -33,7 +38,8 @@ Gauss–Seidel ordering.
 :func:`bulk_best_moves` serves the distributed sweep (dict-backed, possibly
 stale aggregates); :func:`jacobi_minlabel_sweep` is the dense variant used
 by the shared-memory baseline, where exact aggregates come from
-``np.bincount``.
+``np.bincount`` and the labels, already in ``[0, n)``, are their own
+compact index.
 """
 
 from __future__ import annotations
@@ -58,30 +64,43 @@ def aggregate_neighbor_communities(
     entry_rows: np.ndarray,
     indices: np.ndarray,
     weights: np.ndarray,
-    comm_of: np.ndarray,
+    cidx: np.ndarray,
+    n_labels: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-(row, neighbour-community) link weights over a CSR.
 
-    Self-edges are excluded, matching the scalar sweep.  Returns
-    ``(rows, labels, w)`` with ``rows`` sorted ascending and each
-    ``(row, label)`` pair unique.
+    ``cidx`` is the compact community index of every local vertex: ids in
+    ``[0, n_labels)`` that order like the labels they stand for, e.g. the
+    inverse of ``np.unique(comm_of, return_inverse=True)``, or the labels
+    themselves when they already lie in ``[0, n_labels)``.  Self-edges are
+    excluded, matching the scalar sweep.  Returns ``(rows, ids, w)`` with
+    ``rows`` ascending, ``ids`` ascending within a row, each ``(row, id)``
+    pair unique, and ``w`` summed in CSR entry order.
     """
     mask = indices != entry_rows
-    rows = entry_rows[mask]
-    labels = comm_of[indices[mask]]
+    # one stable argsort of a combined int64 key groups the pairs in
+    # (row, id) order.  row < n_rows and id < n_labels are both at most the
+    # local vertex count, so the key stays below 2**63 for fewer than about
+    # 3.03e9 local vertices.
+    k = np.int64(max(n_labels, 1))
+    key = entry_rows[mask] * k + cidx[indices[mask]]
     w = weights[mask]
-    if rows.size == 0:
+    del mask
+    if key.size == 0:
         empty_i = np.zeros(0, dtype=np.int64)
         return empty_i, empty_i, np.zeros(0, dtype=np.float64)
-    order = np.lexsort((labels, rows))
-    rows = rows[order]
-    labels = labels[order]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
     w = w[order]
-    boundary = np.empty(rows.size, dtype=bool)
+    del order
+    boundary = np.empty(key.size, dtype=bool)
     boundary[0] = True
-    boundary[1:] = (rows[1:] != rows[:-1]) | (labels[1:] != labels[:-1])
+    np.not_equal(key[1:], key[:-1], out=boundary[1:])
     starts = np.flatnonzero(boundary)
-    return rows[starts], labels[starts], np.add.reduceat(w, starts)
+    del boundary
+    pair_key = key[starts]
+    del key
+    return pair_key // k, pair_key % k, np.add.reduceat(w, starts)
 
 
 def _segment_starts(sorted_rows: np.ndarray) -> np.ndarray:
@@ -128,14 +147,17 @@ def bulk_best_moves(
             f"supported: {sorted(VECTOR_HEURISTICS)}"
         )
     cu = comm_of[:n_rows].astype(np.int64, copy=False)
-    pr, pc, pw = aggregate_neighbor_communities(
-        entry_rows, indices, weights, comm_of
+    # one compact index over the rank's labels (local and ghost vertices)
+    # serves the pair grouping and every cache lookup below
+    labels_all, cidx = np.unique(comm_of, return_inverse=True)
+    cu_id = cidx[:n_rows]
+    pr, pid, pw = aggregate_neighbor_communities(
+        entry_rows, indices, weights, cidx, labels_all.size
     )
 
-    # one cache lookup per *unique* referenced label, then pure array math:
-    # a dense CommunityTable answers all labels with one searchsorted pass,
+    # one cache lookup per distinct label, gathered by compact id: a dense
+    # CommunityTable answers all labels with one searchsorted pass,
     # dict-backed caches fall back to per-label gets
-    labels_all = np.unique(np.concatenate([pc, cu]))
     if table is not None:
         st, st_known, sz, loc = table.lookup_eval(labels_all)
     else:
@@ -153,16 +175,14 @@ def bulk_best_moves(
         loc = np.fromiter(
             (local_members.get(lab, 0) > 0 for lab in lab_list), bool, count=n_lab
         )
-    pos_cu = np.searchsorted(labels_all, cu)
-    pos_pc = np.searchsorted(labels_all, pc)
 
     # stay gain: links into the own community minus the Eq. 4 penalty
     # against sigma_tot(cu) without u (missing label defaults to wu, as in
     # the scalar sweep)
     stay_w = np.zeros(n_rows)
-    is_stay = pc == cu[pr]
+    is_stay = pid == cu_id[pr]
     stay_w[pr[is_stay]] = pw[is_stay]
-    st_cu = np.where(st_known[pos_cu], st[pos_cu], row_wdeg) - row_wdeg
+    st_cu = np.where(st_known[cu_id], st[cu_id], row_wdeg) - row_wdeg
     stay_gain = stay_w - resolution * st_cu * row_wdeg / two_m
 
     chosen = cu.copy()
@@ -170,9 +190,9 @@ def bulk_best_moves(
 
     cand = ~is_stay
     cpr = pr[cand]
-    cpc = pc[cand]
-    cpos = pos_pc[cand]
-    cgain = pw[cand] - resolution * st[cpos] * row_wdeg[cpr] / two_m
+    cid = pid[cand]
+    cgain = pw[cand] - resolution * st[cid] * row_wdeg[cpr] / two_m
+    del pr, pid, pw, is_stay, cand
     if cpr.size == 0:
         return chosen, chosen_gain, stay_gain
 
@@ -184,25 +204,26 @@ def bulk_best_moves(
     top = improving & (cgain >= row_best[cpr] - theta)
 
     # strategy _pick as an integer sort key: smaller key == preferred.
-    # greedy/minlabel pick the minimum label; enhanced prefixes the label
-    # with its category (local=0, remote multi-member=1, remote singleton=2)
+    # Compact ids order like labels, so greedy/minlabel pick the minimum
+    # id; enhanced prefixes the id with its category (local=0, remote
+    # multi-member=1, remote singleton=2)
     if heuristic_name == "enhanced":
-        label_span = int(labels_all[-1]) + 1 if labels_all.size else 1
-        category = np.where(loc[cpos], 0, np.where(sz[cpos] > 1, 1, 2))
-        key = category.astype(np.int64) * label_span + cpc
+        category = np.where(loc[cid], 0, np.where(sz[cid] > 1, 1, 2))
+        key = category.astype(np.int64) * labels_all.size + cid
     else:
-        key = cpc
+        key = cid
     key_masked = np.where(top, key, _I64_MAX)
     row_min = np.full(n_rows, _I64_MAX, dtype=np.int64)
     row_min[cpr[starts]] = np.minimum.reduceat(key_masked, starts)
-    # (row, label) pairs are unique and the key is injective in the label,
-    # so each moving row matches exactly one winning candidate
+    # (row, id) pairs are unique and the key is injective in the id, so
+    # each moving row matches exactly one winning candidate
     winner = np.flatnonzero(top & (key_masked == row_min[cpr]))
 
     wrow = cpr[winner]
-    wlab = cpc[winner]
-    wloc = loc[cpos[winner]]
-    wsz = sz[cpos[winner]]
+    wid = cid[winner]
+    wlab = labels_all[wid]
+    wloc = loc[wid]
+    wsz = sz[wid]
 
     # strategy _veto on the winning candidate
     if heuristic_name == "minlabel":
@@ -243,8 +264,9 @@ def jacobi_minlabel_sweep(
     sigma_tot = np.bincount(comm, weights=wdeg, minlength=n)
     csize = np.bincount(comm, minlength=n)
     entry_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    # labels already lie in [0, n): they are their own compact index
     pr, pc, pw = aggregate_neighbor_communities(
-        entry_rows, indices, weights, comm
+        entry_rows, indices, weights, comm, n
     )
 
     stay_w = np.zeros(n)

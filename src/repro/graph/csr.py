@@ -329,5 +329,8 @@ def build_symmetric_csr(
     np.add.at(counts, s, 1)
     indptr = np.zeros(n_vertices + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    order = np.lexsort((d, s))
+    # stable sort on one int64 key, in (row, neighbour) order; the key
+    # stays below 2**63 for n_vertices up to about 3.03e9, like the
+    # canonicalisation key above
+    order = np.argsort(s * np.int64(max(n_vertices, 1)) + d, kind="stable")
     return CSRGraph(indptr, d[order], ww[order])

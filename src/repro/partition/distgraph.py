@@ -195,9 +195,14 @@ def build_local_graphs(
         src_local = local_of[e_src]
         if src_local.size and src_local.max() >= n_rows:
             raise AssertionError("entry sourced at a ghost vertex")
-        order = np.lexsort((local_of[e_dst], src_local))
+        # stable sort on one int64 key, in (source row, target) order; the
+        # key stays below 2**63 for fewer than about 3.03e9 local vertices
+        dst_local = local_of[e_dst]
+        order = np.argsort(
+            src_local * np.int64(global_ids.size) + dst_local, kind="stable"
+        )
         src_local = src_local[order]
-        dst_local = local_of[e_dst][order]
+        dst_local = dst_local[order]
         w_sorted = e_w[order]
         counts = np.zeros(n_rows, dtype=np.int64)
         np.add.at(counts, src_local, 1)

@@ -6,7 +6,10 @@ algorithm as the scalar Gauss–Seidel loop:
 1. **Snapshot equivalence** — against one frozen community state, the bulk
    kernel's per-row ``(chosen, gain, stay)`` must match
    ``LocalClustering._evaluate_vertex`` *exactly*, for every heuristic
-   (same Eq. 4 arithmetic, same tie-breaking, same vetoes);
+   (same Eq. 4 arithmetic, same tie-breaking, same vetoes), at the
+   singleton start and a few iterations in, with integer and non-integer
+   weights.  Below it, the pair grouping is pinned bit for bit against a
+   ``lexsort`` reference;
 2. **End-to-end equivalence** — full pipeline runs in both modes land on
    equivalent final modularity (trajectories legitimately differ:
    Gauss–Seidel applies moves mid-sweep, Jacobi applies them in bulk);
@@ -16,12 +19,16 @@ algorithm as the scalar Gauss–Seidel loop:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import DistributedConfig, distributed_louvain, sequential_louvain
+from repro.core.community_table import CommunityTable
 from repro.core.heuristics import get_heuristic
 from repro.core.local_clustering import LocalClustering
 from repro.core.modularity import modularity
-from repro.core.sweep_kernel import bulk_best_moves
+from repro.core.sweep_kernel import aggregate_neighbor_communities, bulk_best_moves
+from repro.graph.csr import build_symmetric_csr
 from repro.partition import delegate_partition
 from repro.runtime import run_spmd
 
@@ -35,42 +42,83 @@ def _run(graph, p, **kw):
     return distributed_louvain(graph, p, DistributedConfig(**kw))
 
 
-def _snapshot_mismatches(graph, p, heuristic):
-    """Compare kernel vs scalar evaluator on one frozen state, all ranks."""
+def _snapshot_mismatches(graph, p, heuristic, warm_iters=0):
+    """Compare kernel vs scalar evaluator on one frozen state, all ranks.
+
+    ``warm_iters`` inner iterations run first, so the snapshot holds
+    multi-member communities: rows then link to one community through
+    several entries, and the kernel's grouped sums are checked too.  The
+    kernel runs twice, on the dict caches and on a CommunityTable built
+    from them.
+    """
     partition = delegate_partition(graph, p, d_high=40)
 
     def worker(comm):
         lg = partition.locals[comm.rank]
         lc = LocalClustering(comm, lg, get_heuristic(heuristic))
         lc.sync_aggregates()
-        chosen, gain, stay = bulk_best_moves(
+        for _ in range(warm_iters):
+            _moved, hub_gain, hub_target = lc.find_best_pass()
+            lc.broadcast_delegates(hub_gain, hub_target)
+            lc.swap_ghosts()
+            lc.sync_aggregates()
+        # ghost swaps and hub consensus write the array, not the list view
+        lc._cof_list = lc.comm_of.tolist()
+
+        table = CommunityTable()
+        labs = np.array(sorted(lc.sigma_tot), dtype=np.int64)
+        table.rebuild(
+            labs,
+            np.array([lc.sigma_tot[lab] for lab in labs.tolist()]),
+            np.array([lc.csize[lab] for lab in labs.tolist()], dtype=np.int64),
+        )
+        census = np.array(sorted(lc.local_members), dtype=np.int64)
+        table.set_local_census(
+            census,
+            np.array(
+                [lc.local_members[lab] for lab in census.tolist()], dtype=np.int64
+            ),
+        )
+        common = dict(
             entry_rows=lc._entry_rows,
             indices=lg.indices,
             weights=lg.weights,
             comm_of=lc.comm_of,
             row_wdeg=lg.row_weighted_degree,
             n_rows=lg.n_rows,
-            sigma_tot=lc.sigma_tot,
-            csize=lc.csize,
-            local_members=lc.local_members,
             two_m=lc.two_m,
             resolution=lc.resolution,
             theta=lc.theta,
             heuristic_name=heuristic,
         )
+        by_dict = bulk_best_moves(
+            sigma_tot=lc.sigma_tot,
+            csize=lc.csize,
+            local_members=lc.local_members,
+            **common,
+        )
+        by_table = bulk_best_moves(table=table, **common)
         bad = []
-        for u in range(lg.n_rows):
-            c, g, s = lc._evaluate_vertex(u)
-            if (
-                c != int(chosen[u])
-                or abs(g - gain[u]) > 1e-9
-                or abs(s - stay[u]) > 1e-9
-            ):
-                bad.append((comm.rank, u, c, int(chosen[u])))
+        for chosen, gain, stay in (by_dict, by_table):
+            for u in range(lg.n_rows):
+                c, g, s = lc._evaluate_vertex(u)
+                if (
+                    c != int(chosen[u])
+                    or abs(g - gain[u]) > 1e-9
+                    or abs(s - stay[u]) > 1e-9
+                ):
+                    bad.append((comm.rank, u, c, int(chosen[u])))
         return bad
 
     results = run_spmd(p, worker, timeout=60.0).results
     return [entry for rank_bad in results for entry in rank_bad]
+
+
+def _float_weighted(graph, seed=3):
+    """``graph`` with non-integer weights drawn per undirected edge."""
+    src, dst, _w = graph.edge_arrays()
+    w = np.random.default_rng(seed).uniform(0.1, 3.0, src.size)
+    return build_symmetric_csr(graph.n_vertices, src, dst, w)
 
 
 class TestSnapshotEquivalence:
@@ -87,6 +135,82 @@ class TestSnapshotEquivalence:
 
     def test_scale_free_exact(self, ba_graph):
         assert _snapshot_mismatches(ba_graph, 4, "enhanced") == []
+
+    @pytest.mark.parametrize("heuristic", ["greedy", "minlabel", "enhanced"])
+    @pytest.mark.parametrize("case", ["mid-run", "float-weights"])
+    def test_grouped_snapshot_exact(self, lfr_small, web_graph, case, heuristic):
+        if case == "mid-run":
+            graph, warm = lfr_small.graph, 3
+        else:
+            graph, warm = _float_weighted(web_graph), 2
+        assert _snapshot_mismatches(graph, 4, heuristic, warm_iters=warm) == []
+
+
+def _lexsort_grouping(entry_rows, indices, weights, comm_of):
+    """Reference (row, label) grouping: lexsort on the raw labels."""
+    mask = indices != entry_rows
+    rows = entry_rows[mask]
+    labels = comm_of[indices[mask]]
+    w = weights[mask]
+    if rows.size == 0:
+        empty_i = np.zeros(0, dtype=np.int64)
+        return empty_i, empty_i, np.zeros(0, dtype=np.float64)
+    order = np.lexsort((labels, rows))
+    rows, labels, w = rows[order], labels[order], w[order]
+    boundary = np.empty(rows.size, dtype=bool)
+    boundary[0] = True
+    boundary[1:] = (rows[1:] != rows[:-1]) | (labels[1:] != labels[:-1])
+    starts = np.flatnonzero(boundary)
+    return rows[starts], labels[starts], np.add.reduceat(w, starts)
+
+
+@st.composite
+def _csr_snapshots(draw):
+    """A row-sorted CSR (empty rows, self-loops, non-integer weights) over
+    ``n`` vertices plus a sparse label per vertex, drawn from a small pool
+    of labels up to 2**40 so that many entries share a community."""
+    n = draw(st.integers(1, 24))
+    n_rows = draw(st.integers(1, n))
+    pool = draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=6, unique=True))
+    comm_of = np.array(
+        [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)],
+        dtype=np.int64,
+    )
+    rows, cols, wts = [], [], []
+    for u in range(n_rows):
+        for v in draw(st.lists(st.integers(0, n - 1), max_size=8)):
+            rows.append(u)
+            cols.append(v)
+            wts.append(
+                draw(st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False))
+            )
+    return (
+        np.array(rows, dtype=np.int64),
+        np.array(cols, dtype=np.int64),
+        np.array(wts, dtype=np.float64),
+        comm_of,
+    )
+
+
+class TestPairGroupingProperty:
+    """The compact-index grouping must equal the lexsort grouping bit for
+    bit: same pairs in the same order, sums accumulated in the same order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_csr_snapshots())
+    def test_matches_lexsort_reference(self, snapshot):
+        entry_rows, indices, weights, comm_of = snapshot
+        labels_all, cidx = np.unique(comm_of, return_inverse=True)
+        rows, ids, w = aggregate_neighbor_communities(
+            entry_rows, indices, weights, cidx, labels_all.size
+        )
+        ref_rows, ref_labels, ref_w = _lexsort_grouping(
+            entry_rows, indices, weights, comm_of
+        )
+        assert np.array_equal(rows, ref_rows)
+        assert np.array_equal(labels_all[ids], ref_labels)
+        assert np.array_equal(w, ref_w)
+        assert w.dtype == ref_w.dtype and w.tobytes() == ref_w.tobytes()
 
 
 class TestEndToEndEquivalence:
