@@ -18,42 +18,13 @@ Equivalence guarantee: because the sort is *stable*, the entries of bucket
 payload contents (and therefore the wire format, byte counts, and every
 downstream float accumulation order) are bit-identical to the masked form.
 The equivalence suite (``tests/core/test_pack.py``) pins this.
-
-:class:`PackBuffers` optionally recycles the staging allocations across
-calls for tight loops whose payloads are consumed before the next pack —
-see its docstring for the aliasing contract.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["PackBuffers", "pack_by_owner", "pack_bounds"]
-
-
-class PackBuffers:
-    """Reusable staging buffers for :func:`pack_by_owner`.
-
-    With buffers attached, the sorted staging arrays are written into
-    preallocated storage (grown geometrically, one buffer per input slot)
-    and the returned payloads are *views into that storage*.  The caller
-    must therefore fully consume (or copy) one pack's payloads before
-    issuing the next pack with the same buffers — the pattern of a
-    bulk-synchronous exchange, where the payload is read by the peer inside
-    the same ``alltoall``.  Without buffers every call allocates fresh
-    staging arrays and the result views stay valid indefinitely.
-    """
-
-    def __init__(self) -> None:
-        self._store: dict[int, np.ndarray] = {}
-
-    def get(self, slot: int, size: int, dtype: np.dtype) -> np.ndarray:
-        buf = self._store.get(slot)
-        if buf is None or buf.size < size or buf.dtype != dtype:
-            buf = np.empty(max(size, 16, 2 * (buf.size if buf is not None else 0)),
-                           dtype=dtype)
-            self._store[slot] = buf
-        return buf[:size]
+__all__ = ["pack_by_owner", "pack_bounds"]
 
 
 def pack_bounds(owner: np.ndarray, n_buckets: int) -> tuple[np.ndarray, np.ndarray]:
@@ -73,12 +44,7 @@ def pack_bounds(owner: np.ndarray, n_buckets: int) -> tuple[np.ndarray, np.ndarr
     return order, bounds
 
 
-def pack_by_owner(
-    owner: np.ndarray,
-    n_buckets: int,
-    *arrays: np.ndarray,
-    buffers: PackBuffers | None = None,
-) -> list:
+def pack_by_owner(owner: np.ndarray, n_buckets: int, *arrays: np.ndarray) -> list:
     """Split parallel ``arrays`` into per-owner payloads in one pass.
 
     Parameters
@@ -91,9 +57,6 @@ def pack_by_owner(
         plain ``list[np.ndarray]`` (one payload per bucket); with several it
         is a ``list[tuple[np.ndarray, ...]]`` — exactly the payload shapes
         the ``alltoall`` sites ship.
-    buffers:
-        Optional :class:`PackBuffers` to reuse staging storage (see the
-        class docstring for the aliasing contract).
 
     Within each bucket the original relative order is preserved (stable
     sort), so the payloads are bit-identical to the masked
@@ -102,14 +65,7 @@ def pack_by_owner(
     if not arrays:
         raise ValueError("pack_by_owner needs at least one array to split")
     order, bounds = pack_bounds(owner, n_buckets)
-    staged = []
-    for slot, arr in enumerate(arrays):
-        if buffers is not None and arr.ndim == 1:
-            out = buffers.get(slot, arr.shape[0], arr.dtype)
-            np.take(arr, order, out=out)
-        else:
-            out = np.take(arr, order, axis=0)
-        staged.append(out)
+    staged = [np.take(arr, order, axis=0) for arr in arrays]
     if len(staged) == 1:
         s = staged[0]
         return [s[bounds[r] : bounds[r + 1]] for r in range(n_buckets)]

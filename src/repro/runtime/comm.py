@@ -5,11 +5,11 @@ a simulated rank.  The full API surface — phase tagging, byte/message
 accounting, tracing, checksum envelopes, and every collective — lives in the
 backend-independent :class:`~repro.runtime.commbase.CommBase`; this module
 supplies only the thread transport.  Collectives are implemented on top of a
-single primitive — :meth:`_World.exchange` — in which every rank deposits a
-value into its slot of a generation-keyed buffer and reads the full buffer
-after a barrier.  Because the program model is SPMD, all ranks issue
-collectives in the same order, so per-rank generation counters agree and the
-exchange is race-free.
+single primitive — :meth:`_World.exchange` — in which every rank deposits its
+row (one slot per destination) into a generation-keyed buffer and, after a
+barrier, reads its own column.  Because the program model is SPMD, all ranks
+issue collectives in the same order, so per-rank generation counters agree
+and the exchange is race-free.
 
 Failure detection:
 
@@ -38,7 +38,6 @@ from repro.runtime.commbase import (
     DeadlockError,
     Request,
     _Envelope,
-    _TraceSpan,  # noqa: F401  (re-export: mpi_adapter imports it from here)
 )
 from repro.runtime.stats import RankStats, payload_checksum
 
@@ -85,11 +84,13 @@ class _World:
             self._mail_cv.notify_all()
 
     # -- collective primitive -------------------------------------------
-    def exchange(self, rank: int, gen: int, value: Any, op: str = "") -> list[Any]:
+    def exchange(
+        self, rank: int, gen: int, row: list[Any], op: str = ""
+    ) -> list[Any]:
         with self._lock:
             buf = self._coll_bufs.setdefault(gen, [None] * self.size)
             ops = self._coll_ops.setdefault(gen, [None] * self.size)
-        buf[rank] = value
+        buf[rank] = row
         ops[rank] = op
         try:
             self.barrier.wait(timeout=self.timeout)
@@ -106,7 +107,7 @@ class _World:
                     "never completed (a peer failed or diverged from the SPMD "
                     "collective order)"
                 ) from None
-        result = list(buf)
+        result = [r[rank] for r in buf]
         op_tags = list(ops)
         with self._lock:
             n = self._coll_reads.get(gen, 0) + 1
@@ -182,8 +183,8 @@ class SimComm(CommBase):
         self._world = world
 
     # -- transport primitives -------------------------------------------
-    def _exchange(self, gen: int, value: Any, op: str) -> list[Any]:
-        return self._world.exchange(self.rank, gen, value, op=op)
+    def _exchange(self, gen: int, row: list[Any], op: str) -> list[Any]:
+        return self._world.exchange(self.rank, gen, row, op=op)
 
     def _transport_send(self, dest: int, tag: int, obj: Any) -> None:
         deliveries: list[Any] = [obj]

@@ -3,25 +3,30 @@
 :class:`CommBase` is the single implementation of the mpi4py-flavoured API
 that SPMD programs run against — phase tagging, compute/traffic accounting,
 tracer hooks, checksum envelopes, and every collective's byte/message model
-live here, shared verbatim by both execution backends:
+live here, shared verbatim by all three transports:
 
 * :class:`repro.runtime.comm.SimComm` — thread backend, transport is the
   in-process :class:`~repro.runtime.comm._World`;
 * :class:`repro.runtime.process_backend.ProcComm` — process backend,
-  transport is a pickle-framed duplex pipe to the parent router.
+  transport is a pickle-framed duplex pipe to the parent router;
+* :class:`repro.runtime.mpi_adapter.MPIAdapter` — a real (or duck-typed)
+  mpi4py communicator.
 
-Because the accounting code is literally shared, the two backends produce
+Because the accounting code is literally shared, every transport produces
 identical per-rank per-phase byte, message, collective and superstep
 counters for the same SPMD program — the invariant the cross-backend
 conformance suite (``tests/runtime/test_backend_equivalence.py``) pins.
 
 Subclasses implement only the transport primitives:
 
-``_exchange(gen, value, op)``
-    The collective primitive: deposit ``value`` for generation ``gen`` and
-    return every rank's contribution (raising
-    :class:`CollectiveMismatchError` when op tags diverge and
-    :class:`DeadlockError` when the collective cannot complete).
+``_exchange(gen, row, op)``
+    The collective primitive, a personalized exchange: ``row[d]`` goes to
+    rank ``d`` and the call returns, for every source rank ``s``, what
+    ``s`` put in its row for the caller.  The caller's own slot is
+    ``None`` on the way in and ignored on the way out — every collective
+    goes through :meth:`CommBase._collective`, which keeps the diagonal on
+    the rank.  Raises :class:`CollectiveMismatchError` when op tags
+    diverge and :class:`DeadlockError` when the collective cannot complete.
 ``_transport_send(dest, tag, obj)``
     Deliver one point-to-point payload (applying fault injection and
     checksum wrapping on the way).
@@ -198,7 +203,7 @@ class CommBase:
     # ------------------------------------------------------------------
     # Transport primitives (subclass responsibility)
     # ------------------------------------------------------------------
-    def _exchange(self, gen: int, value: Any, op: str) -> list[Any]:
+    def _exchange(self, gen: int, row: list[Any], op: str) -> list[Any]:
         raise NotImplementedError
 
     def _transport_send(self, dest: int, tag: int, obj: Any) -> None:
@@ -402,16 +407,27 @@ class CommBase:
         self._gen += 1
         return g
 
+    def _collective(self, row: list[Any], op: str) -> list[Any]:
+        """Personalized exchange of ``row`` (``row[d]`` goes to rank ``d``);
+        returns what every rank sent us.  The own slot never reaches the
+        transport: it is blanked before the exchange and put back after."""
+        gen = self._next_gen()
+        mine = row[self.rank]
+        row[self.rank] = None
+        out = self._exchange(gen, row, op)
+        out[self.rank] = mine
+        return out
+
     def barrier(self) -> None:
         t0 = time.perf_counter() if self._tracer is not None else 0.0
-        self._exchange(self._next_gen(), None, op="barrier")
+        self._collective([None] * self.size, op="barrier")
         self.stats.close_superstep(self._phase)
         self._trace_coll(t0, "barrier", 0.0, 0.0)
 
     def allgather(self, value: Any) -> list[Any]:
         t0 = time.perf_counter() if self._tracer is not None else 0.0
         nbytes = payload_nbytes(value)
-        out = self._exchange(self._next_gen(), value, op="allgather")
+        out = self._collective([value] * self.size, op="allgather")
         # alltoall rule: zero-byte payloads put no messages on the wire
         n_msgs = self.size - 1 if nbytes > 0 else 0
         self.stats.add_sent(nbytes * (self.size - 1), self._phase, n_msgs)
@@ -441,8 +457,7 @@ class CommBase:
         for i, b in enumerate(nb):
             if i != self.rank and b > 0:
                 self.stats.add_edge(i, b, self._phase)
-        rows = self._exchange(self._next_gen(), list(values), op="alltoall")
-        out = [rows[src][self.rank] for src in range(self.size)]
+        out = self._collective(list(values), op="alltoall")
         recv = sum(
             payload_nbytes(v) for i, v in enumerate(out) if i != self.rank
         )
@@ -455,9 +470,8 @@ class CommBase:
         if not 0 <= root < self.size:
             raise CommError(f"bcast: bad root {root}")
         t0 = time.perf_counter() if self._tracer is not None else 0.0
-        out = self._exchange(
-            self._next_gen(),
-            value if self.rank == root else None,
+        out = self._collective(
+            [value if self.rank == root else None] * self.size,
             op=f"bcast(root={root})",
         )
         result = out[root]
@@ -480,7 +494,7 @@ class CommBase:
 
     def allreduce(self, value: Any, op: Callable = reducers.SUM) -> Any:
         t0 = time.perf_counter() if self._tracer is not None else 0.0
-        out = self._exchange(self._next_gen(), value, op="allreduce")
+        out = self._collective([value] * self.size, op="allreduce")
         result = reducers.reduce_values(out, op)
         sent = 0.0
         recv = 0.0
@@ -503,7 +517,9 @@ class CommBase:
         if not 0 <= root < self.size:
             raise CommError(f"reduce: bad root {root}")
         t0 = time.perf_counter() if self._tracer is not None else 0.0
-        out = self._exchange(self._next_gen(), value, op=f"reduce(root={root})")
+        row = [None] * self.size
+        row[root] = value
+        out = self._collective(row, op=f"reduce(root={root})")
         sent = 0.0
         recv = 0.0
         if self.size > 1:
@@ -529,7 +545,9 @@ class CommBase:
         if not 0 <= root < self.size:
             raise CommError(f"gather: bad root {root}")
         t0 = time.perf_counter() if self._tracer is not None else 0.0
-        out = self._exchange(self._next_gen(), value, op=f"gather(root={root})")
+        row = [None] * self.size
+        row[root] = value
+        out = self._collective(row, op=f"gather(root={root})")
         sent = 0.0
         recv = 0.0
         if self.rank != root:
@@ -545,7 +563,7 @@ class CommBase:
             self.stats.add_recv(recv, self._phase)
         self.stats.close_superstep(self._phase)
         self._trace_coll(t0, "gather", sent, recv)
-        return list(out) if self.rank == root else None
+        return out if self.rank == root else None
 
     def scatter(self, values: Sequence[Any] | None, root: int = 0) -> Any:
         if not 0 <= root < self.size:
@@ -557,7 +575,7 @@ class CommBase:
                 raise CommError(
                     f"scatter: root must supply exactly {self.size} payloads"
                 )
-            payload = list(values)
+            row = list(values)
             per_peer = [
                 (i, payload_nbytes(v)) for i, v in enumerate(values) if i != root
             ]
@@ -569,9 +587,8 @@ class CommBase:
                 if s > 0:
                     self.stats.add_edge(i, s, self._phase)
         else:
-            payload = None
-        out = self._exchange(self._next_gen(), payload, op=f"scatter(root={root})")
-        mine = out[root][self.rank]
+            row = [None] * self.size
+        mine = self._collective(row, op=f"scatter(root={root})")[root]
         recv = 0.0
         if self.rank != root:
             recv = payload_nbytes(mine)

@@ -1,11 +1,10 @@
-"""Adapter: run the SPMD algorithm code on a REAL mpi4py communicator.
+"""MPI transport: run the SPMD algorithm code on a REAL mpi4py communicator.
 
-Every algorithm in :mod:`repro.core` talks to the small communicator API of
-:class:`~repro.runtime.comm.SimComm` (``send/recv``, ``allgather``,
-``alltoall``, ``allreduce``, ``bcast``, ``barrier``, plus ``phase`` /
-``add_compute`` instrumentation).  :class:`MPIAdapter` provides the same
-surface on top of an ``mpi4py``-style communicator, so the identical worker
-functions run unchanged on an actual cluster::
+:class:`MPIAdapter` is a :class:`~repro.runtime.commbase.CommBase` transport,
+like the thread and process backends, so the identical worker functions run
+unchanged on an actual cluster with the full communicator API — phase
+tagging, byte/compute accounting, tracing, ``reduce``, ``isend``/``irecv``
+and collective-order mismatch detection::
 
     from mpi4py import MPI
     from repro.runtime.mpi_adapter import MPIAdapter
@@ -14,205 +13,75 @@ functions run unchanged on an actual cluster::
     comm = MPIAdapter(MPI.COMM_WORLD)
     LocalClustering(comm, my_local_graph, heuristic).run()
 
-The adapter keeps the same byte/compute accounting as the simulator (so the
-cost model and trace tooling keep working), implemented entirely in terms
-of the lowercase (pickle-based) mpi4py API.  It is duck-typed: anything
-exposing ``Get_rank/Get_size/send/recv/allgather/alltoall/allreduce/bcast/
-barrier`` works, which is how the test suite exercises it without an MPI
-installation.
+Every collective is one lowercase (pickle-based) ``alltoall`` whose slots
+carry ``(op, payload)``, so a rank that diverged from the SPMD collective
+order raises :class:`CollectiveMismatchError` instead of silently swapping
+payloads.  Point-to-point uses ``send``, ``recv`` and ``iprobe``; sends to
+self stay on the rank.  The adapter is duck-typed: anything exposing
+``Get_rank/Get_size/send/recv/iprobe/alltoall`` works, which is how the test
+suite exercises it without an MPI installation.
+
+Real MPI receives have no deadline, so ``recv(timeout=...)`` and the world
+timeout are ignored, and there is no fault injection or checksum envelope.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Callable, Sequence
+from typing import Any
 
-from repro.runtime import reducers
-from repro.runtime.comm import CommError, _TraceSpan
-from repro.runtime.stats import RankStats, payload_nbytes
+from repro.runtime.commbase import CollectiveMismatchError, CommBase, DeadlockError
+from repro.runtime.stats import RankStats
 
 __all__ = ["MPIAdapter"]
 
 
-class MPIAdapter:
-    """SimComm-compatible facade over an mpi4py-style communicator."""
+class MPIAdapter(CommBase):
+    """CommBase transport over an mpi4py-style communicator."""
 
     def __init__(self, mpi_comm, stats: RankStats | None = None, tracer=None) -> None:
+        rank = int(mpi_comm.Get_rank())
+        super().__init__(
+            rank,
+            int(mpi_comm.Get_size()),
+            stats if stats is not None else RankStats(rank=rank),
+            tracer=tracer,
+        )
         self._mpi = mpi_comm
-        self.rank = int(mpi_comm.Get_rank())
-        self.size = int(mpi_comm.Get_size())
-        self.stats = stats if stats is not None else RankStats(rank=self.rank)
-        self._phase = "other"
-        self._tracer = tracer  # RankTracer | None, same contract as SimComm
-        # comm-matrix partners for tree collectives (same model as SimComm)
-        if self.size > 1:
-            partners = []
-            for k in range(max(1, math.ceil(math.log2(self.size)))):
-                partner = self.rank ^ (1 << k)
-                if partner >= self.size:
-                    partner = (self.rank + (1 << k)) % self.size
-                partners.append(partner)
-            self._tree_partners: list[int] = partners
+        self._self_mail: dict[int, list[Any]] = {}  # tag -> FIFO of self-sends
+
+    def _exchange(self, gen: int, row: list[Any], op: str) -> list[Any]:
+        got = self._mpi.alltoall([(op, v) for v in row])
+        if any(tag != op for tag, _ in got):
+            detail = ", ".join(f"rank {r}: {t or '?'}" for r, (t, _) in enumerate(got))
+            raise CollectiveMismatchError(
+                f"rank {self.rank}: SPMD collective order diverged at "
+                f"generation {gen} ({detail})"
+            )
+        return [v for _, v in got]
+
+    def _transport_send(self, dest: int, tag: int, obj: Any) -> None:
+        if dest == self.rank:
+            self._self_mail.setdefault(tag, []).append(obj)
         else:
-            self._tree_partners = []
+            self._mpi.send(obj, dest=dest, tag=tag)
 
-    # -- instrumentation (identical to SimComm) --------------------------
-    def set_phase(self, name: str) -> None:
-        self._phase = name
-
-    @property
-    def tracing(self) -> bool:
-        return self._tracer is not None
-
-    def trace_span(self, name: str, cat: str = "", **args) -> _TraceSpan:
-        return _TraceSpan(self._tracer, name, cat, args)
-
-    def trace_instant(self, name: str, cat: str = "", **args) -> None:
-        if self._tracer is not None:
-            self._tracer.instant(name, cat=cat, args=args or None)
-
-    class _PhaseCtx:
-        def __init__(self, comm: "MPIAdapter", name: str) -> None:
-            self._comm = comm
-            self._name = name
-            self._prev = comm._phase
-
-        def __enter__(self):
-            self._prev = self._comm._phase
-            self._comm._phase = self._name
-            return self._comm
-
-        def __exit__(self, *exc):
-            self._comm._phase = self._prev
-            return False
-
-    def phase(self, name: str) -> "MPIAdapter._PhaseCtx":
-        return MPIAdapter._PhaseCtx(self, name)
-
-    def add_compute(self, units: float) -> None:
-        self.stats.add_compute(units, self._phase)
-
-    def fault_event(self, name: str) -> None:
-        """API parity with SimComm; real MPI has no fault injector."""
-
-    # -- point-to-point ---------------------------------------------------
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        if not 0 <= dest < self.size:
-            raise CommError(f"send: bad destination rank {dest}")
-        nbytes = payload_nbytes(obj)
-        self.stats.add_sent(nbytes, self._phase)
-        self.stats.add_edge(dest, nbytes, self._phase)
-        self._mpi.send(obj, dest=dest, tag=tag)
-
-    def recv(self, source: int, tag: int = 0, timeout: float | None = None) -> Any:
-        if not 0 <= source < self.size:
-            raise CommError(f"recv: bad source rank {source}")
-        payload = self._mpi.recv(source=source, tag=tag)
-        self.stats.add_recv(payload_nbytes(payload), self._phase)
+    def _transport_recv(self, source: int, tag: int, timeout: float) -> Any:
+        if source != self.rank:
+            return self._mpi.recv(source=source, tag=tag)
+        ok, payload = self._transport_try_recv(source, tag)
+        if not ok:
+            raise DeadlockError(
+                f"rank {self.rank}: recv(source={source}, tag={tag}) can never "
+                "complete (no pending self-send)"
+            )
         return payload
 
-    # -- collectives -------------------------------------------------------
-    def barrier(self) -> None:
-        self._mpi.barrier()
-        self.stats.close_superstep(self._phase)
-
-    def allgather(self, value: Any) -> list[Any]:
-        nbytes = payload_nbytes(value)
-        out = list(self._mpi.allgather(value))
-        self.stats.add_sent(nbytes * (self.size - 1), self._phase, self.size - 1)
-        for peer in range(self.size):
-            if peer != self.rank:
-                self.stats.add_edge(peer, nbytes, self._phase)
-        self.stats.add_recv(
-            sum(payload_nbytes(v) for i, v in enumerate(out) if i != self.rank),
-            self._phase,
-        )
-        self.stats.close_superstep(self._phase)
-        return out
-
-    def alltoall(self, values: Sequence[Any]) -> list[Any]:
-        if len(values) != self.size:
-            raise CommError(
-                f"alltoall: expected {self.size} payloads, got {len(values)}"
-            )
-        nb = [payload_nbytes(v) for v in values]
-        sent = sum(b for i, b in enumerate(nb) if i != self.rank)
-        self.stats.add_sent(sent, self._phase, self.size - 1)
-        for i, b in enumerate(nb):
-            if i != self.rank:
-                self.stats.add_edge(i, b, self._phase)
-        out = list(self._mpi.alltoall(list(values)))
-        self.stats.add_recv(
-            sum(payload_nbytes(v) for i, v in enumerate(out) if i != self.rank),
-            self._phase,
-        )
-        self.stats.close_superstep(self._phase)
-        return out
-
-    def bcast(self, value: Any, root: int = 0) -> Any:
-        if not 0 <= root < self.size:
-            raise CommError(f"bcast: bad root {root}")
-        result = self._mpi.bcast(value, root=root)
-        if self.size > 1:
-            log_p = max(1, math.ceil(math.log2(self.size)))
-            nbytes = payload_nbytes(result)
-            self.stats.add_sent(nbytes * log_p, self._phase, log_p)
-            for peer in self._tree_partners:
-                self.stats.add_edge(peer, nbytes, self._phase)
-            self.stats.add_recv(nbytes, self._phase)
-        self.stats.close_superstep(self._phase)
-        return result
-
-    def allreduce(self, value: Any, op: Callable = reducers.SUM) -> Any:
-        # mpi4py's allreduce takes MPI.Op objects; arbitrary Python
-        # reducers (like the hub-consensus elementwise op) go through
-        # allgather + deterministic left fold, exactly as the simulator
-        out = list(self._mpi.allgather(value))
-        result = reducers.reduce_values(out, op)
-        if self.size > 1:
-            log_p = max(1, math.ceil(math.log2(self.size)))
-            nbytes = payload_nbytes(value)
-            self.stats.add_sent(nbytes * log_p, self._phase, log_p)
-            for peer in self._tree_partners:
-                self.stats.add_edge(peer, nbytes, self._phase)
-            self.stats.add_recv(nbytes * log_p, self._phase)
-        self.stats.close_superstep(self._phase)
-        return result
-
-    def gather(self, value: Any, root: int = 0) -> list[Any] | None:
-        if not 0 <= root < self.size:
-            raise CommError(f"gather: bad root {root}")
-        out = self._mpi.gather(value, root=root)
-        if self.rank != root:
-            nbytes = payload_nbytes(value)
-            self.stats.add_sent(nbytes, self._phase)
-            self.stats.add_edge(root, nbytes, self._phase)
-        elif out is not None:
-            self.stats.add_recv(
-                sum(payload_nbytes(v) for i, v in enumerate(out) if i != root),
-                self._phase,
-            )
-        self.stats.close_superstep(self._phase)
-        return list(out) if out is not None else None
-
-    def scatter(self, values: Sequence[Any] | None, root: int = 0) -> Any:
-        if not 0 <= root < self.size:
-            raise CommError(f"scatter: bad root {root}")
-        if self.rank == root:
-            if values is None or len(values) != self.size:
-                raise CommError(
-                    f"scatter: root must supply exactly {self.size} payloads"
-                )
-            per_peer = [
-                (i, payload_nbytes(v)) for i, v in enumerate(values) if i != root
-            ]
-            self.stats.add_sent(
-                sum(s for _, s in per_peer), self._phase, self.size - 1
-            )
-            for i, s in per_peer:
-                self.stats.add_edge(i, s, self._phase)
-        mine = self._mpi.scatter(list(values) if values is not None else None, root=root)
-        if self.rank != root:
-            self.stats.add_recv(payload_nbytes(mine), self._phase)
-        self.stats.close_superstep(self._phase)
-        return mine
+    def _transport_try_recv(self, source: int, tag: int) -> tuple[bool, Any]:
+        if source != self.rank:
+            if not self._mpi.iprobe(source=source, tag=tag):
+                return False, None
+            return True, self._mpi.recv(source=source, tag=tag)
+        box = self._self_mail.get(tag)
+        if not box:
+            return False, None
+        return True, box.pop(0)

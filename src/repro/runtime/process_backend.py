@@ -13,11 +13,13 @@ Architecture (full protocol notes in ``docs/BACKENDS.md``):
   CSR graph segments are mapped zero-copy by every child instead of being
   copied ``p`` times through pipes.
 * Each child holds one pickle-framed duplex pipe to the parent.  Children
-  send ``("coll", gen, op, value)``, ``("p2p", dst, tag, payload)``,
+  send ``("coll", gen, op, row)``, ``("p2p", dst, tag, payload)``,
   ``("event", name)`` and a final ``("done", ...)``/``("err", ...)`` frame;
   the parent routes p2p frames to their destination, assembles collectives
   by generation, and answers with ``("coll_ok"|"coll_err"|"coll_abort")``,
-  ``("crash")``, ``("ok")`` and ``("abort")`` frames.
+  ``("crash")``, ``("ok")`` and ``("abort")`` frames.  A collective row
+  carries one slot per destination (the sender's own slot is ``None``), and
+  each ``coll_ok`` carries only the receiver's column.
 * :class:`ProcComm` subclasses :class:`~repro.runtime.commbase.CommBase`,
   so byte/message accounting, op-tag mismatch formatting, checksum
   envelopes and superstep flush semantics are literally the thread
@@ -117,7 +119,7 @@ class ProcComm(CommBase):
         self._aborted = False
         # (src, tag) -> FIFO of delivered payloads
         self._mail: dict[tuple[int, int], list[Any]] = {}
-        # gen -> ("ok", values) | ("err", detail) | ("abort", None)
+        # gen -> ("ok", column) | ("err", detail) | ("abort", None)
         self._coll_replies: dict[int, tuple[str, Any]] = {}
         self._event_acks = 0
 
@@ -164,8 +166,8 @@ class ProcComm(CommBase):
         self._pump(0)
 
     # -- transport primitives -------------------------------------------
-    def _exchange(self, gen: int, value: Any, op: str) -> list[Any]:
-        self._conn.send(("coll", gen, op, value))
+    def _exchange(self, gen: int, row: list[Any], op: str) -> list[Any]:
+        self._conn.send(("coll", gen, op, row))
         deadline = time.monotonic() + self._timeout
         while True:
             reply = self._coll_replies.pop(gen, None)
@@ -328,7 +330,7 @@ class _Router:
         self.checksums = checksums
         self._send_locks = [threading.Lock() for _ in conns]
         self._coll_lock = threading.Lock()
-        # gen -> {"values": [...], "ops": [...], "n": deposits so far}
+        # gen -> {"rows": [...], "ops": [...], "n": deposits so far}
         self._coll: dict[int, dict] = {}
         self.aborted = False
         self.results: list[Any] = [None] * self.size
@@ -359,7 +361,7 @@ class _Router:
             self._send(r, ("abort",))
 
     # -- frame handlers (run on reader threads) --------------------------
-    def _on_coll(self, rank: int, gen: int, op: str, value: Any) -> None:
+    def _on_coll(self, rank: int, gen: int, op: str, row: list[Any]) -> None:
         if self.injector is not None:
             from repro.runtime.faults import InjectedCrash
 
@@ -377,12 +379,12 @@ class _Router:
                 entry = self._coll.setdefault(
                     gen,
                     {
-                        "values": [None] * self.size,
+                        "rows": [None] * self.size,
                         "ops": [None] * self.size,
                         "n": 0,
                     },
                 )
-                entry["values"][rank] = value
+                entry["rows"][rank] = row
                 entry["ops"][rank] = op
                 entry["n"] += 1
                 if entry["n"] == self.size:
@@ -403,8 +405,9 @@ class _Router:
             for dst in range(self.size):
                 self._send(dst, ("coll_err", gen, detail))
         else:
+            rows = entry["rows"]
             for dst in range(self.size):
-                self._send(dst, ("coll_ok", gen, entry["values"]))
+                self._send(dst, ("coll_ok", gen, [r[dst] for r in rows]))
 
     def _on_p2p(self, src: int, dst: int, tag: int, payload: Any) -> None:
         deliveries = [payload]

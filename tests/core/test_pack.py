@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pack import PackBuffers, pack_bounds, pack_by_owner
+from repro.core.pack import pack_bounds, pack_by_owner
 
 
 def masked_reference(owner, n_buckets, *arrays):
@@ -101,41 +101,6 @@ class TestPackByOwner:
         got = pack_by_owner(owner, 4, vals)
         for r in range(4):
             assert got[r].tobytes() == vals[owner == r].tobytes()
-
-
-class TestPackBuffers:
-    def test_buffers_produce_same_payloads(self, rng):
-        bufs = PackBuffers()
-        for trial in range(5):
-            n = 50 + 40 * trial  # force growth across calls
-            owner = rng.integers(0, 4, size=n)
-            vals = rng.standard_normal(n)
-            got = pack_by_owner(owner, 4, vals, buffers=bufs)
-            ref = [vals[owner == r] for r in range(4)]
-            for g, e in zip(got, ref):
-                assert np.array_equal(g, e)
-
-    def test_buffer_views_alias_until_next_pack(self, rng):
-        bufs = PackBuffers()
-        owner = np.array([0, 1, 0, 1], dtype=np.int64)
-        first = pack_by_owner(owner, 2, np.array([1.0, 2.0, 3.0, 4.0]),
-                              buffers=bufs)
-        snapshot = [p.copy() for p in first]
-        pack_by_owner(owner, 2, np.array([9.0, 9.0, 9.0, 9.0]), buffers=bufs)
-        # the aliasing contract: the old views now show the new pack's data
-        assert not all(
-            np.array_equal(p, s) for p, s in zip(first, snapshot)
-        )
-
-    def test_dtype_change_reallocates(self):
-        bufs = PackBuffers()
-        owner = np.zeros(4, dtype=np.int64)
-        ints = pack_by_owner(owner, 1, np.arange(4, dtype=np.int64),
-                             buffers=bufs)
-        assert ints[0].dtype == np.int64
-        floats = pack_by_owner(owner, 1, np.arange(4, dtype=np.float64),
-                               buffers=bufs)
-        assert floats[0].dtype == np.float64
 
 
 @settings(max_examples=60, deadline=None)

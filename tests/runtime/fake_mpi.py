@@ -1,0 +1,115 @@
+"""A duck-typed mpi4py communicator backed by threads, for testing the MPI
+transport (:class:`repro.runtime.mpi_adapter.MPIAdapter`) without an MPI
+installation.
+
+The fake implements only the calls the transport uses — ``Get_rank``,
+``Get_size``, ``send``, ``recv``, ``iprobe`` and ``alltoall`` — and, like
+the lowercase mpi4py API, pickles every payload on its way between ranks.
+"""
+
+import pickle
+import threading
+
+from repro.runtime.engine import SPMDResult
+from repro.runtime.mpi_adapter import MPIAdapter
+from repro.runtime.stats import RankStats, RunStats
+
+TIMEOUT = 20.0
+
+
+class _FakeWorld:
+    """State shared by the FakeMPIComm instances of one run."""
+
+    def __init__(self, size):
+        self.size = size
+        self.barrier = threading.Barrier(size)
+        self.lock = threading.Lock()
+        self.rows = {}  # generation -> one pickled row per rank
+        self.reads = {}  # generation -> ranks that have read their column
+        self.mail = {}  # (src, dst, tag) -> FIFO of pickled payloads
+        self.mail_cv = threading.Condition()
+
+
+class FakeMPIComm:
+    def __init__(self, world, rank):
+        self._w = world
+        self._rank = rank
+        self._gen = 0
+
+    def Get_rank(self):
+        return self._rank
+
+    def Get_size(self):
+        return self._w.size
+
+    def send(self, obj, dest, tag=0):
+        with self._w.mail_cv:
+            box = self._w.mail.setdefault((self._rank, dest, tag), [])
+            box.append(pickle.dumps(obj))
+            self._w.mail_cv.notify_all()
+
+    def iprobe(self, source, tag=0):
+        with self._w.mail_cv:
+            return bool(self._w.mail.get((source, self._rank, tag)))
+
+    def recv(self, source, tag=0):
+        key = (source, self._rank, tag)
+        with self._w.mail_cv:
+            if not self._w.mail_cv.wait_for(
+                lambda: self._w.mail.get(key), timeout=TIMEOUT
+            ):
+                raise TimeoutError(f"fake MPI recv{key} timed out")
+            box = self._w.mail[key]
+            data = box.pop(0)
+            if not box:
+                del self._w.mail[key]
+        return pickle.loads(data)
+
+    def alltoall(self, sendobj):
+        w = self._w
+        gen = self._gen
+        self._gen += 1
+        with w.lock:
+            rows = w.rows.setdefault(gen, [None] * w.size)
+        rows[self._rank] = [pickle.dumps(v) for v in sendobj]
+        w.barrier.wait(timeout=TIMEOUT)
+        out = [pickle.loads(row[self._rank]) for row in rows]
+        with w.lock:
+            w.reads[gen] = w.reads.get(gen, 0) + 1
+            if w.reads[gen] == w.size:
+                del w.rows[gen], w.reads[gen]
+        return out
+
+
+def run_fake_mpi(p, fn, *args, tracer=None):
+    """Run ``fn(comm, *args)`` on ``p`` MPIAdapter ranks over the fake.
+
+    Mirrors ``run_spmd``: trailing activity is flushed into the superstep
+    log, and the first non-secondary rank error is re-raised as is.
+    """
+    world = _FakeWorld(p)
+    stats = [RankStats(rank=r) for r in range(p)]
+    results = [None] * p
+    errors = [None] * p
+
+    def worker(r):
+        try:
+            rank_tracer = tracer.rank(r) if tracer is not None else None
+            comm = MPIAdapter(FakeMPIComm(world, r), stats[r], tracer=rank_tracer)
+            results[r] = fn(comm, *args)
+        except BaseException as exc:  # noqa: BLE001
+            errors[r] = exc
+            world.barrier.abort()
+        finally:
+            stats[r].flush()
+
+    threads = [threading.Thread(target=worker, args=(r,)) for r in range(p)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    failures = [e for e in errors if e is not None]
+    failures.sort(key=lambda e: isinstance(e, threading.BrokenBarrierError))
+    if failures:
+        raise failures[0]
+    return SPMDResult(results=results, stats=RunStats(ranks=stats))

@@ -154,6 +154,45 @@ def test_primitive_equivalence(p, checksums):
 
 
 # ---------------------------------------------------------------------------
+# The diagonal of a collective never leaves the rank
+# ---------------------------------------------------------------------------
+
+
+def _unpicklable_self_slot(comm):
+    row = [comm.rank * 10 + i for i in range(comm.size)]
+    row[comm.rank] = lambda: comm.rank  # cannot cross a process boundary
+    out = comm.alltoall(row)
+    return out[comm.rank](), [v for i, v in enumerate(out) if i != comm.rank]
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_self_slot_is_never_shipped(backend):
+    res = run_spmd(2, _unpicklable_self_slot, timeout=30.0, backend=backend)
+    assert res.results == [(0, [10]), (1, [1])]
+
+
+def test_router_sends_each_rank_only_its_column():
+    from repro.runtime.process_backend import _Router
+
+    class _Conn:
+        def __init__(self):
+            self.frames = []
+
+        def send(self, frame):
+            self.frames.append(frame)
+
+    conns = [_Conn() for _ in range(3)]
+    router = _Router(conns, injector=None, checksums=False)
+    for src in range(3):
+        row = [f"{src}->{dst}" for dst in range(3)]
+        row[src] = None
+        router._on_coll(src, 0, "alltoall", row)
+    for dst, conn in enumerate(conns):
+        expected = [None if src == dst else f"{src}->{dst}" for src in range(3)]
+        assert conn.frames == [("coll_ok", 0, expected)]
+
+
+# ---------------------------------------------------------------------------
 # Backend dispatch
 # ---------------------------------------------------------------------------
 

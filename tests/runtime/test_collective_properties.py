@@ -2,11 +2,11 @@
 
 Randomized payload shapes/dtypes and op sequences are driven through
 ``bcast`` / ``allreduce`` / ``alltoall`` / ``allgather`` on both execution
-backends; every run must agree with a single-process oracle computed
-directly from the generated payload table.  A second property pins failure
-detection: whenever the generated programs diverge in collective order, the
-run must raise :class:`CollectiveMismatchError` — never deliver mismatched
-payloads.
+backends and on the MPI transport (over the fake in ``fake_mpi.py``); every
+run must agree with a single-process oracle computed directly from the
+generated payload table.  A second property pins failure detection: whenever
+the generated programs diverge in collective order, the run must raise
+:class:`CollectiveMismatchError` — never deliver mismatched payloads.
 
 Op specs are plain data (dicts of ints/strings/shapes) so the SPMD program
 stays a module-level function the process backend can ship to spawned
@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime import CollectiveMismatchError, SPMDError, reducers, run_spmd
+from tests.runtime.fake_mpi import run_fake_mpi
 
 DTYPES = ["int64", "float64", "int32", "uint8"]
 
@@ -134,6 +135,13 @@ class TestAgainstOracle:
         res = run_spmd(p, _run_ops, ops, timeout=30.0, backend="process")
         assert res.results == _oracle(ops, p)
 
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_mpi_transport_matches_oracle(self, data):
+        p = data.draw(st.integers(1, 4), label="p")
+        ops = data.draw(op_sequences(p), label="ops")
+        assert run_fake_mpi(p, _run_ops, ops).results == _oracle(ops, p)
+
     @settings(max_examples=5, deadline=None)
     @given(data=st.data())
     def test_backends_agree_including_accounting(self, data):
@@ -204,6 +212,14 @@ class TestDivergenceDetection:
         with pytest.raises(SPMDError) as exc_info:
             run_spmd(p, _divergent_program, lists, timeout=30.0, backend="process")
         assert isinstance(exc_info.value.original, CollectiveMismatchError)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_mpi_transport_raises_mismatch(self, data):
+        p = data.draw(st.integers(2, 4), label="p")
+        lists = data.draw(divergent_op_lists(p), label="ops")
+        with pytest.raises(CollectiveMismatchError):
+            run_fake_mpi(p, _divergent_program, lists)
 
     def test_mismatch_error_names_every_rank(self):
         lists = [["allreduce"], ["allgather"], ["allreduce"]]

@@ -1,129 +1,28 @@
-"""Tests for the real-MPI adapter, exercised through a duck-typed fake.
+"""Tests for the MPI transport, exercised through a duck-typed fake.
 
-The fake implements the lowercase mpi4py API over in-process queues for a
-set of threads — structurally the same transport the simulator uses — so
-the adapter's plumbing, accounting and API parity with SimComm are fully
-tested without an MPI installation.
+The fake (``tests/runtime/fake_mpi.py``) implements the lowercase mpi4py
+calls the transport uses over threads, so the adapter's plumbing and its
+conformance with the thread backend — results, per-rank per-phase
+counters, supersteps and communication matrices — are tested without an
+MPI installation.
 """
-
-import queue
-import threading
 
 import numpy as np
 import pytest
 
 from repro.core.heuristics import get_heuristic
 from repro.core.local_clustering import LocalClustering
-from repro.core.modularity import modularity
 from repro.partition import delegate_partition
-from repro.runtime.mpi_adapter import MPIAdapter
+from repro.runtime import CollectiveMismatchError, SPMDError, run_spmd
+from tests.runtime.fake_mpi import run_fake_mpi
+from tests.runtime.test_backend_equivalence import _mixed_program, _phase_counters
 
 
-class _FakeWorld:
-    """Shared state for FakeMPIComm instances (barrier + slot exchange)."""
-
-    def __init__(self, size):
-        self.size = size
-        self.barrier = threading.Barrier(size)
-        self.slots = {}
-        self.lock = threading.Lock()
-        self.mail = {}
-        self.mail_cv = threading.Condition()
-        self.gen = [0] * size
-
-
-class FakeMPIComm:
-    """Duck-typed mpi4py communicator backed by threads."""
-
-    def __init__(self, world, rank):
-        self._w = world
-        self._rank = rank
-
-    def Get_rank(self):
-        return self._rank
-
-    def Get_size(self):
-        return self._w.size
-
-    # -- transport helpers ------------------------------------------------
-    def _exchange(self, value):
-        w = self._w
-        gen = w.gen[self._rank]
-        w.gen[self._rank] += 1
-        with w.lock:
-            buf = w.slots.setdefault(gen, [None] * w.size)
-        buf[self._rank] = value
-        w.barrier.wait(timeout=20)
-        out = list(buf)
-        with w.lock:
-            key = (gen, "reads")
-            n = w.slots.get(key, 0) + 1
-            if n == w.size:
-                w.slots.pop(gen, None)
-                w.slots.pop(key, None)
-            else:
-                w.slots[key] = n
-        return out
-
-    # -- lowercase mpi4py API ----------------------------------------------
-    def send(self, obj, dest, tag=0):
-        with self._w.mail_cv:
-            self._w.mail.setdefault((self._rank, dest, tag), []).append(obj)
-            self._w.mail_cv.notify_all()
-
-    def recv(self, source, tag=0):
-        key = (source, self._rank, tag)
-        with self._w.mail_cv:
-            self._w.mail_cv.wait_for(lambda: self._w.mail.get(key), timeout=20)
-            box = self._w.mail[key]
-            out = box.pop(0)
-            if not box:
-                del self._w.mail[key]
-            return out
-
-    def allgather(self, value):
-        return self._exchange(value)
-
-    def alltoall(self, values):
-        rows = self._exchange(list(values))
-        return [rows[src][self._rank] for src in range(self._w.size)]
-
-    def bcast(self, value, root=0):
-        return self._exchange(value if self._rank == root else None)[root]
-
-    def gather(self, value, root=0):
-        out = self._exchange(value)
-        return out if self._rank == root else None
-
-    def scatter(self, values, root=0):
-        out = self._exchange(values if self._rank == root else None)
-        return out[root][self._rank]
-
-    def barrier(self):
-        self._exchange(None)
-
-
-def run_fake_mpi(p, fn):
-    world = _FakeWorld(p)
-    results = [None] * p
-    errors = [None] * p
-
-    def worker(r):
-        try:
-            results[r] = fn(MPIAdapter(FakeMPIComm(world, r)))
-        except BaseException as exc:  # noqa: BLE001
-            errors[r] = exc
-            world.barrier.abort()
-
-    threads = [threading.Thread(target=worker, args=(r,)) for r in range(p)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for exc in errors:
-        if exc is not None and not isinstance(exc, threading.BrokenBarrierError):
-            raise exc
-    return results
+def assert_same_accounting(a, b):
+    assert _phase_counters(a) == _phase_counters(b)
+    ba, ma = a.comm_matrix()
+    bb, mb = b.comm_matrix()
+    assert np.array_equal(ba, bb) and np.array_equal(ma, mb)
 
 
 class TestAdapterCollectives:
@@ -131,14 +30,14 @@ class TestAdapterCollectives:
         def prog(c):
             return c.allreduce(c.rank + 1), c.allgather(c.rank * 2)
 
-        res = run_fake_mpi(3, prog)
+        res = run_fake_mpi(3, prog).results
         assert all(out == (6, [0, 2, 4]) for out in res)
 
     def test_alltoall(self):
         def prog(c):
             return c.alltoall([f"{c.rank}->{i}" for i in range(c.size)])
 
-        res = run_fake_mpi(3, prog)
+        res = run_fake_mpi(3, prog).results
         for r, got in enumerate(res):
             assert got == [f"{s}->{r}" for s in range(3)]
 
@@ -150,7 +49,7 @@ class TestAdapterCollectives:
             c.barrier()
             return b, g, s
 
-        res = run_fake_mpi(3, prog)
+        res = run_fake_mpi(3, prog).results
         assert res[0] == ("root", None, 10)
         assert res[1] == ("root", [0, 1, 2], 20)
         assert res[2] == ("root", None, 30)
@@ -162,31 +61,83 @@ class TestAdapterCollectives:
                 return None
             return c.recv(source=0)
 
-        assert run_fake_mpi(2, prog)[1] == {"x": 1}
+        assert run_fake_mpi(2, prog).results[1] == {"x": 1}
 
     def test_stats_accounted(self):
-        collected = {}
-
         def prog(c):
             with c.phase("work"):
                 c.add_compute(11)
                 c.allgather(np.zeros(4))
-            collected[c.rank] = c.stats
-            return None
 
-        run_fake_mpi(2, prog)
-        st = collected[0]
+        st = run_fake_mpi(2, prog).stats.ranks[0]
         assert st.compute_by_phase["work"] == 11
         assert st.bytes_sent_by_phase["work"] == 32  # one 32B peer payload
         assert st.total_collectives == 1
+
+    def test_empty_payloads_and_self_sends_are_free(self):
+        def prog(c):
+            c.allgather(np.zeros(0))
+            c.alltoall([np.zeros(0)] * c.size)
+            c.send("me", c.rank, tag=3)
+            return c.recv(c.rank, tag=3)
+
+        res = run_fake_mpi(2, prog)
+        assert res.results == ["me", "me"]
+        for st in res.stats.ranks:
+            assert st.total_bytes_sent == 0
+            assert st.total_messages_sent == 0
+        assert_same_accounting(res.stats, run_spmd(2, prog, timeout=30.0).stats)
+
+
+class TestConformanceWithThreadBackend:
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_mixed_program(self, p):
+        fake = run_fake_mpi(p, _mixed_program, 7)
+        sim = run_spmd(p, _mixed_program, 7, timeout=30.0, backend="thread")
+        assert fake.results == sim.results
+        assert_same_accounting(fake.stats, sim.stats)
+
+    def test_unpicklable_self_slot_stays_local(self):
+        def prog(c):
+            return c.alltoall(
+                [(lambda: c.rank) if i == c.rank else i for i in range(c.size)]
+            )
+
+        res = run_fake_mpi(2, prog).results
+        assert [row[r]() for r, row in enumerate(res)] == [0, 1]
+
+    def test_mismatch_error_matches_thread_backend(self):
+        def prog(c):
+            if c.rank == 1:
+                c.allgather(c.rank)
+            else:
+                c.allreduce(1)
+
+        with pytest.raises(CollectiveMismatchError) as fake_exc:
+            run_fake_mpi(3, prog)
+        with pytest.raises(SPMDError) as sim_exc:
+            run_spmd(3, prog, timeout=30.0)
+        # same text up to the reporting rank's prefix
+        strip = lambda exc: str(exc).split(": ", 1)[1]  # noqa: E731
+        assert strip(fake_exc.value) == strip(sim_exc.value.original)
+
+    def test_collective_spans_match_thread_backend(self):
+        from repro.runtime.tracing import TraceRecorder
+
+        keyed = lambda rec: sorted(  # noqa: E731
+            (s.rank, s.name, s.args.get("bytes_sent"), s.args.get("bytes_recv"))
+            for s in rec.span_records(cat="collective")
+        )
+        rec_fake, rec_sim = TraceRecorder(), TraceRecorder()
+        run_fake_mpi(2, _mixed_program, 0, tracer=rec_fake)
+        run_spmd(2, _mixed_program, 0, timeout=30.0, tracer=rec_sim)
+        assert keyed(rec_fake) and keyed(rec_fake) == keyed(rec_sim)
 
 
 class TestAdapterRunsRealAlgorithm:
     def test_local_clustering_through_adapter(self, web_graph):
         """The actual Algorithm-2 code runs unchanged over the adapter and
-        reaches the same modularity as under the simulator."""
-        from repro.runtime import run_spmd
-
+        reproduces the thread backend's labels, modularity and counters."""
         part = delegate_partition(web_graph, 3, d_high=40)
 
         def worker_any(comm):
@@ -197,6 +148,9 @@ class TestAdapterRunsRealAlgorithm:
             return lc.run()
 
         fake = run_fake_mpi(3, worker_any)
-        sim = run_spmd(3, worker_any, timeout=60).results
-        assert fake[0].q_final == pytest.approx(sim[0].q_final, abs=1e-12)
-        assert fake[0].q_history == sim[0].q_history
+        sim = run_spmd(3, worker_any, timeout=60)
+        for f, s in zip(fake.results, sim.results):
+            assert np.array_equal(f.comm_of, s.comm_of)
+            assert f.q_final == s.q_final
+            assert f.q_history == s.q_history
+        assert_same_accounting(fake.stats, sim.stats)
