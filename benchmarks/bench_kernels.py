@@ -192,26 +192,14 @@ def _sweep_workload(graph, size=SYNC_RANKS):
     """Rank 0's state a few inner iterations into level 1.
 
     Communities then have several members, so rows reach one community
-    through several entries.  Returns the rank's LocalClustering (its list
-    views refreshed for ``_evaluate_vertex``) and a CommunityTable holding
-    the same cache values, as the vectorized sweep reads them.
+    through several entries.  Returns the rank's LocalClustering (its pass
+    views loaded for ``_evaluate_vertex``) and its CommunityTable, which
+    the vectorized sweep reads.
     """
     partition = delegate_partition(graph, size, d_high=64)
     lc = run_spmd(size, _sweep_snapshot_program, partition, backend="thread").results[0]
-    lc._cof_list = lc.comm_of.tolist()
-    labs = np.array(sorted(lc.sigma_tot), dtype=np.int64)
-    table = CommunityTable()
-    table.rebuild(
-        labs,
-        np.array([lc.sigma_tot[lab] for lab in labs.tolist()]),
-        np.array([lc.csize[lab] for lab in labs.tolist()], dtype=np.int64),
-    )
-    census = np.array(sorted(lc.local_members), dtype=np.int64)
-    table.set_local_census(
-        census,
-        np.array([lc.local_members[lab] for lab in census.tolist()], dtype=np.int64),
-    )
-    return lc, table
+    lc._load_pass_views()
+    return lc, lc.ctab
 
 
 def _sweep_scalar(lc, table):
@@ -349,8 +337,6 @@ def _sync_scalar(w, two_m=1000.0, resolution=1.0):
 
 
 def _sync_vectorized(w, two_m=1000.0, resolution=1.0):
-    from repro.core.community_table import CommunityTable
-
     q_total = 0.0
     for owner in range(len(w["streams"])):
         labs, tot, cnt, s_in = w["streams"][owner]

@@ -18,7 +18,10 @@ order), first-touch of a new label starts from an exact ``0.0``, and
 ``seq`` column so the floating-point reduction order of the seed's
 ``for lab, acc in own.items()`` loop is preserved.  The equivalence grid in
 ``tests/core/test_agg_equivalence.py`` pins all of this against the
-retained scalar reference path (``agg_mode="scalar"``).
+retained scalar reference path (``agg_mode="scalar"``), whose owner side
+is still the dict loop.  The subscriber side has one format in every mode,
+:class:`CommunityTable`; the same file pins it against a literal dict
+transcription of the cache it replaced.
 """
 
 from __future__ import annotations
@@ -151,11 +154,13 @@ class CommunityTable:
     """Subscriber-side cache: ``sigma_tot`` / community size / local-member
     count per referenced community, as dense label-aligned columns.
 
-    Dense replacement for ``LocalClustering.sigma_tot`` / ``csize`` /
-    ``local_members`` in vectorized-sweep mode.  Lookup defaults mirror the
-    dict ``get`` defaults of the scalar sweep: missing ``sigma_tot`` is
-    0.0 (with a separate "known" mask for the stay-gain special case),
-    missing size is 1, missing local count is 0.
+    The one subscriber-side cache of :class:`LocalClustering`, for every
+    sweep, aggregate-sync and ghost mode: both pull implementations write
+    it, the bulk sweep reads it directly, and the Gauss-Seidel sweep loads
+    dict views from it once per pass.  Lookup defaults mirror the dict
+    ``get`` defaults of the scalar sweep: missing ``sigma_tot`` is 0.0
+    (with a separate "known" mask for the stay-gain special case), missing
+    size is 1, missing local count is 0.
     """
 
     __slots__ = ("labels", "sigma_tot", "size", "local")
@@ -240,7 +245,7 @@ class CommunityTable:
         labels: np.ndarray,
         d_sigma: np.ndarray,
         d_size: np.ndarray,
-        d_local: np.ndarray | None = None,
+        d_local: np.ndarray,
     ) -> None:
         """Apply optimistic move deltas (``np.add.at``, sequential in
         stream order), inserting zero rows for labels not yet cached —
@@ -259,12 +264,12 @@ class CommunityTable:
         pos = np.searchsorted(self.labels, labels)
         np.add.at(self.sigma_tot, pos, d_sigma)
         np.add.at(self.size, pos, d_size)
-        if d_local is not None:
-            np.add.at(self.local, pos, d_local)
+        np.add.at(self.local, pos, d_local)
 
     def as_dicts(self) -> tuple[dict[int, float], dict[int, int]]:
-        """``(sigma_tot, csize)`` dict mirrors (scalar-sweep compatibility
-        and tests); one C-level pass, values identical to the columns."""
+        """``(sigma_tot, csize)`` dict mirrors, for the Gauss-Seidel
+        sweep's per-pass loader; one C-level pass, values identical to the
+        columns."""
         return (
             dict(zip(self.labels.tolist(), self.sigma_tot.tolist())),
             dict(zip(self.labels.tolist(), self.size.tolist())),

@@ -131,15 +131,10 @@ class LocalClustering:
         self.two_m = 2.0 * lg.m_global if lg.m_global > 0 else 1.0
 
         self.comm_of = lg.global_ids.astype(np.int64).copy()
-        # subscriber-side community caches.  With the vectorized sweep under
-        # dense aggregation the canonical store is the label-table ``ctab``
-        # (consumed directly by the bulk kernel); otherwise the dicts below
-        # are canonical and the scalar sweep / per-move updates use them.
-        self._dense_tables = agg_mode == "dense" and self.sweep_mode == "vectorized"
+        # the subscriber-side community cache in every mode: both pull
+        # implementations write it, the bulk sweep reads it, and the
+        # Gauss-Seidel sweep loads dict views from it once per pass
         self.ctab = CommunityTable()
-        self.sigma_tot: dict[int, float] = {}
-        self.csize: dict[int, int] = {}
-        self.local_members: dict[int, int] = {}
 
         # hub bookkeeping: rank h % p is the designated contributor for hub h
         self._hub_designated = (
@@ -163,12 +158,8 @@ class LocalClustering:
         )
         self._is_self_entry = lg.indices == self._entry_rows
         # plain-list views of the immutable CSR: scalar indexing of numpy
-        # arrays dominates the scalar sweep cost otherwise (~3x slower).
-        # The vectorized sweep works on the arrays directly and never reads
-        # the label list, so it is not maintained there at all.
-        self._cof_list: list[int] | None = None
+        # arrays dominates the scalar sweep cost otherwise (~3x slower)
         if self.sweep_mode == "gauss-seidel":
-            self._cof_list = self.comm_of.tolist()
             self._idx_list: list[int] = lg.indices.tolist()
             self._w_list: list[float] = lg.weights.tolist()
             self._indptr_list: list[int] = lg.indptr.tolist()
@@ -225,11 +216,13 @@ class LocalClustering:
         delta trades a little bookkeeping for drastically less traffic in
         the late, low-movement iterations (see ``bench_ablation_sync.py``).
 
-        ``agg_mode`` selects the implementation: ``dense`` runs the whole
-        protocol on numpy label tables (:mod:`repro.core.community_table`),
-        ``scalar`` is the dict-accumulator reference.  Both ship identical
-        payload multisets (byte-identical traffic) and the equivalence grid
-        in ``tests/core/test_agg_equivalence.py`` pins labels and Q.
+        ``agg_mode`` selects only the owner side and the pull
+        implementation: ``dense`` runs them on numpy label tables
+        (:mod:`repro.core.community_table`), ``scalar`` is the dict-
+        accumulator reference.  Both write the same subscriber cache,
+        ``ctab``, ship identical payload multisets (byte-identical traffic),
+        and the equivalence grid in ``tests/core/test_agg_equivalence.py``
+        pins labels and Q.
         """
         if self.agg_mode == "scalar":
             return self._sync_aggregates_scalar()
@@ -319,11 +312,7 @@ class LocalClustering:
         # mark communities as "local" — see the scalar path)
         cnts = np.bincount(cidx[: self.lg.n_owned], minlength=labels_all.size)
         present = cnts > 0
-        labs, cnts = labels_all[present], cnts[present]
-        if self._dense_tables:
-            self.ctab.set_local_census(labs, cnts)
-        else:
-            self.local_members = dict(zip(labs.tolist(), cnts.tolist()))
+        self.ctab.set_local_census(labels_all[present], cnts[present])
 
         q_part = own.partial_modularity(self.two_m, self.resolution)
         return float(comm.allreduce(q_part))
@@ -401,9 +390,9 @@ class LocalClustering:
         # being resident everywhere does not make its community's aggregates
         # any fresher here, so hubs must not mark communities as "local"
         # for the heuristics
-        self.local_members = {}
-        for lab in self.comm_of[: self.lg.n_owned].tolist():
-            self.local_members[lab] = self.local_members.get(lab, 0) + 1
+        self.ctab.set_local_census(
+            *np.unique(self.comm_of[: self.lg.n_owned], return_counts=True)
+        )
 
         # partial modularity over owned communities (each exactly once)
         q_part = 0.0
@@ -416,7 +405,7 @@ class LocalClustering:
     # ------------------------------------------------------------------
     def _full_pull(self, own: dict[int, list[float]]) -> None:
         """Request (sigma_tot, size) for every referenced community and
-        rebuild the subscriber caches from scratch."""
+        rebuild the subscriber cache from scratch."""
         comm = self.comm
         needed = np.unique(self.comm_of)
         need_owner = self._owner(needed)
@@ -435,13 +424,12 @@ class LocalClustering:
                 vals[i, 1] = acc[1]
             replies.append((req, vals))
         answered = comm.alltoall(replies)
-
-        self.sigma_tot = {}
-        self.csize = {}
-        for req, vals in answered:
-            for lab, (t, c) in zip(req.tolist(), vals.tolist()):
-                self.sigma_tot[lab] = t
-                self.csize[lab] = int(round(c))
+        vals = np.concatenate([a[1] for a in answered])
+        self.ctab.rebuild(
+            np.concatenate([a[0] for a in answered]),
+            vals[:, 0],
+            np.rint(vals[:, 1]).astype(np.int64),
+        )
 
     def _delta_pull(self, own: dict[int, list[float]], changed: set[int]) -> None:
         """Push/subscribe protocol: owners push updates for *changed*
@@ -472,17 +460,15 @@ class LocalClustering:
                 for p in push
             ]
         )
-        for lab_a, tot_a, cnt_a in pushed:
-            for lab, t, c in zip(lab_a.tolist(), tot_a.tolist(), cnt_a.tolist()):
-                self.sigma_tot[lab] = t
-                self.csize[lab] = int(round(c))
+        self.ctab.assign(
+            np.concatenate([p[0] for p in pushed]),
+            np.concatenate([p[1] for p in pushed]),
+            np.rint(np.concatenate([p[2] for p in pushed])).astype(np.int64),
+        )
 
         # 2. request communities not yet cached (and subscribe to them)
         needed = np.unique(self.comm_of)
-        missing = np.asarray(
-            [lab for lab in needed.tolist() if lab not in self.sigma_tot],
-            dtype=np.int64,
-        )
+        missing = needed[~self.ctab.contains(needed)]
         need_owner = self._owner(missing) if missing.size else missing
         requests = [missing[need_owner == r] for r in range(comm.size)]
         incoming = comm.alltoall(requests)
@@ -500,10 +486,12 @@ class LocalClustering:
                 self._subscribers.setdefault(lab, set()).add(src_rank)
             replies.append((req, vals))
         answered = comm.alltoall(replies)
-        for req, vals in answered:
-            for lab, (t, c) in zip(req.tolist(), vals.tolist()):
-                self.sigma_tot[lab] = t
-                self.csize[lab] = int(round(c))
+        vals = np.concatenate([a[1] for a in answered])
+        self.ctab.assign(
+            np.concatenate([a[0] for a in answered]),
+            vals[:, 0],
+            np.rint(vals[:, 1]).astype(np.int64),
+        )
 
     # ------------------------------------------------------------------
     # Pull protocols, dense-table implementation
@@ -517,20 +505,6 @@ class LocalClustering:
             raise RuntimeError(
                 f"rank {self.comm.rank}: no aggregate for community {exc.args[0]}"
             ) from None
-
-    def _cache_update(
-        self, labels: np.ndarray, sigma: np.ndarray, size: np.ndarray
-    ) -> None:
-        """Overlay received (sigma_tot, size) pairs onto the subscriber
-        cache — the label table or the dict mirrors, whichever is canonical
-        for the active sweep mode."""
-        if labels.size == 0:
-            return
-        if self._dense_tables:
-            self.ctab.assign(labels, sigma, size)
-        else:
-            self.sigma_tot.update(zip(labels.tolist(), sigma.tolist()))
-            self.csize.update(zip(labels.tolist(), size.tolist()))
 
     def _full_pull_dense(self, own: OwnerTable, needed: np.ndarray) -> None:
         """Vectorized :meth:`_full_pull`: same requests, same replies, the
@@ -549,12 +523,7 @@ class LocalClustering:
         answered = comm.alltoall(replies)
         lab = np.concatenate([a[0] for a in answered])
         vals = np.concatenate([a[1] for a in answered])
-        sz = np.rint(vals[:, 1]).astype(np.int64)
-        if self._dense_tables:
-            self.ctab.rebuild(lab, vals[:, 0].copy(), sz)
-        else:
-            self.sigma_tot = dict(zip(lab.tolist(), vals[:, 0].tolist()))
-            self.csize = dict(zip(lab.tolist(), sz.tolist()))
+        self.ctab.rebuild(lab, vals[:, 0], np.rint(vals[:, 1]).astype(np.int64))
 
     def _delta_pull_dense(
         self, own: OwnerTable, changed: np.ndarray, needed: np.ndarray
@@ -582,16 +551,10 @@ class LocalClustering:
         p_lab = np.concatenate([p[0] for p in pushed])
         p_tot = np.concatenate([p[1] for p in pushed])
         p_cnt = np.concatenate([p[2] for p in pushed])
-        self._cache_update(p_lab, p_tot, np.rint(p_cnt).astype(np.int64))
+        self.ctab.assign(p_lab, p_tot, np.rint(p_cnt).astype(np.int64))
 
         # 2. request communities not yet cached (and subscribe to them)
-        if self._dense_tables:
-            missing = needed[~self.ctab.contains(needed)]
-        else:
-            cached = np.fromiter(
-                self.sigma_tot.keys(), dtype=np.int64, count=len(self.sigma_tot)
-            )
-            missing = needed[~np.isin(needed, cached)]
+        missing = needed[~self.ctab.contains(needed)]
         requests = pack_by_owner(
             self._owner(missing) if missing.size else missing, comm.size, missing
         )
@@ -609,9 +572,7 @@ class LocalClustering:
         answered = comm.alltoall(replies)
         a_lab = np.concatenate([a[0] for a in answered])
         a_vals = np.concatenate([a[1] for a in answered])
-        self._cache_update(
-            a_lab, a_vals[:, 0].copy(), np.rint(a_vals[:, 1]).astype(np.int64)
-        )
+        self.ctab.assign(a_lab, a_vals[:, 0], np.rint(a_vals[:, 1]).astype(np.int64))
 
     # ------------------------------------------------------------------
     # Phase 1: the local sweep
@@ -671,35 +632,47 @@ class LocalClustering:
                 return chosen, c.gain, stay_gain
         raise AssertionError("heuristic chose a non-candidate community")
 
+    def _load_pass_views(self) -> None:
+        """Fill the Gauss-Seidel pass's list and dict views from ``comm_of``
+        and ``ctab``, which ghost swaps, hub consensus and syncs update
+        between passes.  ``local_members`` keeps positive counts only, the
+        key set of a fresh census."""
+        self._cof_list = self.comm_of.tolist()
+        self.sigma_tot, self.csize = self.ctab.as_dicts()
+        live = self.ctab.local > 0
+        self.local_members = dict(
+            zip(self.ctab.labels[live].tolist(), self.ctab.local[live].tolist())
+        )
+
     def _apply_move(self, u: int, new_label: int) -> None:
-        """Move row vertex ``u``, optimistically updating local caches."""
+        """Move owned vertex ``u`` within a Gauss-Seidel pass, updating the
+        pass's dict views so later vertices see the move."""
         cu = int(self.comm_of[u])
         wu = float(self.lg.row_weighted_degree[u])
         self.comm_of[u] = new_label
-        if self._cof_list is not None:
-            self._cof_list[u] = new_label
+        self._cof_list[u] = new_label
         self.sigma_tot[cu] = self.sigma_tot.get(cu, wu) - wu
         self.csize[cu] = self.csize.get(cu, 1) - 1
         self.sigma_tot[new_label] = self.sigma_tot.get(new_label, 0.0) + wu
         self.csize[new_label] = self.csize.get(new_label, 0) + 1
-        if u < self.lg.n_owned:  # hubs never count toward "local" communities
-            self.local_members[cu] = self.local_members.get(cu, 1) - 1
-            self.local_members[new_label] = (
-                self.local_members.get(new_label, 0) + 1
-            )
+        self.local_members[cu] = self.local_members.get(cu, 1) - 1
+        self.local_members[new_label] = self.local_members.get(new_label, 0) + 1
 
-    def _apply_moves_bulk(self, rows: np.ndarray, targets: np.ndarray) -> None:
-        """Apply a batch of moves against the dense label table.
+    def _apply_moves_bulk(
+        self, rows: np.ndarray, old: np.ndarray, targets: np.ndarray
+    ) -> None:
+        """Move ``rows`` from labels ``old`` to ``targets``, optimistically
+        updating ``ctab``.
 
         The scatter stream interleaves each move's source and target label
         (``old0, new0, old1, new1, ...``), so ``np.add.at`` replays the
         exact per-move update order of sequential :meth:`_apply_move`
-        calls — the cache values stay bit-identical to the dict path.
+        calls: the table values stay bit-identical to its dict views.
+        ``old`` comes from the caller because a Gauss-Seidel pass has
+        already written ``comm_of`` when it replays its moves here.
         """
         if rows.size == 0:
             return
-        old = self.comm_of[rows].astype(np.int64, copy=True)
-        targets = targets.astype(np.int64, copy=False)
         wu = self.lg.row_weighted_degree[rows]
         self.comm_of[rows] = targets
         n = int(rows.size)
@@ -730,21 +703,26 @@ class LocalClustering:
         if self.sweep_mode == "vectorized":
             return self._find_best_pass_vectorized()
         lg = self.lg
-        moved = 0
         hub_gain = np.zeros(lg.n_hubs)
         hub_target = (
             self.comm_of[lg.n_owned : lg.n_rows].astype(np.float64)
             if lg.n_hubs
             else _EMPTY_F64
         )
-        # refresh the list snapshot: ghost swaps / hub consensus / restores
-        # mutate the numpy array between passes
-        self._cof_list = self.comm_of.tolist()
+        self._load_pass_views()
+        cof = self._cof_list
+        moves: list[tuple[int, int, int]] = []
         for u in range(lg.n_owned):
             chosen, _g, _s = self._evaluate_vertex(u)
-            if chosen != self._cof_list[u]:
+            cu = cof[u]
+            if chosen != cu:
                 self._apply_move(u, chosen)
-                moved += 1
+                moves.append((u, cu, chosen))
+        if moves:
+            # replay the owned moves onto the table in pass order
+            self._apply_moves_bulk(
+                *(np.array(col, dtype=np.int64) for col in zip(*moves))
+            )
         for j in range(lg.n_hubs):
             u = lg.n_owned + j
             if self._indptr_list[u] == self._indptr_list[u + 1]:
@@ -753,7 +731,7 @@ class LocalClustering:
             if chosen != self._cof_list[u]:
                 hub_gain[j] = gain - stay
                 hub_target[j] = float(chosen)
-        return moved, hub_gain, hub_target
+        return len(moves), hub_gain, hub_target
 
     def _find_best_pass_vectorized(self) -> tuple[int, np.ndarray, np.ndarray]:
         """Bulk Jacobi sweep via :mod:`repro.core.sweep_kernel`."""
@@ -768,10 +746,7 @@ class LocalClustering:
             comm_of=self.comm_of,
             row_wdeg=lg.row_weighted_degree,
             n_rows=lg.n_rows,
-            sigma_tot=self.sigma_tot,
-            csize=self.csize,
-            local_members=self.local_members,
-            table=self.ctab if self._dense_tables else None,
+            table=self.ctab,
             two_m=self.two_m,
             resolution=self.resolution,
             theta=self.theta,
@@ -795,41 +770,20 @@ class LocalClustering:
         down_only = self._vec_iter % 2 == 0
         self._vec_iter += 1
         movers = np.flatnonzero(chosen[: lg.n_owned] != cu[: lg.n_owned])
-        if self._dense_tables:
-            # gate decisions read the frozen pre-pass sizes (exactly like
-            # the dict branch below, which also defers all cache updates
-            # until after the decision loop), so they vectorize directly
-            m_old = cu[movers]
-            m_tgt = chosen[movers]
-            labs = np.unique(np.concatenate([m_old, m_tgt]))
-            _st, _known, sz_tab, _loc = self.ctab.lookup_eval(labs)
-            sz_old = sz_tab[np.searchsorted(labs, m_old)]
-            sz_tgt = sz_tab[np.searchsorted(labs, m_tgt)]
-            gate = (sz_old == 1) & (sz_tgt == 1) & (m_tgt > m_old)
-            defer = down_only & (m_tgt > m_old) & ~gate
-            deferred = int(np.count_nonzero(defer))
-            take = ~gate & ~defer
-            self._apply_moves_bulk(movers[take], m_tgt[take])
-            n_applied = int(np.count_nonzero(take))
-        else:
-            applied: list[tuple[int, int]] = []
-            deferred = 0
-            for u in movers.tolist():
-                c_old = int(cu[u])
-                tgt = int(chosen[u])
-                if (
-                    self.csize.get(c_old, 1) == 1
-                    and self.csize.get(tgt, 1) == 1
-                    and tgt > c_old
-                ):
-                    continue
-                if down_only and tgt > c_old:
-                    deferred += 1
-                    continue
-                applied.append((u, tgt))
-            for u, tgt in applied:
-                self._apply_move(u, tgt)
-            n_applied = len(applied)
+        # gate decisions read the frozen pre-pass sizes: every table update
+        # waits until all of them are made
+        m_old = cu[movers]
+        m_tgt = chosen[movers]
+        labs = np.unique(np.concatenate([m_old, m_tgt]))
+        _st, _known, sz_tab, _loc = self.ctab.lookup_eval(labs)
+        sz_old = sz_tab[np.searchsorted(labs, m_old)]
+        sz_tgt = sz_tab[np.searchsorted(labs, m_tgt)]
+        gate = (sz_old == 1) & (sz_tgt == 1) & (m_tgt > m_old)
+        defer = down_only & (m_tgt > m_old) & ~gate
+        deferred = int(np.count_nonzero(defer))
+        take = ~gate & ~defer
+        self._apply_moves_bulk(movers[take], m_old[take], m_tgt[take])
+        n_applied = int(np.count_nonzero(take))
 
         hub_gain = np.zeros(lg.n_hubs)
         if lg.n_hubs:
@@ -868,28 +822,13 @@ class LocalClustering:
         win_gain = winner[0]
         win_target = winner[1].astype(np.int64)
 
-        if self._dense_tables:
-            hub_cu = self.comm_of[lg.n_owned : lg.n_rows]
-            apply = (win_gain > self.theta) & (win_target != hub_cu)
-            rows = lg.n_owned + np.flatnonzero(apply)
-            # cache updates are once-per-rank optimistic, exactly like the
-            # per-hub loop below; everything is rebuilt in sync_aggregates
-            self._apply_moves_bulk(rows, win_target[apply])
-            return int(np.count_nonzero(apply & self._hub_designated))
-
-        moves_counted = 0
-        for j in range(lg.n_hubs):
-            u = lg.n_owned + j
-            cu = int(self.comm_of[u])
-            tgt = int(win_target[j])
-            if win_gain[j] > self.theta and tgt != cu:
-                self._apply_move(u, tgt)
-                # _apply_move adjusts local_members correctly (hub is a row),
-                # but csize/sigma_tot were adjusted once per rank; that is
-                # fine — they are fully rebuilt in sync_aggregates
-                if self._hub_designated[j]:
-                    moves_counted += 1
-        return moves_counted
+        hub_cu = self.comm_of[lg.n_owned : lg.n_rows]
+        apply = (win_gain > self.theta) & (win_target != hub_cu)
+        rows = lg.n_owned + np.flatnonzero(apply)
+        # table updates are once-per-rank optimistic; sync_aggregates
+        # refreshes every community they touch
+        self._apply_moves_bulk(rows, hub_cu[apply], win_target[apply])
+        return int(np.count_nonzero(apply & self._hub_designated))
 
     # ------------------------------------------------------------------
     # Phase 3: ghost swap

@@ -14,9 +14,11 @@ move evaluation as *bulk* NumPy array operations over all rows at once:
    ``row * K + cidx[v]`` and a segment reduction with
    :func:`numpy.add.reduceat`.  The pairs come out in (row, label) order
    and each sum runs in CSR entry order;
-2. **Gain evaluation** — the cache is read once per distinct label and
-   gathered by compact id; Eq. 4 gains against the cached ``sigma_tot``
-   are then one broadcasted expression over the aggregated pairs;
+2. **Gain evaluation** — the rank's
+   :class:`~repro.core.community_table.CommunityTable` is read once per
+   distinct label and gathered by compact id; Eq. 4 gains against the
+   cached ``sigma_tot`` are then one broadcasted expression over the
+   aggregated pairs;
 3. **Heuristic-gated argmax** — the greedy / minlabel / enhanced
    tie-breaking rules of :mod:`repro.core.heuristics` are expressed as
    vectorized sort keys (the enhanced rule's local > remote-multi >
@@ -35,16 +37,18 @@ singleton may merge into another singleton only toward a smaller label) —
 the same rule the shared-memory baseline uses, and a no-op under
 Gauss–Seidel ordering.
 
-:func:`bulk_best_moves` serves the distributed sweep (dict-backed, possibly
-stale aggregates); :func:`jacobi_minlabel_sweep` is the dense variant used
-by the shared-memory baseline, where exact aggregates come from
-``np.bincount`` and the labels, already in ``[0, n)``, are their own
-compact index.
+:func:`bulk_best_moves` serves the distributed sweep (the subscriber-side
+label table, possibly stale aggregates); :func:`jacobi_minlabel_sweep` is
+the dense variant used by the shared-memory baseline, where exact
+aggregates come from ``np.bincount`` and the labels, already in ``[0, n)``,
+are their own compact index.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.core.community_table import CommunityTable
 
 __all__ = [
     "VECTOR_HEURISTICS",
@@ -121,10 +125,7 @@ def bulk_best_moves(
     comm_of: np.ndarray,
     row_wdeg: np.ndarray,
     n_rows: int,
-    sigma_tot: dict[int, float] | None = None,
-    csize: dict[int, int] | None = None,
-    local_members: dict[int, int] | None = None,
-    table=None,
+    table: CommunityTable,
     two_m: float,
     resolution: float,
     theta: float,
@@ -134,8 +135,8 @@ def bulk_best_moves(
 
     Evaluates the identical quantities as
     ``LocalClustering._evaluate_vertex`` — Eq. 4 gains against the cached
-    (possibly stale) ``sigma_tot`` / ``csize`` / ``local_members`` dicts —
-    against one frozen snapshot of ``comm_of``.
+    (possibly stale) ``sigma_tot`` / size / local-member columns of
+    ``table`` — against one frozen snapshot of ``comm_of``.
 
     Returns ``(chosen, chosen_gain, stay_gain)`` arrays of length
     ``n_rows``; ``chosen[u] == comm_of[u]`` means "stay".  No caches are
@@ -155,26 +156,9 @@ def bulk_best_moves(
         entry_rows, indices, weights, cidx, labels_all.size
     )
 
-    # one cache lookup per distinct label, gathered by compact id: a dense
-    # CommunityTable answers all labels with one searchsorted pass,
-    # dict-backed caches fall back to per-label gets
-    if table is not None:
-        st, st_known, sz, loc = table.lookup_eval(labels_all)
-    else:
-        lab_list = labels_all.tolist()
-        n_lab = len(lab_list)
-        st = np.fromiter(
-            (sigma_tot.get(lab, 0.0) for lab in lab_list), np.float64, count=n_lab
-        )
-        st_known = np.fromiter(
-            (lab in sigma_tot for lab in lab_list), bool, count=n_lab
-        )
-        sz = np.fromiter(
-            (csize.get(lab, 1) for lab in lab_list), np.int64, count=n_lab
-        )
-        loc = np.fromiter(
-            (local_members.get(lab, 0) > 0 for lab in lab_list), bool, count=n_lab
-        )
+    # one table lookup (one searchsorted pass) over the distinct labels,
+    # gathered by compact id
+    st, st_known, sz, loc = table.lookup_eval(labels_all)
 
     # stay gain: links into the own community minus the Eq. 4 penalty
     # against sigma_tot(cu) without u (missing label defaults to wu, as in

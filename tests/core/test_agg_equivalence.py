@@ -7,19 +7,24 @@ kernels claim *bitwise* equivalence: identical labels, identical Q to the
 last ulp, identical per-phase wire bytes.  This suite pins that claim:
 
 1. **Unit** — ``OwnerTable`` against a literal dict reference, including
-   the insertion-order float accumulation of partial modularity;
+   the insertion-order float accumulation of partial modularity, and the
+   subscriber-side ``CommunityTable`` against a literal transcription of
+   the dict cache it replaced, including the Gauss-Seidel sweep's replay
+   of its moves onto the table;
 2. **Merge** — ``merge_level(impl="vectorized")`` vs ``impl="scalar"``
    field-by-field on every rank;
 3. **End-to-end grid** — full pipeline, ``agg_mode`` dense vs scalar over
-   p × sync_mode × partitioning × sweep_mode: same assignment, same Q,
-   same per-phase byte counters.
+   p × sync_mode × partitioning × sweep_mode × ghost_mode: same
+   assignment, same Q, same per-phase byte counters.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import DistributedConfig, distributed_louvain
-from repro.core.community_table import OwnerTable
+from repro.core.community_table import CommunityTable, OwnerTable
+from repro.core.heuristics import get_heuristic
+from repro.core.local_clustering import LocalClustering
 from repro.core.merging import merge_level
 from repro.graph.generators import lfr_graph
 from repro.partition import delegate_partition, oned_partition
@@ -57,6 +62,209 @@ class DictOwnerReference:
         for acc in self.own.values():  # dict preserves insertion order
             q += acc[2] / two_m - resolution * (acc[0] / two_m) ** 2
         return q
+
+
+class DictCacheReference:
+    """Literal transcription of the seed's subscriber-side dict cache:
+    ``sigma_tot`` / ``csize`` / ``local_members`` with the full-pull
+    rebuild, the push/answer overlay, the census, and the per-move ``get``
+    defaults of ``LocalClustering._apply_move``."""
+
+    def __init__(self):
+        self.sigma_tot = {}
+        self.csize = {}
+        self.local_members = {}
+
+    def rebuild(self, labels, sigma, size):
+        self.sigma_tot = {}
+        self.csize = {}
+        self.assign(labels, sigma, size)
+
+    def assign(self, labels, sigma, size):
+        for lab, t, c in zip(labels.tolist(), sigma.tolist(), size.tolist()):
+            self.sigma_tot[lab] = t
+            self.csize[lab] = c
+
+    def census(self, owned_labels):
+        self.local_members = {}
+        for lab in owned_labels.tolist():
+            self.local_members[lab] = self.local_members.get(lab, 0) + 1
+
+    def apply_move(self, cu, new_label, wu, owned):
+        self.sigma_tot[cu] = self.sigma_tot.get(cu, wu) - wu
+        self.csize[cu] = self.csize.get(cu, 1) - 1
+        self.sigma_tot[new_label] = self.sigma_tot.get(new_label, 0.0) + wu
+        self.csize[new_label] = self.csize.get(new_label, 0) + 1
+        if owned:  # hubs never count toward "local" communities
+            self.local_members[cu] = self.local_members.get(cu, 1) - 1
+            self.local_members[new_label] = (
+                self.local_members.get(new_label, 0) + 1
+            )
+
+    def lookup_eval(self, labels):
+        labs = labels.tolist()
+        return (
+            np.array([self.sigma_tot.get(lab, 0.0) for lab in labs]),
+            np.array([lab in self.sigma_tot for lab in labs], dtype=bool),
+            np.array([self.csize.get(lab, 1) for lab in labs], dtype=np.int64),
+            np.array(
+                [self.local_members.get(lab, 0) > 0 for lab in labs], dtype=bool
+            ),
+        )
+
+
+def _assert_lookup_bitwise(table, ref, labels):
+    for got, want in zip(table.lookup_eval(labels), ref.lookup_eval(labels)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+class TestCommunityTableUnit:
+    """The subscriber cache against the dict semantics it replaces."""
+
+    N_VERTICES = 60
+    N_LABELS = 90  # labels >= N_VERTICES start uncached (hub-consensus targets)
+
+    def _sync(self, rng, table, ref, comm_of, owned, full):
+        needed = np.unique(comm_of)
+        if full:
+            labels = rng.permutation(needed)  # answers arrive in rank order
+            sigma = rng.standard_normal(labels.size) * 5.0 + 7.0
+            size = rng.integers(1, 6, size=labels.size)
+            table.rebuild(labels, sigma, size)
+            ref.rebuild(labels, sigma, size)
+        else:
+            # pushes for some cached labels, then answers for the missing
+            cached = table.labels
+            push = rng.choice(cached, size=cached.size // 3, replace=False)
+            missing = needed[~table.contains(needed)]
+            assert missing.tolist() == [
+                lab for lab in needed.tolist() if lab not in ref.sigma_tot
+            ]
+            for labels in (push, missing):
+                sigma = rng.standard_normal(labels.size) * 5.0 + 7.0
+                size = rng.integers(1, 6, size=labels.size)
+                table.assign(labels, sigma, size)
+                ref.assign(labels, sigma, size)
+        labs, cnts = np.unique(comm_of[owned], return_counts=True)
+        table.set_local_census(labs, cnts)
+        ref.census(comm_of[owned])
+
+    def _moves(self, rng, table, ref, comm_of, owned, wdeg):
+        rows = rng.choice(comm_of.size, size=rng.integers(1, 15), replace=False)
+        old = comm_of[rows].copy()
+        new = rng.integers(0, self.N_LABELS, size=rows.size)
+        keep = new != old
+        rows, old, new = rows[keep], old[keep], new[keep]
+        for u, cu, c in zip(rows.tolist(), old.tolist(), new.tolist()):
+            ref.apply_move(cu, c, float(wdeg[u]), bool(owned[u]))
+        # the interleaved stream of LocalClustering._apply_moves_bulk
+        n = rows.size
+        upd = np.empty(2 * n, dtype=np.int64)
+        upd[0::2], upd[1::2] = old, new
+        d_sigma = np.empty(2 * n)
+        d_sigma[0::2], d_sigma[1::2] = -wdeg[rows], wdeg[rows]
+        d_size = np.empty(2 * n, dtype=np.int64)
+        d_size[0::2], d_size[1::2] = -1, 1
+        d_local = np.empty(2 * n, dtype=np.int64)
+        d_local[0::2] = np.where(owned[rows], -1, 0)
+        d_local[1::2] = np.where(owned[rows], 1, 0)
+        table.scatter_add(upd, d_sigma, d_size, d_local)
+        comm_of[rows] = new
+
+    @pytest.mark.parametrize("full", [True, False])
+    def test_matches_dict_reference_over_rounds(self, rng, full):
+        table, ref = CommunityTable(), DictCacheReference()
+        comm_of = np.arange(self.N_VERTICES, dtype=np.int64)
+        owned = rng.random(self.N_VERTICES) < 0.7
+        wdeg = rng.uniform(0.5, 9.0, self.N_VERTICES)
+        every = np.arange(-3, self.N_LABELS + 3, dtype=np.int64)
+        for _ in range(20):
+            self._sync(rng, table, ref, comm_of, owned, full)
+            _assert_lookup_bitwise(table, ref, every)
+            for _ in range(3):
+                self._moves(rng, table, ref, comm_of, owned, wdeg)
+                _assert_lookup_bitwise(table, ref, every)
+            assert table.labels.tolist() == sorted(ref.sigma_tot)
+            assert table.as_dicts() == (ref.sigma_tot, ref.csize)
+
+    def test_empty_table_defaults(self):
+        labels = np.array([-1, 0, 5, 2**40], dtype=np.int64)
+        _assert_lookup_bitwise(CommunityTable(), DictCacheReference(), labels)
+        _assert_lookup_bitwise(
+            CommunityTable(),
+            DictCacheReference(),
+            np.zeros(0, dtype=np.int64),
+        )
+
+    def test_census_miss_raises_keyerror(self):
+        table = CommunityTable()
+        table.rebuild(
+            np.array([4], dtype=np.int64), np.ones(1), np.ones(1, dtype=np.int64)
+        )
+        with pytest.raises(KeyError):
+            table.set_local_census(
+                np.array([4, 9], dtype=np.int64), np.ones(2, dtype=np.int64)
+            )
+
+
+def _assert_table_matches_views(lc):
+    """``lc.ctab`` equals the dict views of the last Gauss-Seidel pass,
+    bit for bit."""
+    tab = lc.ctab
+    labs = tab.labels.tolist()
+    assert labs == sorted(lc.sigma_tot) == sorted(lc.csize)
+    assert set(lc.local_members) <= set(labs)
+    want_sigma = np.array([lc.sigma_tot[lab] for lab in labs], dtype=np.float64)
+    assert tab.sigma_tot.tobytes() == want_sigma.tobytes()
+    assert tab.size.tolist() == [lc.csize[lab] for lab in labs]
+    assert tab.local.tolist() == [lc.local_members.get(lab, 0) for lab in labs]
+
+
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_gauss_seidel_replay_matches_pass_views(ba_graph, p):
+    """A Gauss-Seidel pass moves owned vertices on its dict views and then
+    replays the moves onto ``ctab``; hub consensus then moves hubs on the
+    table only.  Over several inner iterations the table must equal the
+    views after the pass, and the views plus the hub moves (applied with
+    the dict semantics) after the consensus."""
+    partition = delegate_partition(ba_graph, p, d_high=8)
+
+    def worker(comm):
+        lg = partition.locals[comm.rank]
+        lc = LocalClustering(comm, lg, get_heuristic("enhanced"))
+        lc.sync_aggregates()
+        owned_moves = hub_moves = 0
+        for _ in range(4):
+            moved, hub_gain, hub_target = lc.find_best_pass()
+            owned_moves += moved
+            _assert_table_matches_views(lc)
+
+            before = lc.comm_of.copy()
+            lc.broadcast_delegates(hub_gain, hub_target)
+            ref = DictCacheReference()
+            ref.sigma_tot, ref.csize = lc.sigma_tot, lc.csize
+            ref.local_members = lc.local_members
+            for u in np.flatnonzero(lc.comm_of != before).tolist():
+                assert u >= lg.n_owned  # consensus only moves hubs
+                ref.apply_move(
+                    int(before[u]),
+                    int(lc.comm_of[u]),
+                    float(lg.row_weighted_degree[u]),
+                    owned=False,
+                )
+                hub_moves += 1
+            _assert_table_matches_views(lc)
+
+            lc.swap_ghosts()
+            lc.sync_aggregates()
+        return owned_moves, hub_moves
+
+    results = run_spmd(p, worker, timeout=60).results
+    # the replay is exercised: owned vertices moved, and hubs too at p > 1
+    assert sum(r[0] for r in results) > 0
+    if p > 1:
+        assert sum(r[1] for r in results) > 0
 
 
 class TestOwnerTableUnit:
@@ -189,10 +397,24 @@ class TestEndToEndEquivalence:
         self._assert_identical(res["scalar"], res["dense"])
 
     @pytest.mark.parametrize("p", [1, 2, 4])
-    @pytest.mark.parametrize("sync_mode", ["full", "delta"])
-    def test_vectorized_sweep_grid(self, ba_graph, p, sync_mode):
+    @pytest.mark.parametrize(
+        ("sync_mode", "ghost_mode"),
+        [
+            ("full", "full"),
+            ("delta", "full"),
+            ("full", "delta"),
+            ("delta", "delta"),
+        ],
+        # stable ids: a full-ghost case is named by its sync_mode alone
+        ids=["full", "delta", "full-ghost_delta", "delta-ghost_delta"],
+    )
+    def test_vectorized_sweep_grid(self, ba_graph, p, sync_mode, ghost_mode):
         res = _run_both(
-            ba_graph, p, sync_mode=sync_mode, sweep_mode="vectorized"
+            ba_graph,
+            p,
+            sync_mode=sync_mode,
+            ghost_mode=ghost_mode,
+            sweep_mode="vectorized",
         )
         self._assert_identical(res["scalar"], res["dense"])
 

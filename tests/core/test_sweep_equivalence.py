@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DistributedConfig, distributed_louvain, sequential_louvain
-from repro.core.community_table import CommunityTable
 from repro.core.heuristics import get_heuristic
 from repro.core.local_clustering import LocalClustering
 from repro.core.modularity import modularity
@@ -48,8 +47,8 @@ def _snapshot_mismatches(graph, p, heuristic, warm_iters=0):
     ``warm_iters`` inner iterations run first, so the snapshot holds
     multi-member communities: rows then link to one community through
     several entries, and the kernel's grouped sums are checked too.  The
-    kernel runs twice, on the dict caches and on a CommunityTable built
-    from them.
+    kernel reads the rank's ``ctab``; the scalar evaluator reads the dict
+    views a Gauss-Seidel pass loads from it.
     """
     partition = delegate_partition(graph, p, d_high=40)
 
@@ -62,52 +61,29 @@ def _snapshot_mismatches(graph, p, heuristic, warm_iters=0):
             lc.broadcast_delegates(hub_gain, hub_target)
             lc.swap_ghosts()
             lc.sync_aggregates()
-        # ghost swaps and hub consensus write the array, not the list view
-        lc._cof_list = lc.comm_of.tolist()
-
-        table = CommunityTable()
-        labs = np.array(sorted(lc.sigma_tot), dtype=np.int64)
-        table.rebuild(
-            labs,
-            np.array([lc.sigma_tot[lab] for lab in labs.tolist()]),
-            np.array([lc.csize[lab] for lab in labs.tolist()], dtype=np.int64),
-        )
-        census = np.array(sorted(lc.local_members), dtype=np.int64)
-        table.set_local_census(
-            census,
-            np.array(
-                [lc.local_members[lab] for lab in census.tolist()], dtype=np.int64
-            ),
-        )
-        common = dict(
+        lc._load_pass_views()
+        chosen, gain, stay = bulk_best_moves(
             entry_rows=lc._entry_rows,
             indices=lg.indices,
             weights=lg.weights,
             comm_of=lc.comm_of,
             row_wdeg=lg.row_weighted_degree,
             n_rows=lg.n_rows,
+            table=lc.ctab,
             two_m=lc.two_m,
             resolution=lc.resolution,
             theta=lc.theta,
             heuristic_name=heuristic,
         )
-        by_dict = bulk_best_moves(
-            sigma_tot=lc.sigma_tot,
-            csize=lc.csize,
-            local_members=lc.local_members,
-            **common,
-        )
-        by_table = bulk_best_moves(table=table, **common)
         bad = []
-        for chosen, gain, stay in (by_dict, by_table):
-            for u in range(lg.n_rows):
-                c, g, s = lc._evaluate_vertex(u)
-                if (
-                    c != int(chosen[u])
-                    or abs(g - gain[u]) > 1e-9
-                    or abs(s - stay[u]) > 1e-9
-                ):
-                    bad.append((comm.rank, u, c, int(chosen[u])))
+        for u in range(lg.n_rows):
+            c, g, s = lc._evaluate_vertex(u)
+            if (
+                c != int(chosen[u])
+                or abs(g - gain[u]) > 1e-9
+                or abs(s - stay[u]) > 1e-9
+            ):
+                bad.append((comm.rank, u, c, int(chosen[u])))
         return bad
 
     results = run_spmd(p, worker, timeout=60.0).results
