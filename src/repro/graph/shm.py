@@ -22,8 +22,10 @@ Three layers:
 
 Lifetime rules (see ``docs/BACKENDS.md``): the *creating* process owns the
 segment and must ``unlink`` it exactly once; every *attaching* process only
-``close``\\ s its mapping.  Children deliberately unregister their attachment
-from :mod:`multiprocessing.resource_tracker` — the parent owns cleanup, and
+``close``\\ s its mapping, as soon as it is done with it (a pooled rank
+worker does so after every job, since it outlives the segment).  Children
+deliberately unregister their attachment from
+:mod:`multiprocessing.resource_tracker` — the parent owns cleanup, and
 letting each child's tracker also unlink the name would race (and spam
 ``KeyError`` warnings at interpreter exit on Python < 3.13, which lacks the
 ``track=False`` parameter).
@@ -35,6 +37,7 @@ import io
 import os
 import pickle
 import secrets
+import sys
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Sequence
@@ -105,6 +108,7 @@ class SharedArena:
         self.descriptor = descriptor
         self._owner = owner
         self._closed = False
+        self._unpinned = self._pins()  # no ndarray over the block yet
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -125,8 +129,11 @@ class SharedArena:
         name = SHM_PREFIX + f"{os.getpid():x}-" + secrets.token_hex(6)
         shm = shared_memory.SharedMemory(name=name, create=True, size=max(offset, 1))
         for arr, (off, _dt, _shape) in zip(prepared, slots):
-            dst = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf, offset=off)
-            dst[...] = arr
+            # no view may outlive the copy: __init__ counts the references
+            # left to the block as its unpinned baseline (see close)
+            np.ndarray(
+                arr.shape, dtype=arr.dtype, buffer=shm.buf, offset=off
+            )[...] = arr
         desc = ArenaDescriptor(name=shm.name, size=shm.size, slots=tuple(slots))
         arena = cls(shm, desc, owner=True)
         _created[shm.name] = arena
@@ -163,18 +170,36 @@ class SharedArena:
         return [self.view(i) for i in range(len(self.descriptor.slots))]
 
     # -- lifetime --------------------------------------------------------
-    def close(self) -> None:
-        """Drop this process's mapping (safe to call more than once)."""
+    def _pins(self) -> int:
+        """References to the mapped block and to its memoryview."""
+        return sys.getrefcount(self._shm._mmap) + sys.getrefcount(self._shm.buf)
+
+    def close(self) -> bool:
+        """Drop this process's mapping (safe to call more than once).
+
+        Returns False, and keeps the mapping, while any ndarray over the
+        block is alive; call again once they are gone.
+        """
         if self._closed:
-            return
-        self._closed = True
+            return True
+        # An ndarray over the block keeps the mmap (or, on older numpy, the
+        # memoryview) alive as its base but holds no buffer export, so
+        # SharedMemory.close() would unmap memory the array still points to
+        # and a later read would crash the process.  Count references
+        # instead.  Unlink (below) is independent of close, so a kept
+        # mapping never leaks the segment's name; its memory stays mapped
+        # until the arrays die and close succeeds, or the process exits.
+        # A pooled rank worker never exits between jobs: it drops every job
+        # reference first and retires if the close still fails (see
+        # process_backend._child_main).
+        if self._pins() > self._unpinned:
+            return False
         try:
             self._shm.close()
         except BufferError:
-            # ndarray views over shm.buf may still be alive; the OS reclaims
-            # the mapping at process exit, and unlink (below) is independent
-            # of close, so a deferred close never leaks the segment itself.
-            pass
+            return False  # a memoryview export is still alive
+        self._closed = True
+        return True
 
     def unlink(self) -> None:
         """Destroy the segment (creator only; idempotent)."""

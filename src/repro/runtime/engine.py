@@ -7,6 +7,8 @@ Two execution backends share the :func:`run_spmd` entry point:
 * ``"process"`` — one spawned interpreter per rank with shared-memory graph
   segments and pipe-routed messaging
   (:mod:`repro.runtime.process_backend`), for true multi-core execution.
+  The interpreters are pooled: spawned by the first call, reused by later
+  ones.
 
 Both produce identical results, byte accounting and failure semantics; the
 cross-backend conformance suite pins the equivalence.
@@ -96,7 +98,12 @@ def run_spmd(
         ``REPRO_DEFAULT_BACKEND``, default thread).  The process backend
         runs each rank in its own spawned interpreter for true multi-core
         execution; results, byte accounting and failure semantics are
-        identical across backends.
+        identical across backends.  Its interpreters persist between
+        calls: idle ones are reused, only the shortfall is spawned, and
+        a call in which any rank fails stops all of its interpreters
+        instead of reusing them
+        (:func:`~repro.runtime.process_backend.shutdown_rank_pool` stops
+        the idle ones).
     timeout:
         Per-blocking-operation deadlock timeout in seconds.
     faults:

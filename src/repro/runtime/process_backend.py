@@ -8,10 +8,16 @@ parallel instead of time-slicing one GIL.
 
 Architecture (full protocol notes in ``docs/BACKENDS.md``):
 
+* Rank interpreters are pooled.  The first run spawns its workers; later
+  runs reuse idle ones and spawn only the shortfall, so interpreter start
+  and the numpy/``repro`` imports are paid once per worker, not once per
+  run.  Nothing is spawned at import, and :func:`shutdown_rank_pool`
+  (registered with :mod:`atexit`) stops the idle workers.
 * The SPMD program and its arguments are pickled once, with every large
   ndarray externalized into a :class:`~repro.graph.shm.SharedArena` — the
   CSR graph segments are mapped zero-copy by every child instead of being
-  copied ``p`` times through pipes.
+  copied ``p`` times through pipes.  A run sends each worker one
+  ``("job", spec)`` frame; the worker unmaps the arena before it replies.
 * Each child holds one pickle-framed duplex pipe to the parent.  Children
   send ``("coll", gen, op, row)``, ``("p2p", dst, tag, payload)``,
   ``("event", name)`` and a final ``("done", ...)``/``("err", ...)`` frame;
@@ -33,6 +39,9 @@ Architecture (full protocol notes in ``docs/BACKENDS.md``):
 * A child that dies without a final frame (hard crash, ``os._exit``)
   surfaces as :class:`ChildCrashError` on its rank — which
   ``run_with_recovery`` treats like any other failed rank.
+* After a run in which any rank errored, died or was aborted, all of that
+  run's workers are stopped instead of pooled; the next run spawns fresh
+  ones.  Only a fully successful run returns its workers.
 
 Failure semantics mirror the thread world's abort protocol: when any rank
 errors, the parent replies ``coll_abort`` to every rank blocked in an
@@ -44,11 +53,15 @@ delivered, matching the thread backend's drain rule.
 
 from __future__ import annotations
 
+import atexit
+import gc
 import multiprocessing
+import os
 import pickle
 import sys
 import threading
 import time
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable
 
 from repro.graph.shm import SharedArena, shm_dumps, shm_loads
@@ -63,6 +76,7 @@ from repro.runtime.stats import RankStats, RunStats, payload_checksum
 
 __all__ = [
     "run_spmd_process",
+    "shutdown_rank_pool",
     "ProcComm",
     "ChildCrashError",
     "ProgramNotPicklableError",
@@ -249,8 +263,14 @@ class ProcComm(CommBase):
                 )
 
 
-def _child_main(conn, spec: dict) -> None:
-    """Entry point of a spawned rank process."""
+def _run_job(conn, spec: dict) -> tuple[Any, SharedArena | None]:
+    """Run one job in a pooled worker; returns ``(reply, arena)``.
+
+    ``reply`` is the pickled final frame.  The program, its arguments, its
+    result, the communicator, the tracer and any error are local to this
+    call, so none of them outlives it: once it returns, nothing in the
+    worker refers to the job's arena and the caller can unmap it.
+    """
     rank = spec["rank"]
     arena = None
     stats = RankStats(rank=rank)
@@ -265,6 +285,10 @@ def _child_main(conn, spec: dict) -> None:
     error: BaseException | None = None
     result: Any = None
     try:
+        # what a fresh spawn would inherit: a worker spawned earlier must
+        # import the program from wherever the parent imports it now
+        sys.path[:] = spec["sys_path"]
+        os.chdir(spec["cwd"])
         if spec["arena"] is not None:
             arena = SharedArena.attach(spec["arena"])
         fn, args, kwargs = shm_loads(spec["payload"], arena)
@@ -287,26 +311,64 @@ def _child_main(conn, spec: dict) -> None:
         # failure (post-mortem traces)
         stats.flush()
     events = tracer.events if tracer is not None else []
-    try:
-        if error is None:
-            try:
-                conn.send(("done", result, stats, events))
-            except (pickle.PicklingError, TypeError, AttributeError) as exc:
-                conn.send(
-                    ("err", None, f"unpicklable rank result: {exc!r}", stats, events)
-                )
-                error = exc
-        else:
-            try:
-                conn.send(("err", error, repr(error), stats, events))
-            except (pickle.PicklingError, TypeError, AttributeError):
-                conn.send(("err", None, repr(error), stats, events))
-        conn.close()
-    except (BrokenPipeError, OSError):
-        pass  # parent already gone; exit code still reports the failure
-    if arena is not None:
-        arena.close()
-    sys.exit(0 if error is None else 1)
+    if error is None:
+        try:
+            return ForkingPickler.dumps(("done", result, stats, events)), arena
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            detail = f"unpicklable rank result: {exc!r}"
+    else:
+        detail = repr(error)
+        try:
+            return ForkingPickler.dumps(("err", error, detail, stats, events)), arena
+        except (pickle.PicklingError, TypeError, AttributeError):
+            pass
+    return ForkingPickler.dumps(("err", None, detail, stats, events)), arena
+
+
+def _unmap(arena: SharedArena) -> bool:
+    """Close this worker's mapping of a finished job's arena."""
+    if arena.close():
+        return True
+    # views kept alive only by reference cycles (a failed job's traceback
+    # holds its frames) go with a collection
+    gc.collect()
+    return arena.close()
+
+
+def _child_main(conn) -> None:
+    """Entry point of a pooled rank worker: run jobs until told to exit.
+
+    Between jobs the worker waits for a ``("job", spec)`` frame and exits on
+    ``("exit",)`` or when the parent's end of the pipe closes.  Any other
+    frame can only be a stale p2p delivery of the previous job (a message
+    its receiver never took); pipe FIFO order puts it before the next job
+    frame, so skipping it here keeps it away from every later
+    :class:`ProcComm`.
+
+    The job's arena is unmapped before the reply is sent, so a worker the
+    parent returns to the pool maps no segment.  If a view outlives the job
+    (the program kept one in module state), the mapping cannot be dropped:
+    the worker then announces ``("exit",)`` ahead of its reply, and leaves.
+    """
+    while True:
+        try:
+            frame = conn.recv()
+        except (EOFError, OSError):
+            return  # the parent is gone
+        if frame[0] == "exit":
+            return
+        if frame[0] != "job":
+            continue
+        reply, arena = _run_job(conn, frame[1])
+        retire = arena is not None and not _unmap(arena)
+        try:
+            if retire:
+                conn.send(("exit",))
+            conn.send_bytes(reply)
+        except OSError:
+            return  # the parent is gone
+        if retire:
+            return
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +399,8 @@ class _Router:
         self.errors: list[BaseException | None] = [None] * self.size
         self.stats: list[RankStats | None] = [None] * self.size
         self.events: list[list] = [[] for _ in conns]
+        # ranks whose worker exits after this job (see _child_main)
+        self.retiring: list[bool] = [False] * self.size
 
     def _send(self, rank: int, frame: tuple) -> None:
         try:
@@ -449,6 +513,8 @@ class _Router:
                     self._on_p2p(rank, frame[1], frame[2], frame[3])
                 elif kind == "event":
                     self._on_event(rank, frame[1])
+                elif kind == "exit":
+                    self.retiring[rank] = True
                 elif kind == "done":
                     self.results[rank] = frame[1]
                     self.stats[rank] = frame[2]
@@ -490,6 +556,90 @@ class _Router:
             t.join()
 
 
+class _Worker:
+    """One pooled rank interpreter and the parent's end of its pipe."""
+
+    def __init__(self) -> None:
+        ctx = multiprocessing.get_context("spawn")
+        self.conn, child_end = ctx.Pipe(duplex=True)
+        self.proc = ctx.Process(
+            target=_child_main, args=(child_end,), name="procrank", daemon=True
+        )
+        self.proc.start()
+        child_end.close()  # the child holds its end now
+
+
+def _stop(workers: list[_Worker]) -> None:
+    """Tell ``workers`` to exit, then reap them (terminating stragglers)."""
+    for w in workers:
+        try:
+            w.conn.send(("exit",))
+        except OSError:
+            pass  # already dead
+        w.conn.close()
+    deadline = time.monotonic() + 10.0
+    for w in workers:
+        w.proc.join(timeout=max(0.1, deadline - time.monotonic()))
+    for w in workers:
+        if w.proc.is_alive():
+            w.proc.terminate()
+            w.proc.join(timeout=5.0)
+        w.proc.close()
+
+
+class _RankPool:
+    """Idle rank workers, shared by every process-backend run.
+
+    A run takes the workers it needs under the lock, so concurrent runs
+    get disjoint workers; it spawns only the shortfall, outside the lock.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: list[_Worker] = []
+
+    def take(self, n: int) -> list[_Worker]:
+        """Up to ``n`` live idle workers (the caller spawns the rest)."""
+        with self._lock:
+            cut = max(len(self._idle) - n, 0)
+            taken = self._idle[cut:]
+            del self._idle[cut:]
+        dead = [w for w in taken if not w.proc.is_alive()]
+        _stop(dead)
+        return [w for w in taken if w not in dead]
+
+    def give_back(self, workers: list[_Worker]) -> None:
+        with self._lock:
+            self._idle.extend(workers)
+
+    def idle_pids(self) -> list[int]:
+        with self._lock:
+            return [w.proc.pid for w in self._idle]
+
+    def shutdown(self) -> None:
+        with self._lock:
+            idle, self._idle = self._idle, []
+        _stop(idle)
+
+
+_POOL = _RankPool()
+# runs before multiprocessing's own exit handler (registered when
+# repro.graph.shm imported the resource tracker), so idle workers leave
+# their loop instead of being terminated
+atexit.register(_POOL.shutdown)
+
+
+def shutdown_rank_pool() -> None:
+    """Stop every idle rank worker of the process backend.
+
+    Workers in use by a running job are not affected; they return to the
+    (then empty) pool when their job ends, and the next run spawns what
+    it lacks.  Also runs at interpreter exit (:mod:`atexit`), so callers
+    need not call it before exiting.
+    """
+    _POOL.shutdown()
+
+
 def run_spmd_process(
     n_ranks: int,
     fn: Callable[..., Any],
@@ -504,6 +654,12 @@ def run_spmd_process(
 
     Same signature, semantics and return type as the thread engine; see
     :func:`repro.runtime.engine.run_spmd` for the parameter contract.
+
+    Rank ``r`` runs on the ``r``-th of ``n_ranks`` pooled workers: idle
+    ones are reused and only the shortfall is spawned.  The workers go back
+    to the pool only if every rank finished cleanly; after any error, death
+    or abort all of the run's workers are stopped, and the next run spawns
+    fresh ones.
     """
     from repro.runtime.engine import SPMDError, SPMDResult, _is_secondary_abort
 
@@ -526,50 +682,35 @@ def run_spmd_process(
             f"(use a module-level function, or backend='thread'): {exc}"
         ) from exc
 
-    ctx = multiprocessing.get_context("spawn")
-    parent_conns = []
-    procs = []
+    workers = _POOL.take(n_ranks)
+    reusable = False
     try:
+        while len(workers) < n_ranks:
+            workers.append(_Worker())
+        router = _Router([w.conn for w in workers], injector, checksums)
+        spec = {
+            "size": n_ranks,
+            "timeout": timeout,
+            "checksums": checksums,
+            "has_faults": injector is not None,
+            "trace": tracer is not None,
+            "epoch": tracer.epoch if tracer is not None else 0.0,
+            "payload": payload,
+            "arena": arena.descriptor if arena is not None else None,
+            "sys_path": list(sys.path),
+            "cwd": os.getcwd(),
+        }
         for r in range(n_ranks):
-            parent_end, child_end = ctx.Pipe(duplex=True)
-            spec = {
-                "rank": r,
-                "size": n_ranks,
-                "timeout": timeout,
-                "checksums": checksums,
-                "has_faults": injector is not None,
-                "trace": tracer is not None,
-                "epoch": tracer.epoch if tracer is not None else 0.0,
-                "payload": payload,
-                "arena": arena.descriptor if arena is not None else None,
-            }
-            proc = ctx.Process(
-                target=_child_main,
-                args=(child_end, spec),
-                name=f"procrank-{r}",
-                daemon=True,
-            )
-            proc.start()
-            child_end.close()  # the child holds its end now
-            parent_conns.append(parent_end)
-            procs.append(proc)
-
-        router = _Router(parent_conns, injector, checksums)
+            # a worker that died while idle fails this send silently; its
+            # reader thread then reports the rank as crashed
+            router._send(r, ("job", dict(spec, rank=r)))
         router.run()
+        reusable = not any(router.errors) and not any(router.retiring)
     finally:
-        for conn in parent_conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        deadline = time.monotonic() + 10.0
-        for proc in procs:
-            proc.join(timeout=max(0.1, deadline - time.monotonic()))
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
-            proc.close()
+        if reusable:
+            _POOL.give_back(workers)
+        else:
+            _stop(workers)
         if arena is not None:
             arena.close()
             arena.unlink()  # also on abort: no leaked /dev/shm segment

@@ -21,6 +21,27 @@ from repro.graph.generators import (
 )
 
 
+def unpooled_children() -> tuple[list, list[int]]:
+    """Live child processes that are not idle rank-pool workers, and idle
+    pool workers that are not live children.
+
+    Idle workers of the process backend's rank pool are owned state, not
+    leaks: they wait for the next run.  Anything else alive (a failed
+    run's workers above all) is a leak, and so is a pooled worker that
+    died.  Both lists are empty when nothing leaked.
+    """
+    import multiprocessing
+
+    from repro.runtime.process_backend import _POOL
+
+    children = multiprocessing.active_children()
+    idle = _POOL.idle_pids()
+    live = {c.pid for c in children}
+    return [c for c in children if c.pid not in idle], [
+        pid for pid in idle if pid not in live
+    ]
+
+
 @pytest.fixture(autouse=os.environ.get("REPRO_THREAD_LEAK_CHECK") == "1")
 def assert_no_thread_leak():
     """Fail the test if it leaks runtime resources.
@@ -31,12 +52,11 @@ def assert_no_thread_leak():
 
     * thread backend — every simulated-rank thread joined, even when
       faults were injected mid-collective;
-    * process backend — every spawned child reaped and every
-      ``repro-shm-*`` shared-memory segment unlinked, even after hard
-      child deaths (``os._exit``).
+    * process backend — the only live child processes are the rank pool's
+      idle workers, each alive (a failed run's workers are all reaped,
+      even after hard child deaths such as ``os._exit``), and every
+      ``repro-shm-*`` shared-memory segment is unlinked.
     """
-    import multiprocessing
-
     from repro.graph.shm import active_segments, leaked_segment_files
 
     before = threading.active_count()
@@ -44,7 +64,7 @@ def assert_no_thread_leak():
     yield
     deadline = time.monotonic() + 5.0
     while (
-        threading.active_count() > before or multiprocessing.active_children()
+        threading.active_count() > before or any(unpooled_children())
     ) and time.monotonic() < deadline:
         time.sleep(0.05)
     leaked = [
@@ -53,8 +73,9 @@ def assert_no_thread_leak():
         if t is not threading.main_thread() and t.is_alive()
     ]
     assert threading.active_count() <= before, f"leaked threads: {leaked}"
-    children = multiprocessing.active_children()
-    assert children == [], f"leaked child processes: {children}"
+    stray, dead = unpooled_children()
+    assert stray == [], f"leaked child processes: {stray}"
+    assert dead == [], f"dead workers in the rank pool: {dead}"
     assert active_segments() == [], f"leaked shm arenas: {active_segments()}"
     shm_after = set(leaked_segment_files()) - shm_before
     assert not shm_after, f"leaked /dev/shm segments: {sorted(shm_after)}"

@@ -23,6 +23,7 @@ from repro.core.checkpoint import load_checkpoint
 from repro.graph.generators.sbm import stochastic_block_model
 from repro.runtime import SPMDError
 from repro.runtime.faults import CrashFault, FaultInjector, FaultPlan
+from tests.conftest import unpooled_children
 
 TOL = 1e-9
 
@@ -164,15 +165,13 @@ class TestProcessBackendRecovery:
         assert abs(outcome.result.modularity - baselines[4].modularity) < TOL
 
     def test_no_leaked_resources_after_recovery(self, sbm2, tmp_path):
-        import multiprocessing
-
         from repro.graph.shm import active_segments, leaked_segment_files
 
         cfg = replace(_cfg(tmp_path), backend="process")
         plan = FaultPlan([CrashFault(rank=1, event="level:0")])
         outcome = run_with_recovery(sbm2, 2, cfg, max_retries=2, faults=plan)
         assert outcome.recovered
-        assert multiprocessing.active_children() == []
+        assert unpooled_children() == ([], [])
         assert active_segments() == []
         assert leaked_segment_files() == []
 

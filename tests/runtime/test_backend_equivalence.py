@@ -18,6 +18,7 @@ import pytest
 from repro.core import DistributedConfig, distributed_louvain
 from repro.graph.generators import barabasi_albert
 from repro.runtime import ProgramNotPicklableError, run_spmd
+from tests.conftest import unpooled_children
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -202,13 +203,15 @@ def _rank_program(comm):
 
 
 def test_env_default_backend_selects_process(monkeypatch):
-    monkeypatch.setenv("REPRO_DEFAULT_BACKEND", "process")
-    import multiprocessing
+    from repro.runtime.process_backend import _POOL, shutdown_rank_pool
 
-    before = set(multiprocessing.active_children())
+    monkeypatch.setenv("REPRO_DEFAULT_BACKEND", "process")
+    shutdown_rank_pool()
     res = run_spmd(2, _rank_program, timeout=30.0)
     assert res.results == [0, 1]
-    assert set(multiprocessing.active_children()) <= before
+    # the run went through the process backend: its two workers are pooled
+    assert len(_POOL.idle_pids()) == 2
+    assert unpooled_children() == ([], [])
 
 
 def test_env_default_backend_falls_back_for_closures(monkeypatch):
@@ -236,12 +239,10 @@ def test_config_backend_flows_through(graph):
 
 
 def test_no_leaked_resources_after_process_run():
-    import multiprocessing
-
     from repro.graph.shm import active_segments, leaked_segment_files
 
     run_spmd(2, _mixed_program, 0, timeout=30.0, backend="process")
-    assert multiprocessing.active_children() == []
+    assert unpooled_children() == ([], [])
     assert active_segments() == []
     assert leaked_segment_files() == []
 
@@ -254,8 +255,6 @@ def _failing_program(comm):
 
 
 def test_no_leaked_resources_after_aborted_process_run():
-    import multiprocessing
-
     from repro.graph.shm import active_segments, leaked_segment_files
     from repro.runtime import SPMDError
 
@@ -263,7 +262,7 @@ def test_no_leaked_resources_after_aborted_process_run():
         run_spmd(3, _failing_program, timeout=15.0, backend="process")
     assert exc_info.value.rank == 1
     assert isinstance(exc_info.value.original, ValueError)
-    assert multiprocessing.active_children() == []
+    assert unpooled_children() == ([], [])
     assert active_segments() == []
     assert leaked_segment_files() == []
 

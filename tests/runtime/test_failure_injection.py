@@ -30,6 +30,7 @@ from repro.runtime import (
     Straggler,
     run_spmd,
 )
+from tests.conftest import unpooled_children
 
 
 class TestRankCrashes:
@@ -399,14 +400,12 @@ class TestProcessChildDeath:
         assert "died without reporting a result" in str(exc.value.original)
 
     def test_no_leaked_resources_after_hard_kill(self):
-        import multiprocessing
-
         from repro.graph.shm import active_segments, leaked_segment_files
 
         for _ in range(2):
             with pytest.raises(SPMDError):
                 run_spmd(2, _hard_exit, timeout=15.0, backend="process")
-        assert multiprocessing.active_children() == []
+        assert unpooled_children() == ([], [])
         assert active_segments() == []
         assert leaked_segment_files() == []
 
