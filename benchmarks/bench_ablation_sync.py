@@ -1,20 +1,15 @@
-"""Ablation — communication-reduction protocols (paper future work).
+"""Ablation — delta ghost exchange (paper future work).
 
 The paper's conclusion proposes investigating "possible ways to further
-reduce the communication cost".  We implemented the two natural candidates
-and measure them against the baseline full protocols:
+reduce the communication cost".  Ghost exchange carries much of the wire
+volume, so this ablation measures **delta ghosts** (``ghost_mode="delta"``)
+— ship only the owned-vertex labels that changed since the previous ghost
+exchange — against the baseline full exchange.
 
-* **delta aggregates** (``sync_mode="delta"``) — ship only changed
-  community aggregates through a push/subscribe protocol instead of full
-  per-iteration contributions;
-* **delta ghosts** (``ghost_mode="delta"``) — ship only the owned-vertex
-  labels that changed since the previous ghost exchange.
-
-Honest findings at our scales: ghost deltas are a clear win (~25% of total
-traffic, bit-identical results — per-vertex labels quiesce quickly), while
-aggregate deltas do NOT pay off (Louvain's early iterations change nearly
-every community, so the deltas are as large as the full payloads and the
-push protocol adds a collective).
+Finding at our scales: ghost deltas are a clear win (~25% of total
+traffic, bit-identical results — per-vertex labels quiesce quickly).  A
+delta protocol for the community aggregates was measured too and removed:
+it was slower in wall time on every input tried (EXPERIMENTS.md).
 """
 
 from repro.bench import format_table, load_dataset
@@ -22,29 +17,19 @@ from repro.core import DistributedConfig, distributed_louvain
 
 
 def test_ablation_sync_protocol(benchmark, show):
-    modes = [
-        ("full", "full"),
-        ("delta", "full"),
-        ("full", "delta"),
-        ("delta", "delta"),
-    ]
-
     def sweep():
         rows = []
         for name in ("livejournal", "uk-2007"):
             graph = load_dataset(name).graph
-            for sync_mode, ghost_mode in modes:
+            for ghost_mode in ("full", "delta"):
                 res = distributed_louvain(
                     graph,
                     16,
-                    DistributedConfig(
-                        d_high=128, sync_mode=sync_mode, ghost_mode=ghost_mode
-                    ),
+                    DistributedConfig(d_high=128, ghost_mode=ghost_mode),
                 )
                 rows.append(
                     {
                         "dataset": name,
-                        "sync": sync_mode,
                         "ghost": ghost_mode,
                         "Q": res.modularity,
                         "MB": res.stats.bytes_sent_per_rank().sum() / 1e6,
@@ -55,25 +40,19 @@ def test_ablation_sync_protocol(benchmark, show):
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     show(
         format_table(
-            ["dataset", "aggregates", "ghosts", "Q", "total traffic (MB)"],
+            ["dataset", "ghosts", "Q", "total traffic (MB)"],
             [
-                [r["dataset"], r["sync"], r["ghost"], round(r["Q"], 4),
-                 round(r["MB"], 2)]
+                [r["dataset"], r["ghost"], round(r["Q"], 4), round(r["MB"], 2)]
                 for r in rows
             ],
-            title="Ablation: communication-reduction protocols (p=16)",
+            title="Ablation: delta ghost exchange (p=16)",
         )
     )
 
-    by_key = {(r["dataset"], r["sync"], r["ghost"]): r for r in rows}
+    by_key = {(r["dataset"], r["ghost"]): r for r in rows}
     for name in ("livejournal", "uk-2007"):
-        base = by_key[(name, "full", "full")]
-        ghost = by_key[(name, "full", "delta")]
-        agg = by_key[(name, "delta", "full")]
+        base = by_key[(name, "full")]
+        ghost = by_key[(name, "delta")]
         # ghost deltas: exact semantics, clear traffic win
         assert abs(ghost["Q"] - base["Q"]) < 1e-9
         assert ghost["MB"] < 0.9 * base["MB"]
-        # aggregate deltas: equivalent quality, no meaningful win (honest
-        # negative result)
-        assert abs(agg["Q"] - base["Q"]) < 0.03
-        assert agg["MB"] > 0.7 * base["MB"]

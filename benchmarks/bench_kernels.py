@@ -340,8 +340,7 @@ def _sync_vectorized(w, two_m=1000.0, resolution=1.0):
     q_total = 0.0
     for owner in range(len(w["streams"])):
         labs, tot, cnt, s_in = w["streams"][owner]
-        own = OwnerTable()
-        own.merge_stream(labs, tot, cnt, s_in)
+        own = OwnerTable(labs, tot, cnt, s_in)
         q_total += own.partial_modularity(two_m, resolution)
         req = w["requests"][owner]
         vals = np.empty((req.size, 2))

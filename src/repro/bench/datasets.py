@@ -28,12 +28,7 @@ from typing import Callable
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import (
-    barabasi_albert,
-    copying_web_graph,
-    lfr_graph,
-    rmat_graph,
-)
+from repro.graph.generators import barabasi_albert, lfr_graph, rmat_graph
 from repro.graph.generators.webgraph import add_portals
 
 __all__ = ["DatasetSpec", "LoadedDataset", "DATASETS", "load_dataset"]
@@ -70,28 +65,6 @@ def _lfr(
 ) -> LoadedDataset:
     res = lfr_graph(n, mu=mu, seed=seed, min_degree=min_degree, max_degree=max_degree)
     return LoadedDataset(name=name, graph=res.graph, ground_truth=res.ground_truth)
-
-
-def _web(
-    name: str,
-    n: int,
-    k: int,
-    seed: int,
-    copy_prob: float = 0.7,
-    n_portals: int = 0,
-    portal_fraction: float = 0.5,
-) -> LoadedDataset:
-    return LoadedDataset(
-        name=name,
-        graph=copying_web_graph(
-            n,
-            k,
-            copy_prob=copy_prob,
-            seed=seed,
-            n_portals=n_portals,
-            portal_fraction=portal_fraction,
-        ),
-    )
 
 
 def _crawl(

@@ -6,14 +6,14 @@ owner side, ``dict[int, float]`` caches on the subscriber side) and walked
 them with ``zip(...tolist())`` loops at every iteration.  This module holds
 the numpy-native replacement: a *table* is a sorted-unique ``int64`` label
 array plus value columns aligned to it, and every operation the sync
-protocol needs — merging contributions, diffing against a previous report,
-answering pulls, applying pushes — is one ``searchsorted``/``np.add.at``
-pass.
+protocol needs — accumulating the owners' received contributions, answering
+pulls, rebuilding the subscriber cache — is one ``np.unique``,
+``searchsorted`` or ``np.add.at`` pass.
 
 Exactness contract: each kernel reproduces the scalar dict path *bitwise*.
 Accumulations run in the same order the dict loops used (``np.add.at``
 applies its updates sequentially in stream order, matching per-rank arrival
-order), first-touch of a new label starts from an exact ``0.0``, and
+order), every label starts from an exact ``0.0``, and
 :meth:`OwnerTable.partial_modularity` sums in dict *insertion* order via the
 ``seq`` column so the floating-point reduction order of the seed's
 ``for lab, acc in own.items()`` loop is preserved.  The equivalence grid in
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["OwnerTable", "CommunityTable", "diff_contributions"]
+__all__ = ["OwnerTable", "CommunityTable"]
 
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 _EMPTY_F64 = np.zeros(0, dtype=np.float64)
@@ -48,84 +48,39 @@ def _member_positions(
 
 
 class OwnerTable:
-    """Owner-side per-community aggregates (``sigma_tot``, size, ``sigma_in``).
+    """Owner-side per-community aggregates (``sigma_tot``, size, ``sigma_in``)
+    of one synchronisation round.
 
-    Dense replacement for the seed's ``_owner_agg: dict[int, list[float]]``.
-    ``seq`` records dict-insertion order (first time a label was ever
-    merged), which is the float accumulation order of the scalar partial-
-    modularity loop.
+    Dense replacement for the seed's per-round ``dict[int, list[float]]``.
+    Built from the round's received stream: ``labels`` is the rank-order
+    concatenation of every peer's payload (each label at most once per
+    peer), so ``np.add.at`` hits each community in exactly the order the
+    scalar loop visited it.  ``seq`` is each label's first position in the
+    stream — dict-insertion order, which is the float accumulation order of
+    the scalar partial-modularity loop.
     """
 
-    __slots__ = ("labels", "tot", "cnt", "s_in", "seq", "_next_seq")
+    __slots__ = ("labels", "tot", "cnt", "s_in", "seq")
 
-    def __init__(self) -> None:
-        self.labels = _EMPTY_I64
-        self.tot = _EMPTY_F64
-        self.cnt = _EMPTY_F64
-        self.s_in = _EMPTY_F64
-        self.seq = _EMPTY_I64
-        self._next_seq = 0
-
-    def __len__(self) -> int:
-        return int(self.labels.size)
-
-    def merge_stream(
+    def __init__(
         self,
         labels: np.ndarray,
         tot: np.ndarray,
         cnt: np.ndarray,
         s_in: np.ndarray,
-    ) -> np.ndarray:
-        """Accumulate one round of received contributions.
-
-        ``labels`` is the rank-order concatenation of every peer's payload
-        (each label at most once per peer), so ``np.add.at`` hits each
-        community in exactly the order the scalar loop visited it.  Returns
-        the sorted unique labels touched this round (the "changed" set of
-        the delta protocol).
-        """
-        if labels.size == 0:
-            return _EMPTY_I64
-        uniq, first_idx = np.unique(labels, return_index=True)
-        _pos, found = _member_positions(self.labels, uniq)
-        new_labels = uniq[~found]
-        if new_labels.size:
-            # dict-insertion order: first occurrence in the arrival stream
-            order = np.argsort(first_idx[~found], kind="stable")
-            seq_new = np.empty(new_labels.size, dtype=np.int64)
-            seq_new[order] = self._next_seq + np.arange(new_labels.size)
-            self._next_seq += int(new_labels.size)
-            merged = np.concatenate([self.labels, new_labels])
-            take = np.argsort(merged, kind="stable")
-            self.labels = merged[take]
-            self.tot = np.concatenate([self.tot, np.zeros(new_labels.size)])[take]
-            self.cnt = np.concatenate([self.cnt, np.zeros(new_labels.size)])[take]
-            self.s_in = np.concatenate([self.s_in, np.zeros(new_labels.size)])[take]
-            self.seq = np.concatenate([self.seq, seq_new])[take]
-        pos = np.searchsorted(self.labels, labels)
+    ) -> None:
+        self.labels, self.seq, pos = np.unique(
+            labels, return_index=True, return_inverse=True
+        )
+        self.tot = np.zeros(self.labels.size)
+        self.cnt = np.zeros(self.labels.size)
+        self.s_in = np.zeros(self.labels.size)
         np.add.at(self.tot, pos, tot)
         np.add.at(self.cnt, pos, cnt)
         np.add.at(self.s_in, pos, s_in)
-        return uniq
 
-    def drop_dead(self) -> np.ndarray:
-        """Remove communities whose membership reached zero; returns their
-        labels (sorted)."""
-        dead = self.cnt <= 0.5
-        if not dead.any():
-            return _EMPTY_I64
-        dead_labels = self.labels[dead]
-        keep = ~dead
-        self.labels = self.labels[keep]
-        self.tot = self.tot[keep]
-        self.cnt = self.cnt[keep]
-        self.s_in = self.s_in[keep]
-        self.seq = self.seq[keep]
-        return dead_labels
-
-    def contains(self, labels: np.ndarray) -> np.ndarray:
-        _pos, found = _member_positions(self.labels, labels)
-        return found
+    def __len__(self) -> int:
+        return int(self.labels.size)
 
     def lookup(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(sigma_tot, size)`` for every requested label.
@@ -155,7 +110,7 @@ class CommunityTable:
     count per referenced community, as dense label-aligned columns.
 
     The one subscriber-side cache of :class:`LocalClustering`, for every
-    sweep, aggregate-sync and ghost mode: both pull implementations write
+    sweep, aggregate and ghost mode: both pull implementations rebuild
     it, the bulk sweep reads it directly, and the Gauss-Seidel sweep loads
     dict views from it once per pass.  Lookup defaults mirror the dict
     ``get`` defaults of the scalar sweep: missing ``sigma_tot`` is 0.0
@@ -185,34 +140,6 @@ class CommunityTable:
         self.size = size[order]
         self.local = np.zeros(self.labels.size, dtype=np.int64)
 
-    def assign(
-        self, labels: np.ndarray, sigma_tot: np.ndarray, size: np.ndarray
-    ) -> None:
-        """Overlay ``(sigma_tot, size)`` for the given labels (push/answer
-        semantics), inserting rows for labels not yet cached.  Later
-        duplicates win, like repeated dict assignment."""
-        if labels.size == 0:
-            return
-        uniq = np.unique(labels)
-        _pos, found = _member_positions(self.labels, uniq)
-        new_labels = uniq[~found]
-        if new_labels.size:
-            merged = np.concatenate([self.labels, new_labels])
-            take = np.argsort(merged, kind="stable")
-            self.labels = merged[take]
-            self.sigma_tot = np.concatenate(
-                [self.sigma_tot, np.zeros(new_labels.size)]
-            )[take]
-            self.size = np.concatenate(
-                [self.size, np.zeros(new_labels.size, dtype=np.int64)]
-            )[take]
-            self.local = np.concatenate(
-                [self.local, np.zeros(new_labels.size, dtype=np.int64)]
-            )[take]
-        pos = np.searchsorted(self.labels, labels)
-        self.sigma_tot[pos] = sigma_tot
-        self.size[pos] = size
-
     def set_local_census(self, labels: np.ndarray, counts: np.ndarray) -> None:
         """Reset the local-member column from a fresh census over owned
         vertices.  Every census label must already be cached (the pull
@@ -224,10 +151,6 @@ class CommunityTable:
             if not found.all():
                 raise KeyError(int(labels[~found][0]))
             self.local[pos] = counts
-
-    def contains(self, labels: np.ndarray) -> np.ndarray:
-        _pos, found = _member_positions(self.labels, labels)
-        return found
 
     def lookup_eval(
         self, labels: np.ndarray
@@ -256,11 +179,15 @@ class CommunityTable:
         _pos, found = _member_positions(self.labels, uniq)
         new_labels = uniq[~found]
         if new_labels.size:
-            self.assign(
-                new_labels,
-                np.zeros(new_labels.size),
-                np.zeros(new_labels.size, dtype=np.int64),
-            )
+            merged = np.concatenate([self.labels, new_labels])
+            take = np.argsort(merged, kind="stable")
+            zeros = np.zeros(new_labels.size, dtype=np.int64)
+            self.labels = merged[take]
+            self.sigma_tot = np.concatenate(
+                [self.sigma_tot, np.zeros(new_labels.size)]
+            )[take]
+            self.size = np.concatenate([self.size, zeros])[take]
+            self.local = np.concatenate([self.local, zeros])[take]
         pos = np.searchsorted(self.labels, labels)
         np.add.at(self.sigma_tot, pos, d_sigma)
         np.add.at(self.size, pos, d_size)
@@ -275,35 +202,3 @@ class CommunityTable:
             dict(zip(self.labels.tolist(), self.size.tolist())),
         )
 
-
-def diff_contributions(
-    labels: np.ndarray,
-    tot: np.ndarray,
-    cnt: np.ndarray,
-    s_in: np.ndarray,
-    prev_labels: np.ndarray,
-    prev_tot: np.ndarray,
-    prev_cnt: np.ndarray,
-    prev_s_in: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Delta between the current and previous contribution report.
-
-    Both reports are (sorted-unique labels, value columns).  Returns the
-    labels whose contribution changed plus ``current - previous`` per
-    column — the exact per-label subtractions of the scalar diff loop,
-    with missing entries an exact ``0.0`` on either side.
-    """
-    union = np.union1d(prev_labels, labels)
-    cur = np.zeros((3, union.size))
-    pos = np.searchsorted(union, labels)
-    cur[0, pos] = tot
-    cur[1, pos] = cnt
-    cur[2, pos] = s_in
-    prev = np.zeros((3, union.size))
-    ppos = np.searchsorted(union, prev_labels)
-    prev[0, ppos] = prev_tot
-    prev[1, ppos] = prev_cnt
-    prev[2, ppos] = prev_s_in
-    changed = (cur != prev).any(axis=0)
-    delta = cur[:, changed] - prev[:, changed]
-    return union[changed], delta[0], delta[1], delta[2]

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from repro.core.heuristics import get_heuristic
+from repro.core.heuristics import HEURISTICS, get_heuristic
 from repro.core.local_clustering import LocalClustering
 from repro.core.merging import merge_level
 from repro.graph.csr import CSRGraph
@@ -58,7 +58,6 @@ class DistributedConfig:
     rebalance: bool = True  # delegate partitioning step 3
     theta: float = 1e-12  # modularity-gain tie tolerance
     resolution: float = 1.0  # Reichardt-Bornholdt gamma (1.0 = paper)
-    sync_mode: str = "full"  # community-state sync: "full" | "delta"
     ghost_mode: str = "full"  # ghost label exchange: "full" | "delta"
     sweep_mode: str = "gauss-seidel"  # local sweep: "gauss-seidel" | "vectorized"
     agg_mode: str = "dense"  # aggregate-sync/merge kernels: "dense" | "scalar"
@@ -78,6 +77,23 @@ class DistributedConfig:
     # execution backend: "thread" | "process" | "auto" (defer to the
     # REPRO_DEFAULT_BACKEND environment variable; see repro.runtime)
     backend: str = "auto"
+
+    def __post_init__(self) -> None:
+        # reject a misspelled choice here, before partitioning runs and
+        # before a failed process-backend run discards its pooled ranks
+        choices = {
+            "heuristic": tuple(HEURISTICS),
+            "partitioning": ("delegate", "1d"),
+            "ghost_mode": ("full", "delta"),
+            "sweep_mode": ("gauss-seidel", "vectorized"),
+            "agg_mode": ("dense", "scalar"),
+        }
+        for name, allowed in choices.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(
+                    f"unknown {name} {value!r}; choose from {sorted(allowed)}"
+                )
 
 
 @dataclass
@@ -198,10 +214,25 @@ def _worker(comm, partition: Partition, cfg: DistributedConfig, ckpt_base=None):
                         )
         comm.fault_event(f"level:{base_levels + completed - 1}")
 
-    def run_level(level: int, clustering: LocalClustering, with_delegates: bool):
-        """One clustering level wrapped in a tracer span carrying its full
+    def run_level(level: int, lg, with_delegates: bool):
+        """One clustering level on ``lg`` (phases ``s1:*`` for level 0,
+        ``s2:*`` after), wrapped in a tracer span carrying its full
         convergence telemetry (modularity trajectory, moves per sweep,
-        ghost-label churn, delegate broadcast volume)."""
+        ghost-label churn, delegate broadcast volume) and recorded in
+        ``reports``."""
+        clustering = LocalClustering(
+            comm,
+            lg,
+            heuristic,
+            theta=cfg.theta,
+            max_inner=cfg.max_inner,
+            phase_prefix="s1:" if level == 0 else "s2:",
+            stall_patience=cfg.stall_patience,
+            resolution=cfg.resolution,
+            ghost_mode=cfg.ghost_mode,
+            sweep_mode=cfg.sweep_mode,
+            agg_mode=cfg.agg_mode,
+        )
         with comm.trace_span(f"level {level}", cat="level") as span:
             outcome = clustering.run()
             if comm.tracing:
@@ -216,37 +247,23 @@ def _worker(comm, partition: Partition, cfg: DistributedConfig, ckpt_base=None):
                     converged=outcome.converged,
                     q_final=outcome.q_final,
                 )
+        reports.append(
+            LevelReport(
+                level=level,
+                with_delegates=with_delegates,
+                q_history=outcome.q_history,
+                moves_history=outcome.moves_history,
+                n_iterations=outcome.n_iterations,
+                converged=outcome.converged,
+                q_final=outcome.q_final,
+                ghost_churn=outcome.ghost_churn,
+                delegate_bytes=outcome.delegate_bytes,
+            )
+        )
         return outcome
 
     # ---- stage 2: clustering with delegates (one level) ----------------
-    clustering = LocalClustering(
-        comm,
-        lg,
-        heuristic,
-        theta=cfg.theta,
-        max_inner=cfg.max_inner,
-        phase_prefix="s1:",
-        stall_patience=cfg.stall_patience,
-        resolution=cfg.resolution,
-        sync_mode=cfg.sync_mode,
-        ghost_mode=cfg.ghost_mode,
-        sweep_mode=cfg.sweep_mode,
-        agg_mode=cfg.agg_mode,
-    )
-    outcome = run_level(0, clustering, lg.n_hubs > 0)
-    reports.append(
-        LevelReport(
-            level=0,
-            with_delegates=lg.n_hubs > 0,
-            q_history=outcome.q_history,
-            moves_history=outcome.moves_history,
-            n_iterations=outcome.n_iterations,
-            converged=outcome.converged,
-            q_final=outcome.q_final,
-            ghost_churn=outcome.ghost_churn,
-            delegate_bytes=outcome.delegate_bytes,
-        )
-    )
+    outcome = run_level(0, lg, lg.n_hubs > 0)
     q_prev = outcome.q_final
 
     # ---- stage 3: merge + 1D re-partition ------------------------------
@@ -260,35 +277,8 @@ def _worker(comm, partition: Partition, cfg: DistributedConfig, ckpt_base=None):
 
     # ---- stage 4: clustering without delegates -------------------------
     for level in range(1, cfg.max_levels):
-        clustering = LocalClustering(
-            comm,
-            lg,
-            heuristic,
-            theta=cfg.theta,
-            max_inner=cfg.max_inner,
-            phase_prefix="s2:",
-            stall_patience=cfg.stall_patience,
-            resolution=cfg.resolution,
-            sync_mode=cfg.sync_mode,
-            ghost_mode=cfg.ghost_mode,
-            sweep_mode=cfg.sweep_mode,
-            agg_mode=cfg.agg_mode,
-        )
-        outcome = run_level(level, clustering, False)
+        outcome = run_level(level, lg, False)
         q = outcome.q_final
-        reports.append(
-            LevelReport(
-                level=level,
-                with_delegates=False,
-                q_history=outcome.q_history,
-                moves_history=outcome.moves_history,
-                n_iterations=outcome.n_iterations,
-                converged=outcome.converged,
-                q_final=outcome.q_final,
-                ghost_churn=outcome.ghost_churn,
-                delegate_bytes=outcome.delegate_bytes,
-            )
-        )
         # Alg. 1 line 16: stop on no modularity improvement.  The check
         # runs BEFORE merging so a non-improving (or, under an unsafe
         # heuristic, degrading) level is discarded and the final
@@ -343,10 +333,8 @@ def distributed_louvain(
         partition = delegate_partition(
             graph, n_ranks, d_high=cfg.d_high, rebalance=cfg.rebalance
         )
-    elif cfg.partitioning == "1d":
-        partition = oned_partition(graph, n_ranks)
     else:
-        raise ValueError(f"unknown partitioning {cfg.partitioning!r}")
+        partition = oned_partition(graph, n_ranks)
     t_part = time.perf_counter() - t0
 
     t1 = time.perf_counter()

@@ -23,9 +23,12 @@ low-degree vertex's owner, or rank ``h % p`` for hub ``h`` — and edge facts
 by whichever rank stores the directed entry; owners therefore see each
 member and each directed entry exactly once, making their per-community
 aggregates exact.  Subscriber ranks then pull ``(sigma_tot, size)`` for
-every community they reference.  Between synchronisation points remote
-aggregates go stale — that staleness is precisely what the paper's enhanced
-heuristic defends against.
+every community they reference.  Every synchronisation is one full
+exchange, as in Algorithm 2: ranks report their complete contributions,
+owners rebuild their aggregates from scratch, and subscribers rebuild their
+cache; no aggregate state outlives the call.  Between synchronisation
+points remote aggregates go stale — that staleness is precisely what the
+paper's enhanced heuristic defends against.
 """
 
 from __future__ import annotations
@@ -34,11 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.community_table import (
-    CommunityTable,
-    OwnerTable,
-    diff_contributions,
-)
+from repro.core.community_table import CommunityTable, OwnerTable
 from repro.core.heuristics import Candidate, MoveHeuristic
 from repro.core.pack import pack_by_owner
 from repro.core.sweep_kernel import VECTOR_HEURISTICS, bulk_best_moves
@@ -81,13 +80,10 @@ class LocalClustering:
         phase_prefix: str = "",
         stall_patience: int = 3,
         resolution: float = 1.0,
-        sync_mode: str = "full",
         ghost_mode: str = "full",
         sweep_mode: str = "gauss-seidel",
         agg_mode: str = "dense",
     ) -> None:
-        if sync_mode not in ("full", "delta"):
-            raise ValueError("sync_mode must be 'full' or 'delta'")
         if ghost_mode not in ("full", "delta"):
             raise ValueError("ghost_mode must be 'full' or 'delta'")
         if sweep_mode not in ("gauss-seidel", "vectorized"):
@@ -106,21 +102,9 @@ class LocalClustering:
         self.pfx = phase_prefix
         self.stall_patience = stall_patience
         self.resolution = resolution
-        self.sync_mode = sync_mode
         self.ghost_mode = ghost_mode
         self.sweep_mode = sweep_mode
         self.agg_mode = agg_mode
-        # delta-sync state: this rank's last reported contributions and the
-        # persistent owner-side aggregates it maintains across iterations
-        self._prev_contrib: dict[int, tuple[float, float, float]] | None = None
-        self._owner_agg: dict[int, list[float]] = {}
-        self._subscribers: dict[int, set[int]] = {}
-        # dense-agg counterparts of the three dicts above: the previous
-        # contribution report as parallel arrays, the owner-side label table,
-        # and the subscriber map inverted to rank -> sorted label array
-        self._prev_report: tuple[np.ndarray, ...] | None = None
-        self._owner_table = OwnerTable()
-        self._sub_to: dict[int, np.ndarray] = {}
         # delta-ghost state: labels last sent to each subscriber peer
         self._prev_ghost_sent: dict[int, np.ndarray] = {}
         # telemetry accumulators (see LevelOutcome)
@@ -208,13 +192,10 @@ class LocalClustering:
     def sync_aggregates(self) -> float:
         """Synchronise exact community aggregates and compute global Q.
 
-        In ``full`` mode every rank ships its complete per-community
-        contributions each iteration and owners rebuild from scratch.  In
-        ``delta`` mode ranks diff against their previous report and ship
-        only the changes; owners maintain persistent aggregates.  Both
-        modes yield identical aggregates (up to float accumulation order) —
-        delta trades a little bookkeeping for drastically less traffic in
-        the late, low-movement iterations (see ``bench_ablation_sync.py``).
+        Every rank ships its complete per-community contributions to the
+        owners, owners rebuild their aggregates from scratch, and every
+        rank pulls ``(sigma_tot, size)`` for each community it references,
+        rebuilding its subscriber cache (Algorithm 2, lines 16-25).
 
         ``agg_mode`` selects only the owner side and the pull
         implementation: ``dense`` runs them on numpy label tables
@@ -274,15 +255,6 @@ class LocalClustering:
         comm = self.comm
         labels_all, cidx = np.unique(self.comm_of, return_inverse=True)
         labels, tot, cnt, s_in = self._contributions_dense(labels_all, cidx)
-
-        if self.sync_mode == "delta":
-            report = (labels, tot, cnt, s_in)
-            if self._prev_report is not None:
-                labels, tot, cnt, s_in = diff_contributions(
-                    labels, tot, cnt, s_in, *self._prev_report
-                )
-            self._prev_report = report
-
         owner = self._owner(labels) if labels.size else labels
         payloads = pack_by_owner(owner, comm.size, labels, tot, cnt, s_in)
         received = comm.alltoall(payloads)
@@ -290,23 +262,10 @@ class LocalClustering:
         # accumulate contributions in rank-arrival order: np.add.at applies
         # updates sequentially, so every per-community sum is bit-identical
         # to the scalar dict loop
-        own = self._owner_table if self.sync_mode == "delta" else OwnerTable()
-        changed = own.merge_stream(
-            np.concatenate([p[0] for p in received]),
-            np.concatenate([p[1] for p in received]),
-            np.concatenate([p[2] for p in received]),
-            np.concatenate([p[3] for p in received]),
+        own = OwnerTable(
+            *(np.concatenate([p[i] for p in received]) for i in range(4))
         )
-        if self.sync_mode == "delta":
-            dead = own.drop_dead()
-            if dead.size and self._sub_to:
-                for r in list(self._sub_to):
-                    self._sub_to[r] = np.setdiff1d(
-                        self._sub_to[r], dead, assume_unique=True
-                    )
-            self._delta_pull_dense(own, changed, labels_all)
-        else:
-            self._full_pull_dense(own, labels_all)
+        self._pull_dense(own, labels_all)
 
         # local membership census over OWNED vertices only (hubs must not
         # mark communities as "local" — see the scalar path)
@@ -321,36 +280,6 @@ class LocalClustering:
         """Dict-accumulator reference implementation (the seed path)."""
         comm = self.comm
         labels, tot, cnt, s_in = self._contributions()
-
-        if self.sync_mode == "delta" and self._prev_contrib is not None:
-            current = {
-                int(lab): (t, c, i)
-                for lab, t, c, i in zip(
-                    labels.tolist(), tot.tolist(), cnt.tolist(), s_in.tolist()
-                )
-            }
-            d_lab, d_tot, d_cnt, d_in = [], [], [], []
-            for lab in current.keys() | self._prev_contrib.keys():
-                ct, cc, ci = current.get(lab, (0.0, 0.0, 0.0))
-                pt, pc, pi = self._prev_contrib.get(lab, (0.0, 0.0, 0.0))
-                if ct != pt or cc != pc or ci != pi:
-                    d_lab.append(lab)
-                    d_tot.append(ct - pt)
-                    d_cnt.append(cc - pc)
-                    d_in.append(ci - pi)
-            self._prev_contrib = current
-            labels = np.asarray(d_lab, dtype=np.int64)
-            tot = np.asarray(d_tot)
-            cnt = np.asarray(d_cnt)
-            s_in = np.asarray(d_in)
-        elif self.sync_mode == "delta":
-            self._prev_contrib = {
-                int(lab): (t, c, i)
-                for lab, t, c, i in zip(
-                    labels.tolist(), tot.tolist(), cnt.tolist(), s_in.tolist()
-                )
-            }
-
         owner = self._owner(labels) if labels.size else labels
         payloads = []
         for r in range(comm.size):
@@ -358,33 +287,19 @@ class LocalClustering:
             payloads.append((labels[m], tot[m], cnt[m], s_in[m]))
         received = comm.alltoall(payloads)
 
-        own = self._owner_agg if self.sync_mode == "delta" else {}
-        changed: set[int] = set()
+        own: dict[int, list[float]] = {}
         for lab_a, tot_a, cnt_a, in_a in received:
             for lab, t, c, i in zip(
                 lab_a.tolist(), tot_a.tolist(), cnt_a.tolist(), in_a.tolist()
             ):
                 acc = own.get(lab)
-                changed.add(lab)
                 if acc is None:
                     own[lab] = [t, c, i]
                 else:
                     acc[0] += t
                     acc[1] += c
                     acc[2] += i
-        if self.sync_mode == "delta":
-            # drop communities whose membership reached zero (a dead label
-            # cannot be referenced again: moves only target communities with
-            # live members)
-            for lab in [k for k, v in own.items() if v[1] <= 0.5]:
-                del own[lab]
-                self._subscribers.pop(lab, None)
-            self._owner_agg = own
-
-        if self.sync_mode == "delta":
-            self._delta_pull(own, changed)
-        else:
-            self._full_pull(own)
+        self._pull(own)
 
         # local membership census over OWNED vertices only: a hub delegate
         # being resident everywhere does not make its community's aggregates
@@ -401,9 +316,9 @@ class LocalClustering:
         return float(comm.allreduce(q_part))
 
     # ------------------------------------------------------------------
-    # Pull protocols
+    # The pull
     # ------------------------------------------------------------------
-    def _full_pull(self, own: dict[int, list[float]]) -> None:
+    def _pull(self, own: dict[int, list[float]]) -> None:
         """Request (sigma_tot, size) for every referenced community and
         rebuild the subscriber cache from scratch."""
         comm = self.comm
@@ -431,70 +346,8 @@ class LocalClustering:
             np.rint(vals[:, 1]).astype(np.int64),
         )
 
-    def _delta_pull(self, own: dict[int, list[float]], changed: set[int]) -> None:
-        """Push/subscribe protocol: owners push updates for *changed*
-        communities to registered subscribers; ranks request only
-        communities missing from their cache (first reference), which also
-        registers the subscription."""
-        comm = self.comm
-
-        # 1. push changed values to subscribers
-        push: list[tuple[list[int], list[float], list[float]]] = [
-            ([], [], []) for _ in range(comm.size)
-        ]
-        for lab in changed:
-            acc = own.get(lab)
-            if acc is None:
-                continue  # died this iteration; no one may reference it
-            for r in self._subscribers.get(lab, ()):  # registered interest
-                push[r][0].append(lab)
-                push[r][1].append(acc[0])
-                push[r][2].append(acc[1])
-        pushed = comm.alltoall(
-            [
-                (
-                    np.asarray(p[0], dtype=np.int64),
-                    np.asarray(p[1]),
-                    np.asarray(p[2]),
-                )
-                for p in push
-            ]
-        )
-        self.ctab.assign(
-            np.concatenate([p[0] for p in pushed]),
-            np.concatenate([p[1] for p in pushed]),
-            np.rint(np.concatenate([p[2] for p in pushed])).astype(np.int64),
-        )
-
-        # 2. request communities not yet cached (and subscribe to them)
-        needed = np.unique(self.comm_of)
-        missing = needed[~self.ctab.contains(needed)]
-        need_owner = self._owner(missing) if missing.size else missing
-        requests = [missing[need_owner == r] for r in range(comm.size)]
-        incoming = comm.alltoall(requests)
-        replies = []
-        for src_rank, req in enumerate(incoming):
-            vals = np.empty((req.size, 2))
-            for i, lab in enumerate(req.tolist()):
-                acc = own.get(lab)
-                if acc is None:
-                    raise RuntimeError(
-                        f"rank {comm.rank}: no aggregate for community {lab}"
-                    )
-                vals[i, 0] = acc[0]
-                vals[i, 1] = acc[1]
-                self._subscribers.setdefault(lab, set()).add(src_rank)
-            replies.append((req, vals))
-        answered = comm.alltoall(replies)
-        vals = np.concatenate([a[1] for a in answered])
-        self.ctab.assign(
-            np.concatenate([a[0] for a in answered]),
-            vals[:, 0],
-            np.rint(vals[:, 1]).astype(np.int64),
-        )
-
     # ------------------------------------------------------------------
-    # Pull protocols, dense-table implementation
+    # The pull, dense-table implementation
     # ------------------------------------------------------------------
     def _answer(self, own: OwnerTable, req: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Owner-side reply values, with the scalar path's hard failure on a
@@ -506,8 +359,8 @@ class LocalClustering:
                 f"rank {self.comm.rank}: no aggregate for community {exc.args[0]}"
             ) from None
 
-    def _full_pull_dense(self, own: OwnerTable, needed: np.ndarray) -> None:
-        """Vectorized :meth:`_full_pull`: same requests, same replies, the
+    def _pull_dense(self, own: OwnerTable, needed: np.ndarray) -> None:
+        """Vectorized :meth:`_pull`: same requests, same replies, the
         per-label Python loops replaced by one table lookup per exchange.
         ``needed`` is ``np.unique(comm_of)``."""
         comm = self.comm
@@ -524,55 +377,6 @@ class LocalClustering:
         lab = np.concatenate([a[0] for a in answered])
         vals = np.concatenate([a[1] for a in answered])
         self.ctab.rebuild(lab, vals[:, 0], np.rint(vals[:, 1]).astype(np.int64))
-
-    def _delta_pull_dense(
-        self, own: OwnerTable, changed: np.ndarray, needed: np.ndarray
-    ) -> None:
-        """Vectorized :meth:`_delta_pull`: pushes are built per peer by
-        intersecting its subscription array with the changed set (sorted
-        label order — same label multiset and bytes as the scalar path),
-        and the first-reference requests come from one membership test
-        over ``needed``, which is ``np.unique(comm_of)``."""
-        comm = self.comm
-
-        # 1. push changed values to subscribers (dead labels were dropped
-        # from the table, so they are silently skipped here, as in scalar)
-        alive = changed[own.contains(changed)] if changed.size else changed
-        push = []
-        for r in range(comm.size):
-            subs = self._sub_to.get(r)
-            if subs is None or subs.size == 0 or alive.size == 0:
-                push.append((_EMPTY_I64, _EMPTY_F64, _EMPTY_F64))
-                continue
-            labs = np.intersect1d(subs, alive, assume_unique=True)
-            t, c = own.lookup(labs)
-            push.append((labs, t, c))
-        pushed = comm.alltoall(push)
-        p_lab = np.concatenate([p[0] for p in pushed])
-        p_tot = np.concatenate([p[1] for p in pushed])
-        p_cnt = np.concatenate([p[2] for p in pushed])
-        self.ctab.assign(p_lab, p_tot, np.rint(p_cnt).astype(np.int64))
-
-        # 2. request communities not yet cached (and subscribe to them)
-        missing = needed[~self.ctab.contains(needed)]
-        requests = pack_by_owner(
-            self._owner(missing) if missing.size else missing, comm.size, missing
-        )
-        incoming = comm.alltoall(requests)
-        replies = []
-        for src_rank, req in enumerate(incoming):
-            vals = np.empty((req.size, 2))
-            vals[:, 0], vals[:, 1] = self._answer(own, req)
-            if req.size:
-                subs = self._sub_to.get(src_rank)
-                self._sub_to[src_rank] = (
-                    np.union1d(subs, req) if subs is not None else req.copy()
-                )
-            replies.append((req, vals))
-        answered = comm.alltoall(replies)
-        a_lab = np.concatenate([a[0] for a in answered])
-        a_vals = np.concatenate([a[1] for a in answered])
-        self.ctab.assign(a_lab, a_vals[:, 0], np.rint(a_vals[:, 1]).astype(np.int64))
 
     # ------------------------------------------------------------------
     # Phase 1: the local sweep

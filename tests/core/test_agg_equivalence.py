@@ -6,15 +6,16 @@ sweep modes — which legitimately land in different local optima — the dense
 kernels claim *bitwise* equivalence: identical labels, identical Q to the
 last ulp, identical per-phase wire bytes.  This suite pins that claim:
 
-1. **Unit** — ``OwnerTable`` against a literal dict reference, including
-   the insertion-order float accumulation of partial modularity, and the
+1. **Unit** — ``OwnerTable``, built from one received stream, against a
+   literal dict reference, including the insertion-order float
+   accumulation of partial modularity, and the
    subscriber-side ``CommunityTable`` against a literal transcription of
    the dict cache it replaced, including the Gauss-Seidel sweep's replay
    of its moves onto the table;
 2. **Merge** — ``merge_level(impl="vectorized")`` vs ``impl="scalar"``
    field-by-field on every rank;
 3. **End-to-end grid** — full pipeline, ``agg_mode`` dense vs scalar over
-   p × sync_mode × partitioning × sweep_mode × ghost_mode: same
+   p × partitioning × sweep_mode × ghost_mode: same
    assignment, same Q, same per-phase byte counters.
 """
 
@@ -38,7 +39,6 @@ class DictOwnerReference:
         self.own = {}
 
     def merge(self, labels, tot, cnt, s_in):
-        changed = set()
         for lab, t, c, i in zip(
             labels.tolist(), tot.tolist(), cnt.tolist(), s_in.tolist()
         ):
@@ -48,14 +48,6 @@ class DictOwnerReference:
             acc[0] += t
             acc[1] += c
             acc[2] += i
-            changed.add(lab)
-        return changed
-
-    def drop_dead(self):
-        dead = [lab for lab, acc in self.own.items() if acc[1] <= 0.5]
-        for lab in dead:
-            del self.own[lab]
-        return dead
 
     def partial_modularity(self, two_m, resolution):
         q = 0.0
@@ -66,9 +58,9 @@ class DictOwnerReference:
 
 class DictCacheReference:
     """Literal transcription of the seed's subscriber-side dict cache:
-    ``sigma_tot`` / ``csize`` / ``local_members`` with the full-pull
-    rebuild, the push/answer overlay, the census, and the per-move ``get``
-    defaults of ``LocalClustering._apply_move``."""
+    ``sigma_tot`` / ``csize`` / ``local_members`` with the pull's
+    rebuild, the census, and the per-move ``get`` defaults of
+    ``LocalClustering._apply_move``."""
 
     def __init__(self):
         self.sigma_tot = {}
@@ -78,9 +70,6 @@ class DictCacheReference:
     def rebuild(self, labels, sigma, size):
         self.sigma_tot = {}
         self.csize = {}
-        self.assign(labels, sigma, size)
-
-    def assign(self, labels, sigma, size):
         for lab, t, c in zip(labels.tolist(), sigma.tolist(), size.tolist()):
             self.sigma_tot[lab] = t
             self.csize[lab] = c
@@ -125,27 +114,13 @@ class TestCommunityTableUnit:
     N_VERTICES = 60
     N_LABELS = 90  # labels >= N_VERTICES start uncached (hub-consensus targets)
 
-    def _sync(self, rng, table, ref, comm_of, owned, full):
-        needed = np.unique(comm_of)
-        if full:
-            labels = rng.permutation(needed)  # answers arrive in rank order
-            sigma = rng.standard_normal(labels.size) * 5.0 + 7.0
-            size = rng.integers(1, 6, size=labels.size)
-            table.rebuild(labels, sigma, size)
-            ref.rebuild(labels, sigma, size)
-        else:
-            # pushes for some cached labels, then answers for the missing
-            cached = table.labels
-            push = rng.choice(cached, size=cached.size // 3, replace=False)
-            missing = needed[~table.contains(needed)]
-            assert missing.tolist() == [
-                lab for lab in needed.tolist() if lab not in ref.sigma_tot
-            ]
-            for labels in (push, missing):
-                sigma = rng.standard_normal(labels.size) * 5.0 + 7.0
-                size = rng.integers(1, 6, size=labels.size)
-                table.assign(labels, sigma, size)
-                ref.assign(labels, sigma, size)
+    def _sync(self, rng, table, ref, comm_of, owned):
+        # answers arrive in rank order, not label order
+        labels = rng.permutation(np.unique(comm_of))
+        sigma = rng.standard_normal(labels.size) * 5.0 + 7.0
+        size = rng.integers(1, 6, size=labels.size)
+        table.rebuild(labels, sigma, size)
+        ref.rebuild(labels, sigma, size)
         labs, cnts = np.unique(comm_of[owned], return_counts=True)
         table.set_local_census(labs, cnts)
         ref.census(comm_of[owned])
@@ -172,15 +147,14 @@ class TestCommunityTableUnit:
         table.scatter_add(upd, d_sigma, d_size, d_local)
         comm_of[rows] = new
 
-    @pytest.mark.parametrize("full", [True, False])
-    def test_matches_dict_reference_over_rounds(self, rng, full):
+    def test_matches_dict_reference_over_rounds(self, rng):
         table, ref = CommunityTable(), DictCacheReference()
         comm_of = np.arange(self.N_VERTICES, dtype=np.int64)
         owned = rng.random(self.N_VERTICES) < 0.7
         wdeg = rng.uniform(0.5, 9.0, self.N_VERTICES)
         every = np.arange(-3, self.N_LABELS + 3, dtype=np.int64)
         for _ in range(20):
-            self._sync(rng, table, ref, comm_of, owned, full)
+            self._sync(rng, table, ref, comm_of, owned)
             _assert_lookup_bitwise(table, ref, every)
             for _ in range(3):
                 self._moves(rng, table, ref, comm_of, owned, wdeg)
@@ -268,23 +242,29 @@ def test_gauss_seidel_replay_matches_pass_views(ba_graph, p):
 
 
 class TestOwnerTableUnit:
-    def _random_round(self, rng, n_labels):
-        labs = rng.choice(n_labels, size=rng.integers(1, 30), replace=False)
+    def _random_stream(self, rng, n_labels, n_peers):
+        """One round's received stream: the rank-order concatenation of
+        every peer's payload, each label at most once per peer."""
+        labs = np.concatenate(
+            [
+                rng.choice(n_labels, size=rng.integers(0, 30), replace=False)
+                for _ in range(n_peers)
+            ]
+        ).astype(np.int64)
         return (
-            labs.astype(np.int64),
+            labs,
             rng.standard_normal(labs.size) + 3.0,
             rng.integers(0, 4, size=labs.size).astype(np.float64),
             np.abs(rng.standard_normal(labs.size)),
         )
 
     def test_matches_dict_reference_over_rounds(self, rng):
-        table, ref = OwnerTable(), DictOwnerReference()
-        for _ in range(25):
-            labs, tot, cnt, s_in = self._random_round(rng, 40)
-            changed = table.merge_stream(labs, tot, cnt, s_in)
-            ref_changed = ref.merge(labs, tot, cnt, s_in)
-            assert set(changed.tolist()) == ref_changed
+        for _ in range(40):
+            stream = self._random_stream(rng, 40, int(rng.integers(1, 6)))
+            table, ref = OwnerTable(*stream), DictOwnerReference()
+            ref.merge(*stream)
             assert np.array_equal(table.labels, sorted(ref.own))
+            assert len(table) == len(ref.own)
             for lab, acc in ref.own.items():
                 t, c = table.lookup(np.array([lab], dtype=np.int64))
                 assert t[0] == acc[0] and c[0] == acc[1]  # bitwise
@@ -293,19 +273,8 @@ class TestOwnerTableUnit:
                 50.0, 1.0
             )
 
-    def test_drop_dead_matches(self, rng):
-        table, ref = OwnerTable(), DictOwnerReference()
-        labs = np.arange(10, dtype=np.int64)
-        cnt = np.array([0.0, 1, 0, 2, 0, 3, 0, 4, 0, 5], dtype=np.float64)
-        vals = np.ones(10)
-        table.merge_stream(labs, vals, cnt, vals)
-        ref.merge(labs, vals, cnt, vals)
-        assert sorted(table.drop_dead().tolist()) == sorted(ref.drop_dead())
-        assert np.array_equal(table.labels, sorted(ref.own))
-
     def test_lookup_missing_raises_keyerror(self):
-        table = OwnerTable()
-        table.merge_stream(
+        table = OwnerTable(
             np.array([3], dtype=np.int64), np.ones(1), np.ones(1), np.ones(1)
         )
         with pytest.raises(KeyError):
@@ -313,15 +282,21 @@ class TestOwnerTableUnit:
 
     def test_insertion_order_not_label_order(self):
         # labels arriving high-first must accumulate Q in arrival order
-        table, ref = OwnerTable(), DictOwnerReference()
-        labs = np.array([9, 1, 5], dtype=np.int64)
-        tot = np.array([0.3, 0.7, 0.1])
-        one = np.ones(3)
-        table.merge_stream(labs, tot, one, tot * 0.9)
+        labs = np.array([9, 1, 5, 1], dtype=np.int64)
+        tot = np.array([0.3, 0.7, 0.1, 0.2])
+        one = np.ones(4)
+        table, ref = OwnerTable(labs, tot, one, tot * 0.9), DictOwnerReference()
         ref.merge(labs, tot, one, tot * 0.9)
+        assert table.labels.tolist() == [1, 5, 9]
         assert table.partial_modularity(2.0, 1.3) == ref.partial_modularity(
             2.0, 1.3
         )
+
+    def test_empty_stream(self):
+        empty = np.zeros(0)
+        table = OwnerTable(np.zeros(0, dtype=np.int64), empty, empty, empty)
+        assert len(table) == 0
+        assert table.partial_modularity(2.0, 1.0) == 0.0
 
 
 def _merge_all_fields(graph, p, kind, impl, seed=3):
@@ -388,39 +363,24 @@ def _run_both(graph, p, **kw):
 
 class TestEndToEndEquivalence:
     @pytest.mark.parametrize("p", [1, 2, 4])
-    @pytest.mark.parametrize("sync_mode", ["full", "delta"])
     @pytest.mark.parametrize("partitioning", ["delegate", "1d"])
-    def test_gauss_seidel_grid(self, ba_graph, p, sync_mode, partitioning):
-        res = _run_both(
-            ba_graph, p, sync_mode=sync_mode, partitioning=partitioning
-        )
+    def test_gauss_seidel_grid(self, ba_graph, p, partitioning):
+        res = _run_both(ba_graph, p, partitioning=partitioning)
         self._assert_identical(res["scalar"], res["dense"])
 
     @pytest.mark.parametrize("p", [1, 2, 4])
     @pytest.mark.parametrize(
-        ("sync_mode", "ghost_mode"),
-        [
-            ("full", "full"),
-            ("delta", "full"),
-            ("full", "delta"),
-            ("delta", "delta"),
-        ],
-        # stable ids: a full-ghost case is named by its sync_mode alone
-        ids=["full", "delta", "full-ghost_delta", "delta-ghost_delta"],
+        "ghost_mode", ["full", "delta"], ids=["full", "ghost_delta"]
     )
-    def test_vectorized_sweep_grid(self, ba_graph, p, sync_mode, ghost_mode):
+    def test_vectorized_sweep_grid(self, ba_graph, p, ghost_mode):
         res = _run_both(
-            ba_graph,
-            p,
-            sync_mode=sync_mode,
-            ghost_mode=ghost_mode,
-            sweep_mode="vectorized",
+            ba_graph, p, ghost_mode=ghost_mode, sweep_mode="vectorized"
         )
         self._assert_identical(res["scalar"], res["dense"])
 
     def test_lfr_delta_delta(self):
         graph = lfr_graph(300, mu=0.2, seed=21).graph
-        res = _run_both(graph, 4, sync_mode="delta", ghost_mode="delta")
+        res = _run_both(graph, 4, ghost_mode="delta")
         self._assert_identical(res["scalar"], res["dense"])
 
     def _assert_identical(self, a, b):

@@ -97,6 +97,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             distributed_louvain(karate, 2, DistributedConfig(partitioning="2d"))
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("heuristic", "enhance"),
+            ("partitioning", "2d"),
+            ("sweep_mode", "vectorised"),
+            ("ghost_mode", "zip"),
+            ("agg_mode", "sparse"),
+        ],
+    )
+    def test_bad_choice_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DistributedConfig(**{field: value})
+
+    def test_sync_mode_is_gone(self):
+        with pytest.raises(TypeError):
+            DistributedConfig(sync_mode="delta")
+
     def test_default_config_used_when_none(self, karate):
         res = distributed_louvain(karate, 2)
         assert res.modularity > 0

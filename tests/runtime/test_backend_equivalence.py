@@ -67,7 +67,6 @@ def assert_equivalent(res_thread, res_process):
 GRID = list(
     itertools.product(
         [1, 2, 4],  # p
-        ["full", "delta"],  # sync_mode
         ["gauss-seidel", "vectorized"],  # sweep_mode
         ["dense", "scalar"],  # agg_mode
     )
@@ -75,16 +74,15 @@ GRID = list(
 
 
 @pytest.mark.parametrize(
-    "p,sync_mode,sweep_mode,agg_mode",
+    "p,sweep_mode,agg_mode",
     GRID,
-    ids=[f"p{p}-{s}-{sw}-{a}" for p, s, sw, a in GRID],
+    ids=[f"p{p}-{sw}-{a}" for p, sw, a in GRID],
 )
-def test_conformance_grid(graph, p, sync_mode, sweep_mode, agg_mode):
+def test_conformance_grid(graph, p, sweep_mode, agg_mode):
     results = {}
     for backend in ("thread", "process"):
         cfg = DistributedConfig(
             backend=backend,
-            sync_mode=sync_mode,
             sweep_mode=sweep_mode,
             agg_mode=agg_mode,
             d_high=32,

@@ -220,6 +220,20 @@ def test_failed_run_stops_all_its_workers(case):
     assert not set(after.results) & set(workers)
 
 
+def test_bad_config_leaves_pool_intact():
+    """A misspelled config fails before any rank runs, so the failure rule
+    never fires and the idle workers survive."""
+    run_spmd(2, _worker_pid, timeout=30.0, backend="process")
+    workers = _POOL.idle_pids()
+    graph = barabasi_albert(60, 2, seed=1)
+    with pytest.raises(ValueError):
+        distributed_louvain(
+            graph, 2, DistributedConfig(sweep_mode="vectorised", backend="process")
+        )
+    assert _POOL.idle_pids() == workers
+    assert len(workers) == 2
+
+
 def _overlapping(comm, delay):
     comm.barrier()
     time.sleep(delay)  # both runs are inside their jobs at once
