@@ -87,6 +87,7 @@ class DistributedConfig:
             "ghost_mode": ("full", "delta"),
             "sweep_mode": ("gauss-seidel", "vectorized"),
             "agg_mode": ("dense", "scalar"),
+            "backend": ("auto", "thread", "process"),
         }
         for name, allowed in choices.items():
             value = getattr(self, name)
@@ -94,6 +95,11 @@ class DistributedConfig:
                 raise ValueError(
                     f"unknown {name} {value!r}; choose from {sorted(allowed)}"
                 )
+        if self.max_inner < 1:
+            # zero inner iterations would report the singleton start as Q=0
+            raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be > 0, got {self.timeout}")
 
 
 @dataclass

@@ -11,9 +11,10 @@ execution runs on one of two interchangeable backends behind
   interleave exactly like a BSP machine.
 * **process** — every rank runs in its own spawned interpreter
   (:mod:`repro.runtime.process_backend`), sharing the read-only CSR graph
-  through :mod:`multiprocessing.shared_memory` and routing messages over
-  pipes, for true multi-core execution on the non-NumPy portions of a
-  superstep.
+  through :mod:`multiprocessing.shared_memory`, exchanging collectives
+  directly over per-pair socket links and routing point-to-point messages
+  through the parent over pipes, for true multi-core execution on the
+  non-NumPy portions of a superstep.
 
 Both backends meter every message with byte accuracy and log BSP
 supersteps — the accounting code is shared in

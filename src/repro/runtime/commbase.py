@@ -8,7 +8,9 @@ live here, shared verbatim by all three transports:
 * :class:`repro.runtime.comm.SimComm` — thread backend, transport is the
   in-process :class:`~repro.runtime.comm._World`;
 * :class:`repro.runtime.process_backend.ProcComm` — process backend,
-  transport is a pickle-framed duplex pipe to the parent router;
+  collectives go directly between the rank processes over per-pair socket
+  links, point-to-point messages over a pickle-framed pipe to the parent
+  router;
 * :class:`repro.runtime.mpi_adapter.MPIAdapter` — a real (or duck-typed)
   mpi4py communicator.
 
@@ -34,8 +36,9 @@ Subclasses implement only the transport primitives:
     Blocking / non-blocking point-to-point receive of the raw (possibly
     envelope-wrapped) payload.
 ``_collective_hook(gen)``
-    Called before each collective — the thread backend's fault-injection
-    site (the process backend injects in the parent router instead).
+    Called before each collective — the fault-injection site.  The thread
+    backend runs the injector in place; the process backend, with faults
+    active, makes a round trip to the parent, which runs the injector.
 
 Byte accounting (see :mod:`repro.runtime.stats`):
 

@@ -5,8 +5,9 @@ Two execution backends share the :func:`run_spmd` entry point:
 * ``"thread"`` (default) — one daemon thread per rank in this interpreter,
   communicating through the in-process :class:`~repro.runtime.comm._World`;
 * ``"process"`` — one spawned interpreter per rank with shared-memory graph
-  segments and pipe-routed messaging
-  (:mod:`repro.runtime.process_backend`), for true multi-core execution.
+  segments, rank-to-rank collectives over socket links and parent-routed
+  point-to-point messages (:mod:`repro.runtime.process_backend`), for true
+  multi-core execution.
   The interpreters are pooled: spawned by the first call, reused by later
   ones.
 

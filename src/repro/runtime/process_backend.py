@@ -18,14 +18,20 @@ Architecture (full protocol notes in ``docs/BACKENDS.md``):
   CSR graph segments are mapped zero-copy by every child instead of being
   copied ``p`` times through pipes.  A run sends each worker one
   ``("job", spec)`` frame; the worker unmaps the arena before it replies.
-* Each child holds one pickle-framed duplex pipe to the parent.  Children
-  send ``("coll", gen, op, row)``, ``("p2p", dst, tag, payload)``,
-  ``("event", name)`` and a final ``("done", ...)``/``("err", ...)`` frame;
-  the parent routes p2p frames to their destination, assembles collectives
-  by generation, and answers with ``("coll_ok"|"coll_err"|"coll_abort")``,
-  ``("crash")``, ``("ok")`` and ``("abort")`` frames.  A collective row
-  carries one slot per destination (the sender's own slot is ``None``), and
-  each ``coll_ok`` carries only the receiver's column.
+* Collectives go peer to peer.  For a run with ``p >= 2`` the parent
+  creates one socket pair per rank pair and, right after each job frame,
+  passes the worker its ``p - 1`` ends over the worker's pipe
+  (``SCM_RIGHTS``).  A collective writes one length-prefixed
+  ``(gen, op, payload)`` frame to each peer and reads one from each, in a
+  single-threaded selector loop; the own slot never leaves the rank.  The
+  links live for one job: a worker closes them before its final frame, so
+  a peer still blocked on it sees EOF.
+* Each child also holds one pickle-framed duplex pipe to the parent.
+  Children send ``("p2p", dst, tag, payload)``, ``("hook", gen)`` and
+  ``("event", name)`` (fault-hook round trips, only with faults active)
+  and a final ``("done", ...)``/``("err", ...)`` frame; the parent forwards
+  p2p frames to their destination and answers with ``("p2p", ...)``,
+  ``("ok",)``, ``("crash", msg)`` and ``("abort",)`` frames.
 * :class:`ProcComm` subclasses :class:`~repro.runtime.commbase.CommBase`,
   so byte/message accounting, op-tag mismatch formatting, checksum
   envelopes and superstep flush semantics are literally the thread
@@ -44,11 +50,12 @@ Architecture (full protocol notes in ``docs/BACKENDS.md``):
   ones.  Only a fully successful run returns its workers.
 
 Failure semantics mirror the thread world's abort protocol: when any rank
-errors, the parent replies ``coll_abort`` to every rank blocked in an
-incomplete collective (→ the same "never completed" :class:`DeadlockError`)
-and broadcasts ``abort`` (→ "world aborted while receiving" in blocked
-receives); a collective whose every deposit already arrived is still
-delivered, matching the thread backend's drain rule.
+errors, the parent broadcasts ``abort`` (→ "world aborted while receiving"
+in blocked receives), and a rank blocked in a collective whose frames have
+not all arrived raises the same "never completed" :class:`DeadlockError`
+on that abort, on EOF from a finished or failed peer, or at its timeout.
+A collective whose every frame already arrived is still delivered,
+matching the thread backend's drain rule.
 """
 
 from __future__ import annotations
@@ -58,9 +65,13 @@ import gc
 import multiprocessing
 import os
 import pickle
+import selectors
+import socket
+import struct
 import sys
 import threading
 import time
+from multiprocessing import reduction
 from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable
 
@@ -106,13 +117,85 @@ def _never_completed(rank: int, gen: int, op: str) -> DeadlockError:
 # ---------------------------------------------------------------------------
 
 
+_FRAME_LEN = struct.Struct("<Q")
+# Linux caps one SCM_RIGHTS message at 253 descriptors (SCM_MAX_FD)
+_FDS_PER_MESSAGE = 200
+
+
+class _Link:
+    """This rank's end of one peer link: a non-blocking stream socket that
+    carries length-prefixed pickled ``(gen, op, payload)`` frames.
+
+    Each collective puts exactly one frame each way, and a frame is read
+    exactly (header, then body), never past its end, so the next frame on
+    the link is always the peer's frame for the next generation.
+    """
+
+    __slots__ = ("peer", "sock", "events", "_out", "_head", "_body", "_got")
+
+    def __init__(self, peer: int, sock: socket.socket) -> None:
+        sock.setblocking(False)
+        self.peer = peer
+        self.sock = sock
+        self.events = 0  # the selector interest registered for this link
+        self._out: list[memoryview] = []  # unwritten part of our frame
+        self._head = bytearray(_FRAME_LEN.size)
+        self._body: bytearray | None = None
+        self._got = 0
+
+    def put(self, frame: tuple) -> None:
+        data = pickle.dumps(frame, protocol=pickle.HIGHEST_PROTOCOL)
+        self._out = [memoryview(_FRAME_LEN.pack(len(data))), memoryview(data)]
+
+    def flush(self) -> bool:
+        """Write what the socket takes; True once the frame is out, or once
+        the peer has closed its end (then it never will be)."""
+        out = self._out
+        while out:
+            try:
+                n = self.sock.sendmsg(out)
+            except BlockingIOError:
+                return False
+            except (BrokenPipeError, ConnectionResetError):
+                out.clear()
+                return True
+            while out and n >= out[0].nbytes:
+                n -= out.pop(0).nbytes
+            if n:
+                out[0] = out[0][n:]
+        return True
+
+    def pull(self) -> tuple | None:
+        """Read what has arrived: the peer's next frame once it is complete,
+        else None.  Raises ``EOFError`` when the peer closed its end."""
+        while True:
+            buf = self._head if self._body is None else self._body
+            try:
+                n = self.sock.recv_into(memoryview(buf)[self._got :])
+            except BlockingIOError:
+                return None
+            except ConnectionResetError:
+                raise EOFError from None
+            if n == 0:
+                raise EOFError
+            self._got += n
+            if self._got < len(buf):
+                continue
+            self._got = 0
+            if self._body is None:
+                self._body = bytearray(_FRAME_LEN.unpack(self._head)[0])
+            else:
+                self._body = None
+                return pickle.loads(buf)
+
+
 class ProcComm(CommBase):
     """Per-rank communicator of the process backend (child side).
 
-    Single-threaded: all parent frames arrive on one pipe and are pumped,
-    strictly in order, from whichever blocking operation is waiting.  Frame
-    order on the pipe therefore decides races exactly once — e.g. a
-    ``coll_ok`` that was sent before the abort still delivers.
+    Single-threaded.  Collectives run over the peer links; point-to-point
+    messages, fault-hook replies and aborts arrive on the one parent pipe
+    and are pumped, strictly in order, from whichever blocking operation is
+    waiting (a collective pumps the pipe too, so an abort reaches it).
     """
 
     def __init__(
@@ -125,6 +208,7 @@ class ProcComm(CommBase):
         timeout: float = 120.0,
         checksums: bool = False,
         has_faults: bool = False,
+        links: dict[int, socket.socket] | None = None,
     ) -> None:
         super().__init__(rank, size, stats, tracer=tracer, timeout=timeout)
         self._conn = conn
@@ -133,9 +217,20 @@ class ProcComm(CommBase):
         self._aborted = False
         # (src, tag) -> FIFO of delivered payloads
         self._mail: dict[tuple[int, int], list[Any]] = {}
-        # gen -> ("ok", column) | ("err", detail) | ("abort", None)
-        self._coll_replies: dict[int, tuple[str, Any]] = {}
         self._event_acks = 0
+        self._links = {
+            peer: _Link(peer, sock) for peer, sock in (links or {}).items()
+        }
+        self._sel = None
+        if self._links:
+            self._sel = selectors.DefaultSelector()
+            self._sel.register(conn, selectors.EVENT_READ, None)
+
+    def close(self) -> None:
+        """Release the selector (the job is over; the caller closes the
+        link sockets it passed in)."""
+        if self._sel is not None:
+            self._sel.close()
 
     # -- frame pump ------------------------------------------------------
     def _handle(self, frame: tuple) -> None:
@@ -143,12 +238,6 @@ class ProcComm(CommBase):
         if kind == "p2p":
             _, src, tag, payload = frame
             self._mail.setdefault((src, tag), []).append(payload)
-        elif kind == "coll_ok":
-            self._coll_replies[frame[1]] = ("ok", frame[2])
-        elif kind == "coll_err":
-            self._coll_replies[frame[1]] = ("err", frame[2])
-        elif kind == "coll_abort":
-            self._coll_replies[frame[1]] = ("abort", None)
         elif kind == "crash":
             from repro.runtime.faults import InjectedCrash
 
@@ -180,24 +269,84 @@ class ProcComm(CommBase):
         self._pump(0)
 
     # -- transport primitives -------------------------------------------
+    def _watch(self, link: _Link, events: int) -> None:
+        if events == link.events:
+            return
+        if not link.events:
+            self._sel.register(link.sock, events, link)
+        elif not events:
+            self._sel.unregister(link.sock)
+        else:
+            self._sel.modify(link.sock, events, link)
+        link.events = events
+
     def _exchange(self, gen: int, row: list[Any], op: str) -> list[Any]:
-        self._conn.send(("coll", gen, op, row))
-        deadline = time.monotonic() + self._timeout
-        while True:
-            reply = self._coll_replies.pop(gen, None)
-            if reply is not None:
-                status, data = reply
-                if status == "ok":
-                    return data
-                if status == "err":
-                    raise CollectiveMismatchError(
-                        f"rank {self.rank}: SPMD collective order diverged "
-                        f"at generation {gen} ({data})"
+        out: list[Any] = [None] * self.size
+        ops: list[str | None] = [None] * self.size
+        ops[self.rank] = op
+        links = self._links
+        for peer, link in links.items():
+            link.put((gen, op, row[peer]))
+        sending = {peer for peer, link in links.items() if not link.flush()}
+        waiting = set(links)
+
+        def take(peer: int) -> None:
+            try:
+                frame = links[peer].pull()
+            except EOFError:
+                # a finished or failed peer closed its links
+                raise _never_completed(self.rank, gen, op) from None
+            if frame is not None:
+                frame_gen, ops[peer], out[peer] = frame
+                if frame_gen != gen:  # pragma: no cover - protocol bug
+                    raise CommError(
+                        f"rank {self.rank}: generation {frame_gen} frame from "
+                        f"rank {peer} during generation {gen}"
                     )
-                raise _never_completed(self.rank, gen, op)
+                waiting.discard(peer)
+
+        read, write = selectors.EVENT_READ, selectors.EVENT_WRITE
+        deadline = time.monotonic() + self._timeout
+        while waiting or sending:
+            if self._aborted:
+                # drain rule: frames already in our buffers still count
+                for peer in list(waiting):
+                    take(peer)
+                if waiting:
+                    raise _never_completed(self.rank, gen, op)
+                break
+            for peer, link in links.items():
+                want = (read if peer in waiting else 0) | (
+                    write if peer in sending else 0
+                )
+                if want & ~link.events:
+                    self._watch(link, link.events | want)
             remaining = deadline - time.monotonic()
-            if remaining <= 0 or not self._pump(remaining):
+            if remaining <= 0:
                 raise _never_completed(self.rank, gen, op)
+            for key, mask in self._sel.select(remaining):
+                link = key.data
+                if link is None:
+                    self._drain()
+                    continue
+                peer = link.peer
+                if mask & write and link.flush():
+                    sending.discard(peer)
+                    self._watch(link, link.events & ~write)
+                if mask & read:
+                    if peer in waiting:
+                        take(peer)
+                    else:
+                        # the peer's next frame: leave it for the next
+                        # collective, stop waking up for it
+                        self._watch(link, link.events & ~read)
+        if any(t != op for t in ops):
+            detail = ", ".join(f"rank {r}: {t or '?'}" for r, t in enumerate(ops))
+            raise CollectiveMismatchError(
+                f"rank {self.rank}: SPMD collective order diverged "
+                f"at generation {gen} ({detail})"
+            )
+        return out
 
     def _transport_send(self, dest: int, tag: int, obj: Any) -> None:
         if dest == self.rank and not self._has_faults:
@@ -248,31 +397,55 @@ class ProcComm(CommBase):
             del self._mail[key]
         return True, payload
 
-    def fault_event(self, name: str) -> None:
-        if not self._has_faults:
-            return
-        self._conn.send(("event", name))
+    def _fault_round_trip(self, frame: tuple, what: str) -> None:
+        """Run a fault hook in the parent and wait for its verdict: ``ok``,
+        or ``crash`` (raised here as :class:`InjectedCrash`)."""
+        self._conn.send(frame)
         acks = self._event_acks
         deadline = time.monotonic() + self._timeout
         while self._event_acks == acks:
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not self._pump(remaining):
-                raise DeadlockError(
-                    f"rank {self.rank}: fault event {name!r} never "
-                    "acknowledged"
-                )
+                raise DeadlockError(f"rank {self.rank}: {what} never acknowledged")
+
+    def _collective_hook(self, gen: int) -> None:
+        if self._has_faults:
+            self._fault_round_trip(
+                ("hook", gen), f"collective hook (generation {gen})"
+            )
+
+    def fault_event(self, name: str) -> None:
+        if self._has_faults:
+            self._fault_round_trip(("event", name), f"fault event {name!r}")
 
 
-def _run_job(conn, spec: dict) -> tuple[Any, SharedArena | None]:
+def _receive_links(conn, rank: int, size: int) -> dict[int, socket.socket]:
+    """This worker's ends of the job's peer links, keyed by peer rank: the
+    descriptors the parent passes right after the job frame."""
+    peers = [d for d in range(size) if d != rank]
+    fds: list[int] = []
+    if peers:
+        with socket.fromfd(conn.fileno(), socket.AF_UNIX, socket.SOCK_STREAM) as s:
+            while len(fds) < len(peers):
+                batch = min(_FDS_PER_MESSAGE, len(peers) - len(fds))
+                fds += reduction.recvfds(s, batch)
+    return {d: socket.socket(fileno=fd) for d, fd in zip(peers, fds)}
+
+
+def _run_job(
+    conn, spec: dict, links: dict[int, socket.socket]
+) -> tuple[Any, SharedArena | None]:
     """Run one job in a pooled worker; returns ``(reply, arena)``.
 
     ``reply`` is the pickled final frame.  The program, its arguments, its
     result, the communicator, the tracer and any error are local to this
     call, so none of them outlives it: once it returns, nothing in the
-    worker refers to the job's arena and the caller can unmap it.
+    worker refers to the job's arena and the caller can unmap it.  The
+    peer links are closed before it returns, on success and on failure.
     """
     rank = spec["rank"]
     arena = None
+    comm = None
     stats = RankStats(rank=rank)
     tracer = None
     if spec["trace"]:
@@ -301,11 +474,18 @@ def _run_job(conn, spec: dict) -> tuple[Any, SharedArena | None]:
             timeout=spec["timeout"],
             checksums=spec["checksums"],
             has_faults=spec["has_faults"],
+            links=links,
         )
         result = fn(comm, *args, **kwargs)
     except BaseException as exc:  # noqa: BLE001 - must report, not leak
         error = exc
     finally:
+        # no collective frame outlives the job, and a peer still blocked
+        # on this rank sees EOF
+        if comm is not None:
+            comm.close()
+        for sock in links.values():
+            sock.close()
         # same contract as the thread engine: flush trailing activity so
         # the superstep log agrees with the per-phase totals, also on
         # failure (post-mortem traces)
@@ -359,7 +539,12 @@ def _child_main(conn) -> None:
             return
         if frame[0] != "job":
             continue
-        reply, arena = _run_job(conn, frame[1])
+        spec = frame[1]
+        try:
+            links = _receive_links(conn, spec["rank"], spec["size"])
+        except (EOFError, OSError, RuntimeError):
+            return  # the parent is gone
+        reply, arena = _run_job(conn, spec, links)
         retire = arena is not None and not _unmap(arena)
         try:
             if retire:
@@ -379,10 +564,10 @@ def _child_main(conn) -> None:
 class _Router:
     """Parent-side message router: one reader thread per child pipe.
 
-    Collectives are assembled by generation (the SPMD order makes the
-    generation a global id); p2p frames are forwarded to the destination
-    child; the fault injector's hooks run here, in the parent, keeping its
-    one-shot state alive across child generations.
+    p2p frames are forwarded to the destination child; the fault injector's
+    hooks run here, in the parent, keeping its one-shot state alive across
+    child generations; the first failure fans out an abort.  Collectives
+    never pass through here: ranks exchange them over their peer links.
     """
 
     def __init__(self, conns, injector, checksums: bool) -> None:
@@ -391,9 +576,7 @@ class _Router:
         self.injector = injector
         self.checksums = checksums
         self._send_locks = [threading.Lock() for _ in conns]
-        self._coll_lock = threading.Lock()
-        # gen -> {"rows": [...], "ops": [...], "n": deposits so far}
-        self._coll: dict[int, dict] = {}
+        self._abort_lock = threading.Lock()
         self.aborted = False
         self.results: list[Any] = [None] * self.size
         self.errors: list[BaseException | None] = [None] * self.size
@@ -411,68 +594,14 @@ class _Router:
 
     def abort_all(self) -> None:
         """Release every blocked rank after a failure (idempotent)."""
-        with self._coll_lock:
+        with self._abort_lock:
             if self.aborted:
                 return
             self.aborted = True
-            pending = list(self._coll.items())
-            self._coll.clear()
-        for gen, entry in pending:
-            for r, tag in enumerate(entry["ops"]):
-                if tag is not None:
-                    self._send(r, ("coll_abort", gen))
         for r in range(self.size):
             self._send(r, ("abort",))
 
     # -- frame handlers (run on reader threads) --------------------------
-    def _on_coll(self, rank: int, gen: int, op: str, row: list[Any]) -> None:
-        if self.injector is not None:
-            from repro.runtime.faults import InjectedCrash
-
-            try:
-                # stragglers sleep here, on this child's reader thread,
-                # delaying the deposit exactly like a slow thread-rank
-                self.injector.on_collective(rank, gen)
-            except InjectedCrash as exc:
-                self._send(rank, ("crash", str(exc)))
-                return
-        entry = None
-        with self._coll_lock:
-            aborted = self.aborted
-            if not aborted:
-                entry = self._coll.setdefault(
-                    gen,
-                    {
-                        "rows": [None] * self.size,
-                        "ops": [None] * self.size,
-                        "n": 0,
-                    },
-                )
-                entry["rows"][rank] = row
-                entry["ops"][rank] = op
-                entry["n"] += 1
-                if entry["n"] == self.size:
-                    self._coll.pop(gen)
-                else:
-                    # incomplete: either the remaining deposits complete it
-                    # later, or abort_all answers every depositor
-                    entry = None
-        if aborted:
-            # thread equivalent: broken barrier + incomplete ops
-            self._send(rank, ("coll_abort", gen))
-            return
-        if entry is None:
-            return
-        ops = entry["ops"]
-        if any(t != ops[0] for t in ops):
-            detail = ", ".join(f"rank {r}: {t or '?'}" for r, t in enumerate(ops))
-            for dst in range(self.size):
-                self._send(dst, ("coll_err", gen, detail))
-        else:
-            rows = entry["rows"]
-            for dst in range(self.size):
-                self._send(dst, ("coll_ok", gen, [r[dst] for r in rows]))
-
     def _on_p2p(self, src: int, dst: int, tag: int, payload: Any) -> None:
         deliveries = [payload]
         delay = 0.0
@@ -488,15 +617,18 @@ class _Router:
         for d in deliveries:
             self._send(dst, ("p2p", src, tag, d))
 
-    def _on_event(self, rank: int, name: str) -> None:
-        if self.injector is not None:
-            from repro.runtime.faults import InjectedCrash
+    def _on_fault_hook(self, rank: int, hook: Callable, arg: Any) -> None:
+        """Run one injector hook for ``rank`` and send it the verdict.
 
-            try:
-                self.injector.on_event(rank, name)
-            except InjectedCrash as exc:
-                self._send(rank, ("crash", str(exc)))
-                return
+        Stragglers sleep here, on this child's reader thread, holding the
+        child back exactly like a slow thread-rank."""
+        from repro.runtime.faults import InjectedCrash
+
+        try:
+            hook(rank, arg)
+        except InjectedCrash as exc:
+            self._send(rank, ("crash", str(exc)))
+            return
         self._send(rank, ("ok",))
 
     # -- reader loop -----------------------------------------------------
@@ -507,12 +639,12 @@ class _Router:
             while True:
                 frame = conn.recv()
                 kind = frame[0]
-                if kind == "coll":
-                    self._on_coll(rank, frame[1], frame[2], frame[3])
-                elif kind == "p2p":
+                if kind == "p2p":
                     self._on_p2p(rank, frame[1], frame[2], frame[3])
+                elif kind == "hook":
+                    self._on_fault_hook(rank, self.injector.on_collective, frame[1])
                 elif kind == "event":
-                    self._on_event(rank, frame[1])
+                    self._on_fault_hook(rank, self.injector.on_event, frame[1])
                 elif kind == "exit":
                     self.retiring[rank] = True
                 elif kind == "done":
@@ -554,6 +686,36 @@ class _Router:
             t.start()
         for t in readers:
             t.join()
+
+
+def _make_links(n: int) -> list[list[socket.socket]]:
+    """One socket pair per rank pair: ``links[r]`` holds rank ``r``'s ends,
+    ordered by peer rank."""
+    ends: list[list[socket.socket]] = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            sa, sb = socket.socketpair()
+            ends[a].append(sa)
+            ends[b].append(sb)
+    return ends
+
+
+def _ship_links(conn, socks: list[socket.socket]) -> None:
+    """Pass ``socks`` to the worker at the other end of ``conn``
+    (``SCM_RIGHTS``), then close the parent's copies."""
+    try:
+        if socks:
+            with socket.fromfd(
+                conn.fileno(), socket.AF_UNIX, socket.SOCK_STREAM
+            ) as s:
+                for i in range(0, len(socks), _FDS_PER_MESSAGE):
+                    batch = socks[i : i + _FDS_PER_MESSAGE]
+                    reduction.sendfds(s, [x.fileno() for x in batch])
+    except (OSError, RuntimeError):
+        pass  # dead worker; its reader thread reports the crash
+    finally:
+        for sock in socks:
+            sock.close()
 
 
 class _Worker:
@@ -700,10 +862,18 @@ def run_spmd_process(
             "sys_path": list(sys.path),
             "cwd": os.getcwd(),
         }
-        for r in range(n_ranks):
-            # a worker that died while idle fails this send silently; its
-            # reader thread then reports the rank as crashed
-            router._send(r, ("job", dict(spec, rank=r)))
+        links = _make_links(n_ranks)
+        try:
+            for r in range(n_ranks):
+                # a worker that died while idle fails these sends silently;
+                # its reader thread then reports the rank as crashed, and
+                # its peers see EOF on their links to it
+                router._send(r, ("job", dict(spec, rank=r)))
+                _ship_links(workers[r].conn, links[r])
+        finally:
+            for ends in links:
+                for sock in ends:
+                    sock.close()
         router.run()
         reusable = not any(router.errors) and not any(router.retiring)
     finally:

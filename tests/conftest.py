@@ -42,6 +42,22 @@ def unpooled_children() -> tuple[list, list[int]]:
     ]
 
 
+# parent-side fds of one idle rank-pool worker: the parent's end of its
+# pipe, and the two pipes multiprocessing's spawn launcher keeps per process
+FDS_PER_POOLED_WORKER = 3
+
+
+def open_fds() -> int | None:
+    """This process's open file descriptors, less those the rank pool's
+    idle workers own; None where ``/proc`` is unavailable."""
+    if not os.path.isdir("/proc/self/fd"):
+        return None
+    from repro.runtime.process_backend import _POOL
+
+    pooled = len(_POOL.idle_pids())
+    return len(os.listdir("/proc/self/fd")) - FDS_PER_POOLED_WORKER * pooled
+
+
 @pytest.fixture(autouse=os.environ.get("REPRO_THREAD_LEAK_CHECK") == "1")
 def assert_no_thread_leak():
     """Fail the test if it leaks runtime resources.
@@ -55,16 +71,27 @@ def assert_no_thread_leak():
     * process backend — the only live child processes are the rank pool's
       idle workers, each alive (a failed run's workers are all reaped,
       even after hard child deaths such as ``os._exit``), and every
-      ``repro-shm-*`` shared-memory segment is unlinked.
+      ``repro-shm-*`` shared-memory segment is unlinked;
+    * on Linux, the open-fd count returns to its value from before the
+      test, not counting the idle pool workers' fds: a run's peer links,
+      selectors and pipes are all closed.
     """
+    from multiprocessing import resource_tracker
+
     from repro.graph.shm import active_segments, leaked_segment_files
 
+    # the tracker's pipe is process-wide state, opened lazily by the first
+    # spawn or arena; open it before counting
+    resource_tracker.ensure_running()
     before = threading.active_count()
+    fds_before = open_fds()
     shm_before = set(leaked_segment_files())
     yield
     deadline = time.monotonic() + 5.0
     while (
-        threading.active_count() > before or any(unpooled_children())
+        threading.active_count() > before
+        or any(unpooled_children())
+        or (fds_before is not None and open_fds() > fds_before)
     ) and time.monotonic() < deadline:
         time.sleep(0.05)
     leaked = [
@@ -76,6 +103,10 @@ def assert_no_thread_leak():
     stray, dead = unpooled_children()
     assert stray == [], f"leaked child processes: {stray}"
     assert dead == [], f"dead workers in the rank pool: {dead}"
+    if fds_before is not None:
+        assert open_fds() <= fds_before, (
+            f"leaked file descriptors: {open_fds()} open, {fds_before} before"
+        )
     assert active_segments() == [], f"leaked shm arenas: {active_segments()}"
     shm_after = set(leaked_segment_files()) - shm_before
     assert not shm_after, f"leaked /dev/shm segments: {sorted(shm_after)}"

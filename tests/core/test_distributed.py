@@ -105,6 +105,11 @@ class TestConfig:
             ("sweep_mode", "vectorised"),
             ("ghost_mode", "zip"),
             ("agg_mode", "sparse"),
+            ("backend", "proces"),
+            ("max_inner", 0),
+            ("max_inner", -3),
+            ("timeout", 0.0),
+            ("timeout", -1.0),
         ],
     )
     def test_bad_choice_rejected_at_construction(self, field, value):

@@ -170,25 +170,37 @@ def test_self_slot_is_never_shipped(backend):
     assert res.results == [(0, [10]), (1, [1])]
 
 
-def test_router_sends_each_rank_only_its_column():
-    from repro.runtime.process_backend import _Router
+def test_link_frames_carry_only_the_destination_slot():
+    import multiprocessing
+    import socket
 
-    class _Conn:
-        def __init__(self):
-            self.frames = []
+    from repro.runtime.process_backend import ProcComm, _Link
+    from repro.runtime.stats import RankStats
 
-        def send(self, frame):
-            self.frames.append(frame)
-
-    conns = [_Conn() for _ in range(3)]
-    router = _Router(conns, injector=None, checksums=False)
-    for src in range(3):
-        row = [f"{src}->{dst}" for dst in range(3)]
-        row[src] = None
-        router._on_coll(src, 0, "alltoall", row)
-    for dst, conn in enumerate(conns):
-        expected = [None if src == dst else f"{src}->{dst}" for src in range(3)]
-        assert conn.frames == [("coll_ok", 0, expected)]
+    # rank 0 of a 3-rank world, with both peers played by this test
+    ours, theirs = zip(socket.socketpair(), socket.socketpair())
+    peers = {d: _Link(0, sock) for d, sock in zip((1, 2), theirs)}
+    parent, child = multiprocessing.Pipe()
+    comm = ProcComm(child, 0, 3, RankStats(rank=0), links=dict(zip((1, 2), ours)))
+    try:
+        for src, link in peers.items():
+            link.put((0, "alltoall", f"{src}->0"))
+            assert link.flush()
+        row = [lambda: 0, "0->1", "0->2"]  # the own slot cannot be pickled
+        out = comm.alltoall(row)
+        assert out[0] is row[0]
+        assert out[1:] == ["1->0", "2->0"]
+        for dst, link in peers.items():
+            frame = None
+            while frame is None:
+                frame = link.pull()
+            assert frame == (0, "alltoall", f"0->{dst}")
+    finally:
+        comm.close()
+        for sock in ours + theirs:
+            sock.close()
+        parent.close()
+        child.close()
 
 
 # ---------------------------------------------------------------------------

@@ -206,8 +206,10 @@ class TestRequestsUnderFailure:
 # Backend parity: every fault kind behaves identically on both backends.
 #
 # On the process backend faults are injected by the parent-side router, not
-# inside the children — the parity contract is that this relocation is
-# unobservable: same error type, same failing rank, same message text.
+# inside the children: p2p faults while it forwards a message, collective
+# and event faults in a hook round trip the child makes to it.  The parity
+# contract is that this relocation is unobservable: same error type, same
+# failing rank, same message text.
 # The SPMD programs are module-level so the process backend can ship them
 # to spawned interpreters by reference.
 # ---------------------------------------------------------------------------
