@@ -7,13 +7,16 @@ regressions in the implementation itself are caught.
 
 Besides the pytest-benchmark cases, this file doubles as a script::
 
-    PYTHONPATH=src python benchmarks/bench_kernels.py --json BENCH_kernels.json
+    PYTHONPATH=src:. python benchmarks/bench_kernels.py --json BENCH_kernels.json
 
 which times each vectorized kernel (local sweep, owner-bucketing pack,
-aggregate sync, merge assembly) against its retained scalar reference on
-the 56k-edge Barabasi-Albert reference graph and writes the
+aggregate sync, merge assembly) against its scalar reference on the
+56k-edge Barabasi-Albert reference graph and writes the
 before/after/speedup table as machine-readable JSON (see
-``docs/PERFORMANCE.md``).  ``--check`` exits non-zero if any vectorized
+``docs/PERFORMANCE.md``).  The aggregate-sync and merge-assembly
+references, and the pipeline row's reference run, come from the test
+oracle ``tests/core/agg_oracle.py``, hence the repository root on
+``PYTHONPATH``.  ``--check`` exits non-zero if any vectorized
 kernel is slower than its scalar reference (the CI ``bench-smoke`` gate);
 ``--quick`` shrinks the workload for CI.
 """
@@ -32,11 +35,7 @@ from repro.core.coarsen import coarsen_graph
 from repro.core.community_table import CommunityTable, OwnerTable
 from repro.core.heuristics import get_heuristic
 from repro.core.local_clustering import LocalClustering
-from repro.core.merging import (
-    _aggregate_pairs,
-    _assemble_scalar,
-    _assemble_vectorized,
-)
+from repro.core.merging import _aggregate_pairs, _assemble
 from repro.core.modularity import modularity
 from repro.core.pack import pack_by_owner
 from repro.core.sweep_kernel import bulk_best_moves
@@ -45,6 +44,11 @@ from repro.graph.generators import barabasi_albert
 from repro.partition import delegate_partition, oned_partition
 from repro.quality import score_all
 from repro.runtime import run_spmd
+from tests.core.agg_oracle import (
+    DictOwnerReference,
+    assemble_scalar,
+    scalar_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -243,10 +247,11 @@ def _pack_vectorized(owner, arrays):
 def _sync_workload(graph, size=SYNC_RANKS):
     """One full-sync round's data, as every rank of the sync phase sees it.
 
-    Covers the complete scalar path being replaced: owner-side contribution
-    merging, full-pull request answering, subscriber-side cache rebuild,
-    local census, and partial modularity.  Communication itself is excluded
-    (identical payloads either way); only the per-label CPU work differs.
+    Covers the complete dict-based path the tables replaced: owner-side
+    contribution merging, full-pull request answering, subscriber-side
+    cache rebuild, local census, and partial modularity.  Communication
+    itself is excluded (identical payloads either way); only the per-label
+    CPU work differs.
     """
     rng = np.random.default_rng(7)
     n = graph.n_vertices
@@ -301,28 +306,11 @@ def _sync_scalar(w, two_m=1000.0, resolution=1.0):
     q_total = 0.0
     for owner in range(len(w["streams"])):
         # owner side: merge arrival stream, answer pulls, partial Q
-        labs, tot, cnt, s_in = w["streams"][owner]
-        own = {}
-        for lab, t, c, i in zip(
-            labs.tolist(), tot.tolist(), cnt.tolist(), s_in.tolist()
-        ):
-            acc = own.get(lab)
-            if acc is None:
-                own[lab] = [t, c, i]
-            else:
-                acc[0] += t
-                acc[1] += c
-                acc[2] += i
-        req = w["requests"][owner]
-        vals = np.empty((req.size, 2))
-        for i, lab in enumerate(req.tolist()):
-            acc = own[lab]
-            vals[i, 0] = acc[0]
-            vals[i, 1] = acc[1]
-        q_part = 0.0  # per-owner subtotal, as the real allreduce sees it
-        for acc in own.values():
-            q_part += acc[2] / two_m - resolution * (acc[0] / two_m) ** 2
-        q_total += q_part
+        own = DictOwnerReference()
+        own.merge(*w["streams"][owner])
+        own.answer(w["requests"][owner])
+        # per-owner subtotal, as the real allreduce sees it
+        q_total += own.partial_modularity(two_m, resolution)
     for (req, vals), members in zip(w["answered"], w["census"]):
         # subscriber side: rebuild caches from the answers, local census
         sigma_tot = {}
@@ -414,14 +402,14 @@ def test_kernel_aggregate_sync_scalar(benchmark, scalefree_graph):
 
 def test_kernel_merge_assembly_vectorized(benchmark, scalefree_graph):
     args = _merge_workload(scalefree_graph)
-    out = benchmark(lambda: _assemble_vectorized(*args))
-    ref = _assemble_scalar(*args)
+    out = benchmark(lambda: _assemble(*args))
+    ref = assemble_scalar(*args)
     assert all(np.array_equal(a, b) for a, b in zip(out, ref))
 
 
 def test_kernel_merge_assembly_scalar(benchmark, scalefree_graph):
     args = _merge_workload(scalefree_graph)
-    benchmark(lambda: _assemble_scalar(*args))
+    benchmark(lambda: assemble_scalar(*args))
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +465,8 @@ def run_kernel_suite(quick=False, pipeline=True):
             lambda: _sync_vectorized(streams),
         ),
         "merge_assembly": (
-            lambda: _assemble_scalar(*merge_args),
-            lambda: _assemble_vectorized(*merge_args),
+            lambda: assemble_scalar(*merge_args),
+            lambda: _assemble(*merge_args),
         ),
     }
     for name, (scalar_fn, vector_fn) in cases.items():
@@ -491,22 +479,26 @@ def run_kernel_suite(quick=False, pipeline=True):
         }
 
     if pipeline:
-        # end-to-end check: same pipeline, agg_mode scalar vs dense (the
-        # sweep is vectorized in both, so the delta is the non-sweep share)
-        def run(agg):
-            return distributed_louvain(
-                graph,
-                SYNC_RANKS,
-                DistributedConfig(
-                    d_high=64, sweep_mode="vectorized", agg_mode=agg
-                ),
-            )
+        # end-to-end check: the same pipeline with the oracle's dict-based
+        # sync and merge assembly swapped in, vs the product (the sweep is
+        # vectorized in both, so the delta is the non-sweep share); the
+        # swap only reaches thread-backend ranks
+        cfg = DistributedConfig(
+            d_high=64, sweep_mode="vectorized", backend="thread"
+        )
+
+        def run_reference():
+            with scalar_reference() as calls:
+                distributed_louvain(graph, SYNC_RANKS, cfg)
+            assert calls["sync"] > 0 and calls["assemble"] > 0
 
         rounds = 1 if quick else 2
-        scalar_s = _best_of(lambda: run("scalar"), rounds)
-        dense_s = _best_of(lambda: run("dense"), rounds)
+        scalar_s = _best_of(run_reference, rounds)
+        dense_s = _best_of(
+            lambda: distributed_louvain(graph, SYNC_RANKS, cfg), rounds
+        )
         report["pipeline"] = {
-            "config": "p=4, sweep_mode=vectorized, d_high=64",
+            "config": "p=4, sweep_mode=vectorized, d_high=64, backend=thread",
             "agg_scalar_s": scalar_s,
             "agg_dense_s": dense_s,
             "speedup": scalar_s / dense_s if dense_s > 0 else float("inf"),
@@ -526,7 +518,8 @@ def main(argv=None):
     )
     ap.add_argument(
         "--no-pipeline", action="store_true",
-        help="skip the end-to-end agg_mode comparison",
+        help="skip the end-to-end comparison with the oracle's sync and "
+        "merge assembly",
     )
     ap.add_argument(
         "--check", action="store_true",
@@ -550,7 +543,7 @@ def main(argv=None):
     if "pipeline" in report:
         row = report["pipeline"]
         print(
-            f"pipeline (agg scalar -> dense): {row['agg_scalar_s']:.2f}s -> "
+            f"pipeline (oracle -> product): {row['agg_scalar_s']:.2f}s -> "
             f"{row['agg_dense_s']:.2f}s  ({row['speedup']:.2f}x)"
         )
     print(f"wrote {args.json}")

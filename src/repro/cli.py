@@ -59,13 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         "Jacobi NumPy kernel",
     )
     p.add_argument(
-        "--agg-mode",
-        choices=["dense", "scalar"],
-        default="dense",
-        help="aggregate-sync and merge kernels: dense NumPy tables or the "
-        "dict-based scalar reference (identical results either way)",
-    )
-    p.add_argument(
         "--checkpoint-path",
         type=Path,
         default=None,
@@ -210,7 +203,6 @@ def _cmd_cluster(args) -> int:
             d_high=d_high,
             resolution=args.resolution,
             sweep_mode=args.sweep_mode,
-            agg_mode=args.agg_mode,
             checksums=args.checksums,
             backend=args.backend,
             checkpoint_path=(

@@ -10,18 +10,17 @@ protocol needs — accumulating the owners' received contributions, answering
 pulls, rebuilding the subscriber cache — is one ``np.unique``,
 ``searchsorted`` or ``np.add.at`` pass.
 
-Exactness contract: each kernel reproduces the scalar dict path *bitwise*.
+Exactness contract: each kernel reproduces the seed's dict loops *bitwise*.
 Accumulations run in the same order the dict loops used (``np.add.at``
 applies its updates sequentially in stream order, matching per-rank arrival
 order), every label starts from an exact ``0.0``, and
 :meth:`OwnerTable.partial_modularity` sums in dict *insertion* order via the
 ``seq`` column so the floating-point reduction order of the seed's
-``for lab, acc in own.items()`` loop is preserved.  The equivalence grid in
-``tests/core/test_agg_equivalence.py`` pins all of this against the
-retained scalar reference path (``agg_mode="scalar"``), whose owner side
-is still the dict loop.  The subscriber side has one format in every mode,
-:class:`CommunityTable`; the same file pins it against a literal dict
-transcription of the cache it replaced.
+``for lab, acc in own.items()`` loop is preserved.  The dict-based owner
+side survives only as a test oracle (``tests/core/agg_oracle.py``);
+``tests/core/test_agg_equivalence.py`` pins this module against it, and
+pins :class:`CommunityTable` against a literal dict transcription of the
+subscriber cache it replaced.
 """
 
 from __future__ import annotations

@@ -60,7 +60,6 @@ class DistributedConfig:
     resolution: float = 1.0  # Reichardt-Bornholdt gamma (1.0 = paper)
     ghost_mode: str = "full"  # ghost label exchange: "full" | "delta"
     sweep_mode: str = "gauss-seidel"  # local sweep: "gauss-seidel" | "vectorized"
-    agg_mode: str = "dense"  # aggregate-sync/merge kernels: "dense" | "scalar"
     refine: bool = False  # split internally disconnected communities
     min_q_gain: float = 1e-9  # outer-loop stopping criterion
     max_inner: int = 100  # inner iterations per level (safety valve)
@@ -86,7 +85,6 @@ class DistributedConfig:
             "partitioning": ("delegate", "1d"),
             "ghost_mode": ("full", "delta"),
             "sweep_mode": ("gauss-seidel", "vectorized"),
-            "agg_mode": ("dense", "scalar"),
             "backend": ("auto", "thread", "process"),
         }
         for name, allowed in choices.items():
@@ -98,6 +96,14 @@ class DistributedConfig:
         if self.max_inner < 1:
             # zero inner iterations would report the singleton start as Q=0
             raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
+        if self.stall_patience < 1:
+            # zero patience would stop every level after one inner iteration
+            raise ValueError(
+                f"stall_patience must be >= 1, got {self.stall_patience}"
+            )
+        if self.max_levels < 1:
+            # the first level always runs, so zero would silently mean one
+            raise ValueError(f"max_levels must be >= 1, got {self.max_levels}")
         if not self.timeout > 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
 
@@ -237,7 +243,6 @@ def _worker(comm, partition: Partition, cfg: DistributedConfig, ckpt_base=None):
             resolution=cfg.resolution,
             ghost_mode=cfg.ghost_mode,
             sweep_mode=cfg.sweep_mode,
-            agg_mode=cfg.agg_mode,
         )
         with comm.trace_span(f"level {level}", cat="level") as span:
             outcome = clustering.run()
@@ -273,11 +278,8 @@ def _worker(comm, partition: Partition, cfg: DistributedConfig, ckpt_base=None):
     q_prev = outcome.q_final
 
     # ---- stage 3: merge + 1D re-partition ------------------------------
-    merge_impl = "scalar" if cfg.agg_mode == "scalar" else "vectorized"
     with comm.phase("s1:merge"):
-        lg, fine_ids, coarse_ids = merge_level(
-            comm, lg, outcome.comm_of, impl=merge_impl
-        )
+        lg, fine_ids, coarse_ids = merge_level(comm, lg, outcome.comm_of)
     level_maps.append((fine_ids, coarse_ids))
     level_boundary(fine_ids, coarse_ids, q_prev)
 
@@ -294,9 +296,7 @@ def _worker(comm, partition: Partition, cfg: DistributedConfig, ckpt_base=None):
             break
         q_prev = q
         with comm.phase("s2:merge"):
-            lg, fine_ids, coarse_ids = merge_level(
-                comm, lg, outcome.comm_of, impl=merge_impl
-            )
+            lg, fine_ids, coarse_ids = merge_level(comm, lg, outcome.comm_of)
         level_maps.append((fine_ids, coarse_ids))
         level_boundary(fine_ids, coarse_ids, q)
 
@@ -448,6 +448,10 @@ def run_with_recovery(
     """
     from repro.runtime.faults import FaultInjector
 
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+    if backoff < 0:
+        raise ValueError(f"backoff must be >= 0, got {backoff}")
     cfg = config or DistributedConfig()
     tmpdir: str | None = None
     if cfg.checkpoint_path is None:

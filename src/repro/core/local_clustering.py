@@ -82,14 +82,11 @@ class LocalClustering:
         resolution: float = 1.0,
         ghost_mode: str = "full",
         sweep_mode: str = "gauss-seidel",
-        agg_mode: str = "dense",
     ) -> None:
         if ghost_mode not in ("full", "delta"):
             raise ValueError("ghost_mode must be 'full' or 'delta'")
         if sweep_mode not in ("gauss-seidel", "vectorized"):
             raise ValueError("sweep_mode must be 'gauss-seidel' or 'vectorized'")
-        if agg_mode not in ("dense", "scalar"):
-            raise ValueError("agg_mode must be 'dense' or 'scalar'")
         # the bulk kernel encodes the selection rule of each registered
         # heuristic; custom heuristics fall back to the scalar loop
         if sweep_mode == "vectorized" and heuristic.name not in VECTOR_HEURISTICS:
@@ -104,7 +101,6 @@ class LocalClustering:
         self.resolution = resolution
         self.ghost_mode = ghost_mode
         self.sweep_mode = sweep_mode
-        self.agg_mode = agg_mode
         # delta-ghost state: labels last sent to each subscriber peer
         self._prev_ghost_sent: dict[int, np.ndarray] = {}
         # telemetry accumulators (see LevelOutcome)
@@ -115,9 +111,9 @@ class LocalClustering:
         self.two_m = 2.0 * lg.m_global if lg.m_global > 0 else 1.0
 
         self.comm_of = lg.global_ids.astype(np.int64).copy()
-        # the subscriber-side community cache in every mode: both pull
-        # implementations write it, the bulk sweep reads it, and the
-        # Gauss-Seidel sweep loads dict views from it once per pass
+        # the subscriber-side community cache: the pull writes it, the bulk
+        # sweep reads it, and the Gauss-Seidel sweep loads dict views from
+        # it once per pass
         self.ctab = CommunityTable()
 
         # hub bookkeeping: rank h % p is the designated contributor for hub h
@@ -155,70 +151,57 @@ class LocalClustering:
     def _owner(self, labels: np.ndarray) -> np.ndarray:
         return labels % self.comm.size
 
-    def _contributions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(labels, sigma_tot, size, sigma_in) facts this rank must report."""
-        lg = self.lg
-        # member facts: owned low vertices + designated hubs
-        mem_local = np.arange(lg.n_owned, dtype=np.int64)
-        if lg.n_hubs:
-            hub_rows = lg.n_owned + np.flatnonzero(self._hub_designated)
-            mem_local = np.concatenate([mem_local, hub_rows])
-        mem_labels = self.comm_of[mem_local]
-        mem_w = lg.row_weighted_degree[mem_local]
-
-        # edge facts: directed entries internal to a community
-        cu = self.comm_of[self._entry_rows]
-        cv = self.comm_of[lg.indices]
-        internal = cu == cv
-        w_in = np.where(self._is_self_entry, 2.0 * lg.weights, lg.weights)[internal]
-        in_labels = cu[internal]
-
-        labels = np.concatenate([mem_labels, in_labels])
-        tot = np.concatenate([mem_w, np.zeros(in_labels.size)])
-        cnt = np.concatenate(
-            [np.ones(mem_labels.size), np.zeros(in_labels.size)]
-        )
-        s_in = np.concatenate([np.zeros(mem_labels.size), w_in])
-        # pre-aggregate per label before sending
-        uniq, inv = np.unique(labels, return_inverse=True)
-        tot_a = np.zeros(uniq.size)
-        cnt_a = np.zeros(uniq.size)
-        in_a = np.zeros(uniq.size)
-        np.add.at(tot_a, inv, tot)
-        np.add.at(cnt_a, inv, cnt)
-        np.add.at(in_a, inv, s_in)
-        return uniq, tot_a, cnt_a, in_a
-
     def sync_aggregates(self) -> float:
         """Synchronise exact community aggregates and compute global Q.
 
         Every rank ships its complete per-community contributions to the
         owners, owners rebuild their aggregates from scratch, and every
         rank pulls ``(sigma_tot, size)`` for each community it references,
-        rebuilding its subscriber cache (Algorithm 2, lines 16-25).
+        rebuilding its subscriber cache, ``ctab`` (Algorithm 2, lines
+        16-25).  Owners hold their aggregates in an
+        :class:`~repro.core.community_table.OwnerTable`.
 
-        ``agg_mode`` selects only the owner side and the pull
-        implementation: ``dense`` runs them on numpy label tables
-        (:mod:`repro.core.community_table`), ``scalar`` is the dict-
-        accumulator reference.  Both write the same subscriber cache,
-        ``ctab``, ship identical payload multisets (byte-identical traffic),
-        and the equivalence grid in ``tests/core/test_agg_equivalence.py``
-        pins labels and Q.
+        One compact label index, rebuilt on every call because ``comm_of``
+        changes between calls, yields the contributions, the request set
+        of the pull and the owned-vertex census.
         """
-        if self.agg_mode == "scalar":
-            return self._sync_aggregates_scalar()
-        return self._sync_aggregates_dense()
+        comm = self.comm
+        labels_all, cidx = np.unique(self.comm_of, return_inverse=True)
+        labels, tot, cnt, s_in = self._contributions(labels_all, cidx)
+        owner = self._owner(labels) if labels.size else labels
+        payloads = pack_by_owner(owner, comm.size, labels, tot, cnt, s_in)
+        received = comm.alltoall(payloads)
 
-    def _contributions_dense(
+        # accumulate contributions in rank-arrival order: np.add.at applies
+        # updates sequentially, so every per-community sum is bit-identical
+        # to a dict accumulator fed the same stream
+        own = OwnerTable(
+            *(np.concatenate([p[i] for p in received]) for i in range(4))
+        )
+        self._pull(own, labels_all)
+
+        # local membership census over OWNED vertices only: a hub delegate
+        # being resident everywhere does not make its community's aggregates
+        # any fresher here, so hubs must not mark communities as "local"
+        # for the heuristics
+        cnts = np.bincount(cidx[: self.lg.n_owned], minlength=labels_all.size)
+        present = cnts > 0
+        self.ctab.set_local_census(labels_all[present], cnts[present])
+
+        q_part = own.partial_modularity(self.two_m, self.resolution)
+        return float(comm.allreduce(q_part))
+
+    def _contributions(
         self, labels_all: np.ndarray, cidx: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`_contributions` on the compact label index
+        """(labels, sigma_tot, size, sigma_in) facts this rank must report,
+        pre-aggregated per label, on the compact label index
         ``labels_all, cidx = np.unique(comm_of, return_inverse=True)``.
 
-        ``np.bincount`` adds its weights one by one in stream order, as
-        ``np.add.at`` does in :meth:`_contributions`; the zeros that method
-        pads each column with change no sum, so every value is
-        bit-identical.
+        Member facts come from owned low vertices and designated hubs, edge
+        facts from the directed entries internal to a community (self
+        entries doubled).  ``np.bincount`` adds its weights one by one in
+        stream order, so every sum is reproducible bit for bit.
         """
         lg = self.lg
         k = labels_all.size
@@ -245,113 +228,12 @@ class LocalClustering:
         s_in = np.bincount(in_ids, weights=w_in, minlength=k)[present]
         return labels_all[present], tot, cnt, s_in
 
-    def _sync_aggregates_dense(self) -> float:
-        """Dense-table implementation of :meth:`sync_aggregates`.
-
-        One compact label index, rebuilt on every call because ``comm_of``
-        changes between calls, yields the contributions, the request set
-        of the pull and the owned-vertex census.
-        """
-        comm = self.comm
-        labels_all, cidx = np.unique(self.comm_of, return_inverse=True)
-        labels, tot, cnt, s_in = self._contributions_dense(labels_all, cidx)
-        owner = self._owner(labels) if labels.size else labels
-        payloads = pack_by_owner(owner, comm.size, labels, tot, cnt, s_in)
-        received = comm.alltoall(payloads)
-
-        # accumulate contributions in rank-arrival order: np.add.at applies
-        # updates sequentially, so every per-community sum is bit-identical
-        # to the scalar dict loop
-        own = OwnerTable(
-            *(np.concatenate([p[i] for p in received]) for i in range(4))
-        )
-        self._pull_dense(own, labels_all)
-
-        # local membership census over OWNED vertices only (hubs must not
-        # mark communities as "local" — see the scalar path)
-        cnts = np.bincount(cidx[: self.lg.n_owned], minlength=labels_all.size)
-        present = cnts > 0
-        self.ctab.set_local_census(labels_all[present], cnts[present])
-
-        q_part = own.partial_modularity(self.two_m, self.resolution)
-        return float(comm.allreduce(q_part))
-
-    def _sync_aggregates_scalar(self) -> float:
-        """Dict-accumulator reference implementation (the seed path)."""
-        comm = self.comm
-        labels, tot, cnt, s_in = self._contributions()
-        owner = self._owner(labels) if labels.size else labels
-        payloads = []
-        for r in range(comm.size):
-            m = owner == r
-            payloads.append((labels[m], tot[m], cnt[m], s_in[m]))
-        received = comm.alltoall(payloads)
-
-        own: dict[int, list[float]] = {}
-        for lab_a, tot_a, cnt_a, in_a in received:
-            for lab, t, c, i in zip(
-                lab_a.tolist(), tot_a.tolist(), cnt_a.tolist(), in_a.tolist()
-            ):
-                acc = own.get(lab)
-                if acc is None:
-                    own[lab] = [t, c, i]
-                else:
-                    acc[0] += t
-                    acc[1] += c
-                    acc[2] += i
-        self._pull(own)
-
-        # local membership census over OWNED vertices only: a hub delegate
-        # being resident everywhere does not make its community's aggregates
-        # any fresher here, so hubs must not mark communities as "local"
-        # for the heuristics
-        self.ctab.set_local_census(
-            *np.unique(self.comm_of[: self.lg.n_owned], return_counts=True)
-        )
-
-        # partial modularity over owned communities (each exactly once)
-        q_part = 0.0
-        for lab, (t, _c, i) in own.items():
-            q_part += i / self.two_m - self.resolution * (t / self.two_m) ** 2
-        return float(comm.allreduce(q_part))
-
     # ------------------------------------------------------------------
     # The pull
     # ------------------------------------------------------------------
-    def _pull(self, own: dict[int, list[float]]) -> None:
-        """Request (sigma_tot, size) for every referenced community and
-        rebuild the subscriber cache from scratch."""
-        comm = self.comm
-        needed = np.unique(self.comm_of)
-        need_owner = self._owner(needed)
-        requests = [needed[need_owner == r] for r in range(comm.size)]
-        incoming = comm.alltoall(requests)
-        replies = []
-        for req in incoming:
-            vals = np.empty((req.size, 2))
-            for i, lab in enumerate(req.tolist()):
-                acc = own.get(lab)
-                if acc is None:
-                    raise RuntimeError(
-                        f"rank {comm.rank}: no aggregate for community {lab}"
-                    )
-                vals[i, 0] = acc[0]
-                vals[i, 1] = acc[1]
-            replies.append((req, vals))
-        answered = comm.alltoall(replies)
-        vals = np.concatenate([a[1] for a in answered])
-        self.ctab.rebuild(
-            np.concatenate([a[0] for a in answered]),
-            vals[:, 0],
-            np.rint(vals[:, 1]).astype(np.int64),
-        )
-
-    # ------------------------------------------------------------------
-    # The pull, dense-table implementation
-    # ------------------------------------------------------------------
     def _answer(self, own: OwnerTable, req: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Owner-side reply values, with the scalar path's hard failure on a
-        community this rank holds no aggregate for."""
+        """Owner-side reply values.  A request for a community this rank
+        holds no aggregate for breaks the protocol, so it fails hard."""
         try:
             return own.lookup(req)
         except KeyError as exc:
@@ -359,10 +241,10 @@ class LocalClustering:
                 f"rank {self.comm.rank}: no aggregate for community {exc.args[0]}"
             ) from None
 
-    def _pull_dense(self, own: OwnerTable, needed: np.ndarray) -> None:
-        """Vectorized :meth:`_pull`: same requests, same replies, the
-        per-label Python loops replaced by one table lookup per exchange.
-        ``needed`` is ``np.unique(comm_of)``."""
+    def _pull(self, own: OwnerTable, needed: np.ndarray) -> None:
+        """Request ``(sigma_tot, size)`` for every referenced community and
+        rebuild the subscriber cache from scratch.  ``needed`` is
+        ``np.unique(comm_of)``."""
         comm = self.comm
         requests = pack_by_owner(
             self._owner(needed) if needed.size else needed, comm.size, needed

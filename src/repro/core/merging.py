@@ -14,12 +14,10 @@ entries at full weight and the self-loop at ``D[c][c] / 2``, preserving both
 sequential equivalent).
 
 The local assembly step (building the coarse CSR from the received pair
-aggregates) has two implementations selected by ``impl``: ``vectorized``
-(default) remaps labels with ``searchsorted`` arithmetic and scatters
-degrees with ``np.add.at``, ``scalar`` is the dict-based reference.  Both
-produce bit-identical :class:`LocalGraph` fields — ``np.add.at`` applies its
-updates sequentially in stream order, exactly like the scalar loop — and
-``tests/core/test_agg_equivalence.py`` pins that.
+aggregates) remaps labels with ``searchsorted`` arithmetic and scatters
+degrees with ``np.add.at``, which applies its updates sequentially in
+stream order; ``tests/core/agg_oracle.py`` holds the dict-based reference
+it is pinned against, field by field.
 """
 
 from __future__ import annotations
@@ -77,50 +75,17 @@ def _aggregate_pairs(
     return (uniq // n_global).astype(np.int64), (uniq % n_global).astype(np.int64), w_sum
 
 
-def _assemble_scalar(
+def _assemble(
     rank: int, size: int, k: int, ncu: np.ndarray, ncv: np.ndarray, nw: np.ndarray
 ):
-    """Dict-based reference assembly of one rank's coarse rows.
+    """Assemble one rank's coarse rows from its aggregated pair stream.
 
     Returns ``(owned, wdeg, selfloop, ghosts, global_ids, src_local,
     dst_local, stored_w)``; the caller finishes the CSR (sort + indptr).
-    """
-    owned = np.arange(rank, k, size, dtype=np.int64)
-    wdeg = np.zeros(owned.size)
-    owned_pos = {int(c): i for i, c in enumerate(owned)}
-    selfloop = np.zeros(owned.size)
-    for c, d, ww in zip(ncu.tolist(), ncv.tolist(), nw.tolist()):
-        i = owned_pos[c]
-        wdeg[i] += ww
-        if c == d:
-            selfloop[i] += ww / 2.0
-
-    ghosts = np.unique(ncv[(ncv % size) != rank])
-    global_ids = np.concatenate([owned, ghosts])
-    local_of = {}
-    for i, g in enumerate(global_ids.tolist()):
-        local_of[g] = i
-
-    # store the self-loop at half its aggregated (doubled) weight
-    stored_w = np.where(ncu == ncv, nw / 2.0, nw)
-    src_local = np.fromiter(
-        (local_of[c] for c in ncu.tolist()), dtype=np.int64, count=ncu.size
-    )
-    dst_local = np.fromiter(
-        (local_of[c] for c in ncv.tolist()), dtype=np.int64, count=ncv.size
-    )
-    return owned, wdeg, selfloop, ghosts, global_ids, src_local, dst_local, stored_w
-
-
-def _assemble_vectorized(
-    rank: int, size: int, k: int, ncu: np.ndarray, ncv: np.ndarray, nw: np.ndarray
-):
-    """Vectorized assembly, bit-identical to :func:`_assemble_scalar`.
-
-    This rank's owned coarse ids are ``rank, rank + size, ...``, so the
-    owned-position dict is just ``(c - rank) // size`` and ghost positions
-    are ``searchsorted`` into the sorted ghost array.  Degree/self-loop
-    accumulation via ``np.add.at`` replays the scalar loop's stream order.
+    This rank's owned coarse ids are ``rank, rank + size, ...``, so an
+    owned id's position is ``(c - rank) // size`` and ghost positions are
+    ``searchsorted`` into the sorted ghost array.  Degree/self-loop
+    accumulation via ``np.add.at`` runs in stream order.
     """
     owned = np.arange(rank, k, size, dtype=np.int64)
     src_local = (ncu - rank) // size
@@ -147,7 +112,6 @@ def merge_level(
     comm: SimComm,
     lg: LocalGraph,
     comm_of: np.ndarray,
-    impl: str = "vectorized",
 ) -> tuple[LocalGraph, np.ndarray, np.ndarray]:
     """Merge communities into a new 1D-partitioned :class:`LocalGraph`.
 
@@ -155,9 +119,6 @@ def merge_level(
     ----------
     comm_of:
         Final community label per local vertex from the converged level.
-    impl:
-        Local-assembly kernel: ``"vectorized"`` (default) or the
-        dict-based ``"scalar"`` reference.  Identical output either way.
 
     Returns
     -------
@@ -166,8 +127,6 @@ def merge_level(
         this rank is authoritative for (owned low vertices and designated
         hubs) and ``coarse_ids[i]`` its dense community id in the new graph.
     """
-    if impl not in ("vectorized", "scalar"):
-        raise ValueError("impl must be 'vectorized' or 'scalar'")
     size = comm.size
     n_global = lg.n_global
 
@@ -222,9 +181,8 @@ def merge_level(
     # degrees come for free: wdeg(c) = sum_d D[c][d] (diagonal pre-doubled)
     keep = nw > 0.0
     ncu, ncv, nw = ncu[keep], ncv[keep], nw[keep]
-    assemble = _assemble_vectorized if impl == "vectorized" else _assemble_scalar
     owned, wdeg, selfloop, ghosts, global_ids, src_local, dst_local, stored_w = (
-        assemble(comm.rank, size, k, ncu, ncv, nw)
+        _assemble(comm.rank, size, k, ncu, ncv, nw)
     )
 
     order = np.lexsort((dst_local, src_local))

@@ -1,0 +1,201 @@
+"""Dict-based references for the aggregate sync and the merge assembly.
+
+The product has one aggregate-sync path
+(:meth:`repro.core.local_clustering.LocalClustering.sync_aggregates`, on
+:class:`~repro.core.community_table.OwnerTable`) and one merge assembly
+(``repro.core.merging._assemble``).  This module keeps the seed's
+dict-accumulator versions of both as a test oracle:
+
+* :class:`DictOwnerReference` — the owner-side accumulator;
+* :class:`ScalarSyncClustering` — a ``LocalClustering`` whose
+  ``sync_aggregates`` is the dict path;
+* :func:`assemble_scalar` — the dict-based merge assembly;
+* :func:`scalar_reference` — a context manager that swaps both into
+  :mod:`repro.core.distributed` and :mod:`repro.core.merging` for one run
+  and counts the calls.
+
+The swap patches module attributes of the calling interpreter, so it only
+reaches ranks that run there: pass ``backend="thread"`` to every run under
+it (process-backend ranks import fresh modules and never see it), and
+assert that the yielded counts are non-zero.
+"""
+
+import threading
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
+
+from repro.core import distributed, merging
+from repro.core.local_clustering import LocalClustering
+
+__all__ = [
+    "DictOwnerReference",
+    "ScalarSyncClustering",
+    "assemble_scalar",
+    "scalar_reference",
+]
+
+
+class DictOwnerReference:
+    """Owner-side aggregates in a ``dict[int, list[float]]``: the seed's
+    scalar owner-aggregation loop."""
+
+    def __init__(self):
+        self.own = {}
+
+    def merge(self, labels, tot, cnt, s_in):
+        for lab, t, c, i in zip(
+            labels.tolist(), tot.tolist(), cnt.tolist(), s_in.tolist()
+        ):
+            acc = self.own.get(lab)
+            if acc is None:
+                acc = self.own[lab] = [0.0, 0.0, 0.0]
+            acc[0] += t
+            acc[1] += c
+            acc[2] += i
+
+    def answer(self, req):
+        """``(sigma_tot, size)`` rows for the requested labels; a label
+        this owner holds no aggregate for raises ``KeyError``."""
+        vals = np.empty((req.size, 2))
+        for i, lab in enumerate(req.tolist()):
+            acc = self.own[lab]
+            vals[i, 0] = acc[0]
+            vals[i, 1] = acc[1]
+        return vals
+
+    def partial_modularity(self, two_m, resolution):
+        q = 0.0
+        for acc in self.own.values():  # dict preserves insertion order
+            q += acc[2] / two_m - resolution * (acc[0] / two_m) ** 2
+        return q
+
+
+class ScalarSyncClustering(LocalClustering):
+    """``LocalClustering`` with the seed's dict-based aggregate sync."""
+
+    def _scalar_contributions(self):
+        """(labels, sigma_tot, size, sigma_in) facts this rank must report,
+        pre-aggregated per label with ``np.add.at``."""
+        lg = self.lg
+        # member facts: owned low vertices + designated hubs
+        mem_local = np.arange(lg.n_owned, dtype=np.int64)
+        if lg.n_hubs:
+            hub_rows = lg.n_owned + np.flatnonzero(self._hub_designated)
+            mem_local = np.concatenate([mem_local, hub_rows])
+        mem_labels = self.comm_of[mem_local]
+        mem_w = lg.row_weighted_degree[mem_local]
+
+        # edge facts: directed entries internal to a community
+        cu = self.comm_of[self._entry_rows]
+        cv = self.comm_of[lg.indices]
+        internal = cu == cv
+        w_in = np.where(self._is_self_entry, 2.0 * lg.weights, lg.weights)[internal]
+        in_labels = cu[internal]
+
+        labels = np.concatenate([mem_labels, in_labels])
+        tot = np.concatenate([mem_w, np.zeros(in_labels.size)])
+        cnt = np.concatenate([np.ones(mem_labels.size), np.zeros(in_labels.size)])
+        s_in = np.concatenate([np.zeros(mem_labels.size), w_in])
+        uniq, inv = np.unique(labels, return_inverse=True)
+        tot_a = np.zeros(uniq.size)
+        cnt_a = np.zeros(uniq.size)
+        in_a = np.zeros(uniq.size)
+        np.add.at(tot_a, inv, tot)
+        np.add.at(cnt_a, inv, cnt)
+        np.add.at(in_a, inv, s_in)
+        return uniq, tot_a, cnt_a, in_a
+
+    def sync_aggregates(self):
+        comm = self.comm
+        labels, tot, cnt, s_in = self._scalar_contributions()
+        owner = self._owner(labels) if labels.size else labels
+        payloads = []
+        for r in range(comm.size):
+            m = owner == r
+            payloads.append((labels[m], tot[m], cnt[m], s_in[m]))
+        own = DictOwnerReference()
+        for payload in comm.alltoall(payloads):
+            own.merge(*payload)
+        self._dict_pull(own)
+
+        # local membership census over owned vertices only
+        self.ctab.set_local_census(
+            *np.unique(self.comm_of[: self.lg.n_owned], return_counts=True)
+        )
+        q_part = own.partial_modularity(self.two_m, self.resolution)
+        return float(comm.allreduce(q_part))
+
+    def _dict_pull(self, own):
+        """Request (sigma_tot, size) for every referenced community and
+        rebuild the subscriber cache from scratch."""
+        comm = self.comm
+        needed = np.unique(self.comm_of)
+        need_owner = self._owner(needed)
+        requests = [needed[need_owner == r] for r in range(comm.size)]
+        replies = [(req, own.answer(req)) for req in comm.alltoall(requests)]
+        answered = comm.alltoall(replies)
+        vals = np.concatenate([a[1] for a in answered])
+        self.ctab.rebuild(
+            np.concatenate([a[0] for a in answered]),
+            vals[:, 0],
+            np.rint(vals[:, 1]).astype(np.int64),
+        )
+
+
+def assemble_scalar(rank, size, k, ncu, ncv, nw):
+    """Dict-based assembly of one rank's coarse rows; same signature and
+    result tuple as ``repro.core.merging._assemble``."""
+    owned = np.arange(rank, k, size, dtype=np.int64)
+    wdeg = np.zeros(owned.size)
+    owned_pos = {int(c): i for i, c in enumerate(owned)}
+    selfloop = np.zeros(owned.size)
+    for c, d, ww in zip(ncu.tolist(), ncv.tolist(), nw.tolist()):
+        i = owned_pos[c]
+        wdeg[i] += ww
+        if c == d:
+            selfloop[i] += ww / 2.0
+
+    ghosts = np.unique(ncv[(ncv % size) != rank])
+    global_ids = np.concatenate([owned, ghosts])
+    local_of = {}
+    for i, g in enumerate(global_ids.tolist()):
+        local_of[g] = i
+
+    # store the self-loop at half its aggregated (doubled) weight
+    stored_w = np.where(ncu == ncv, nw / 2.0, nw)
+    src_local = np.fromiter(
+        (local_of[c] for c in ncu.tolist()), dtype=np.int64, count=ncu.size
+    )
+    dst_local = np.fromiter(
+        (local_of[c] for c in ncv.tolist()), dtype=np.int64, count=ncv.size
+    )
+    return owned, wdeg, selfloop, ghosts, global_ids, src_local, dst_local, stored_w
+
+
+@contextmanager
+def scalar_reference():
+    """Run the dict-based sync and assembly in place of the product's for
+    the duration of the block; yields ``{"sync": n, "assemble": n}`` call
+    counts.  Thread backend only (see the module docstring)."""
+    calls = {"sync": 0, "assemble": 0}
+    lock = threading.Lock()
+
+    def count(key):
+        with lock:
+            calls[key] += 1
+
+    class CountingClustering(ScalarSyncClustering):
+        def sync_aggregates(self):
+            count("sync")
+            return super().sync_aggregates()
+
+    def assemble(*args):
+        count("assemble")
+        return assemble_scalar(*args)
+
+    with mock.patch.object(
+        distributed, "LocalClustering", CountingClustering
+    ), mock.patch.object(merging, "_assemble", assemble):
+        yield calls

@@ -1,22 +1,26 @@
-"""Equivalence of the dense aggregate-sync / merge kernels vs the scalar path.
+"""Equivalence of the aggregate-sync / merge kernels with their dict-based
+oracle (``tests/core/agg_oracle.py``).
 
-``agg_mode="dense"`` (default) replaces the dict-based owner aggregation,
-pull/push caches, and merge assembly with numpy table kernels.  Unlike the
-sweep modes — which legitimately land in different local optima — the dense
-kernels claim *bitwise* equivalence: identical labels, identical Q to the
-last ulp, identical per-phase wire bytes.  This suite pins that claim:
+The product runs the owner aggregation, the pull and the merge assembly on
+numpy tables.  Unlike the sweep modes — which legitimately land in
+different local optima — these kernels claim *bitwise* equivalence with
+the seed's dict loops: identical labels, identical Q to the last ulp,
+identical per-phase wire bytes.  This suite pins that claim:
 
-1. **Unit** — ``OwnerTable``, built from one received stream, against a
-   literal dict reference, including the insertion-order float
+1. **Unit** — ``OwnerTable``, built from one received stream, against the
+   oracle's dict owner accumulator, including the insertion-order float
    accumulation of partial modularity, and the
    subscriber-side ``CommunityTable`` against a literal transcription of
    the dict cache it replaced, including the Gauss-Seidel sweep's replay
    of its moves onto the table;
-2. **Merge** — ``merge_level(impl="vectorized")`` vs ``impl="scalar"``
-   field-by-field on every rank;
-3. **End-to-end grid** — full pipeline, ``agg_mode`` dense vs scalar over
+2. **Merge** — ``merge_level`` vs the oracle's scalar assembly,
+   field by field on every rank;
+3. **End-to-end grid** — full pipeline, product vs oracle over
    p × partitioning × sweep_mode × ghost_mode: same
    assignment, same Q, same per-phase byte counters.
+
+The oracle is swapped in by patching modules of this interpreter, so every
+comparison runs on ``backend="thread"`` and asserts that the oracle ran.
 """
 
 import numpy as np
@@ -30,30 +34,7 @@ from repro.core.merging import merge_level
 from repro.graph.generators import lfr_graph
 from repro.partition import delegate_partition, oned_partition
 from repro.runtime import run_spmd
-
-
-class DictOwnerReference:
-    """Literal transcription of the seed's scalar owner-aggregation loop."""
-
-    def __init__(self):
-        self.own = {}
-
-    def merge(self, labels, tot, cnt, s_in):
-        for lab, t, c, i in zip(
-            labels.tolist(), tot.tolist(), cnt.tolist(), s_in.tolist()
-        ):
-            acc = self.own.get(lab)
-            if acc is None:
-                acc = self.own[lab] = [0.0, 0.0, 0.0]
-            acc[0] += t
-            acc[1] += c
-            acc[2] += i
-
-    def partial_modularity(self, two_m, resolution):
-        q = 0.0
-        for acc in self.own.values():  # dict preserves insertion order
-            q += acc[2] / two_m - resolution * (acc[0] / two_m) ** 2
-        return q
+from tests.core.agg_oracle import DictOwnerReference, scalar_reference
 
 
 class DictCacheReference:
@@ -299,7 +280,7 @@ class TestOwnerTableUnit:
         assert table.partial_modularity(2.0, 1.0) == 0.0
 
 
-def _merge_all_fields(graph, p, kind, impl, seed=3):
+def _merge_all_fields(graph, p, kind, seed=3):
     rng = np.random.default_rng(seed)
     assignment = rng.integers(0, max(graph.n_vertices // 4, 2),
                               size=graph.n_vertices)
@@ -311,17 +292,19 @@ def _merge_all_fields(graph, p, kind, impl, seed=3):
 
     def worker(comm):
         lg = part.locals[comm.rank]
-        return merge_level(comm, lg, assignment[lg.global_ids], impl=impl)
+        return merge_level(comm, lg, assignment[lg.global_ids])
 
-    return run_spmd(p, worker, timeout=60).results
+    return run_spmd(p, worker, timeout=60, backend="thread").results
 
 
 class TestMergeImplEquivalence:
     @pytest.mark.parametrize("p", [1, 2, 4])
     @pytest.mark.parametrize("kind", ["1d", "delegate"])
     def test_vectorized_assembly_bitwise(self, ba_graph, p, kind):
-        vec = _merge_all_fields(ba_graph, p, kind, "vectorized")
-        ref = _merge_all_fields(ba_graph, p, kind, "scalar")
+        vec = _merge_all_fields(ba_graph, p, kind)
+        with scalar_reference() as calls:
+            ref = _merge_all_fields(ba_graph, p, kind)
+        assert calls["assemble"] == p
         for (vlg, vf, vc), (slg, sf, sc) in zip(vec, ref):
             assert np.array_equal(vf, sf) and np.array_equal(vc, sc)
             for name in (
@@ -338,15 +321,16 @@ class TestMergeImplEquivalence:
                 assert np.array_equal(vlg.recv_from[r], slg.recv_from[r])
 
     def test_bad_impl_rejected(self, karate):
+        """``merge_level`` has one assembly: any ``impl=`` is a TypeError."""
         part = oned_partition(karate, 1)
 
         def worker(comm):
             lg = part.locals[comm.rank]
             merge_level(comm, lg, np.zeros(lg.n_local, dtype=np.int64),
-                        impl="turbo")
+                        impl="scalar")
 
         with pytest.raises(Exception, match="impl"):
-            run_spmd(1, worker, timeout=30)
+            run_spmd(1, worker, timeout=30, backend="thread")
 
 
 def _phase_bytes(stats):
@@ -354,38 +338,35 @@ def _phase_bytes(stats):
 
 
 def _run_both(graph, p, **kw):
-    out = {}
-    for agg in ("scalar", "dense"):
-        cfg = DistributedConfig(agg_mode=agg, d_high=32, **kw)
-        out[agg] = distributed_louvain(graph, p, cfg)
-    return out
+    cfg = DistributedConfig(backend="thread", d_high=32, **kw)
+    with scalar_reference() as calls:
+        ref = distributed_louvain(graph, p, cfg)
+    assert calls["sync"] > 0 and calls["assemble"] > 0
+    return ref, distributed_louvain(graph, p, cfg)
 
 
 class TestEndToEndEquivalence:
     @pytest.mark.parametrize("p", [1, 2, 4])
     @pytest.mark.parametrize("partitioning", ["delegate", "1d"])
     def test_gauss_seidel_grid(self, ba_graph, p, partitioning):
-        res = _run_both(ba_graph, p, partitioning=partitioning)
-        self._assert_identical(res["scalar"], res["dense"])
+        self._assert_identical(*_run_both(ba_graph, p, partitioning=partitioning))
 
     @pytest.mark.parametrize("p", [1, 2, 4])
     @pytest.mark.parametrize(
         "ghost_mode", ["full", "delta"], ids=["full", "ghost_delta"]
     )
     def test_vectorized_sweep_grid(self, ba_graph, p, ghost_mode):
-        res = _run_both(
-            ba_graph, p, ghost_mode=ghost_mode, sweep_mode="vectorized"
+        self._assert_identical(
+            *_run_both(ba_graph, p, ghost_mode=ghost_mode, sweep_mode="vectorized")
         )
-        self._assert_identical(res["scalar"], res["dense"])
 
     def test_lfr_delta_delta(self):
         graph = lfr_graph(300, mu=0.2, seed=21).graph
-        res = _run_both(graph, 4, ghost_mode="delta")
-        self._assert_identical(res["scalar"], res["dense"])
+        self._assert_identical(*_run_both(graph, 4, ghost_mode="delta"))
 
     def _assert_identical(self, a, b):
         assert np.array_equal(a.assignment, b.assignment)
-        assert abs(a.modularity - b.modularity) < 1e-12
+        assert a.modularity == b.modularity
         assert a.modularity_per_level == b.modularity_per_level
         assert a.n_levels == b.n_levels
         # wire-format preservation: per-rank, per-phase byte counts match

@@ -104,12 +104,13 @@ class TestConfig:
             ("partitioning", "2d"),
             ("sweep_mode", "vectorised"),
             ("ghost_mode", "zip"),
-            ("agg_mode", "sparse"),
             ("backend", "proces"),
             ("max_inner", 0),
             ("max_inner", -3),
             ("timeout", 0.0),
             ("timeout", -1.0),
+            ("stall_patience", 0),
+            ("max_levels", 0),
         ],
     )
     def test_bad_choice_rejected_at_construction(self, field, value):
@@ -119,6 +120,10 @@ class TestConfig:
     def test_sync_mode_is_gone(self):
         with pytest.raises(TypeError):
             DistributedConfig(sync_mode="delta")
+
+    def test_agg_mode_is_gone(self):
+        with pytest.raises(TypeError):
+            DistributedConfig(agg_mode="dense")
 
     def test_default_config_used_when_none(self, karate):
         res = distributed_louvain(karate, 2)

@@ -193,6 +193,20 @@ class TestSupervisor:
         assert outcome.recovered
         assert abs(outcome.result.modularity - baselines[2].modularity) < 1e-9
 
+    @pytest.mark.parametrize(
+        "kw", [{"max_retries": -1}, {"backoff": -0.5}], ids=["retries", "backoff"]
+    )
+    def test_negative_budget_rejected_before_any_run(self, sbm2, monkeypatch, kw):
+        import repro.core.distributed as dist
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the budget was validated")
+
+        monkeypatch.setattr(dist.tempfile, "mkdtemp", never)
+        monkeypatch.setattr(dist, "distributed_louvain", never)
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            run_with_recovery(sbm2, 2, DistributedConfig(d_high=64), **kw)
+
     def test_retries_exhausted_reraises(self, sbm2, tmp_path):
         plan = FaultPlan([CrashFault(rank=0, event="level:0")])
         with pytest.raises(SPMDError):

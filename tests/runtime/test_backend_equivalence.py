@@ -68,23 +68,21 @@ GRID = list(
     itertools.product(
         [1, 2, 4],  # p
         ["gauss-seidel", "vectorized"],  # sweep_mode
-        ["dense", "scalar"],  # agg_mode
     )
 )
 
 
 @pytest.mark.parametrize(
-    "p,sweep_mode,agg_mode",
+    "p,sweep_mode",
     GRID,
-    ids=[f"p{p}-{sw}-{a}" for p, sw, a in GRID],
+    ids=[f"p{p}-{sw}" for p, sw in GRID],
 )
-def test_conformance_grid(graph, p, sweep_mode, agg_mode):
+def test_conformance_grid(graph, p, sweep_mode):
     results = {}
     for backend in ("thread", "process"):
         cfg = DistributedConfig(
             backend=backend,
             sweep_mode=sweep_mode,
-            agg_mode=agg_mode,
             d_high=32,
             timeout=60.0,
         )

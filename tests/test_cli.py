@@ -94,6 +94,27 @@ class TestCluster:
         )
         assert rc == 2
 
+    def test_agg_mode_flag_is_gone(self, graph_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "cluster", str(graph_file), "--ranks", "2",
+                    "--agg-mode", "dense",
+                ]
+            )
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --agg-mode" in capsys.readouterr().err
+
+    def test_negative_retry_budget_friendly_error(self, graph_file, capsys):
+        rc = main(
+            [
+                "cluster", str(graph_file), "--ranks", "2", "--recover",
+                "--max-retries", "-1",
+            ]
+        )
+        assert rc == 2
+        assert "max_retries must be >= 0" in capsys.readouterr().err
+
     def test_heuristic_and_partitioning_flags(self, graph_file, capsys):
         rc = main(
             [
