@@ -81,11 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-retries", type=int, default=3, help="retry budget for --recover"
     )
     p.add_argument(
-        "--checksums",
-        action="store_true",
-        help="verify point-to-point payload checksums at recv",
-    )
-    p.add_argument(
         "--backend",
         choices=["thread", "process", "auto"],
         default="auto",
@@ -203,7 +198,6 @@ def _cmd_cluster(args) -> int:
             d_high=d_high,
             resolution=args.resolution,
             sweep_mode=args.sweep_mode,
-            checksums=args.checksums,
             backend=args.backend,
             checkpoint_path=(
                 str(args.checkpoint_path) if args.checkpoint_path else None

@@ -19,6 +19,7 @@ cost model applied to the measured per-rank work and traffic.
 
 from __future__ import annotations
 
+import math
 import os
 import shutil
 import tempfile
@@ -72,7 +73,6 @@ class DistributedConfig:
     # to resume a crashed run from the last completed level
     checkpoint_every_level: int = 0  # 0 disables checkpointing
     checkpoint_path: str | None = None
-    checksums: bool = False  # verify p2p payload CRC32s at recv
     # execution backend: "thread" | "process" | "auto" (defer to the
     # REPRO_DEFAULT_BACKEND environment variable; see repro.runtime)
     backend: str = "auto"
@@ -106,6 +106,21 @@ class DistributedConfig:
             raise ValueError(f"max_levels must be >= 1, got {self.max_levels}")
         if not self.timeout > 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        # nan compares False against everything, so range checks alone
+        # would let it through (a nan resolution makes every gain nan)
+        for name in ("theta", "resolution", "min_q_gain"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.theta < 0:
+            # a negative tie tolerance empties the candidate set in the ranks
+            raise ValueError(f"theta must be >= 0, got {self.theta}")
+        if self.checkpoint_every_level < 0:
+            # a negative cadence would silently write no checkpoint
+            raise ValueError(
+                "checkpoint_every_level must be >= 0 (0 disables "
+                f"checkpointing), got {self.checkpoint_every_level}"
+            )
 
 
 @dataclass
@@ -353,7 +368,6 @@ def distributed_louvain(
         timeout=cfg.timeout,
         faults=faults,
         tracer=tracer,
-        checksums=cfg.checksums,
         backend=cfg.backend,
     )
     wall = time.perf_counter() - t1

@@ -235,6 +235,9 @@ class CSRGraph:
             self.indices.min() < 0 or self.indices.max() >= n
         ):
             raise ValueError("neighbour index out of range")
+        # nan slips past ``< 0``, so finiteness is checked on its own
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError("non-finite edge weight")
         if np.any(self.weights < 0):
             raise ValueError("negative edge weight")
         # symmetry: the multiset of (u, v, w) off-diagonal entries must equal

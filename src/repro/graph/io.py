@@ -4,12 +4,13 @@ The format is the plain whitespace-separated edge list used by SNAP and the
 WebGraph-exported datasets the paper evaluates: one ``u v [w]`` triple per
 line, ``#``-prefixed comment lines ignored.  Vertices are non-negative
 integers; ids need not be contiguous (they are compacted on read unless
-``n_vertices`` is given).
+``n_vertices`` is given).  Weights must be finite and non-negative.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +57,15 @@ def read_edge_list(
                 raise ValueError(f"line {lineno}: expected 'u v [w]', got {s!r}")
             src.append(int(parts[0]))
             dst.append(int(parts[1]))
-            wts.append(float(parts[2]) if len(parts) >= 3 else 1.0)
+            w = float(parts[2]) if len(parts) >= 3 else 1.0
+            # modularity is undefined for these; nan would also slip past
+            # every later ``< 0`` check
+            if not (math.isfinite(w) and w >= 0):
+                raise ValueError(
+                    f"line {lineno}: edge weight must be finite and >= 0, "
+                    f"got {parts[2]!r}"
+                )
+            wts.append(w)
     finally:
         if close:
             fh.close()

@@ -6,15 +6,18 @@ execution runs on one of two interchangeable backends behind
 
 * **thread** (default) — every logical rank runs the real algorithm in its
   own thread against a :class:`~repro.runtime.comm.SimComm`, whose API
-  mirrors mpi4py (``send``/``recv``, ``bcast``, ``allreduce``,
-  ``alltoall``, ``allgather``, ``barrier``); under the GIL the ranks
-  interleave exactly like a BSP machine.
+  mirrors mpi4py's collectives (``bcast``, ``allreduce``, ``alltoall``,
+  ``allgather``, ``gather``, ``scatter``, ``reduce``, ``barrier``); under
+  the GIL the ranks interleave exactly like a BSP machine.
 * **process** — every rank runs in its own spawned interpreter
   (:mod:`repro.runtime.process_backend`), sharing the read-only CSR graph
-  through :mod:`multiprocessing.shared_memory`, exchanging collectives
-  directly over per-pair socket links and routing point-to-point messages
-  through the parent over pipes, for true multi-core execution on the
+  through :mod:`multiprocessing.shared_memory` and exchanging collectives
+  directly over per-pair socket links, for true multi-core execution on the
   non-NumPy portions of a superstep.
+
+Every communication step of the paper's algorithms is a collective, so
+collectives are the only way ranks communicate: there is no point-to-point
+messaging.
 
 Both backends meter every message with byte accuracy and log BSP
 supersteps — the accounting code is shared in
@@ -29,8 +32,6 @@ from repro.runtime.comm import (
     CommError,
     DeadlockError,
     CollectiveMismatchError,
-    CorruptionError,
-    Request,
 )
 from repro.runtime.commbase import CommBase
 from repro.runtime.engine import run_spmd, resolve_backend, SPMDError
@@ -44,7 +45,6 @@ from repro.runtime.stats import (
     RunStats,
     SpanRecord,
     payload_nbytes,
-    payload_checksum,
 )
 from repro.runtime.costmodel import MachineModel, SimulatedTime, simulate_time
 from repro.runtime.tracing import TraceRecorder, save_trace
@@ -55,10 +55,6 @@ from repro.runtime.faults import (
     InjectedCrash,
     CrashFault,
     Straggler,
-    MessageDrop,
-    MessageDuplicate,
-    MessageDelay,
-    MessageCorruption,
 )
 from repro.runtime import reducers
 
@@ -69,10 +65,8 @@ __all__ = [
     "CommError",
     "DeadlockError",
     "CollectiveMismatchError",
-    "CorruptionError",
     "ChildCrashError",
     "ProgramNotPicklableError",
-    "Request",
     "run_spmd",
     "resolve_backend",
     "SPMDError",
@@ -80,7 +74,6 @@ __all__ = [
     "RunStats",
     "SpanRecord",
     "payload_nbytes",
-    "payload_checksum",
     "TraceRecorder",
     "save_trace",
     "MachineModel",
@@ -92,9 +85,5 @@ __all__ = [
     "InjectedCrash",
     "CrashFault",
     "Straggler",
-    "MessageDrop",
-    "MessageDuplicate",
-    "MessageDelay",
-    "MessageCorruption",
     "reducers",
 ]

@@ -2,7 +2,7 @@
 
 :class:`SimComm` exposes an mpi4py-flavoured API to algorithm code running on
 a simulated rank.  The full API surface — phase tagging, byte/message
-accounting, tracing, checksum envelopes, and every collective — lives in the
+accounting, tracing and every collective — lives in the
 backend-independent :class:`~repro.runtime.commbase.CommBase`; this module
 supplies only the thread transport.  Collectives are implemented on top of a
 single primitive — :meth:`_World.exchange` — in which every rank deposits its
@@ -11,77 +11,50 @@ barrier, reads its own column.  Because the program model is SPMD, all ranks
 issue collectives in the same order, so per-rank generation counters agree
 and the exchange is race-free.
 
-Failure detection:
-
-* every collective tags its exchange generation with the operation name
-  (and root, where applicable); if ranks disagree — i.e. the SPMD program
-  diverged from the single collective order — every rank raises
-  :class:`CollectiveMismatchError` naming each rank's operation, instead
-  of silently swapping payloads between mismatched collectives;
-* with ``run_spmd(..., checksums=True)`` every point-to-point payload is
-  wrapped with a CRC32 computed at ``send``; a mismatch at ``recv`` (e.g.
-  injected bit corruption, see :mod:`repro.runtime.faults`) raises
-  :class:`CorruptionError` identifying the failing ``(src, dst, tag)``.
+Failure detection: every collective tags its exchange generation with the
+operation name (and root, where applicable); if ranks disagree — i.e. the
+SPMD program diverged from the single collective order — every rank raises
+:class:`CollectiveMismatchError` naming each rank's operation, instead of
+silently swapping payloads between mismatched collectives.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any
 
 from repro.runtime.commbase import (
     CollectiveMismatchError,
     CommBase,
     CommError,
-    CorruptionError,
     DeadlockError,
-    Request,
-    _Envelope,
 )
-from repro.runtime.stats import RankStats, payload_checksum
+from repro.runtime.stats import RankStats
 
 __all__ = [
     "SimComm",
     "CommError",
     "DeadlockError",
     "CollectiveMismatchError",
-    "CorruptionError",
-    "Request",
 ]
 
 
 class _World:
     """State shared by all ranks of one SPMD run."""
 
-    def __init__(
-        self,
-        size: int,
-        timeout: float,
-        injector=None,
-        checksums: bool = False,
-    ) -> None:
+    def __init__(self, size: int, timeout: float, injector=None) -> None:
         self.size = size
         self.timeout = timeout
         self.injector = injector  # FaultInjector | None (duck-typed)
-        self.checksums = checksums
         self.barrier = threading.Barrier(size)
         self._lock = threading.Lock()
         self._coll_bufs: dict[int, list[Any]] = {}
         self._coll_ops: dict[int, list[str | None]] = {}
         self._coll_reads: dict[int, int] = {}
-        # point-to-point mailboxes: (src, dst, tag) -> list of payloads,
-        # guarded by a condition variable
-        self._mail: dict[tuple[int, int, int], list[Any]] = {}
-        self._mail_cv = threading.Condition()
-        self.aborted = False
 
     def abort(self) -> None:
         """Release all blocked ranks after a failure on one rank."""
-        self.aborted = True
         self.barrier.abort()
-        with self._mail_cv:
-            self._mail_cv.notify_all()
 
     # -- collective primitive -------------------------------------------
     def exchange(
@@ -127,45 +100,6 @@ class _World:
             )
         return result
 
-    # -- point-to-point ---------------------------------------------------
-    def put(self, src: int, dst: int, tag: int, payload: Any) -> None:
-        with self._mail_cv:
-            self._mail.setdefault((src, dst, tag), []).append(payload)
-            self._mail_cv.notify_all()
-
-    def try_take(self, src: int, dst: int, tag: int) -> tuple[bool, Any]:
-        """Non-blocking receive attempt."""
-        key = (src, dst, tag)
-        with self._mail_cv:
-            if self.aborted:
-                raise DeadlockError(f"rank {dst}: world aborted while receiving")
-            box = self._mail.get(key)
-            if not box:
-                return False, None
-            payload = box.pop(0)
-            if not box:
-                del self._mail[key]
-            return True, payload
-
-    def take(self, src: int, dst: int, tag: int, timeout: float) -> Any:
-        key = (src, dst, tag)
-        with self._mail_cv:
-            ok = self._mail_cv.wait_for(
-                lambda: self.aborted or bool(self._mail.get(key)), timeout=timeout
-            )
-            if self.aborted:
-                raise DeadlockError(f"rank {dst}: world aborted while receiving")
-            if not ok:
-                raise DeadlockError(
-                    f"rank {dst}: recv(source={src}, tag={tag}) timed out "
-                    f"after {timeout}s"
-                )
-            box = self._mail[key]
-            payload = box.pop(0)
-            if not box:
-                del self._mail[key]
-            return payload
-
 
 class SimComm(CommBase):
     """Per-rank handle on the simulated (thread-backend) world.
@@ -177,36 +111,12 @@ class SimComm(CommBase):
     def __init__(
         self, world: _World, rank: int, stats: RankStats, tracer=None
     ) -> None:
-        super().__init__(
-            rank, world.size, stats, tracer=tracer, timeout=world.timeout
-        )
+        super().__init__(rank, world.size, stats, tracer=tracer)
         self._world = world
 
     # -- transport primitives -------------------------------------------
     def _exchange(self, gen: int, row: list[Any], op: str) -> list[Any]:
         return self._world.exchange(self.rank, gen, row, op=op)
-
-    def _transport_send(self, dest: int, tag: int, obj: Any) -> None:
-        deliveries: list[Any] = [obj]
-        delay = 0.0
-        injector = self._world.injector
-        if injector is not None:
-            deliveries, delay = injector.on_send(self.rank, dest, tag, obj)
-        if self._world.checksums:
-            # checksum the ORIGINAL payload: in-transit corruption (which
-            # happens after the injector hook) must not update it
-            crc = payload_checksum(obj)
-            deliveries = [_Envelope(d, crc) for d in deliveries]
-        if delay > 0:
-            time.sleep(delay)
-        for d in deliveries:
-            self._world.put(self.rank, dest, tag, d)
-
-    def _transport_recv(self, source: int, tag: int, timeout: float) -> Any:
-        return self._world.take(source, self.rank, tag, timeout)
-
-    def _transport_try_recv(self, source: int, tag: int) -> tuple[bool, Any]:
-        return self._world.try_take(source, self.rank, tag)
 
     def _collective_hook(self, gen: int) -> None:
         injector = self._world.injector

@@ -2,15 +2,15 @@
 
 :class:`CommBase` is the single implementation of the mpi4py-flavoured API
 that SPMD programs run against — phase tagging, compute/traffic accounting,
-tracer hooks, checksum envelopes, and every collective's byte/message model
-live here, shared verbatim by all three transports:
+tracer hooks and every collective's byte/message model live here, shared
+verbatim by all three transports.  Ranks communicate through collectives
+only; there is no point-to-point messaging.  The transports:
 
 * :class:`repro.runtime.comm.SimComm` — thread backend, transport is the
   in-process :class:`~repro.runtime.comm._World`;
 * :class:`repro.runtime.process_backend.ProcComm` — process backend,
   collectives go directly between the rank processes over per-pair socket
-  links, point-to-point messages over a pickle-framed pipe to the parent
-  router;
+  links;
 * :class:`repro.runtime.mpi_adapter.MPIAdapter` — a real (or duck-typed)
   mpi4py communicator.
 
@@ -29,12 +29,6 @@ Subclasses implement only the transport primitives:
     goes through :meth:`CommBase._collective`, which keeps the diagonal on
     the rank.  Raises :class:`CollectiveMismatchError` when op tags
     diverge and :class:`DeadlockError` when the collective cannot complete.
-``_transport_send(dest, tag, obj)``
-    Deliver one point-to-point payload (applying fault injection and
-    checksum wrapping on the way).
-``_transport_recv(source, tag, timeout)`` / ``_transport_try_recv``
-    Blocking / non-blocking point-to-point receive of the raw (possibly
-    envelope-wrapped) payload.
 ``_collective_hook(gen)``
     Called before each collective — the fault-injection site.  The thread
     backend runs the injector in place; the process backend, with faults
@@ -42,8 +36,6 @@ Subclasses implement only the transport primitives:
 
 Byte accounting (see :mod:`repro.runtime.stats`):
 
-* point-to-point: payload bytes counted once at the sender, once at the
-  receiver;
 * ``alltoall`` / ``allgather`` / ``gather`` / ``scatter``: pairwise volumes
   (a rank sends its payload to each of the ``p - 1`` peers that actually
   receive it);
@@ -51,9 +43,9 @@ Byte accounting (see :mod:`repro.runtime.stats`):
   payload transfers per rank, the volume of the tree/recursive-doubling
   algorithms every real MPI uses.
 
-Two invariants hold everywhere: a rank "sending" to itself contributes
-nothing (self-deliveries never touch the wire), and a *message* is counted
-per peer transfer only when the payload is non-empty — the alltoall rule,
+Two invariants hold everywhere: a rank's own slot contributes nothing
+(self-deliveries never touch the wire), and a *message* is counted per
+peer transfer only when the payload is non-empty — the alltoall rule,
 applied uniformly to every collective.
 """
 
@@ -61,53 +53,17 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.runtime import reducers
-from repro.runtime.stats import RankStats, payload_checksum, payload_nbytes
+from repro.runtime.stats import RankStats, payload_nbytes
 
 __all__ = [
     "CommBase",
     "CommError",
     "DeadlockError",
     "CollectiveMismatchError",
-    "CorruptionError",
-    "Request",
 ]
-
-
-class Request:
-    """Handle for a non-blocking operation (mpi4py ``Request`` analogue).
-
-    ``isend`` requests complete immediately (the simulated transport is
-    buffered); ``irecv`` requests complete when a matching message is
-    available.  ``wait`` blocks (up to the world timeout), ``test`` polls.
-    """
-
-    def __init__(self, fetch=None, value: Any = None) -> None:
-        self._fetch = fetch  # None for send requests
-        self._value = value
-        self._done = fetch is None
-
-    def test(self) -> tuple[bool, Any]:
-        """Non-blocking completion check; returns ``(done, value)``."""
-        if self._done:
-            return True, self._value
-        ok, value = self._fetch(block=False)
-        if ok:
-            self._done = True
-            self._value = value
-        return self._done, self._value
-
-    def wait(self) -> Any:
-        """Block until complete; returns the received object (or ``None``
-        for send requests)."""
-        if not self._done:
-            _ok, value = self._fetch(block=True)
-            self._done = True
-            self._value = value
-        return self._value
 
 
 class CommError(RuntimeError):
@@ -115,26 +71,13 @@ class CommError(RuntimeError):
 
 
 class DeadlockError(RuntimeError):
-    """A blocking receive waited past its timeout."""
+    """A collective could not complete: a peer failed, left, or did not
+    arrive before the timeout."""
 
 
 class CollectiveMismatchError(CommError):
     """Ranks diverged from the SPMD collective order: the same exchange
     generation was entered with different operations (or roots)."""
-
-
-class CorruptionError(CommError):
-    """A point-to-point payload failed its checksum at ``recv``."""
-
-
-@dataclass(frozen=True)
-class _Envelope:
-    """Checksummed wrapper around a p2p payload (``checksums=True``).  The
-    checksum is computed at ``send`` on the original payload, so anything
-    that mutates the message in transit is caught at ``recv``."""
-
-    payload: Any
-    checksum: int
 
 
 class _TraceSpan:
@@ -177,12 +120,10 @@ class CommBase:
         size: int,
         stats: RankStats,
         tracer=None,
-        timeout: float = 120.0,
     ) -> None:
         self.rank = rank
         self.size = size
         self.stats = stats
-        self._timeout = timeout
         self._gen = 0
         self._phase = "other"
         # RankTracer | None; None is the near-zero-overhead default — every
@@ -207,15 +148,6 @@ class CommBase:
     # Transport primitives (subclass responsibility)
     # ------------------------------------------------------------------
     def _exchange(self, gen: int, row: list[Any], op: str) -> list[Any]:
-        raise NotImplementedError
-
-    def _transport_send(self, dest: int, tag: int, obj: Any) -> None:
-        raise NotImplementedError
-
-    def _transport_recv(self, source: int, tag: int, timeout: float) -> Any:
-        raise NotImplementedError
-
-    def _transport_try_recv(self, source: int, tag: int) -> tuple[bool, Any]:
         raise NotImplementedError
 
     def _collective_hook(self, gen: int) -> None:
@@ -297,107 +229,6 @@ class CommBase:
                     "bytes_recv": recv,
                 },
             )
-
-    # ------------------------------------------------------------------
-    # Point-to-point
-    # ------------------------------------------------------------------
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        if not 0 <= dest < self.size:
-            raise CommError(f"send: bad destination rank {dest}")
-        # self-sends are legal in MPI and deliver through the mailbox, but
-        # they never touch the wire, so they must not count as traffic
-        if dest != self.rank:
-            nbytes = payload_nbytes(obj)
-            self.stats.add_sent(nbytes, self._phase)
-            self.stats.add_edge(dest, nbytes, self._phase)
-            if self._tracer is not None:
-                self._tracer.instant(
-                    "send",
-                    cat="p2p",
-                    args={
-                        "dst": dest,
-                        "tag": tag,
-                        "bytes": nbytes,
-                        "phase": self._phase,
-                    },
-                )
-        self._transport_send(dest, tag, obj)
-
-    def _open_envelope(self, source: int, tag: int, payload: Any) -> Any:
-        """Verify and unwrap a checksummed payload (pass-through otherwise)."""
-        if isinstance(payload, _Envelope):
-            actual = payload_checksum(payload.payload)
-            if actual != payload.checksum:
-                raise CorruptionError(
-                    f"rank {self.rank}: payload checksum mismatch on message "
-                    f"(src={source}, dst={self.rank}, tag={tag}): expected "
-                    f"{payload.checksum:#010x}, got {actual:#010x}"
-                )
-            return payload.payload
-        return payload
-
-    def recv(self, source: int, tag: int = 0, timeout: float | None = None) -> Any:
-        if not 0 <= source < self.size:
-            raise CommError(f"recv: bad source rank {source}")
-        t0 = time.perf_counter() if self._tracer is not None else 0.0
-        payload = self._transport_recv(source, tag, timeout or self._timeout)
-        payload = self._open_envelope(source, tag, payload)
-        nbytes = 0
-        if source != self.rank:
-            nbytes = payload_nbytes(payload)
-            self.stats.add_recv(nbytes, self._phase)
-        if self._tracer is not None:
-            # span, not instant: the duration is the blocking wait time
-            self._tracer.complete(
-                "recv",
-                t0,
-                cat="p2p",
-                args={
-                    "src": source,
-                    "tag": tag,
-                    "bytes": nbytes,
-                    "phase": self._phase,
-                },
-            )
-        return payload
-
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        """Non-blocking send; the simulated transport is buffered, so the
-        request is complete on return (``wait`` returns ``None``)."""
-        self.send(obj, dest, tag)
-        return Request()
-
-    def irecv(self, source: int, tag: int = 0) -> Request:
-        """Non-blocking receive; resolve via ``Request.test``/``wait``."""
-        if not 0 <= source < self.size:
-            raise CommError(f"irecv: bad source rank {source}")
-
-        def fetch(block: bool) -> tuple[bool, Any]:
-            if block:
-                payload = self._transport_recv(source, tag, self._timeout)
-                ok = True
-            else:
-                ok, payload = self._transport_try_recv(source, tag)
-            if ok:
-                payload = self._open_envelope(source, tag, payload)
-                nbytes = 0
-                if source != self.rank:
-                    nbytes = payload_nbytes(payload)
-                    self.stats.add_recv(nbytes, self._phase)
-                if self._tracer is not None:
-                    self._tracer.instant(
-                        "irecv",
-                        cat="p2p",
-                        args={
-                            "src": source,
-                            "tag": tag,
-                            "bytes": nbytes,
-                            "phase": self._phase,
-                        },
-                    )
-            return ok, payload
-
-        return Request(fetch=fetch)
 
     # ------------------------------------------------------------------
     # Collectives

@@ -5,9 +5,8 @@ Two execution backends share the :func:`run_spmd` entry point:
 * ``"thread"`` (default) — one daemon thread per rank in this interpreter,
   communicating through the in-process :class:`~repro.runtime.comm._World`;
 * ``"process"`` — one spawned interpreter per rank with shared-memory graph
-  segments, rank-to-rank collectives over socket links and parent-routed
-  point-to-point messages (:mod:`repro.runtime.process_backend`), for true
-  multi-core execution.
+  segments and rank-to-rank collectives over socket links
+  (:mod:`repro.runtime.process_backend`), for true multi-core execution.
   The interpreters are pooled: spawned by the first call, reused by later
   ones.
 
@@ -76,7 +75,6 @@ def run_spmd(
     *args: Any,
     timeout: float = 120.0,
     faults: Any = None,
-    checksums: bool = False,
     tracer: Any = None,
     backend: str | None = None,
     **kwargs: Any,
@@ -106,21 +104,17 @@ def run_spmd(
         (:func:`~repro.runtime.process_backend.shutdown_rank_pool` stops
         the idle ones).
     timeout:
-        Per-blocking-operation deadlock timeout in seconds.
+        Per-collective deadlock timeout in seconds.
     faults:
         Optional :class:`~repro.runtime.faults.FaultPlan` (or a live
         :class:`~repro.runtime.faults.FaultInjector`, e.g. one carried
         across retries by a recovery supervisor) scheduling deterministic
-        rank crashes, stragglers, and p2p message faults.
-    checksums:
-        Verify a CRC32 of every point-to-point payload at ``recv``;
-        corruption raises :class:`~repro.runtime.comm.CorruptionError`.
+        rank crashes and stragglers.
     tracer:
         Optional :class:`~repro.runtime.tracing.TraceRecorder`; every rank
-        then emits span/instant events for phases, collectives and p2p
-        traffic, and the run's completed spans are attached to
-        ``result.stats.spans``.  ``None`` (default) traces nothing and adds
-        no measurable overhead.
+        then emits span/instant events for phases and collectives, and the
+        run's completed spans are attached to ``result.stats.spans``.
+        ``None`` (default) traces nothing and adds no measurable overhead.
 
     Returns
     -------
@@ -150,7 +144,6 @@ def run_spmd(
                 *args,
                 timeout=timeout,
                 faults=faults,
-                checksums=checksums,
                 tracer=tracer,
                 **kwargs,
             )
@@ -173,7 +166,7 @@ def run_spmd(
             faults if isinstance(faults, FaultInjector) else FaultInjector(faults)
         )
         injector.bind(n_ranks)
-    world = _World(n_ranks, timeout=timeout, injector=injector, checksums=checksums)
+    world = _World(n_ranks, timeout=timeout, injector=injector)
     rank_stats = [RankStats(rank=r) for r in range(n_ranks)]
     results: list[Any] = [None] * n_ranks
     errors: list[BaseException | None] = [None] * n_ranks

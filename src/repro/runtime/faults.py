@@ -1,18 +1,15 @@
 """Deterministic fault injection for the simulated runtime.
 
 The paper's scalability claims rest on runs across tens of thousands of
-cores, where ranks crash, straggle, and links corrupt or lose messages.
-This module lets tests and experiments schedule such faults *exactly*: a
-:class:`FaultPlan` is a declarative list of fault descriptions plus a seed,
-and a :class:`FaultInjector` is the stateful object the communicator calls
-into at its hook points (collective entry, named events, point-to-point
-sends).
+cores, where ranks crash and straggle.  This module lets tests and
+experiments schedule such faults *exactly*: a :class:`FaultPlan` is a
+declarative list of fault descriptions, and a :class:`FaultInjector` is the stateful object the communicator calls into
+at its hook points (collective entry and named events).
 
-Determinism contract: the same plan (same faults, same seed) injected into
-the same SPMD program produces the identical fault sequence — crash sites,
-dropped/duplicated/delayed messages, and even the exact bit flipped by a
-corruption are all functions of the plan, never of thread timing.  This is
-what makes recovery tests reproducible.
+Determinism contract: the same plan injected into the same SPMD program
+produces the identical fault sequence — crash sites and straggler delays
+are functions of the plan and the ranks' collective order, never of thread
+timing.  This is what makes recovery tests reproducible.
 
 Fault lifecycle: every fault except :class:`Straggler` is **one-shot** —
 once fired it never fires again, even if the same injector is reused for a
@@ -30,18 +27,13 @@ Hook points (called by :class:`~repro.runtime.comm.SimComm`):
   algorithm code via ``comm.fault_event(name)`` (the distributed Louvain
   driver emits ``"level:<k>"`` after each completed level); may raise
   (:class:`CrashFault` with ``event=``).
-* ``on_send(src, dst, tag, payload)`` — on every point-to-point send;
-  returns the payloads actually delivered (possibly none, duplicated, or
-  corrupted) plus an in-flight delay.
 """
 
 from __future__ import annotations
 
+import math
 import threading
-from collections import defaultdict
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "FaultPlan",
@@ -50,12 +42,6 @@ __all__ = [
     "InjectedCrash",
     "CrashFault",
     "Straggler",
-    "MessageDrop",
-    "MessageDuplicate",
-    "MessageDelay",
-    "MessageCorruption",
-    "CorruptedObject",
-    "corrupt_payload",
 ]
 
 
@@ -89,6 +75,13 @@ class CrashFault:
             raise ValueError(
                 "CrashFault requires exactly one of superstep= or event="
             )
+        # a trigger no rank can reach would make the plan inject nothing
+        if self.superstep is not None and self.superstep < 0:
+            raise ValueError(
+                f"CrashFault: superstep must be >= 0, got {self.superstep}"
+            )
+        if self.event == "":
+            raise ValueError("CrashFault: event must be a non-empty name")
 
 
 @dataclass(frozen=True)
@@ -104,77 +97,33 @@ class Straggler:
     def __post_init__(self) -> None:
         if self.rank < 0:
             raise ValueError(f"Straggler: bad rank {self.rank}")
-        if self.delay < 0 or self.n_supersteps < 1:
-            raise ValueError("Straggler: delay >= 0 and n_supersteps >= 1")
+        if self.superstep < 0:
+            raise ValueError(
+                f"Straggler: superstep must be >= 0, got {self.superstep}"
+            )
+        # nan would pass a plain >= 0 check and then never sleep
+        if not (math.isfinite(self.delay) and self.delay >= 0):
+            raise ValueError(
+                f"Straggler: delay must be finite and >= 0, got {self.delay}"
+            )
+        if self.n_supersteps < 1:
+            raise ValueError(
+                f"Straggler: n_supersteps must be >= 1, got {self.n_supersteps}"
+            )
 
 
-@dataclass(frozen=True)
-class _P2PFault:
-    """Base for point-to-point faults: fires on the ``nth`` (0-based)
-    matching message from ``src`` to ``dst``; ``tag=None`` matches any tag
-    (``nth`` then counts across all tags of the pair)."""
-
-    src: int
-    dst: int
-    tag: int | None = None
-    nth: int = 0
-
-    def __post_init__(self) -> None:
-        if self.src < 0 or self.dst < 0:
-            raise ValueError(f"{type(self).__name__}: bad src/dst")
-        if self.nth < 0:
-            raise ValueError(f"{type(self).__name__}: nth must be >= 0")
-
-
-@dataclass(frozen=True)
-class MessageDrop(_P2PFault):
-    """The matching message is lost in transit (never delivered)."""
-
-
-@dataclass(frozen=True)
-class MessageDuplicate(_P2PFault):
-    """The matching message is delivered twice."""
-
-
-@dataclass(frozen=True)
-class MessageDelay(_P2PFault):
-    """The matching message spends ``delay`` extra seconds in flight."""
-
-    delay: float = 0.05
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.delay < 0:
-            raise ValueError("MessageDelay: delay must be >= 0")
-
-
-@dataclass(frozen=True)
-class MessageCorruption(_P2PFault):
-    """The matching payload is bit-corrupted in transit.  The flipped bit is
-    a deterministic function of the plan seed and the fault's position in
-    the plan (see :func:`corrupt_payload`)."""
-
-
-_FAULT_TYPES = (
-    CrashFault,
-    Straggler,
-    MessageDrop,
-    MessageDuplicate,
-    MessageDelay,
-    MessageCorruption,
-)
+_FAULT_TYPES = (CrashFault, Straggler)
 
 
 class FaultPlan:
-    """A seeded, deterministic schedule of faults.
+    """A deterministic schedule of faults.
 
-    >>> plan = FaultPlan([CrashFault(rank=1, superstep=3)], seed=7)
+    >>> plan = FaultPlan([CrashFault(rank=1, superstep=3)])
     >>> run_spmd(4, program, faults=plan)      # doctest: +SKIP
     """
 
-    def __init__(self, faults=(), seed: int = 0) -> None:
+    def __init__(self, faults=()) -> None:
         self.faults: tuple = tuple(faults)
-        self.seed = int(seed)
         for f in self.faults:
             if not isinstance(f, _FAULT_TYPES):
                 raise TypeError(
@@ -183,55 +132,20 @@ class FaultPlan:
                 )
 
     def __repr__(self) -> str:
-        return f"FaultPlan({list(self.faults)!r}, seed={self.seed})"
+        return f"FaultPlan({list(self.faults)!r})"
 
     def max_rank(self) -> int:
         """Highest rank referenced by any fault (-1 for an empty plan)."""
-        ranks = [-1]
-        for f in self.faults:
-            if isinstance(f, (CrashFault, Straggler)):
-                ranks.append(f.rank)
-            else:
-                ranks.extend((f.src, f.dst))
-        return max(ranks)
-
-
-class CorruptedObject:
-    """Opaque stand-in for a non-binary payload corrupted in transit."""
-
-    def __init__(self, original) -> None:
-        self.original = original
-
-    def __repr__(self) -> str:
-        return f"CorruptedObject({self.original!r})"
-
-
-def corrupt_payload(payload, rng: np.random.Generator):
-    """Flip one seeded bit of a binary payload (ndarray / bytes); payloads
-    with no binary representation are replaced by :class:`CorruptedObject`,
-    which any checksum or type check downstream will reject."""
-    if isinstance(payload, np.ndarray) and payload.nbytes > 0:
-        raw = bytearray(payload.tobytes())
-        raw[int(rng.integers(len(raw)))] ^= 1 << int(rng.integers(8))
-        return (
-            np.frombuffer(bytes(raw), dtype=payload.dtype)
-            .reshape(payload.shape)
-            .copy()
-        )
-    if isinstance(payload, (bytes, bytearray)) and len(payload) > 0:
-        raw = bytearray(payload)
-        raw[int(rng.integers(len(raw)))] ^= 1 << int(rng.integers(8))
-        return bytes(raw)
-    return CorruptedObject(payload)
+        return max((f.rank for f in self.faults), default=-1)
 
 
 class FaultInjector:
     """Stateful executor of a :class:`FaultPlan`.
 
     Thread-safe (hooks are called concurrently from every simulated rank).
-    Reusable across runs: fired one-shot faults stay fired, and p2p message
-    counters keep accumulating, so a supervisor retrying a failed run with
-    the same injector sees the remaining faults only.
+    Reusable across runs: fired one-shot faults stay fired, so a supervisor
+    retrying a failed run with the same injector sees the remaining faults
+    only.
     ``log`` records every fired fault as a human-readable string.
     """
 
@@ -239,7 +153,6 @@ class FaultInjector:
         self.plan = plan
         self._lock = threading.Lock()
         self._fired: set[int] = set()
-        self._p2p_seen: dict[tuple, int] = defaultdict(int)
         self.log: list[str] = []
 
     # -- setup ----------------------------------------------------------
@@ -307,44 +220,3 @@ class FaultInjector:
                     break
         if crash:
             raise InjectedCrash(f"rank {rank}: injected crash at event {name!r}")
-
-    def on_send(self, src: int, dst: int, tag: int, payload):
-        """Called on every p2p send.  Returns ``(deliveries, delay)``: the
-        payload copies to actually deliver and the in-flight delay in
-        seconds."""
-        matched: list[tuple[int, _P2PFault]] = []
-        with self._lock:
-            n_any = self._p2p_seen[(src, dst)]
-            n_tag = self._p2p_seen[(src, dst, tag)]
-            self._p2p_seen[(src, dst)] = n_any + 1
-            self._p2p_seen[(src, dst, tag)] = n_tag + 1
-            for i, f in enumerate(self.plan.faults):
-                if not isinstance(f, _P2PFault) or i in self._fired:
-                    continue
-                if f.src != src or f.dst != dst:
-                    continue
-                if f.tag is not None and f.tag != tag:
-                    continue
-                if (n_any if f.tag is None else n_tag) != f.nth:
-                    continue
-                self._fire(
-                    i,
-                    f"{type(f).__name__} src={src} dst={dst} tag={tag} "
-                    f"msg#{f.nth}",
-                )
-                matched.append((i, f))
-        deliveries = [payload]
-        delay = 0.0
-        for i, f in matched:
-            if isinstance(f, MessageDrop):
-                deliveries = []
-            elif isinstance(f, MessageDuplicate):
-                deliveries = deliveries * 2
-            elif isinstance(f, MessageDelay):
-                delay += f.delay
-            elif isinstance(f, MessageCorruption):
-                # the flipped bit depends only on (plan seed, fault index),
-                # never on timing — same plan, same corruption
-                rng = np.random.default_rng([self.plan.seed, i])
-                deliveries = [corrupt_payload(d, rng) for d in deliveries]
-        return deliveries, delay

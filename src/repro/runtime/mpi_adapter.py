@@ -3,8 +3,8 @@
 :class:`MPIAdapter` is a :class:`~repro.runtime.commbase.CommBase` transport,
 like the thread and process backends, so the identical worker functions run
 unchanged on an actual cluster with the full communicator API — phase
-tagging, byte/compute accounting, tracing, ``reduce``, ``isend``/``irecv``
-and collective-order mismatch detection::
+tagging, byte/compute accounting, tracing, every collective and
+collective-order mismatch detection::
 
     from mpi4py import MPI
     from repro.runtime.mpi_adapter import MPIAdapter
@@ -16,20 +16,19 @@ and collective-order mismatch detection::
 Every collective is one lowercase (pickle-based) ``alltoall`` whose slots
 carry ``(op, payload)``, so a rank that diverged from the SPMD collective
 order raises :class:`CollectiveMismatchError` instead of silently swapping
-payloads.  Point-to-point uses ``send``, ``recv`` and ``iprobe``; sends to
-self stay on the rank.  The adapter is duck-typed: anything exposing
-``Get_rank/Get_size/send/recv/iprobe/alltoall`` works, which is how the test
-suite exercises it without an MPI installation.
+payloads.  The adapter is duck-typed: anything exposing
+``Get_rank/Get_size/alltoall`` works, which is how the test suite exercises
+it without an MPI installation.
 
-Real MPI receives have no deadline, so ``recv(timeout=...)`` and the world
-timeout are ignored, and there is no fault injection or checksum envelope.
+Real MPI collectives have no deadline, so the world timeout is ignored, and
+there is no fault injection.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.runtime.commbase import CollectiveMismatchError, CommBase, DeadlockError
+from repro.runtime.commbase import CollectiveMismatchError, CommBase
 from repro.runtime.stats import RankStats
 
 __all__ = ["MPIAdapter"]
@@ -47,7 +46,6 @@ class MPIAdapter(CommBase):
             tracer=tracer,
         )
         self._mpi = mpi_comm
-        self._self_mail: dict[int, list[Any]] = {}  # tag -> FIFO of self-sends
 
     def _exchange(self, gen: int, row: list[Any], op: str) -> list[Any]:
         got = self._mpi.alltoall([(op, v) for v in row])
@@ -58,30 +56,3 @@ class MPIAdapter(CommBase):
                 f"generation {gen} ({detail})"
             )
         return [v for _, v in got]
-
-    def _transport_send(self, dest: int, tag: int, obj: Any) -> None:
-        if dest == self.rank:
-            self._self_mail.setdefault(tag, []).append(obj)
-        else:
-            self._mpi.send(obj, dest=dest, tag=tag)
-
-    def _transport_recv(self, source: int, tag: int, timeout: float) -> Any:
-        if source != self.rank:
-            return self._mpi.recv(source=source, tag=tag)
-        ok, payload = self._transport_try_recv(source, tag)
-        if not ok:
-            raise DeadlockError(
-                f"rank {self.rank}: recv(source={source}, tag={tag}) can never "
-                "complete (no pending self-send)"
-            )
-        return payload
-
-    def _transport_try_recv(self, source: int, tag: int) -> tuple[bool, Any]:
-        if source != self.rank:
-            if not self._mpi.iprobe(source=source, tag=tag):
-                return False, None
-            return True, self._mpi.recv(source=source, tag=tag)
-        box = self._self_mail.get(tag)
-        if not box:
-            return False, None
-        return True, box.pop(0)

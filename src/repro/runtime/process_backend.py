@@ -26,16 +26,16 @@ Architecture (full protocol notes in ``docs/BACKENDS.md``):
   single-threaded selector loop; the own slot never leaves the rank.  The
   links live for one job: a worker closes them before its final frame, so
   a peer still blocked on it sees EOF.
-* Each child also holds one pickle-framed duplex pipe to the parent.
-  Children send ``("p2p", dst, tag, payload)``, ``("hook", gen)`` and
-  ``("event", name)`` (fault-hook round trips, only with faults active)
-  and a final ``("done", ...)``/``("err", ...)`` frame; the parent forwards
-  p2p frames to their destination and answers with ``("p2p", ...)``,
-  ``("ok",)``, ``("crash", msg)`` and ``("abort",)`` frames.
+* Each child also holds one pickle-framed duplex pipe to the parent, which
+  only supervises: it carries no rank-to-rank data.  Children send
+  ``("hook", gen)`` and ``("event", name)`` (fault-hook round trips, only
+  with faults active) and a final ``("done", ...)``/``("err", ...)``
+  frame; the parent answers with ``("ok",)``, ``("crash", msg)`` and
+  ``("abort",)`` frames.
 * :class:`ProcComm` subclasses :class:`~repro.runtime.commbase.CommBase`,
-  so byte/message accounting, op-tag mismatch formatting, checksum
-  envelopes and superstep flush semantics are literally the thread
-  backend's code — the conformance suite pins this.
+  so byte/message accounting, op-tag mismatch formatting and superstep
+  flush semantics are literally the thread backend's code — the
+  conformance suite pins this.
 * **Fault injection runs in the parent router**, against the same live
   :class:`~repro.runtime.faults.FaultInjector` a recovery supervisor reuses
   across attempts, so one-shot fault state survives child restarts exactly
@@ -50,10 +50,10 @@ Architecture (full protocol notes in ``docs/BACKENDS.md``):
   ones.  Only a fully successful run returns its workers.
 
 Failure semantics mirror the thread world's abort protocol: when any rank
-errors, the parent broadcasts ``abort`` (→ "world aborted while receiving"
-in blocked receives), and a rank blocked in a collective whose frames have
-not all arrived raises the same "never completed" :class:`DeadlockError`
-on that abort, on EOF from a finished or failed peer, or at its timeout.
+errors, the parent broadcasts ``abort``, and a rank blocked in a
+collective whose frames have not all arrived raises the same "never
+completed" :class:`DeadlockError` on that abort, on EOF from a finished or
+failed peer, or at its timeout.
 A collective whose every frame already arrived is still delivered,
 matching the thread backend's drain rule.
 """
@@ -81,9 +81,8 @@ from repro.runtime.commbase import (
     CommBase,
     CommError,
     DeadlockError,
-    _Envelope,
 )
-from repro.runtime.stats import RankStats, RunStats, payload_checksum
+from repro.runtime.stats import RankStats, RunStats
 
 __all__ = [
     "run_spmd_process",
@@ -192,10 +191,10 @@ class _Link:
 class ProcComm(CommBase):
     """Per-rank communicator of the process backend (child side).
 
-    Single-threaded.  Collectives run over the peer links; point-to-point
-    messages, fault-hook replies and aborts arrive on the one parent pipe
-    and are pumped, strictly in order, from whichever blocking operation is
-    waiting (a collective pumps the pipe too, so an abort reaches it).
+    Single-threaded.  Collectives run over the peer links; fault-hook
+    replies and aborts arrive on the one parent pipe and are pumped,
+    strictly in order, from whichever blocking operation is waiting (a
+    collective pumps the pipe too, so an abort reaches it).
     """
 
     def __init__(
@@ -206,17 +205,14 @@ class ProcComm(CommBase):
         stats: RankStats,
         tracer=None,
         timeout: float = 120.0,
-        checksums: bool = False,
         has_faults: bool = False,
         links: dict[int, socket.socket] | None = None,
     ) -> None:
-        super().__init__(rank, size, stats, tracer=tracer, timeout=timeout)
+        super().__init__(rank, size, stats, tracer=tracer)
+        self._timeout = timeout
         self._conn = conn
-        self._checksums = checksums
         self._has_faults = has_faults
         self._aborted = False
-        # (src, tag) -> FIFO of delivered payloads
-        self._mail: dict[tuple[int, int], list[Any]] = {}
         self._event_acks = 0
         self._links = {
             peer: _Link(peer, sock) for peer, sock in (links or {}).items()
@@ -235,10 +231,7 @@ class ProcComm(CommBase):
     # -- frame pump ------------------------------------------------------
     def _handle(self, frame: tuple) -> None:
         kind = frame[0]
-        if kind == "p2p":
-            _, src, tag, payload = frame
-            self._mail.setdefault((src, tag), []).append(payload)
-        elif kind == "crash":
+        if kind == "crash":
             from repro.runtime.faults import InjectedCrash
 
             raise InjectedCrash(frame[1])
@@ -348,55 +341,6 @@ class ProcComm(CommBase):
             )
         return out
 
-    def _transport_send(self, dest: int, tag: int, obj: Any) -> None:
-        if dest == self.rank and not self._has_faults:
-            # local delivery; with faults active even self-sends must pass
-            # through the parent so the injector's per-pair message
-            # counters advance identically to the thread backend
-            if self._checksums:
-                obj = _Envelope(obj, payload_checksum(obj))
-            self._mail.setdefault((dest, tag), []).append(obj)
-            return
-        self._conn.send(("p2p", dest, tag, obj))
-
-    def _transport_recv(self, source: int, tag: int, timeout: float) -> Any:
-        key = (source, tag)
-        deadline = time.monotonic() + timeout
-        while True:
-            self._drain()
-            # abort wins over a pending delivery, like _World.take
-            if self._aborted:
-                raise DeadlockError(
-                    f"rank {self.rank}: world aborted while receiving"
-                )
-            box = self._mail.get(key)
-            if box:
-                payload = box.pop(0)
-                if not box:
-                    del self._mail[key]
-                return payload
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not self._pump(remaining):
-                raise DeadlockError(
-                    f"rank {self.rank}: recv(source={source}, tag={tag}) "
-                    f"timed out after {timeout}s"
-                )
-
-    def _transport_try_recv(self, source: int, tag: int) -> tuple[bool, Any]:
-        self._drain()
-        if self._aborted:
-            raise DeadlockError(
-                f"rank {self.rank}: world aborted while receiving"
-            )
-        key = (source, tag)
-        box = self._mail.get(key)
-        if not box:
-            return False, None
-        payload = box.pop(0)
-        if not box:
-            del self._mail[key]
-        return True, payload
-
     def _fault_round_trip(self, frame: tuple, what: str) -> None:
         """Run a fault hook in the parent and wait for its verdict: ``ok``,
         or ``crash`` (raised here as :class:`InjectedCrash`)."""
@@ -472,7 +416,6 @@ def _run_job(
             stats,
             tracer=tracer,
             timeout=spec["timeout"],
-            checksums=spec["checksums"],
             has_faults=spec["has_faults"],
             links=links,
         )
@@ -520,10 +463,11 @@ def _child_main(conn) -> None:
 
     Between jobs the worker waits for a ``("job", spec)`` frame and exits on
     ``("exit",)`` or when the parent's end of the pipe closes.  Any other
-    frame can only be a stale p2p delivery of the previous job (a message
-    its receiver never took); pipe FIFO order puts it before the next job
-    frame, so skipping it here keeps it away from every later
-    :class:`ProcComm`.
+    frame makes it exit too.  The only other frame the parent sends between
+    jobs is an ``("abort",)`` that lands after this worker's job finished;
+    that run failed, so its workers are being stopped anyway.  Anything
+    else is a protocol error, and the pool drops a worker that exited the
+    next time it hands workers out.
 
     The job's arena is unmapped before the reply is sent, so a worker the
     parent returns to the pool maps no segment.  If a view outlives the job
@@ -535,10 +479,8 @@ def _child_main(conn) -> None:
             frame = conn.recv()
         except (EOFError, OSError):
             return  # the parent is gone
-        if frame[0] == "exit":
-            return
         if frame[0] != "job":
-            continue
+            return  # ("exit",), a late ("abort",) or a protocol error
         spec = frame[1]
         try:
             links = _receive_links(conn, spec["rank"], spec["size"])
@@ -562,19 +504,19 @@ def _child_main(conn) -> None:
 
 
 class _Router:
-    """Parent-side message router: one reader thread per child pipe.
+    """Parent-side supervisor: one reader thread per child pipe.
 
-    p2p frames are forwarded to the destination child; the fault injector's
-    hooks run here, in the parent, keeping its one-shot state alive across
-    child generations; the first failure fans out an abort.  Collectives
-    never pass through here: ranks exchange them over their peer links.
+    The fault injector's hooks run here, in the parent, keeping its one-shot
+    state alive across child generations; the first failure fans out an
+    abort, and each rank's final frame delivers its result.  No rank-to-rank
+    data passes through here: ranks exchange collectives over their peer
+    links.
     """
 
-    def __init__(self, conns, injector, checksums: bool) -> None:
+    def __init__(self, conns, injector) -> None:
         self.size = len(conns)
         self.conns = conns
         self.injector = injector
-        self.checksums = checksums
         self._send_locks = [threading.Lock() for _ in conns]
         self._abort_lock = threading.Lock()
         self.aborted = False
@@ -602,21 +544,6 @@ class _Router:
             self._send(r, ("abort",))
 
     # -- frame handlers (run on reader threads) --------------------------
-    def _on_p2p(self, src: int, dst: int, tag: int, payload: Any) -> None:
-        deliveries = [payload]
-        delay = 0.0
-        if self.injector is not None:
-            deliveries, delay = self.injector.on_send(src, dst, tag, payload)
-        if self.checksums:
-            # checksum the ORIGINAL payload, same as the thread backend:
-            # injected corruption must not update it
-            crc = payload_checksum(payload)
-            deliveries = [_Envelope(d, crc) for d in deliveries]
-        if delay > 0:
-            time.sleep(delay)
-        for d in deliveries:
-            self._send(dst, ("p2p", src, tag, d))
-
     def _on_fault_hook(self, rank: int, hook: Callable, arg: Any) -> None:
         """Run one injector hook for ``rank`` and send it the verdict.
 
@@ -639,9 +566,7 @@ class _Router:
             while True:
                 frame = conn.recv()
                 kind = frame[0]
-                if kind == "p2p":
-                    self._on_p2p(rank, frame[1], frame[2], frame[3])
-                elif kind == "hook":
+                if kind == "hook":
                     self._on_fault_hook(rank, self.injector.on_collective, frame[1])
                 elif kind == "event":
                     self._on_fault_hook(rank, self.injector.on_event, frame[1])
@@ -808,7 +733,6 @@ def run_spmd_process(
     *args: Any,
     timeout: float = 120.0,
     faults: Any = None,
-    checksums: bool = False,
     tracer: Any = None,
     **kwargs: Any,
 ):
@@ -849,11 +773,10 @@ def run_spmd_process(
     try:
         while len(workers) < n_ranks:
             workers.append(_Worker())
-        router = _Router([w.conn for w in workers], injector, checksums)
+        router = _Router([w.conn for w in workers], injector)
         spec = {
             "size": n_ranks,
             "timeout": timeout,
-            "checksums": checksums,
             "has_faults": injector is not None,
             "trace": tracer is not None,
             "epoch": tracer.epoch if tracer is not None else 0.0,

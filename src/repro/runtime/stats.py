@@ -10,7 +10,6 @@ one scanned edge endpoint, by convention of the algorithms in
 from __future__ import annotations
 
 import pickle
-import zlib
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -18,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "payload_nbytes",
-    "payload_checksum",
     "RankStats",
     "RunStats",
     "Superstep",
@@ -51,25 +49,6 @@ def payload_nbytes(obj) -> int:
         return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
     except Exception:
         return 64  # unpicklable sentinel objects (tests only)
-
-
-def payload_checksum(obj) -> int:
-    """Deterministic CRC32 of a message payload.
-
-    NumPy arrays hash their raw bytes plus dtype and shape (so a reshaped
-    or recast array does not collide); byte strings hash directly;
-    everything else hashes its pickle.  Used by the communicator's
-    optional point-to-point integrity check (``run_spmd(checksums=True)``).
-    """
-    if isinstance(obj, np.ndarray):
-        header = f"{obj.dtype.str}|{obj.shape}".encode("utf-8")
-        return zlib.crc32(np.ascontiguousarray(obj).tobytes(), zlib.crc32(header))
-    if isinstance(obj, (bytes, bytearray, memoryview)):
-        return zlib.crc32(bytes(obj))
-    try:
-        return zlib.crc32(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        return 0  # unpicklable payloads get no integrity protection
 
 
 @dataclass
@@ -132,10 +111,10 @@ class RankStats:
     collectives_by_phase: dict[str, int] = field(
         default_factory=lambda: defaultdict(int)
     )
-    # p2p communication matrix row: phase -> destination rank -> [bytes,
-    # messages].  Every wire transfer recorded by add_sent is also
-    # attributed to a concrete peer here (collectives use the pairwise /
-    # tree-partner models of repro.runtime.comm), so for every phase the
+    # rank-to-rank communication matrix row: phase -> destination rank ->
+    # [bytes, messages].  Every wire transfer recorded by add_sent is also
+    # attributed to a concrete peer here (the pairwise / tree-partner
+    # models of repro.runtime.commbase), so for every phase the
     # row sums reproduce bytes_sent_by_phase / messages_sent_by_phase
     # exactly and RunStats.comm_matrix() can assemble the full p x p view.
     sent_to_by_phase: dict[str, dict[int, list[float]]] = field(

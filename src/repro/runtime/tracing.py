@@ -6,10 +6,9 @@ convergence trajectory (Fig. 5) is a statement about *when* and *how much*
 each rank computed, sent and waited — which flat end-of-run counters cannot
 localise.  A :class:`TraceRecorder` attached to a run captures:
 
-* a **span** per phase region, collective and blocking receive on every
-  rank, with wall-clock start/duration and the byte deltas of the
-  operation;
-* **instant events** for point-to-point sends and per-iteration convergence
+* a **span** per phase region and collective on every rank, with
+  wall-clock start/duration and the byte deltas of the operation;
+* **instant events** for phase switches and per-iteration convergence
   telemetry (modularity, move counts);
 * algorithm-level spans emitted through ``SimComm.trace_span`` — the
   distributed Louvain driver wraps each level in one, attaching its

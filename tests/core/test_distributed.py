@@ -111,6 +111,14 @@ class TestConfig:
             ("timeout", -1.0),
             ("stall_patience", 0),
             ("max_levels", 0),
+            ("theta", -1.0),
+            ("theta", float("nan")),
+            ("theta", float("inf")),
+            ("resolution", float("nan")),
+            ("resolution", float("inf")),
+            ("min_q_gain", float("nan")),
+            ("min_q_gain", float("-inf")),
+            ("checkpoint_every_level", -2),
         ],
     )
     def test_bad_choice_rejected_at_construction(self, field, value):

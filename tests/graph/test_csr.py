@@ -141,6 +141,12 @@ class TestValidate:
         with pytest.raises(ValueError, match="negative"):
             g.validate()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, bad):
+        g = CSRGraph(np.array([0, 1, 2]), np.array([1, 0]), np.array([bad, bad]))
+        with pytest.raises(ValueError, match="non-finite"):
+            g.validate()
+
     def test_out_of_range_index_rejected(self):
         g = CSRGraph(np.array([0, 1]), np.array([5]), np.array([1.0]))
         with pytest.raises(ValueError, match="range"):

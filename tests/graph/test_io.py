@@ -38,6 +38,16 @@ class TestRead:
         with pytest.raises(ValueError, match="line 1"):
             read_edge_list(io.StringIO("0\n"))
 
+    @pytest.mark.parametrize("weight", ["nan", "-5", "inf", "-inf"])
+    def test_bad_weight_rejected_with_line_number(self, weight):
+        text = f"# header\n0 1 2.0\n1 2 {weight}\n"
+        with pytest.raises(ValueError, match="line 3: edge weight"):
+            read_edge_list(io.StringIO(text))
+
+    def test_zero_weight_accepted(self):
+        g = read_edge_list(io.StringIO("0 1 0\n1 2\n"))
+        assert g.edge_weight(0, 1) == 0.0
+
 
 class TestRoundtrip:
     def test_weighted_roundtrip(self, karate, tmp_path):

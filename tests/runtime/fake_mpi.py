@@ -3,7 +3,7 @@ transport (:class:`repro.runtime.mpi_adapter.MPIAdapter`) without an MPI
 installation.
 
 The fake implements only the calls the transport uses — ``Get_rank``,
-``Get_size``, ``send``, ``recv``, ``iprobe`` and ``alltoall`` — and, like
+``Get_size`` and ``alltoall`` — and, like
 the lowercase mpi4py API, pickles every payload on its way between ranks.
 """
 
@@ -26,8 +26,6 @@ class _FakeWorld:
         self.lock = threading.Lock()
         self.rows = {}  # generation -> one pickled row per rank
         self.reads = {}  # generation -> ranks that have read their column
-        self.mail = {}  # (src, dst, tag) -> FIFO of pickled payloads
-        self.mail_cv = threading.Condition()
 
 
 class FakeMPIComm:
@@ -41,29 +39,6 @@ class FakeMPIComm:
 
     def Get_size(self):
         return self._w.size
-
-    def send(self, obj, dest, tag=0):
-        with self._w.mail_cv:
-            box = self._w.mail.setdefault((self._rank, dest, tag), [])
-            box.append(pickle.dumps(obj))
-            self._w.mail_cv.notify_all()
-
-    def iprobe(self, source, tag=0):
-        with self._w.mail_cv:
-            return bool(self._w.mail.get((source, self._rank, tag)))
-
-    def recv(self, source, tag=0):
-        key = (source, self._rank, tag)
-        with self._w.mail_cv:
-            if not self._w.mail_cv.wait_for(
-                lambda: self._w.mail.get(key), timeout=TIMEOUT
-            ):
-                raise TimeoutError(f"fake MPI recv{key} timed out")
-            box = self._w.mail[key]
-            data = box.pop(0)
-            if not box:
-                del self._w.mail[key]
-        return pickle.loads(data)
 
     def alltoall(self, sendobj):
         w = self._w

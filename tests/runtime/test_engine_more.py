@@ -1,8 +1,9 @@
 """Additional engine behaviour tests."""
 
 import numpy as np
+import pytest
 
-from repro.runtime import run_spmd
+from repro.runtime import SPMDError, run_spmd
 from repro.runtime.engine import SPMDResult
 
 
@@ -59,19 +60,74 @@ class TestConcurrencyStress:
             res = run_spmd(3, prog, tag, timeout=5)
             assert res.results == [3 * tag] * 3
 
-    def test_heavy_p2p_traffic(self):
-        """A ring of sends with many messages in flight."""
 
-        def prog(comm):
-            nxt = (comm.rank + 1) % comm.size
-            prv = (comm.rank - 1) % comm.size
-            for i in range(50):
-                comm.send(i * comm.rank, dest=nxt, tag=i)
-            acc = 0
-            for i in range(50):
-                acc += comm.recv(source=prv, tag=i)
-            return acc
+class TestFailureHandling:
+    def test_exception_propagates_with_rank(self):
+        def prog(c):
+            if c.rank == 1:
+                raise RuntimeError("kaboom")
+            c.barrier()
 
-        res = run_spmd(4, prog, timeout=30)
-        expected = [sum(i * ((r - 1) % 4) for i in range(50)) for r in range(4)]
-        assert res.results == expected
+        with pytest.raises(SPMDError) as exc:
+            run_spmd(3, prog, timeout=10.0)
+        assert exc.value.rank == 1
+        assert isinstance(exc.value.original, RuntimeError)
+
+    def test_diverged_collective_order_detected(self):
+        def prog(c):
+            if c.rank == 0:
+                c.allgather(1)
+            # rank 1 never joins the collective -> broken barrier
+            return None
+
+        with pytest.raises(SPMDError):
+            run_spmd(2, prog, timeout=0.5)
+
+    def test_no_thread_leak_after_failure(self):
+        import threading
+
+        before = threading.active_count()
+
+        def prog(c):
+            if c.rank == 0:
+                raise ValueError("die")
+            c.barrier()
+
+        with pytest.raises(SPMDError):
+            run_spmd(4, prog, timeout=1.0)
+        # all simulated ranks must have exited
+        assert threading.active_count() <= before + 1
+
+    def test_n_ranks_must_be_positive(self):
+        with pytest.raises(ValueError):
+            run_spmd(0, lambda c: None)
+
+
+class TestDeterminism:
+    def test_identical_runs_identical_results(self):
+        def prog(c):
+            acc = c.allreduce(c.rank * 3.7)
+            vals = c.allgather(acc + c.rank)
+            return vals
+
+        a = run_spmd(4, prog, timeout=10.0).results
+        b = run_spmd(4, prog, timeout=10.0).results
+        assert a == b
+
+
+def _rank_of(comm):
+    return comm.rank
+
+
+def test_checksums_option_is_gone():
+    """The point-to-point layer and its CRC32 envelopes are deleted, so
+    nothing consumes ``checksums`` any more: ``run_spmd`` forwards it to the
+    program like any other keyword, and the config has no such field."""
+    from repro.core import DistributedConfig
+
+    with pytest.raises(SPMDError) as exc:
+        run_spmd(2, _rank_of, timeout=10.0, checksums=True)
+    assert isinstance(exc.value.original, TypeError)
+    assert "checksums" in str(exc.value.original)
+    with pytest.raises(TypeError):
+        DistributedConfig(checksums=True)

@@ -54,15 +54,6 @@ class TestAdapterCollectives:
         assert res[1] == ("root", [0, 1, 2], 20)
         assert res[2] == ("root", None, 30)
 
-    def test_p2p(self):
-        def prog(c):
-            if c.rank == 0:
-                c.send({"x": 1}, dest=1)
-                return None
-            return c.recv(source=0)
-
-        assert run_fake_mpi(2, prog).results[1] == {"x": 1}
-
     def test_stats_accounted(self):
         def prog(c):
             with c.phase("work"):
@@ -77,9 +68,9 @@ class TestAdapterCollectives:
     def test_empty_payloads_and_self_sends_are_free(self):
         def prog(c):
             c.allgather(np.zeros(0))
-            c.alltoall([np.zeros(0)] * c.size)
-            c.send("me", c.rank, tag=3)
-            return c.recv(c.rank, tag=3)
+            row = [np.zeros(0)] * c.size
+            row[c.rank] = "me"  # a send to self: delivered, never traffic
+            return c.alltoall(row)[c.rank]
 
         res = run_fake_mpi(2, prog)
         assert res.results == ["me", "me"]

@@ -1,11 +1,12 @@
 """The process backend's persistent rank pool.
 
 Reusing a worker must be invisible: the same job gives the same results,
-counters, comm matrices and trace spans on fresh and on reused workers,
-and no message of one job reaches the next.  A failed run never returns
-its workers to the pool, concurrent runs get disjoint workers, a worker
-unmaps each job's arena before it is pooled again, and an interpreter that
-exits without calling ``shutdown_rank_pool`` leaves no worker behind.
+counters, comm matrices and trace spans on fresh and on reused workers.
+An idle worker that receives anything but a job or an exit leaves.  A
+failed run never returns its workers to the pool, concurrent runs get
+disjoint workers, a worker unmaps each job's arena before it is pooled
+again, and an interpreter that exits without calling
+``shutdown_rank_pool`` leaves no worker behind.
 
 All SPMD programs here are module-level: the process backend ships them to
 spawned interpreters by reference.
@@ -25,7 +26,7 @@ import repro
 from repro.core import DistributedConfig, distributed_louvain
 from repro.graph.generators import barabasi_albert
 from repro.graph.shm import SHM_PREFIX, SharedArena, leaked_segment_files
-from repro.runtime import CrashFault, DeadlockError, FaultPlan, SPMDError, run_spmd
+from repro.runtime import CrashFault, FaultPlan, SPMDError, run_spmd
 from repro.runtime.process_backend import _POOL, shutdown_rank_pool
 from repro.runtime.tracing import TraceRecorder
 from tests.conftest import unpooled_children
@@ -137,34 +138,20 @@ def test_reused_worker_imports_like_a_fresh_spawn(tmp_path, monkeypatch):
     assert _POOL.idle_pids() == pids
 
 
-def _unreceived_send(comm):
-    if comm.rank == 0:
-        time.sleep(0.2)  # rank 1 has returned and waits for its next job
-        comm.send("stale", 1, tag=5)
-    return comm.rank
-
-
-def _probe_every_source(comm):
-    """What each rank can still receive on tag 5, from every source."""
-    out = []
-    for src in range(comm.size):
-        found, _ = comm.irecv(src, tag=5).test()
-        try:
-            comm.recv(src, tag=5, timeout=0.3)
-            timed_out = False
-        except DeadlockError:
-            timed_out = True
-        out.append((found, timed_out))
-    return out
-
-
-def test_stale_message_never_reaches_the_next_job():
-    first = run_spmd(2, _unreceived_send, timeout=30.0, backend="process")
-    assert first.results == [0, 1]
+def test_unknown_frame_retires_an_idle_worker():
+    """Between jobs a worker accepts only ``job`` and ``exit``; anything
+    else is a protocol error, and the worker leaves instead of carrying
+    the frame into its next job."""
+    run_spmd(2, _worker_pid, timeout=30.0, backend="process")
     pids = _POOL.idle_pids()
-    second = run_spmd(2, _probe_every_source, timeout=30.0, backend="process")
-    assert _POOL.idle_pids() == pids
-    assert second.results == [[(False, True)] * 2] * 2
+    victim = next(w for w in _POOL._idle if w.proc.pid == pids[0])
+    victim.conn.send(("p2p", 1, 5, "stale"))
+    victim.proc.join(timeout=10.0)
+    assert not victim.proc.is_alive()
+    res = run_spmd(2, _worker_pid, timeout=30.0, backend="process")
+    assert pids[0] not in res.results  # the dead worker was not reused
+    assert pids[1] in res.results
+    assert unpooled_children() == ([], [])
 
 
 # ---------------------------------------------------------------------------
@@ -191,17 +178,16 @@ def _collective_loop(comm):
         comm.allreduce(1)
 
 
-def _recv_timeout(comm):
+def _abandoned_collective(comm):
     if comm.rank == 1:
-        comm.recv(0, tag=3, timeout=0.5)
-    comm.barrier()
+        comm.allreduce(1)  # rank 0 has returned and closed its links
 
 
 FAILURES = {
     "planted-error": (_planted_error, None),
     "os-exit": (_hard_exit, None),
     "injected-crash": (_collective_loop, FaultPlan([CrashFault(rank=1, superstep=1)])),
-    "recv-timeout": (_recv_timeout, None),
+    "abandoned-collective": (_abandoned_collective, None),
 }
 
 

@@ -102,17 +102,15 @@ class TestRunAccounting:
         for r in stats.ranks:
             assert len(r.supersteps) == 3
 
-    def test_p2p_bytes_counted_both_sides(self):
+    def test_gather_bytes_counted_both_sides(self):
         def prog(c):
-            if c.rank == 0:
-                c.send(np.zeros(16), dest=1)  # 128B
-            elif c.rank == 1:
-                c.recv(source=0)
+            c.gather(np.zeros(16), root=1)  # 128B from rank 0 to the root
             c.barrier()
 
         stats = run_spmd(2, prog, timeout=5).stats
         assert stats.ranks[0].total_bytes_sent == 128
         assert stats.ranks[1].total_bytes_recv == 128
+        assert stats.ranks[1].total_bytes_sent == 0  # the root only receives
 
 
 class TestSuperstepAccounting:
@@ -133,17 +131,18 @@ class TestSuperstepAccounting:
             assert r.supersteps[-1].compute == 7
 
     def test_trailing_send_flushed_at_exit(self):
+        # the last collective's bytes stay in its own superstep, and the
+        # compute after it is flushed into a trailing one
         def prog(c):
             c.barrier()
-            if c.rank == 0:
-                c.send(np.zeros(4), dest=1)  # 32B after the only barrier
-            elif c.rank == 1:
-                c.recv(source=0)
+            c.gather(np.zeros(4), root=1)  # 32B from rank 0
+            c.add_compute(5)
 
         stats = run_spmd(2, prog, timeout=5).stats
         r0 = stats.ranks[0]
         assert sum(s.bytes_sent for s in r0.supersteps) == r0.total_bytes_sent
-        assert r0.supersteps[-1].bytes_sent == 32
+        assert [s.bytes_sent for s in r0.supersteps] == [0, 32, 0]
+        assert r0.supersteps[-1].compute == 5
 
     def test_no_empty_superstep_when_program_ends_on_collective(self):
         # the exit flush must not append an all-zero superstep: exactly one
@@ -165,10 +164,7 @@ class TestSuperstepAccounting:
         def prog(c):
             c.barrier()
             with c.phase("pull"):
-                if c.rank == 0:
-                    c.send(np.zeros(8), dest=1)
-                elif c.rank == 1:
-                    c.recv(source=0)
+                c.gather(np.zeros(8), root=1)  # rank 1 only receives
             c.barrier()
 
         stats = run_spmd(2, prog, timeout=5).stats
@@ -197,12 +193,9 @@ class TestSuperstepAccounting:
 
     def test_phases_include_recv_only_phase(self):
         def prog(c):
-            if c.rank == 0:
-                with c.phase("push"):
-                    c.send(b"abcd", dest=1)
-            else:
-                with c.phase("pull"):
-                    c.recv(source=0)
+            # one collective, entered under a different phase on each side
+            with c.phase("push" if c.rank == 0 else "pull"):
+                c.gather(b"abcd", root=1)
             c.barrier()
 
         stats = run_spmd(2, prog, timeout=5).stats
@@ -216,18 +209,20 @@ class TestCommMatrix:
                 c.allreduce(np.zeros(8))
                 c.alltoall([np.zeros(c.rank + 1) for _ in range(c.size)])
                 c.allgather(np.zeros(2))
-                if c.rank == 0:
-                    c.send(np.zeros(16), dest=3)
-                elif c.rank == 3:
-                    c.recv(source=0)
+                c.gather(np.zeros(c.rank + 3), root=3)
+                c.scatter(
+                    [np.zeros(i) for i in range(c.size)] if c.rank == 1 else None,
+                    root=1,
+                )
             c.barrier()
 
         stats = run_spmd(4, prog, timeout=5).stats
         bytes_m, msgs_m = stats.comm_matrix()
         assert bytes_m.shape == (4, 4)
         assert np.allclose(bytes_m.sum(axis=1), stats.bytes_sent_per_rank())
-        assert np.all(np.diag(bytes_m) == 0)  # self-sends never hit the wire
+        assert np.all(np.diag(bytes_m) == 0)  # own slots never hit the wire
         assert np.all(np.diag(msgs_m) == 0)
+        assert bytes_m[0, 3] > 0 and bytes_m[1, 2] > 0  # gather, scatter
 
     def test_phase_filter(self):
         def prog(c):

@@ -22,10 +22,8 @@ def sample_stats():
             comm.add_compute(50 * (comm.rank + 1))
             comm.allreduce(comm.rank)
         comm.allgather(np.zeros(4))
-        if comm.rank == 0:
-            comm.send(b"xy", dest=1)
-        elif comm.rank == 1:
-            comm.recv(source=0)
+        with comm.phase("pull"):
+            comm.gather(b"xy", root=1)
         comm.barrier()
 
     return run_spmd(3, prog, timeout=10).stats

@@ -1,6 +1,7 @@
 """Tests for the span tracer and Chrome trace-event export."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -97,22 +98,19 @@ class TestSimCommIntegration:
         res = run_spmd(2, prog, timeout=5)
         assert res.stats.spans == []
 
-    def test_recv_span_records_wait(self):
+    def test_collective_span_records_wait(self):
         rec = TraceRecorder()
 
         def prog(c):
             if c.rank == 0:
-                c.send(b"abcd", dest=1)
-            else:
-                c.recv(source=0)
-            c.barrier()
+                time.sleep(0.1)  # the root waits for this late sender
+            c.gather(b"abcd", root=1)
 
         run_spmd(2, prog, timeout=5, tracer=rec)
-        recvs = [s for s in rec.span_records() if s.name == "recv"]
-        assert len(recvs) == 1
-        assert recvs[0].rank == 1
-        assert recvs[0].args["src"] == 0
-        assert recvs[0].args["bytes"] == 4
+        (root,) = [s for s in rec.span_records(cat="collective") if s.rank == 1]
+        assert root.name == "gather"
+        assert root.args["bytes_recv"] == 4
+        assert root.dur_us >= 50_000
 
 
 class TestChromeExport:
@@ -124,10 +122,7 @@ class TestChromeExport:
             with c.phase("work"):
                 c.add_compute(10 * (c.rank + 1))
                 c.allreduce(np.zeros(4))
-            if c.rank == 0:
-                c.send(b"xy", dest=1)
-            elif c.rank == 1:
-                c.recv(source=0)
+            c.scatter([b"xy"] * c.size if c.rank == 0 else None, root=0)
             c.barrier()
 
         res = run_spmd(3, prog, timeout=5, tracer=rec)

@@ -105,6 +105,22 @@ class TestCluster:
         assert exc.value.code == 2
         assert "unrecognized arguments: --agg-mode" in capsys.readouterr().err
 
+    def test_checksums_flag_is_gone(self, graph_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", str(graph_file), "--ranks", "2", "--checksums"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --checksums" in capsys.readouterr().err
+
+    def test_nan_resolution_friendly_error(self, tmp_path, capsys):
+        # a 16-vertex ring used to report "Q = 0.0000, 16 communities"
+        path = tmp_path / "ring.txt"
+        path.write_text("".join(f"{i} {(i + 1) % 16}\n" for i in range(16)))
+        rc = main(["cluster", str(path), "--ranks", "2", "--resolution", "nan"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "resolution must be finite" in err
+
     def test_negative_retry_budget_friendly_error(self, graph_file, capsys):
         rc = main(
             [
