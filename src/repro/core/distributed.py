@@ -104,8 +104,9 @@ class DistributedConfig:
         if self.max_levels < 1:
             # the first level always runs, so zero would silently mean one
             raise ValueError(f"max_levels must be >= 1, got {self.max_levels}")
-        if not self.timeout > 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        # an infinite deadline overflows the ranks' waits
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
         # nan compares False against everything, so range checks alone
         # would let it through (a nan resolution makes every gain nan)
         for name in ("theta", "resolution", "min_q_gain"):
@@ -460,7 +461,7 @@ def run_with_recovery(
     between attempts.  The final attempt's error is re-raised if every
     retry is exhausted.
     """
-    from repro.runtime.faults import FaultInjector
+    from repro.runtime.faults import as_injector
 
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
@@ -474,11 +475,7 @@ def run_with_recovery(
     if cfg.checkpoint_every_level <= 0:
         cfg = replace(cfg, checkpoint_every_level=1)
 
-    injector = None
-    if faults is not None:
-        injector = (
-            faults if isinstance(faults, FaultInjector) else FaultInjector(faults)
-        )
+    injector = as_injector(faults)
 
     path = Path(cfg.checkpoint_path)
     failures: list[str] = []

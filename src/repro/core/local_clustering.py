@@ -88,9 +88,14 @@ class LocalClustering:
         if sweep_mode not in ("gauss-seidel", "vectorized"):
             raise ValueError("sweep_mode must be 'gauss-seidel' or 'vectorized'")
         # the bulk kernel encodes the selection rule of each registered
-        # heuristic; custom heuristics fall back to the scalar loop
+        # heuristic; running the scalar loop instead would change both the
+        # speed and the trajectory the caller asked for
         if sweep_mode == "vectorized" and heuristic.name not in VECTOR_HEURISTICS:
-            sweep_mode = "gauss-seidel"
+            raise ValueError(
+                f"sweep_mode 'vectorized' has no rule for heuristic "
+                f"{heuristic.name!r}; supported: {sorted(VECTOR_HEURISTICS)} "
+                "(use sweep_mode='gauss-seidel')"
+            )
         self.comm = comm
         self.lg = lg
         self.heuristic = heuristic

@@ -2,9 +2,10 @@
 
 :class:`CommBase` is the single implementation of the mpi4py-flavoured API
 that SPMD programs run against — phase tagging, compute/traffic accounting,
-tracer hooks and every collective's byte/message model live here, shared
-verbatim by all three transports.  Ranks communicate through collectives
-only; there is no point-to-point messaging.  The transports:
+tracer hooks, fault injection, collective-order checking and every
+collective's byte/message model live here, shared verbatim by all three
+transports.  Ranks communicate through collectives only; there is no
+point-to-point messaging.  The transports:
 
 * :class:`repro.runtime.comm.SimComm` — thread backend, transport is the
   in-process :class:`~repro.runtime.comm._World`;
@@ -19,20 +20,21 @@ identical per-rank per-phase byte, message, collective and superstep
 counters for the same SPMD program — the invariant the cross-backend
 conformance suite (``tests/runtime/test_backend_equivalence.py``) pins.
 
-Subclasses implement only the transport primitives:
+Subclasses implement one transport primitive:
 
 ``_exchange(gen, row, op)``
     The collective primitive, a personalized exchange: ``row[d]`` goes to
-    rank ``d`` and the call returns, for every source rank ``s``, what
-    ``s`` put in its row for the caller.  The caller's own slot is
-    ``None`` on the way in and ignored on the way out — every collective
-    goes through :meth:`CommBase._collective`, which keeps the diagonal on
-    the rank.  Raises :class:`CollectiveMismatchError` when op tags
-    diverge and :class:`DeadlockError` when the collective cannot complete.
-``_collective_hook(gen)``
-    Called before each collective — the fault-injection site.  The thread
-    backend runs the injector in place; the process backend, with faults
-    active, makes a round trip to the parent, which runs the injector.
+    rank ``d`` with the op tag ``op``, and the call returns, for every
+    source rank ``s``, the ``(op tag, payload)`` that ``s`` sent the
+    caller.  The caller's own slot is ``None`` on the way in and ignored
+    on the way out — every collective goes through
+    :meth:`CommBase._collective`, which keeps the diagonal on the rank and
+    raises :class:`CollectiveMismatchError` when the op tags differ.
+    Raises :meth:`CommBase._never_completed` when it cannot complete.
+
+Faults fire here, inside the rank, on every transport: an attached
+:class:`~repro.runtime.faults.FaultInjector` runs before each collective
+and at each :meth:`CommBase.fault_event`.  The MPI transport attaches none.
 
 Byte accounting (see :mod:`repro.runtime.stats`):
 
@@ -120,11 +122,14 @@ class CommBase:
         size: int,
         stats: RankStats,
         tracer=None,
+        injector=None,
     ) -> None:
         self.rank = rank
         self.size = size
         self.stats = stats
         self._gen = 0
+        # FaultInjector | None: fires this rank's scheduled faults
+        self._injector = injector
         self._phase = "other"
         # RankTracer | None; None is the near-zero-overhead default — every
         # hot path pays exactly one attribute check
@@ -147,16 +152,27 @@ class CommBase:
     # ------------------------------------------------------------------
     # Transport primitives (subclass responsibility)
     # ------------------------------------------------------------------
-    def _exchange(self, gen: int, row: list[Any], op: str) -> list[Any]:
+    def _exchange(
+        self, gen: int, row: list[Any], op: str
+    ) -> list[tuple[str | None, Any]]:
         raise NotImplementedError
 
-    def _collective_hook(self, gen: int) -> None:
-        """Fault-injection site before the rank's ``gen``-th collective."""
+    def _never_completed(self, gen: int, op: str) -> DeadlockError:
+        """The error of a collective that cannot complete, on every
+        transport: a peer failed or left, the world was aborted, or the
+        deadline passed."""
+        return DeadlockError(
+            f"rank {self.rank}: collective {op or '?'} (generation {gen}) "
+            "never completed (a peer failed or diverged from the SPMD "
+            "collective order)"
+        )
 
     def fault_event(self, name: str) -> None:
         """Named synchronisation point for fault triggers (no-op unless a
         fault plan is active).  Algorithm code emits these at natural
         recovery boundaries — e.g. ``"level:3"`` after Louvain level 3."""
+        if self._injector is not None:
+            self._injector.on_event(self.rank, name)
 
     # ------------------------------------------------------------------
     # Phase tagging (drives the Fig. 8(b) execution-time breakdown)
@@ -236,7 +252,8 @@ class CommBase:
     def _next_gen(self) -> int:
         # the generation counter doubles as the rank's superstep index,
         # which is what crash/straggler faults are scheduled against
-        self._collective_hook(self._gen)
+        if self._injector is not None:
+            self._injector.on_collective(self.rank, self._gen)
         g = self._gen
         self._gen += 1
         return g
@@ -244,13 +261,23 @@ class CommBase:
     def _collective(self, row: list[Any], op: str) -> list[Any]:
         """Personalized exchange of ``row`` (``row[d]`` goes to rank ``d``);
         returns what every rank sent us.  The own slot never reaches the
-        transport: it is blanked before the exchange and put back after."""
+        transport: it is blanked before the exchange and put back after.
+        Raises :class:`CollectiveMismatchError` on every rank of a
+        collective whose ranks passed different op tags."""
         gen = self._next_gen()
         mine = row[self.rank]
         row[self.rank] = None
-        out = self._exchange(gen, row, op)
-        out[self.rank] = mine
-        return out
+        got = self._exchange(gen, row, op)
+        got[self.rank] = (op, mine)
+        if any(tag != op for tag, _ in got):
+            detail = ", ".join(
+                f"rank {r}: {tag or '?'}" for r, (tag, _) in enumerate(got)
+            )
+            raise CollectiveMismatchError(
+                f"rank {self.rank}: SPMD collective order diverged at "
+                f"generation {gen} ({detail})"
+            )
+        return [payload for _, payload in got]
 
     def barrier(self) -> None:
         t0 = time.perf_counter() if self._tracer is not None else 0.0

@@ -11,18 +11,21 @@ Two execution backends share the :func:`run_spmd` entry point:
   ones.
 
 Both produce identical results, byte accounting and failure semantics; the
-cross-backend conformance suite pins the equivalence.
+cross-backend conformance suite pins the equivalence.  :func:`run_spmd`
+checks its arguments and binds the fault injector before any rank starts.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import warnings
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.runtime.comm import SimComm, _World
+from repro.runtime.comm import DeadlockError, SimComm, _World
+from repro.runtime.faults import as_injector
 from repro.runtime.stats import RankStats, RunStats
 
 __all__ = ["run_spmd", "SPMDError", "SPMDResult", "resolve_backend"]
@@ -104,7 +107,7 @@ def run_spmd(
         (:func:`~repro.runtime.process_backend.shutdown_rank_pool` stops
         the idle ones).
     timeout:
-        Per-collective deadlock timeout in seconds.
+        Per-collective deadlock timeout in seconds (finite, > 0).
     faults:
         Optional :class:`~repro.runtime.faults.FaultPlan` (or a live
         :class:`~repro.runtime.faults.FaultInjector`, e.g. one carried
@@ -124,13 +127,25 @@ def run_spmd(
 
     Raises
     ------
+    ValueError
+        Before any rank starts: ``n_ranks < 1``, a ``timeout`` that is not
+        finite and > 0, or a fault plan naming a rank outside the world.
     SPMDError
-        If any rank raises, the lowest-numbered failing rank's exception is
-        re-raised (wrapped), after the world is aborted so no thread leaks.
+        If any rank raises, after the world is aborted so no thread leaks:
+        the lowest-numbered rank's primary failure, wrapped; secondary
+        aborts (collectives that never completed) only when no rank failed
+        on its own.
     """
     if n_ranks < 1:
         raise ValueError("n_ranks must be >= 1")
+    # a nan or infinite deadline would fail inside the ranks, after the
+    # process backend took its pooled workers
+    if not (math.isfinite(timeout) and timeout > 0):
+        raise ValueError(f"timeout must be finite and > 0, got {timeout}")
     resolved, explicit = resolve_backend(backend)
+    injector = as_injector(faults)
+    if injector is not None:
+        injector.bind(n_ranks)
     if resolved == "process":
         from repro.runtime.process_backend import (
             ProgramNotPicklableError,
@@ -143,7 +158,7 @@ def run_spmd(
                 fn,
                 *args,
                 timeout=timeout,
-                faults=faults,
+                injector=injector,
                 tracer=tracer,
                 **kwargs,
             )
@@ -158,22 +173,16 @@ def run_spmd(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    injector = None
-    if faults is not None:
-        from repro.runtime.faults import FaultInjector
-
-        injector = (
-            faults if isinstance(faults, FaultInjector) else FaultInjector(faults)
-        )
-        injector.bind(n_ranks)
-    world = _World(n_ranks, timeout=timeout, injector=injector)
+    world = _World(n_ranks, timeout=timeout)
     rank_stats = [RankStats(rank=r) for r in range(n_ranks)]
     results: list[Any] = [None] * n_ranks
     errors: list[BaseException | None] = [None] * n_ranks
 
     def worker(rank: int) -> None:
         rank_tracer = tracer.rank(rank) if tracer is not None else None
-        comm = SimComm(world, rank, rank_stats[rank], tracer=rank_tracer)
+        comm = SimComm(
+            world, rank, rank_stats[rank], tracer=rank_tracer, injector=injector
+        )
         try:
             results[rank] = fn(comm, *args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - must not leak threads
@@ -194,21 +203,25 @@ def run_spmd(
     for t in threads:
         t.join()
 
-    for rank, exc in enumerate(errors):
-        if exc is not None and not _is_secondary_abort(exc):
-            raise SPMDError(rank, exc) from exc
-    # only secondary aborts (or nothing) left; if any error remains, surface it
-    for rank, exc in enumerate(errors):
-        if exc is not None:
-            raise SPMDError(rank, exc) from exc
+    _raise_first_failure(errors)
     stats = RunStats(ranks=rank_stats)
     if tracer is not None:
         stats.spans = tracer.span_records()
     return SPMDResult(results=results, stats=stats)
 
 
-def _is_secondary_abort(exc: BaseException) -> bool:
-    """True for errors caused by another rank's failure (broken barriers)."""
-    from repro.runtime.comm import DeadlockError
+def _raise_first_failure(errors: list[BaseException | None]) -> None:
+    """Raise :class:`SPMDError` for a failed run, else return.
 
-    return isinstance(exc, (threading.BrokenBarrierError, DeadlockError))
+    A primary failure wins over the secondary aborts it caused in other
+    ranks (broken barriers, collectives that never completed); among
+    equals, the lowest rank wins."""
+    secondary = (threading.BrokenBarrierError, DeadlockError)
+    failed = [
+        (isinstance(exc, secondary), rank, exc)
+        for rank, exc in enumerate(errors)
+        if exc is not None
+    ]
+    if failed:
+        _, rank, exc = min(failed, key=lambda f: f[:2])
+        raise SPMDError(rank, exc) from exc

@@ -18,7 +18,15 @@ rank that crashed once does not crash again on restart, so
 ``run_with_recovery`` can pass the same injector to every attempt (see
 :func:`repro.core.distributed.run_with_recovery`).
 
-Hook points (called by :class:`~repro.runtime.comm.SimComm`):
+Where faults fire: inside the rank, on every backend.  Every fault names
+exactly one rank, so a rank needs only its own copy of the injector's
+state.  The thread backend hands every rank the caller's injector.  The
+process backend ships the plan and the fired set with each rank's job,
+builds a rank-local injector in the worker, and :meth:`FaultInjector.merge`
+folds what each rank fired and logged back into the caller's injector from
+the rank's final frame.
+
+Hook points (called by :class:`~repro.runtime.commbase.CommBase`):
 
 * ``on_collective(rank, superstep)`` — before the rank's ``superstep``-th
   collective; may sleep (:class:`Straggler`) or raise
@@ -42,6 +50,7 @@ __all__ = [
     "InjectedCrash",
     "CrashFault",
     "Straggler",
+    "as_injector",
 ]
 
 
@@ -165,6 +174,19 @@ class FaultInjector:
                 f"{n_ranks} ranks"
             )
 
+    @property
+    def fired(self) -> frozenset[int]:
+        """Plan indices of the one-shot faults that have fired."""
+        with self._lock:
+            return frozenset(self._fired)
+
+    def merge(self, fired, log) -> None:
+        """Adopt the fired one-shot faults and log lines of a copy of this
+        injector that ran in a rank process."""
+        with self._lock:
+            self._fired.update(fired)
+            self.log.extend(log)
+
     def _fire(self, index: int, description: str) -> None:
         self._fired.add(index)
         self.log.append(description)
@@ -220,3 +242,12 @@ class FaultInjector:
                     break
         if crash:
             raise InjectedCrash(f"rank {rank}: injected crash at event {name!r}")
+
+
+def as_injector(faults) -> FaultInjector | None:
+    """The injector to run for ``faults``: ``None`` (no faults), a
+    :class:`FaultPlan` (a fresh injector) or a live :class:`FaultInjector`
+    (itself, so its one-shot state carries over)."""
+    if faults is None or isinstance(faults, FaultInjector):
+        return faults
+    return FaultInjector(faults)

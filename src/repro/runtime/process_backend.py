@@ -27,21 +27,22 @@ Architecture (full protocol notes in ``docs/BACKENDS.md``):
   links live for one job: a worker closes them before its final frame, so
   a peer still blocked on it sees EOF.
 * Each child also holds one pickle-framed duplex pipe to the parent, which
-  only supervises: it carries no rank-to-rank data.  Children send
-  ``("hook", gen)`` and ``("event", name)`` (fault-hook round trips, only
-  with faults active) and a final ``("done", ...)``/``("err", ...)``
-  frame; the parent answers with ``("ok",)``, ``("crash", msg)`` and
-  ``("abort",)`` frames.
+  only supervises, single-threaded, in the calling thread: it sends the
+  jobs, reads each rank's final ``("done", ...)``/``("err", ...)`` frame
+  and fans out ``("abort",)`` frames.  The pipe carries no rank-to-rank
+  data and nothing per collective.
 * :class:`ProcComm` subclasses :class:`~repro.runtime.commbase.CommBase`,
-  so byte/message accounting, op-tag mismatch formatting and superstep
-  flush semantics are literally the thread backend's code — the
-  conformance suite pins this.
-* **Fault injection runs in the parent router**, against the same live
-  :class:`~repro.runtime.faults.FaultInjector` a recovery supervisor reuses
-  across attempts, so one-shot fault state survives child restarts exactly
-  as it survives thread-world restarts.  An injected crash is reported to
-  the target child, which raises :class:`InjectedCrash` at the same point
-  in its program the thread backend would.
+  so byte/message accounting, op-tag mismatch checking, fault injection
+  and superstep flush semantics are literally the thread backend's code —
+  the conformance suite pins this.
+* **Faults fire inside the rank.**  The job carries the fault plan and the
+  indices of the one-shot faults that already fired; the worker runs a
+  rank-local :class:`~repro.runtime.faults.FaultInjector`, and its final
+  frame returns what it fired and logged, which the parent merges into the
+  caller's live injector.  A recovery supervisor that reuses one injector
+  across attempts therefore keeps its one-shot state exactly as with
+  threads.  A worker that dies hard loses only its straggler log lines: a
+  rank that fires a crash raises :class:`InjectedCrash` and reports it.
 * A child that dies without a final frame (hard crash, ``os._exit``)
   surfaces as :class:`ChildCrashError` on its rank — which
   ``run_with_recovery`` treats like any other failed rank.
@@ -72,16 +73,13 @@ import sys
 import threading
 import time
 from multiprocessing import reduction
+from multiprocessing.connection import wait
 from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable
 
 from repro.graph.shm import SharedArena, shm_dumps, shm_loads
-from repro.runtime.commbase import (
-    CollectiveMismatchError,
-    CommBase,
-    CommError,
-    DeadlockError,
-)
+from repro.runtime.commbase import CommBase, CommError, DeadlockError
+from repro.runtime.faults import FaultInjector
 from repro.runtime.stats import RankStats, RunStats
 
 __all__ = [
@@ -100,15 +98,6 @@ class ChildCrashError(RuntimeError):
 class ProgramNotPicklableError(TypeError):
     """The SPMD program (or its arguments) cannot be shipped to a spawned
     interpreter.  Use a module-level function, or the thread backend."""
-
-
-def _never_completed(rank: int, gen: int, op: str) -> DeadlockError:
-    # identical wording to the thread backend's _World.exchange
-    return DeadlockError(
-        f"rank {rank}: collective {op or '?'} (generation {gen}) "
-        "never completed (a peer failed or diverged from the SPMD "
-        "collective order)"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +180,9 @@ class _Link:
 class ProcComm(CommBase):
     """Per-rank communicator of the process backend (child side).
 
-    Single-threaded.  Collectives run over the peer links; fault-hook
-    replies and aborts arrive on the one parent pipe and are pumped,
-    strictly in order, from whichever blocking operation is waiting (a
-    collective pumps the pipe too, so an abort reaches it).
+    Single-threaded.  Collectives run over the peer links; the only frame
+    the parent sends during a job is ``("abort",)``, which a blocked
+    collective reads off the parent pipe.
     """
 
     def __init__(
@@ -205,15 +193,13 @@ class ProcComm(CommBase):
         stats: RankStats,
         tracer=None,
         timeout: float = 120.0,
-        has_faults: bool = False,
+        injector: FaultInjector | None = None,
         links: dict[int, socket.socket] | None = None,
     ) -> None:
-        super().__init__(rank, size, stats, tracer=tracer)
+        super().__init__(rank, size, stats, tracer=tracer, injector=injector)
         self._timeout = timeout
         self._conn = conn
-        self._has_faults = has_faults
         self._aborted = False
-        self._event_acks = 0
         self._links = {
             peer: _Link(peer, sock) for peer, sock in (links or {}).items()
         }
@@ -228,38 +214,22 @@ class ProcComm(CommBase):
         if self._sel is not None:
             self._sel.close()
 
-    # -- frame pump ------------------------------------------------------
-    def _handle(self, frame: tuple) -> None:
-        kind = frame[0]
-        if kind == "crash":
-            from repro.runtime.faults import InjectedCrash
-
-            raise InjectedCrash(frame[1])
-        elif kind == "ok":
-            self._event_acks += 1
-        elif kind == "abort":
-            self._aborted = True
-        else:  # pragma: no cover - protocol bug
-            raise CommError(f"rank {self.rank}: unknown parent frame {kind!r}")
-
-    def _pump(self, timeout: float) -> bool:
-        """Process at least one parent frame; False if none within timeout."""
+    def _drain(self) -> None:
+        """Read the parent frames that have arrived."""
         try:
-            if not self._conn.poll(timeout):
-                return False
-            self._handle(self._conn.recv())
             while self._conn.poll(0):
-                self._handle(self._conn.recv())
+                kind = self._conn.recv()[0]
+                if kind != "abort":  # pragma: no cover - protocol bug
+                    raise CommError(
+                        f"rank {self.rank}: unknown parent frame {kind!r}"
+                    )
+                self._aborted = True
         except (EOFError, BrokenPipeError, OSError):
             # the parent is gone; nothing can ever be delivered again
             self._aborted = True
             raise DeadlockError(
                 f"rank {self.rank}: world aborted while receiving"
             ) from None
-        return True
-
-    def _drain(self) -> None:
-        self._pump(0)
 
     # -- transport primitives -------------------------------------------
     def _watch(self, link: _Link, events: int) -> None:
@@ -273,10 +243,10 @@ class ProcComm(CommBase):
             self._sel.modify(link.sock, events, link)
         link.events = events
 
-    def _exchange(self, gen: int, row: list[Any], op: str) -> list[Any]:
+    def _exchange(
+        self, gen: int, row: list[Any], op: str
+    ) -> list[tuple[str | None, Any]]:
         out: list[Any] = [None] * self.size
-        ops: list[str | None] = [None] * self.size
-        ops[self.rank] = op
         links = self._links
         for peer, link in links.items():
             link.put((gen, op, row[peer]))
@@ -288,14 +258,15 @@ class ProcComm(CommBase):
                 frame = links[peer].pull()
             except EOFError:
                 # a finished or failed peer closed its links
-                raise _never_completed(self.rank, gen, op) from None
+                raise self._never_completed(gen, op) from None
             if frame is not None:
-                frame_gen, ops[peer], out[peer] = frame
+                frame_gen, tag, payload = frame
                 if frame_gen != gen:  # pragma: no cover - protocol bug
                     raise CommError(
                         f"rank {self.rank}: generation {frame_gen} frame from "
                         f"rank {peer} during generation {gen}"
                     )
+                out[peer] = (tag, payload)
                 waiting.discard(peer)
 
         read, write = selectors.EVENT_READ, selectors.EVENT_WRITE
@@ -306,7 +277,7 @@ class ProcComm(CommBase):
                 for peer in list(waiting):
                     take(peer)
                 if waiting:
-                    raise _never_completed(self.rank, gen, op)
+                    raise self._never_completed(gen, op)
                 break
             for peer, link in links.items():
                 want = (read if peer in waiting else 0) | (
@@ -316,7 +287,7 @@ class ProcComm(CommBase):
                     self._watch(link, link.events | want)
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                raise _never_completed(self.rank, gen, op)
+                raise self._never_completed(gen, op)
             for key, mask in self._sel.select(remaining):
                 link = key.data
                 if link is None:
@@ -333,34 +304,7 @@ class ProcComm(CommBase):
                         # the peer's next frame: leave it for the next
                         # collective, stop waking up for it
                         self._watch(link, link.events & ~read)
-        if any(t != op for t in ops):
-            detail = ", ".join(f"rank {r}: {t or '?'}" for r, t in enumerate(ops))
-            raise CollectiveMismatchError(
-                f"rank {self.rank}: SPMD collective order diverged "
-                f"at generation {gen} ({detail})"
-            )
         return out
-
-    def _fault_round_trip(self, frame: tuple, what: str) -> None:
-        """Run a fault hook in the parent and wait for its verdict: ``ok``,
-        or ``crash`` (raised here as :class:`InjectedCrash`)."""
-        self._conn.send(frame)
-        acks = self._event_acks
-        deadline = time.monotonic() + self._timeout
-        while self._event_acks == acks:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not self._pump(remaining):
-                raise DeadlockError(f"rank {self.rank}: {what} never acknowledged")
-
-    def _collective_hook(self, gen: int) -> None:
-        if self._has_faults:
-            self._fault_round_trip(
-                ("hook", gen), f"collective hook (generation {gen})"
-            )
-
-    def fault_event(self, name: str) -> None:
-        if self._has_faults:
-            self._fault_round_trip(("event", name), f"fault event {name!r}")
 
 
 def _receive_links(conn, rank: int, size: int) -> dict[int, socket.socket]:
@@ -386,6 +330,8 @@ def _run_job(
     call, so none of them outlives it: once it returns, nothing in the
     worker refers to the job's arena and the caller can unmap it.  The
     peer links are closed before it returns, on success and on failure.
+    With a fault plan, the frame ends with the rank-local injector's fired
+    indices and log lines, else with ``None``.
     """
     rank = spec["rank"]
     arena = None
@@ -399,6 +345,11 @@ def _run_job(
         # platform, so the parent's epoch lines child spans up on the same
         # timeline as thread-backend runs
         tracer = RankTracer(rank, spec["epoch"])
+    injector = None
+    if spec["faults"] is not None:
+        plan, fired = spec["faults"]
+        injector = FaultInjector(plan)
+        injector.merge(fired, ())
     error: BaseException | None = None
     result: Any = None
     try:
@@ -416,7 +367,7 @@ def _run_job(
             stats,
             tracer=tracer,
             timeout=spec["timeout"],
-            has_faults=spec["has_faults"],
+            injector=injector,
             links=links,
         )
         result = fn(comm, *args, **kwargs)
@@ -434,18 +385,19 @@ def _run_job(
         # failure (post-mortem traces)
         stats.flush()
     events = tracer.events if tracer is not None else []
+    faults = (injector.fired, injector.log) if injector is not None else None
     if error is None:
-        try:
-            return ForkingPickler.dumps(("done", result, stats, events)), arena
-        except (pickle.PicklingError, TypeError, AttributeError) as exc:
-            detail = f"unpicklable rank result: {exc!r}"
+        frame = ("done", result, stats, events, faults)
     else:
-        detail = repr(error)
-        try:
-            return ForkingPickler.dumps(("err", error, detail, stats, events)), arena
-        except (pickle.PicklingError, TypeError, AttributeError):
-            pass
-    return ForkingPickler.dumps(("err", None, detail, stats, events)), arena
+        frame = ("err", error, repr(error), stats, events, faults)
+    try:
+        return ForkingPickler.dumps(frame), arena
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        detail = (
+            frame[2] if error is not None else f"unpicklable rank result: {exc!r}"
+        )
+    frame = ("err", None, detail, stats, events, faults)
+    return ForkingPickler.dumps(frame), arena
 
 
 def _unmap(arena: SharedArena) -> bool:
@@ -503,114 +455,61 @@ def _child_main(conn) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _Router:
-    """Parent-side supervisor: one reader thread per child pipe.
+def _send(conn, frame: tuple) -> None:
+    try:
+        conn.send(frame)
+    except OSError:
+        pass  # a dead worker; _supervise reports it at pipe EOF
 
-    The fault injector's hooks run here, in the parent, keeping its one-shot
-    state alive across child generations; the first failure fans out an
-    abort, and each rank's final frame delivers its result.  No rank-to-rank
-    data passes through here: ranks exchange collectives over their peer
-    links.
+
+def _supervise(conns, injector: FaultInjector | None) -> tuple:
+    """Read every rank's final frame, single-threaded, in the calling
+    thread; returns ``(results, errors, stats, events, retiring)``.
+
+    The first failure — an ``err`` frame, or a pipe at EOF before its
+    final frame (reported as :class:`ChildCrashError`) — sends
+    ``("abort",)`` to every rank.  Fired fault state in the final frames
+    is merged into ``injector``.  ``retiring`` is True when some worker
+    announced that it exits after this job (see :func:`_child_main`).
     """
-
-    def __init__(self, conns, injector) -> None:
-        self.size = len(conns)
-        self.conns = conns
-        self.injector = injector
-        self._send_locks = [threading.Lock() for _ in conns]
-        self._abort_lock = threading.Lock()
-        self.aborted = False
-        self.results: list[Any] = [None] * self.size
-        self.errors: list[BaseException | None] = [None] * self.size
-        self.stats: list[RankStats | None] = [None] * self.size
-        self.events: list[list] = [[] for _ in conns]
-        # ranks whose worker exits after this job (see _child_main)
-        self.retiring: list[bool] = [False] * self.size
-
-    def _send(self, rank: int, frame: tuple) -> None:
-        try:
-            with self._send_locks[rank]:
-                self.conns[rank].send(frame)
-        except (BrokenPipeError, OSError):
-            pass  # dead child; its reader thread reports the crash
-
-    def abort_all(self) -> None:
-        """Release every blocked rank after a failure (idempotent)."""
-        with self._abort_lock:
-            if self.aborted:
-                return
-            self.aborted = True
-        for r in range(self.size):
-            self._send(r, ("abort",))
-
-    # -- frame handlers (run on reader threads) --------------------------
-    def _on_fault_hook(self, rank: int, hook: Callable, arg: Any) -> None:
-        """Run one injector hook for ``rank`` and send it the verdict.
-
-        Stragglers sleep here, on this child's reader thread, holding the
-        child back exactly like a slow thread-rank."""
-        from repro.runtime.faults import InjectedCrash
-
-        try:
-            hook(rank, arg)
-        except InjectedCrash as exc:
-            self._send(rank, ("crash", str(exc)))
-            return
-        self._send(rank, ("ok",))
-
-    # -- reader loop -----------------------------------------------------
-    def _reader(self, rank: int) -> None:
-        conn = self.conns[rank]
-        finished = False
-        try:
-            while True:
-                frame = conn.recv()
-                kind = frame[0]
-                if kind == "hook":
-                    self._on_fault_hook(rank, self.injector.on_collective, frame[1])
-                elif kind == "event":
-                    self._on_fault_hook(rank, self.injector.on_event, frame[1])
-                elif kind == "exit":
-                    self.retiring[rank] = True
-                elif kind == "done":
-                    self.results[rank] = frame[1]
-                    self.stats[rank] = frame[2]
-                    self.events[rank] = frame[3]
-                    finished = True
-                    return
-                elif kind == "err":
-                    exc = frame[1]
-                    if exc is None:
-                        exc = ChildCrashError(f"rank {rank} failed: {frame[2]}")
-                    self.errors[rank] = exc
-                    self.stats[rank] = frame[3]
-                    self.events[rank] = frame[4]
-                    finished = True
-                    self.abort_all()
-                    return
-                else:  # pragma: no cover - protocol bug
-                    raise CommError(f"unknown child frame {kind!r}")
-        except (EOFError, OSError):
-            pass
-        finally:
-            if not finished and self.errors[rank] is None:
-                self.errors[rank] = ChildCrashError(
+    n = len(conns)
+    results: list[Any] = [None] * n
+    errors: list[BaseException | None] = [None] * n
+    stats: list[RankStats | None] = [None] * n
+    events: list[list] = [[] for _ in range(n)]
+    retiring = aborted = False
+    pending = {conn: rank for rank, conn in enumerate(conns)}
+    while pending:
+        for conn in wait(list(pending)):
+            rank = pending[conn]
+            try:
+                kind, *body = conn.recv()
+            except (EOFError, OSError):
+                kind, body = "died", None
+            if kind == "exit":
+                retiring = True
+                continue
+            del pending[conn]
+            faults = None
+            if kind == "done":
+                results[rank], stats[rank], events[rank], faults = body
+            elif kind == "err":
+                exc, detail, stats[rank], events[rank], faults = body
+                if exc is None:
+                    exc = ChildCrashError(f"rank {rank} failed: {detail}")
+                errors[rank] = exc
+            else:
+                errors[rank] = ChildCrashError(
                     f"rank {rank}: child process died without reporting "
                     "a result"
                 )
-                self.abort_all()
-
-    def run(self) -> None:
-        readers = [
-            threading.Thread(
-                target=self._reader, args=(r,), name=f"procrouter-{r}", daemon=True
-            )
-            for r in range(self.size)
-        ]
-        for t in readers:
-            t.start()
-        for t in readers:
-            t.join()
+            if faults is not None:
+                injector.merge(*faults)
+            if errors[rank] is not None and not aborted:
+                aborted = True
+                for c in conns:
+                    _send(c, ("abort",))
+    return results, errors, stats, events, retiring
 
 
 def _make_links(n: int) -> list[list[socket.socket]]:
@@ -637,7 +536,7 @@ def _ship_links(conn, socks: list[socket.socket]) -> None:
                     batch = socks[i : i + _FDS_PER_MESSAGE]
                     reduction.sendfds(s, [x.fileno() for x in batch])
     except (OSError, RuntimeError):
-        pass  # dead worker; its reader thread reports the crash
+        pass  # a dead worker; _supervise reports it at pipe EOF
     finally:
         for sock in socks:
             sock.close()
@@ -732,14 +631,15 @@ def run_spmd_process(
     fn: Callable[..., Any],
     *args: Any,
     timeout: float = 120.0,
-    faults: Any = None,
+    injector: FaultInjector | None = None,
     tracer: Any = None,
     **kwargs: Any,
 ):
     """Process-backend implementation behind ``run_spmd(backend="process")``.
 
-    Same signature, semantics and return type as the thread engine; see
-    :func:`repro.runtime.engine.run_spmd` for the parameter contract.
+    Same semantics and return type as the thread engine; see
+    :func:`repro.runtime.engine.run_spmd` for the parameter contract, which
+    validates the arguments and binds ``injector`` before calling this.
 
     Rank ``r`` runs on the ``r``-th of ``n_ranks`` pooled workers: idle
     ones are reused and only the shortfall is spawned.  The workers go back
@@ -747,18 +647,7 @@ def run_spmd_process(
     or abort all of the run's workers are stopped, and the next run spawns
     fresh ones.
     """
-    from repro.runtime.engine import SPMDError, SPMDResult, _is_secondary_abort
-
-    if n_ranks < 1:
-        raise ValueError("n_ranks must be >= 1")
-    injector = None
-    if faults is not None:
-        from repro.runtime.faults import FaultInjector
-
-        injector = (
-            faults if isinstance(faults, FaultInjector) else FaultInjector(faults)
-        )
-        injector.bind(n_ranks)
+    from repro.runtime.engine import SPMDResult, _raise_first_failure
 
     try:
         payload, arena = shm_dumps((fn, args, kwargs))
@@ -773,11 +662,12 @@ def run_spmd_process(
     try:
         while len(workers) < n_ranks:
             workers.append(_Worker())
-        router = _Router([w.conn for w in workers], injector)
         spec = {
             "size": n_ranks,
             "timeout": timeout,
-            "has_faults": injector is not None,
+            "faults": (
+                (injector.plan, injector.fired) if injector is not None else None
+            ),
             "trace": tracer is not None,
             "epoch": tracer.epoch if tracer is not None else 0.0,
             "payload": payload,
@@ -789,16 +679,18 @@ def run_spmd_process(
         try:
             for r in range(n_ranks):
                 # a worker that died while idle fails these sends silently;
-                # its reader thread then reports the rank as crashed, and
-                # its peers see EOF on their links to it
-                router._send(r, ("job", dict(spec, rank=r)))
+                # _supervise then reports the rank as crashed, and its
+                # peers see EOF on their links to it
+                _send(workers[r].conn, ("job", dict(spec, rank=r)))
                 _ship_links(workers[r].conn, links[r])
         finally:
             for ends in links:
                 for sock in ends:
                     sock.close()
-        router.run()
-        reusable = not any(router.errors) and not any(router.retiring)
+        results, errors, stats, events, retiring = _supervise(
+            [w.conn for w in workers], injector
+        )
+        reusable = not any(errors) and not retiring
     finally:
         if reusable:
             _POOL.give_back(workers)
@@ -809,23 +701,16 @@ def run_spmd_process(
             arena.unlink()  # also on abort: no leaked /dev/shm segment
 
     rank_stats = [
-        s if s is not None else RankStats(rank=r)
-        for r, s in enumerate(router.stats)
+        s if s is not None else RankStats(rank=r) for r, s in enumerate(stats)
     ]
     if tracer is not None:
         # merge BEFORE error handling so post-mortem traces survive
-        for r, events in enumerate(router.events):
-            if events:
-                tracer.rank(r).events.extend(events)
+        for r, rank_events in enumerate(events):
+            if rank_events:
+                tracer.rank(r).events.extend(rank_events)
 
-    for rank, exc in enumerate(router.errors):
-        if exc is not None and not _is_secondary_abort(exc):
-            raise SPMDError(rank, exc) from exc
-    for rank, exc in enumerate(router.errors):
-        if exc is not None:
-            raise SPMDError(rank, exc) from exc
-
-    stats = RunStats(ranks=rank_stats)
+    _raise_first_failure(errors)
+    run_stats = RunStats(ranks=rank_stats)
     if tracer is not None:
-        stats.spans = tracer.span_records()
-    return SPMDResult(results=router.results, stats=stats)
+        run_stats.spans = tracer.span_records()
+    return SPMDResult(results=results, stats=run_stats)

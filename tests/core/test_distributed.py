@@ -109,6 +109,8 @@ class TestConfig:
             ("max_inner", -3),
             ("timeout", 0.0),
             ("timeout", -1.0),
+            ("timeout", float("nan")),
+            ("timeout", float("inf")),
             ("stall_patience", 0),
             ("max_levels", 0),
             ("theta", -1.0),

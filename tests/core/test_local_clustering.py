@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.heuristics import get_heuristic
+from repro.core.heuristics import MoveHeuristic, get_heuristic
 from repro.core.local_clustering import LocalClustering
 from repro.core.modularity import modularity
 from repro.partition import delegate_partition, oned_partition
-from repro.runtime import run_spmd
+from repro.runtime import SPMDError, run_spmd
 
 
 def run_level(graph, p, partition_kind="delegate", d_high=None, heuristic="enhanced",
@@ -131,3 +131,34 @@ class TestWorkAccounting:
         _, _, stats = run_level(web_graph, 4, d_high=40)
         phases = set(stats.phases())
         assert {"find_best", "bcast_delegates", "swap_ghost", "other"} <= phases
+
+
+class _MaxLabelHeuristic(MoveHeuristic):
+    """A custom rule the bulk sweep kernel has no encoding for."""
+
+    name = "maxlabel"
+
+    def _pick(self, top):
+        return max(top, key=lambda c: c.label)
+
+
+class TestSweepModeChoice:
+    def test_vectorized_rejects_heuristic_without_bulk_rule(self, karate):
+        """The vectorized sweep used to fall back to the scalar loop for
+        such a heuristic without a word: a different trajectory at a
+        fraction of the speed."""
+        part = oned_partition(karate, 2)
+
+        def worker(comm, sweep_mode):
+            lg = part.locals[comm.rank]
+            return LocalClustering(
+                comm, lg, _MaxLabelHeuristic(), max_inner=5, sweep_mode=sweep_mode
+            ).run().q_final
+
+        with pytest.raises(SPMDError) as exc:
+            run_spmd(2, worker, "vectorized", timeout=30)
+        assert isinstance(exc.value.original, ValueError)
+        assert "maxlabel" in str(exc.value.original)
+        assert "gauss-seidel" in str(exc.value.original)
+        res = run_spmd(2, worker, "gauss-seidel", timeout=30)
+        assert res.results[0] == res.results[1]

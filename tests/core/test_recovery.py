@@ -133,9 +133,10 @@ class TestProcessBackendRecovery:
     """Checkpoint recovery is backend-independent.
 
     On the process backend the checkpoint is written to disk by the rank-0
-    child while the supervisor's live injector stays in the parent — so
-    one-shot crash faults persist across attempts exactly as they do with
-    threads, and the recovered run must match the thread-backend baseline.
+    child, and each child's final frame returns the faults it fired to the
+    supervisor's live injector in the parent — so one-shot crash faults
+    persist across attempts exactly as they do with threads, and the
+    recovered run must match the thread-backend baseline.
     """
 
     @pytest.mark.parametrize("crash_level", [0, 1])

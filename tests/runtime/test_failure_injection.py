@@ -130,12 +130,11 @@ class TestProtocolViolations:
 # ---------------------------------------------------------------------------
 # Backend parity: every fault kind behaves identically on both backends.
 #
-# On the process backend faults are injected by the parent-side supervisor,
-# not inside the children: collective and event faults run in a hook round
-# trip the child makes to it.  The parity contract is that this relocation
-# is unobservable: same error type, same failing rank, same message text.
-# The SPMD programs are module-level so the process backend can ship them
-# to spawned interpreters by reference.
+# Faults fire inside the rank on both backends; on the process backend the
+# rank runs a worker-local copy of the injector.  The parity contract is
+# that the backend is unobservable: same error type, same failing rank,
+# same message text.  The SPMD programs are module-level so the process
+# backend can ship them to spawned interpreters by reference.
 # ---------------------------------------------------------------------------
 
 BACKENDS = ["thread", "process"]
@@ -257,6 +256,53 @@ class TestProcessChildDeath:
         assert unpooled_children() == ([], [])
         assert active_segments() == []
         assert leaked_segment_files() == []
+
+
+class TestProcessSupervisor:
+    """The parent of a process-backend run only supervises, from the
+    calling thread: it starts no thread, and it checks arguments before
+    it takes any pooled worker."""
+
+    def test_process_run_starts_no_parent_thread(self):
+        run_spmd(2, _collective_loop, timeout=15.0, backend="process")
+        before = set(threading.enumerate())
+        seen: set = set()
+        stop = threading.Event()
+
+        def sample():
+            while not stop.is_set():
+                seen.update(threading.enumerate())
+                time.sleep(0.002)
+
+        sampler = threading.Thread(target=sample, name="thread-sampler")
+        sampler.start()
+        plan = FaultPlan([Straggler(rank=0, superstep=1, delay=0.25)])
+        try:
+            t0 = time.perf_counter()
+            res = run_spmd(
+                2, _collective_loop, timeout=15.0, faults=plan, backend="process"
+            )
+            elapsed = time.perf_counter() - t0
+        finally:
+            stop.set()
+            sampler.join()
+        assert res.results == [2, 2]
+        assert elapsed >= 0.2
+        assert [t.name for t in seen - before - {sampler}] == []
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "timeout", [float("nan"), float("inf"), 0.0, -1.0]
+    )
+    def test_bad_timeout_rejected_before_any_rank_starts(self, backend, timeout):
+        from repro.runtime.process_backend import _POOL
+
+        run_spmd(2, _collective_loop, timeout=15.0, backend="process")
+        idle = _POOL.idle_pids()
+        with pytest.raises(ValueError, match="timeout must be finite and > 0"):
+            run_spmd(2, _collective_loop, timeout=timeout, backend=backend)
+        assert _POOL.idle_pids() == idle
+        assert unpooled_children() == ([], [])
 
 
 class TestAlgorithmLevelFailures:

@@ -1,5 +1,6 @@
 """Tests for the deterministic fault-injection layer (`repro.runtime.faults`)."""
 
+import os
 import time
 
 import pytest
@@ -12,6 +13,7 @@ from repro.runtime.faults import (
     InjectedCrash,
     Straggler,
 )
+from repro.runtime.process_backend import _POOL
 
 
 class TestCrashFaults:
@@ -88,27 +90,49 @@ class TestStragglerFaults:
         assert time.perf_counter() - t0 >= 0.08
 
 
-class TestDeterminism:
-    def test_same_plan_same_fault_log(self):
-        plan_faults = [
+def _fault_log_program(c):
+    c.barrier()
+    c.barrier()
+    c.allreduce(1)
+    return os.getpid()
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_same_plan_same_fault_log(backend):
+    """Fault state is a function of the plan alone, on both backends: the
+    same log from every run, a one-shot crash that stays fired when the
+    injector is reused, and a straggler-only process run that returns its
+    workers to the pool."""
+    plan = FaultPlan(
+        [
             CrashFault(rank=1, superstep=2),
             Straggler(rank=0, superstep=0, delay=0.01),
         ]
+    )
+    expected = [
+        "crash rank=1 superstep=2",
+        "straggle rank=0 superstep=0 delay=0.01",
+    ]
 
-        def run_once():
-            injector = FaultInjector(FaultPlan(plan_faults))
+    def run_once():
+        injector = FaultInjector(plan)
+        with pytest.raises(SPMDError) as exc:
+            run_spmd(
+                2, _fault_log_program, timeout=15, faults=injector, backend=backend
+            )
+        assert isinstance(exc.value.original, InjectedCrash)
+        return injector
 
-            def prog(c):
-                c.barrier()
-                c.barrier()
-                c.allreduce(1)
-                return "ok"
-
-            with pytest.raises(SPMDError):
-                run_spmd(2, prog, timeout=2, faults=injector)
-            return sorted(injector.log)
-
-        assert run_once() == run_once()
+    injector = run_once()
+    assert sorted(injector.log) == expected
+    assert sorted(run_once().log) == expected
+    # the crash fired once; only the straggler fires on the reused injector
+    res = run_spmd(
+        2, _fault_log_program, timeout=15, faults=injector, backend=backend
+    )
+    assert sorted(injector.log) == expected + [expected[1]]
+    if backend == "process":
+        assert set(res.results) <= set(_POOL.idle_pids())
 
 
 class TestValidation:
