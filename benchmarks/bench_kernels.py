@@ -11,26 +11,34 @@ Besides the pytest-benchmark cases, this file doubles as a script::
 
 which times each vectorized kernel (local sweep, owner-bucketing pack,
 aggregate sync, merge assembly) against its scalar reference on the
-56k-edge Barabasi-Albert reference graph and writes the
+56k-edge Barabasi-Albert reference graph, and each native C kernel
+(sweep, contributions) against its numpy reference, and writes the
 before/after/speedup table as machine-readable JSON (see
 ``docs/PERFORMANCE.md``).  The aggregate-sync and merge-assembly
 references, and the pipeline row's reference run, come from the test
 oracle ``tests/core/agg_oracle.py``, hence the repository root on
 ``PYTHONPATH``.  ``--check`` exits non-zero if any vectorized
-kernel is slower than its scalar reference (the CI ``bench-smoke`` gate);
-``--quick`` shrinks the workload for CI.
+kernel is slower than its scalar reference, or any C kernel slower than
+its numpy reference (the CI ``bench-smoke`` gate); ``--quick`` shrinks
+the workload for CI.
 """
 
 import argparse
 import json
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.bench import load_dataset
-from repro.core import DistributedConfig, distributed_louvain, sequential_louvain
+from repro.core import (
+    DistributedConfig,
+    distributed_louvain,
+    native,
+    sequential_louvain,
+)
 from repro.core.coarsen import coarsen_graph
 from repro.core.community_table import CommunityTable, OwnerTable
 from repro.core.heuristics import get_heuristic
@@ -213,10 +221,11 @@ def _sweep_scalar(lc, table):
 def _sweep_vectorized(lc, table):
     lg = lc.lg
     return bulk_best_moves(
-        entry_rows=lc._entry_rows,
+        indptr=lg.indptr,
         indices=lg.indices,
         weights=lg.weights,
         comm_of=lc.comm_of,
+        label_index=np.unique(lc.comm_of, return_inverse=True),
         row_wdeg=lg.row_weighted_degree,
         n_rows=lg.n_rows,
         table=table,
@@ -225,6 +234,21 @@ def _sweep_vectorized(lc, table):
         theta=lc.theta,
         heuristic_name=lc.heuristic.name,
     )
+
+
+def _numpy_kernels():
+    """Context in which the numpy kernels run instead of the C ones."""
+    return mock.patch.object(native, "available", lambda: False)
+
+
+def _sweep_numpy(lc, table):
+    with _numpy_kernels():
+        return _sweep_vectorized(lc, table)
+
+
+def _contributions_numpy(lc, index):
+    with _numpy_kernels():
+        return lc._contributions(*index)
 
 
 def _pack_workload(graph):
@@ -444,7 +468,9 @@ def run_kernel_suite(quick=False, pipeline=True):
             "n_edges": int(graph.n_edges),
         },
         "quick": quick,
+        "native": native.available(),
         "kernels": {},
+        "native_kernels": {},
     }
 
     snap = _sweep_workload(graph)
@@ -476,6 +502,26 @@ def run_kernel_suite(quick=False, pipeline=True):
             "scalar_s": scalar_s,
             "vectorized_s": vector_s,
             "speedup": scalar_s / vector_s if vector_s > 0 else float("inf"),
+        }
+
+    # each C kernel against its numpy reference, on the sweep snapshot
+    lc = snap[0]
+    index = np.unique(lc.comm_of, return_inverse=True)
+    native_cases = {
+        "sweep": (lambda: _sweep_numpy(*snap), lambda: _sweep_vectorized(*snap)),
+        "contributions": (
+            lambda: _contributions_numpy(lc, index),
+            lambda: lc._contributions(*index),
+        ),
+    }
+    # sub-millisecond kernels: more repeats for a stable minimum
+    for name, (numpy_fn, c_fn) in native_cases.items() if report["native"] else ():
+        numpy_s = _best_of(numpy_fn, 10 * repeats)
+        c_s = _best_of(c_fn, 10 * repeats)
+        report["native_kernels"][name] = {
+            "numpy_s": numpy_s,
+            "c_s": c_s,
+            "speedup": numpy_s / c_s if c_s > 0 else float("inf"),
         }
 
     if pipeline:
@@ -540,6 +586,15 @@ def main(argv=None):
             f"{name:{width}s}  {row['scalar_s'] * 1e3:8.2f}ms  "
             f"{row['vectorized_s'] * 1e3:8.2f}ms  {row['speedup']:6.2f}x"
         )
+    if report["native"]:
+        print(f"{'native':{width}s}  {'numpy':>10s}  {'C':>10s}  speedup")
+        for name, row in report["native_kernels"].items():
+            print(
+                f"{name:{width}s}  {row['numpy_s'] * 1e3:8.2f}ms  "
+                f"{row['c_s'] * 1e3:8.2f}ms  {row['speedup']:6.2f}x"
+            )
+    else:
+        print("native kernels unavailable: numpy only")
     if "pipeline" in report:
         row = report["pipeline"]
         print(
@@ -554,10 +609,18 @@ def main(argv=None):
             for name, row in report["kernels"].items()
             if row["speedup"] < 1.0
         ]
-        if slow:
-            print(f"FAIL: vectorized kernels slower than scalar: {slow}")
+        slow_c = [
+            name
+            for name, row in report["native_kernels"].items()
+            if row["speedup"] < 1.0
+        ]
+        if slow or slow_c:
+            if slow:
+                print(f"FAIL: vectorized kernels slower than scalar: {slow}")
+            if slow_c:
+                print(f"FAIL: C kernels slower than numpy: {slow_c}")
             return 1
-        print("OK: every vectorized kernel at least matches its reference")
+        print("OK: every vectorized and C kernel at least matches its reference")
     return 0
 
 

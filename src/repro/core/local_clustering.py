@@ -40,7 +40,11 @@ import numpy as np
 from repro.core.community_table import CommunityTable, OwnerTable
 from repro.core.heuristics import Candidate, MoveHeuristic
 from repro.core.pack import pack_by_owner
-from repro.core.sweep_kernel import VECTOR_HEURISTICS, bulk_best_moves
+from repro.core.sweep_kernel import (
+    VECTOR_HEURISTICS,
+    bulk_best_moves,
+    internal_weight,
+)
 from repro.partition.distgraph import LocalGraph
 from repro.runtime.comm import SimComm
 
@@ -116,6 +120,9 @@ class LocalClustering:
         self.two_m = 2.0 * lg.m_global if lg.m_global > 0 else 1.0
 
         self.comm_of = lg.global_ids.astype(np.int64).copy()
+        # np.unique(comm_of, return_inverse=True), built by the sync and
+        # reused by the next sweep; every write to comm_of clears it
+        self._index: tuple[np.ndarray, np.ndarray] | None = None
         # the subscriber-side community cache: the pull writes it, the bulk
         # sweep reads it, and the Gauss-Seidel sweep loads dict views from
         # it once per pass
@@ -137,11 +144,6 @@ class LocalClustering:
             peer: lg.n_rows + np.searchsorted(ghosts, ids)
             for peer, ids in lg.recv_from.items()
         }
-        # directed-entry source rows (for sigma_in contributions)
-        self._entry_rows = np.repeat(
-            np.arange(lg.n_rows, dtype=np.int64), np.diff(lg.indptr)
-        )
-        self._is_self_entry = lg.indices == self._entry_rows
         # plain-list views of the immutable CSR: scalar indexing of numpy
         # arrays dominates the scalar sweep cost otherwise (~3x slower)
         if self.sweep_mode == "gauss-seidel":
@@ -168,10 +170,13 @@ class LocalClustering:
 
         One compact label index, rebuilt on every call because ``comm_of``
         changes between calls, yields the contributions, the request set
-        of the pull and the owned-vertex census.
+        of the pull and the owned-vertex census.  It stays valid until the
+        next write to ``comm_of``, so the next vectorized sweep reuses it.
         """
         comm = self.comm
-        labels_all, cidx = np.unique(self.comm_of, return_inverse=True)
+        labels_all, cidx = self._index = np.unique(
+            self.comm_of, return_inverse=True
+        )
         labels, tot, cnt, s_in = self._contributions(labels_all, cidx)
         owner = self._owner(labels) if labels.size else labels
         payloads = pack_by_owner(owner, comm.size, labels, tot, cnt, s_in)
@@ -205,7 +210,8 @@ class LocalClustering:
 
         Member facts come from owned low vertices and designated hubs, edge
         facts from the directed entries internal to a community (self
-        entries doubled).  ``np.bincount`` adds its weights one by one in
+        entries doubled, :func:`~repro.core.sweep_kernel.internal_weight`).
+        ``np.bincount`` and the C kernel add their weights one by one in
         stream order, so every sum is reproducible bit for bit.
         """
         lg = self.lg
@@ -217,21 +223,11 @@ class LocalClustering:
             mem_ids = np.concatenate([mem_ids, cidx[hub_rows]])
             mem_w = np.concatenate([mem_w, lg.row_weighted_degree[hub_rows]])
 
-        cu = cidx[self._entry_rows]
-        internal = cu == cidx[lg.indices]
-        in_ids = cu[internal]
-        del cu
-        w_in = lg.weights[internal]
-        w_in = np.where(self._is_self_entry[internal], 2.0 * w_in, w_in)
-        del internal
-
-        present = np.zeros(k, dtype=bool)
+        s_in, present = internal_weight(lg.indptr, lg.indices, lg.weights, cidx, k)
         present[mem_ids] = True
-        present[in_ids] = True
         tot = np.bincount(mem_ids, weights=mem_w, minlength=k)[present]
         cnt = np.bincount(mem_ids, minlength=k)[present].astype(np.float64)
-        s_in = np.bincount(in_ids, weights=w_in, minlength=k)[present]
-        return labels_all[present], tot, cnt, s_in
+        return labels_all[present], tot, cnt, s_in[present]
 
     # ------------------------------------------------------------------
     # The pull
@@ -341,6 +337,7 @@ class LocalClustering:
         cu = int(self.comm_of[u])
         wu = float(self.lg.row_weighted_degree[u])
         self.comm_of[u] = new_label
+        self._index = None
         self._cof_list[u] = new_label
         self.sigma_tot[cu] = self.sigma_tot.get(cu, wu) - wu
         self.csize[cu] = self.csize.get(cu, 1) - 1
@@ -366,6 +363,7 @@ class LocalClustering:
             return
         wu = self.lg.row_weighted_degree[rows]
         self.comm_of[rows] = targets
+        self._index = None
         n = int(rows.size)
         upd = np.empty(2 * n, dtype=np.int64)
         upd[0::2] = old
@@ -430,11 +428,14 @@ class LocalClustering:
         # identical work accounting to the scalar sweep: one unit per
         # scanned directed entry (empty rows contribute zero either way)
         self.comm.add_compute(float(lg.indices.size))
+        if self._index is None:
+            self._index = np.unique(self.comm_of, return_inverse=True)
         chosen, gain, stay = bulk_best_moves(
-            entry_rows=self._entry_rows,
+            indptr=lg.indptr,
             indices=lg.indices,
             weights=lg.weights,
             comm_of=self.comm_of,
+            label_index=self._index,
             row_wdeg=lg.row_weighted_degree,
             n_rows=lg.n_rows,
             table=self.ctab,
@@ -545,6 +546,7 @@ class LocalClustering:
                 if count_churn:
                     churn += int(np.count_nonzero(self.comm_of[idx] != values))
                 self.comm_of[idx] = values
+                self._index = None
         if count_churn:
             self._ghost_churn.append(churn)
 
@@ -586,6 +588,7 @@ class LocalClustering:
                         np.count_nonzero(self.comm_of[idx[positions]] != values)
                     )
                 self.comm_of[idx[positions]] = values
+                self._index = None
         if count_churn:
             self._ghost_churn.append(churn)
 
@@ -649,6 +652,7 @@ class LocalClustering:
         # happened to stop (identical on all ranks — see above)
         if best_comm is not None:
             self.comm_of = best_comm
+            self._index = None
         return LevelOutcome(
             comm_of=self.comm_of,
             q_history=q_history,

@@ -11,9 +11,9 @@ move evaluation as *bulk* NumPy array operations over all rows at once:
    communities ``0..K-1`` in label order.  The per-(row, neighbour-
    community) link weights ``w(u -> c)`` are computed for every row
    simultaneously by one stable argsort of the int64 key
-   ``row * K + cidx[v]`` and a segment reduction with
-   :func:`numpy.add.reduceat`.  The pairs come out in (row, label) order
-   and each sum runs in CSR entry order;
+   ``row * K + cidx[v]`` and one ``np.bincount`` over the pair ids.  The
+   pairs come out in (row, label) order and each sum runs left to right
+   in CSR entry order, exactly like the scalar evaluator's;
 2. **Gain evaluation** — the rank's
    :class:`~repro.core.community_table.CommunityTable` is read once per
    distinct label and gathered by compact id; Eq. 4 gains against the
@@ -42,23 +42,32 @@ label table, possibly stale aggregates); :func:`jacobi_minlabel_sweep` is
 the dense variant used by the shared-memory baseline, where exact
 aggregates come from ``np.bincount`` and the labels, already in ``[0, n)``,
 are their own compact index.
+
+:func:`bulk_best_moves` and :func:`internal_weight` (the sync's
+intra-community edge weight) run the C kernels of
+:mod:`repro.core.native` when they could be built: one linear scan of
+each row with a row-local accumulator in place of the global sort, with
+bit-identical results.  The numpy code here is their reference and the
+fallback.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core import native
 from repro.core.community_table import CommunityTable
 
 __all__ = [
     "VECTOR_HEURISTICS",
     "aggregate_neighbor_communities",
     "bulk_best_moves",
+    "internal_weight",
     "jacobi_minlabel_sweep",
 ]
 
 # heuristics with a vectorized selection rule (all registered ones today);
-# LocalClustering falls back to the scalar loop for anything else
+# LocalClustering(sweep_mode="vectorized") rejects anything else
 VECTOR_HEURISTICS = frozenset({"greedy", "minlabel", "enhanced"})
 
 _I64_MAX = np.iinfo(np.int64).max
@@ -79,7 +88,7 @@ def aggregate_neighbor_communities(
     themselves when they already lie in ``[0, n_labels)``.  Self-edges are
     excluded, matching the scalar sweep.  Returns ``(rows, ids, w)`` with
     ``rows`` ascending, ``ids`` ascending within a row, each ``(row, id)``
-    pair unique, and ``w`` summed in CSR entry order.
+    pair unique, and ``w`` summed left to right in CSR entry order.
     """
     mask = indices != entry_rows
     # one stable argsort of a combined int64 key groups the pairs in
@@ -100,11 +109,12 @@ def aggregate_neighbor_communities(
     boundary = np.empty(key.size, dtype=bool)
     boundary[0] = True
     np.not_equal(key[1:], key[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    del boundary
-    pair_key = key[starts]
-    del key
-    return pair_key // k, pair_key % k, np.add.reduceat(w, starts)
+    # np.bincount adds its weights one by one in stream order, so each
+    # pair's sum is the sequential one (a segmented ufunc reduceat is not)
+    pair_w = np.bincount(np.cumsum(boundary) - 1, weights=w)
+    pair_key = key[boundary]
+    del key, boundary
+    return pair_key // k, pair_key % k, pair_w
 
 
 def _segment_starts(sorted_rows: np.ndarray) -> np.ndarray:
@@ -119,10 +129,11 @@ def _segment_starts(sorted_rows: np.ndarray) -> np.ndarray:
 
 def bulk_best_moves(
     *,
-    entry_rows: np.ndarray,
+    indptr: np.ndarray,
     indices: np.ndarray,
     weights: np.ndarray,
     comm_of: np.ndarray,
+    label_index: tuple[np.ndarray, np.ndarray],
     row_wdeg: np.ndarray,
     n_rows: int,
     table: CommunityTable,
@@ -137,6 +148,8 @@ def bulk_best_moves(
     ``LocalClustering._evaluate_vertex`` — Eq. 4 gains against the cached
     (possibly stale) ``sigma_tot`` / size / local-member columns of
     ``table`` — against one frozen snapshot of ``comm_of``.
+    ``label_index`` is ``np.unique(comm_of, return_inverse=True)`` for that
+    snapshot.
 
     Returns ``(chosen, chosen_gain, stay_gain)`` arrays of length
     ``n_rows``; ``chosen[u] == comm_of[u]`` means "stay".  No caches are
@@ -147,18 +160,57 @@ def bulk_best_moves(
             f"no vectorized rule for heuristic {heuristic_name!r}; "
             f"supported: {sorted(VECTOR_HEURISTICS)}"
         )
-    cu = comm_of[:n_rows].astype(np.int64, copy=False)
-    # one compact index over the rank's labels (local and ghost vertices)
-    # serves the pair grouping and every cache lookup below
-    labels_all, cidx = np.unique(comm_of, return_inverse=True)
-    cu_id = cidx[:n_rows]
-    pr, pid, pw = aggregate_neighbor_communities(
-        entry_rows, indices, weights, cidx, labels_all.size
-    )
-
+    labels_all, cidx = label_index
     # one table lookup (one searchsorted pass) over the distinct labels,
     # gathered by compact id
-    st, st_known, sz, loc = table.lookup_eval(labels_all)
+    lookup = table.lookup_eval(labels_all)
+    kernel = native.best_moves if native.available() else _best_moves_numpy
+    return kernel(
+        indptr,
+        indices,
+        weights,
+        cidx,
+        comm_of,
+        row_wdeg,
+        labels_all,
+        lookup,
+        n_rows=n_rows,
+        two_m=two_m,
+        resolution=resolution,
+        theta=theta,
+        heuristic_name=heuristic_name,
+    )
+
+
+def _entry_rows(indptr: np.ndarray) -> np.ndarray:
+    """The source row of every CSR entry."""
+    return np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
+
+
+def _best_moves_numpy(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+    cidx: np.ndarray,
+    comm_of: np.ndarray,
+    row_wdeg: np.ndarray,
+    labels_all: np.ndarray,
+    lookup: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    *,
+    n_rows: int,
+    two_m: float,
+    resolution: float,
+    theta: float,
+    heuristic_name: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The numpy body of :func:`bulk_best_moves`: the reference the C
+    kernel reproduces bit for bit, and its fallback."""
+    cu = comm_of[:n_rows].astype(np.int64, copy=False)
+    cu_id = cidx[:n_rows]
+    pr, pid, pw = aggregate_neighbor_communities(
+        _entry_rows(indptr), indices, weights, cidx, labels_all.size
+    )
+    st, st_known, sz, loc = lookup
 
     # stay gain: links into the own community minus the Eq. 4 penalty
     # against sigma_tot(cu) without u (missing label defaults to wu, as in
@@ -223,6 +275,39 @@ def bulk_best_moves(
     return chosen, chosen_gain, stay_gain
 
 
+def internal_weight(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+    cidx: np.ndarray,
+    n_labels: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Intra-community edge weight per compact id: ``(s_in, has_in)``.
+
+    Every directed entry whose endpoints share a compact id adds its
+    weight (twice for a self entry) to ``s_in[cidx[row]]``, in CSR entry
+    order; ``has_in`` marks the ids that received at least one entry.
+    Runs the C kernel when :mod:`repro.core.native` could build it.
+    """
+    if native.available():
+        return native.internal_weight(indptr, indices, weights, cidx, n_labels)
+    entry_rows = _entry_rows(indptr)
+    cu = cidx[entry_rows]
+    internal = cu == cidx[indices]
+    in_ids = cu[internal]
+    del cu
+    w_in = weights[internal]
+    w_in = np.where(indices[internal] == entry_rows[internal], 2.0 * w_in, w_in)
+    # np.bincount adds in stream order, so the sums are reproducible (it
+    # returns integers for an empty stream, hence the cast)
+    s_in = np.bincount(in_ids, weights=w_in, minlength=n_labels).astype(
+        np.float64, copy=False
+    )
+    has_in = np.zeros(n_labels, dtype=bool)
+    has_in[in_ids] = True
+    return s_in, has_in
+
+
 def jacobi_minlabel_sweep(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -247,10 +332,9 @@ def jacobi_minlabel_sweep(
     comm = comm.astype(np.int64, copy=False)
     sigma_tot = np.bincount(comm, weights=wdeg, minlength=n)
     csize = np.bincount(comm, minlength=n)
-    entry_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     # labels already lie in [0, n): they are their own compact index
     pr, pc, pw = aggregate_neighbor_communities(
-        entry_rows, indices, weights, comm, n
+        _entry_rows(indptr), indices, weights, comm, n
     )
 
     stay_w = np.zeros(n)

@@ -88,10 +88,14 @@ class ScalarSyncClustering(LocalClustering):
         mem_w = lg.row_weighted_degree[mem_local]
 
         # edge facts: directed entries internal to a community
-        cu = self.comm_of[self._entry_rows]
+        entry_rows = np.repeat(
+            np.arange(lg.n_rows, dtype=np.int64), np.diff(lg.indptr)
+        )
+        cu = self.comm_of[entry_rows]
         cv = self.comm_of[lg.indices]
         internal = cu == cv
-        w_in = np.where(self._is_self_entry, 2.0 * lg.weights, lg.weights)[internal]
+        is_self = lg.indices == entry_rows
+        w_in = np.where(is_self, 2.0 * lg.weights, lg.weights)[internal]
         in_labels = cu[internal]
 
         labels = np.concatenate([mem_labels, in_labels])

@@ -162,3 +162,69 @@ class TestSweepModeChoice:
         assert "gauss-seidel" in str(exc.value.original)
         res = run_spmd(2, worker, "gauss-seidel", timeout=30)
         assert res.results[0] == res.results[1]
+
+
+class TestLabelIndexReuse:
+    """The compact label index the sync builds serves the next vectorized
+    sweep, and every write to ``comm_of`` drops it."""
+
+    def test_sweep_reuses_the_sync_index(self, web_graph, monkeypatch):
+        from repro.core import local_clustering
+
+        part = delegate_partition(web_graph, 2, d_high=30)
+        used = []
+        real = local_clustering.bulk_best_moves
+
+        def spy(**kw):
+            labels_all, cidx = kw["label_index"]
+            # the index handed over describes comm_of as the sweep sees it
+            assert np.array_equal(labels_all[cidx], kw["comm_of"])
+            used.append(kw["label_index"])
+            return real(**kw)
+
+        monkeypatch.setattr(local_clustering, "bulk_best_moves", spy)
+
+        def valid(lc):
+            # a kept index always describes the current comm_of
+            if lc._index is None:
+                return True
+            labels_all, cidx = lc._index
+            return np.array_equal(labels_all[cidx], lc.comm_of)
+
+        def worker(comm):
+            lc = LocalClustering(
+                comm, part.locals[comm.rank], get_heuristic("enhanced"),
+                sweep_mode="vectorized",
+            )
+            built, checks = [], []
+            for _ in range(4):
+                lc.sync_aggregates()
+                built.append(lc._index)
+                hub_gain, hub_target = lc.find_best_pass()[1:]
+                checks.append(valid(lc))
+                lc.broadcast_delegates(hub_gain, hub_target)
+                checks.append(valid(lc))
+                lc.swap_ghosts()
+                checks.append(valid(lc))
+            return built, checks
+
+        results = run_spmd(2, worker, timeout=60, backend="thread").results
+        # every sweep ran on the index its preceding sync built
+        assert {id(index) for index in used} == {
+            id(index) for built, _checks in results for index in built
+        }
+        assert len(used) == 8
+        assert all(all(checks) for _built, checks in results)
+
+    def test_best_state_restore_clears_the_index(self, web_graph):
+        part = delegate_partition(web_graph, 2, d_high=30)
+
+        def worker(comm):
+            lc = LocalClustering(
+                comm, part.locals[comm.rank], get_heuristic("enhanced"),
+                sweep_mode="vectorized", max_inner=5,
+            )
+            lc.run()
+            return lc._index
+
+        assert run_spmd(2, worker, timeout=60, backend="thread").results == [None, None]
