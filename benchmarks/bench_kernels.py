@@ -40,12 +40,12 @@ from repro.core import (
     sequential_louvain,
 )
 from repro.core.coarsen import coarsen_graph
-from repro.core.community_table import CommunityTable, OwnerTable
+from repro.core.community_table import CommunitySnapshot, OwnerTable
 from repro.core.heuristics import get_heuristic
 from repro.core.local_clustering import LocalClustering
 from repro.core.merging import _aggregate_pairs, _assemble
 from repro.core.modularity import modularity
-from repro.core.pack import pack_by_owner
+from repro.core.pack import pack_bounds, pack_by_owner
 from repro.core.sweep_kernel import bulk_best_moves
 from repro.graph.csr import build_symmetric_csr
 from repro.graph.generators import barabasi_albert
@@ -205,30 +205,30 @@ def _sweep_workload(graph, size=SYNC_RANKS):
 
     Communities then have several members, so rows reach one community
     through several entries.  Returns the rank's LocalClustering (its pass
-    views loaded for ``_evaluate_vertex``) and its CommunityTable, which
-    the vectorized sweep reads.
+    views loaded for ``_evaluate_vertex``) and the snapshot of its last
+    sync, which the vectorized sweep reads.
     """
     partition = delegate_partition(graph, size, d_high=64)
     lc = run_spmd(size, _sweep_snapshot_program, partition, backend="thread").results[0]
     lc._load_pass_views()
-    return lc, lc.ctab
+    return lc, lc.snapshot
 
 
-def _sweep_scalar(lc, table):
+def _sweep_scalar(lc, snap):
     return [lc._evaluate_vertex(u) for u in range(lc.lg.n_rows)]
 
 
-def _sweep_vectorized(lc, table):
+def _sweep_vectorized(lc, snap):
     lg = lc.lg
     return bulk_best_moves(
         indptr=lg.indptr,
         indices=lg.indices,
         weights=lg.weights,
         comm_of=lc.comm_of,
-        label_index=np.unique(lc.comm_of, return_inverse=True),
+        label_index=(snap.labels, snap.cidx),
         row_wdeg=lg.row_weighted_degree,
         n_rows=lg.n_rows,
-        table=table,
+        lookup=snap.lookup(),
         two_m=lc.two_m,
         resolution=lc.resolution,
         theta=lc.theta,
@@ -241,9 +241,9 @@ def _numpy_kernels():
     return mock.patch.object(native, "available", lambda: False)
 
 
-def _sweep_numpy(lc, table):
+def _sweep_numpy(lc, snap):
     with _numpy_kernels():
-        return _sweep_vectorized(lc, table)
+        return _sweep_vectorized(lc, snap)
 
 
 def _contributions_numpy(lc, index):
@@ -273,9 +273,11 @@ def _sync_workload(graph, size=SYNC_RANKS):
 
     Covers the complete dict-based path the tables replaced: owner-side
     contribution merging, full-pull request answering, subscriber-side
-    cache rebuild, local census, and partial modularity.  Communication
-    itself is excluded (identical payloads either way); only the per-label
-    CPU work differs.
+    placement of the replies, local census, and partial modularity.
+    Communication itself is excluded (identical payloads either way); only
+    the per-label CPU work differs.  Each subscriber's compact label index
+    and request order come precomputed: the sync builds them for its
+    contributions and requests anyway.
     """
     rng = np.random.default_rng(7)
     n = graph.n_vertices
@@ -292,9 +294,11 @@ def _sync_workload(graph, size=SYNC_RANKS):
         np.add.at(tot, inv, wdeg[verts])
         cnt = np.bincount(inv, minlength=uniq.size).astype(np.float64)
         reports.append((uniq, tot, cnt, tot * 0.5))
-        # referenced communities: own labels plus ghost-neighbour labels
+        # referenced communities: own labels plus ghost-neighbour labels;
+        # owned vertices come first in comm_of, as on a rank
         ghosts = rng.choice(n, size=n // size, replace=False)
-        needed.append(np.unique(np.concatenate([uniq, labels_of[ghosts]])))
+        comm_of = np.concatenate([labels_of[verts], labels_of[ghosts]])
+        needed.append(np.unique(comm_of, return_inverse=True))
     streams = []
     requests = []
     for owner in range(size):
@@ -303,20 +307,24 @@ def _sync_workload(graph, size=SYNC_RANKS):
             for labs, tot, cnt, s_in in reports
         ]
         streams.append(tuple(np.concatenate(c) for c in zip(*parts)))
-        requests.append(np.concatenate([nd[nd % size == owner] for nd in needed]))
-    # precomputed answers for the subscriber-side rebuild (per rank, the
-    # concatenation of every owner's reply)
+        requests.append(
+            np.concatenate([nd[nd % size == owner] for nd, _cidx in needed])
+        )
+    # precomputed answers for the subscriber side (per rank, the rank-order
+    # concatenation of every owner's reply to the owner-bucketed requests)
     g_uniq, g_inv = np.unique(labels_of, return_inverse=True)
     g_tot = np.zeros(g_uniq.size)
     np.add.at(g_tot, g_inv, wdeg)
     g_cnt = np.bincount(g_inv, minlength=g_uniq.size).astype(np.float64)
     answered = []
-    for nd in needed:
-        pos = np.searchsorted(g_uniq, nd)
-        vals = np.empty((nd.size, 2))
+    for (nd, cidx), members in zip(needed, census):
+        order = pack_bounds(nd % size, size)[0]
+        req = nd[order]
+        pos = np.searchsorted(g_uniq, req)
+        vals = np.empty((req.size, 2))
         vals[:, 0] = g_tot[pos]
         vals[:, 1] = g_cnt[pos]
-        answered.append((nd, vals))
+        answered.append((nd, cidx, order, req, vals, members.size))
     return {
         "streams": streams,
         "requests": requests,
@@ -335,7 +343,9 @@ def _sync_scalar(w, two_m=1000.0, resolution=1.0):
         own.answer(w["requests"][owner])
         # per-owner subtotal, as the real allreduce sees it
         q_total += own.partial_modularity(two_m, resolution)
-    for (req, vals), members in zip(w["answered"], w["census"]):
+    for (_nd, _cidx, _order, req, vals, _n), members in zip(
+        w["answered"], w["census"]
+    ):
         # subscriber side: rebuild caches from the answers, local census
         sigma_tot = {}
         csize = {}
@@ -357,11 +367,8 @@ def _sync_vectorized(w, two_m=1000.0, resolution=1.0):
         req = w["requests"][owner]
         vals = np.empty((req.size, 2))
         vals[:, 0], vals[:, 1] = own.lookup(req)
-    for (req, vals), members in zip(w["answered"], w["census"]):
-        ctab = CommunityTable()
-        ctab.rebuild(req, vals[:, 0], np.rint(vals[:, 1]).astype(np.int64))
-        labs, cnts = np.unique(members, return_counts=True)
-        ctab.set_local_census(labs, cnts.astype(np.int64))
+    for answered in w["answered"]:
+        CommunitySnapshot.from_replies(*answered)
     return q_total
 
 
@@ -505,8 +512,8 @@ def run_kernel_suite(quick=False, pipeline=True):
         }
 
     # each C kernel against its numpy reference, on the sweep snapshot
-    lc = snap[0]
-    index = np.unique(lc.comm_of, return_inverse=True)
+    lc, synced = snap
+    index = (synced.labels, synced.cidx)
     native_cases = {
         "sweep": (lambda: _sweep_numpy(*snap), lambda: _sweep_vectorized(*snap)),
         "contributions": (

@@ -24,8 +24,8 @@ enum { GREEDY = 0, MINLABEL = 1, ENHANCED = 2 };
 /* Heuristic-gated best move for rows [0, n_rows).
  *
  * cidx maps every local vertex to its compact community id in [0, k);
- * labels, st, st_known, sz and loc are the CommunityTable lookup of the k
- * compact ids.  Scratch: mark (k entries, all < 0 on entry), acc (k) and
+ * labels, st, st_known, sz and loc are the labels and the synced
+ * community columns of the k compact ids.  Scratch: mark (k entries, all < 0 on entry), acc (k) and
  * touched (k).  For each row, acc accumulates w(u -> c) per compact id in
  * one pass over the row; mark[c] == u says acc[c] belongs to this row.
  * The selection then follows bulk_best_moves: among candidates whose gain

@@ -1,14 +1,21 @@
-"""Dense community-aggregate tables for the synchronisation hot path.
+"""Community-aggregate tables of the synchronisation hot path.
 
 The seed implementation of Algorithm 2's "other" phase kept every
 per-community aggregate in Python dicts (``dict[int, list[float]]`` on the
 owner side, ``dict[int, float]`` caches on the subscriber side) and walked
 them with ``zip(...tolist())`` loops at every iteration.  This module holds
-the numpy-native replacement: a *table* is a sorted-unique ``int64`` label
-array plus value columns aligned to it, and every operation the sync
-protocol needs — accumulating the owners' received contributions, answering
-pulls, rebuilding the subscriber cache — is one ``np.unique``,
-``searchsorted`` or ``np.add.at`` pass.
+the numpy-native replacement for both sides:
+
+* :class:`OwnerTable` — the owner's aggregates of one round, a
+  sorted-unique ``int64`` label array plus value columns aligned to it,
+  accumulated from the received contributions with one ``np.unique`` and
+  ``np.add.at`` pass;
+* :class:`CommunitySnapshot` — the subscriber's view after the pull: the
+  sync's compact label index ``labels, cidx = np.unique(comm_of,
+  return_inverse=True)`` plus ``sigma_tot`` / size / local-member columns
+  indexed by compact id.  The sync is its only writer, and any write to
+  ``comm_of`` invalidates it, so a reader gathers by compact id and never
+  searches for a label.
 
 Exactness contract: each kernel reproduces the seed's dict loops *bitwise*.
 Accumulations run in the same order the dict loops used (``np.add.at``
@@ -16,22 +23,20 @@ applies its updates sequentially in stream order, matching per-rank arrival
 order), every label starts from an exact ``0.0``, and
 :meth:`OwnerTable.partial_modularity` sums in dict *insertion* order via the
 ``seq`` column so the floating-point reduction order of the seed's
-``for lab, acc in own.items()`` loop is preserved.  The dict-based owner
-side survives only as a test oracle (``tests/core/agg_oracle.py``);
-``tests/core/test_agg_equivalence.py`` pins this module against it, and
-pins :class:`CommunityTable` against a literal dict transcription of the
-subscriber cache it replaced.
+``for lab, acc in own.items()`` loop is preserved.  The dict-based sync
+survives only as a test oracle (``tests/core/agg_oracle.py``);
+``tests/core/test_agg_equivalence.py`` pins the owner side against it and
+``tests/core/test_local_clustering.py`` pins the snapshot against its dict
+pull.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-__all__ = ["OwnerTable", "CommunityTable"]
-
-_EMPTY_I64 = np.zeros(0, dtype=np.int64)
-_EMPTY_F64 = np.zeros(0, dtype=np.float64)
-
+__all__ = ["OwnerTable", "CommunitySnapshot"]
 
 def _member_positions(
     sorted_labels: np.ndarray, query: np.ndarray
@@ -104,100 +109,60 @@ class OwnerTable:
         return float(np.cumsum(terms[np.argsort(self.seq, kind="stable")])[-1])
 
 
-class CommunityTable:
-    """Subscriber-side cache: ``sigma_tot`` / community size / local-member
-    count per referenced community, as dense label-aligned columns.
+class CommunitySnapshot(NamedTuple):
+    """One rank's community state after a sync, on the sync's compact
+    label index.
 
-    The one subscriber-side cache of :class:`LocalClustering`, for every
-    sweep, aggregate and ghost mode: both pull implementations rebuild
-    it, the bulk sweep reads it directly, and the Gauss-Seidel sweep loads
-    dict views from it once per pass.  Lookup defaults mirror the dict
-    ``get`` defaults of the scalar sweep: missing ``sigma_tot`` is 0.0
-    (with a separate "known" mask for the stay-gain special case), missing
-    size is 1, missing local count is 0.
+    ``labels`` is ``np.unique(comm_of)`` and ``cidx`` the compact id of
+    every local vertex (``labels[cidx] == comm_of``); ``sigma_tot`` and
+    ``size`` are the owners' replies and ``local`` the number of owned
+    vertices in each community, all indexed by compact id.  It describes
+    ``comm_of`` as the sync saw it, so every write to ``comm_of`` drops it.
     """
 
-    __slots__ = ("labels", "sigma_tot", "size", "local")
+    labels: np.ndarray
+    cidx: np.ndarray
+    sigma_tot: np.ndarray
+    size: np.ndarray
+    local: np.ndarray
 
-    def __init__(self) -> None:
-        self.labels = _EMPTY_I64
-        self.sigma_tot = _EMPTY_F64
-        self.size = _EMPTY_I64
-        self.local = _EMPTY_I64
-
-    def __len__(self) -> int:
-        return int(self.labels.size)
-
-    def rebuild(
-        self, labels: np.ndarray, sigma_tot: np.ndarray, size: np.ndarray
-    ) -> None:
-        """Replace the cache wholesale (full-pull semantics).  ``labels``
-        need not be sorted; local counts reset to zero."""
-        order = np.argsort(labels, kind="stable")
-        self.labels = labels[order]
-        self.sigma_tot = sigma_tot[order]
-        self.size = size[order]
-        self.local = np.zeros(self.labels.size, dtype=np.int64)
-
-    def set_local_census(self, labels: np.ndarray, counts: np.ndarray) -> None:
-        """Reset the local-member column from a fresh census over owned
-        vertices.  Every census label must already be cached (the pull
-        protocol guarantees it); a miss would silently corrupt a neighbour
-        row, so it is a hard error instead."""
-        self.local[:] = 0
-        if labels.size:
-            pos, found = _member_positions(self.labels, labels)
-            if not found.all():
-                raise KeyError(int(labels[~found][0]))
-            self.local[pos] = counts
-
-    def lookup_eval(
-        self, labels: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(sigma_tot, sigma_known, size, is_local)`` with dict-``get``
-        defaults, for the bulk sweep kernel."""
-        pos, found = _member_positions(self.labels, labels)
-        st = np.where(found, self.sigma_tot[pos] if self.labels.size else 0.0, 0.0)
-        sz = np.where(found, self.size[pos] if self.labels.size else 1, 1)
-        loc = found & (self.local[pos] > 0) if self.labels.size else found
-        return st, found, sz.astype(np.int64, copy=False), loc
-
-    def scatter_add(
-        self,
+    @classmethod
+    def from_replies(
+        cls,
         labels: np.ndarray,
-        d_sigma: np.ndarray,
-        d_size: np.ndarray,
-        d_local: np.ndarray,
-    ) -> None:
-        """Apply optimistic move deltas (``np.add.at``, sequential in
-        stream order), inserting zero rows for labels not yet cached —
-        the dict path's ``get(label, 0)`` bootstrap."""
-        if labels.size == 0:
-            return
-        uniq = np.unique(labels)
-        _pos, found = _member_positions(self.labels, uniq)
-        new_labels = uniq[~found]
-        if new_labels.size:
-            merged = np.concatenate([self.labels, new_labels])
-            take = np.argsort(merged, kind="stable")
-            zeros = np.zeros(new_labels.size, dtype=np.int64)
-            self.labels = merged[take]
-            self.sigma_tot = np.concatenate(
-                [self.sigma_tot, np.zeros(new_labels.size)]
-            )[take]
-            self.size = np.concatenate([self.size, zeros])[take]
-            self.local = np.concatenate([self.local, zeros])[take]
-        pos = np.searchsorted(self.labels, labels)
-        np.add.at(self.sigma_tot, pos, d_sigma)
-        np.add.at(self.size, pos, d_size)
-        np.add.at(self.local, pos, d_local)
+        cidx: np.ndarray,
+        order: np.ndarray,
+        replied: np.ndarray,
+        values: np.ndarray,
+        n_owned: int,
+    ) -> CommunitySnapshot:
+        """Place the pull's replies on the compact index.
 
-    def as_dicts(self) -> tuple[dict[int, float], dict[int, int]]:
-        """``(sigma_tot, csize)`` dict mirrors, for the Gauss-Seidel
-        sweep's per-pass loader; one C-level pass, values identical to the
-        columns."""
+        The requests were ``labels[order]`` (the owner-bucketing
+        permutation of :func:`~repro.core.pack.pack_bounds`), so the
+        rank-order concatenation of the replies, ``replied`` with its
+        ``(sigma_tot, size)`` rows ``values``, must repeat them exactly;
+        anything else breaks the protocol and raises ``RuntimeError``.
+        The local-member census counts the first ``n_owned`` vertices:
+        hub delegates are resident everywhere, which does not make their
+        communities' aggregates any fresher here.
+        """
+        if not np.array_equal(replied, labels[order]):
+            raise RuntimeError("the pull's replies do not match its requests")
+        sigma_tot = np.empty(labels.size)
+        sigma_tot[order] = values[:, 0]
+        size = np.empty(labels.size, dtype=np.int64)
+        size[order] = np.rint(values[:, 1])
+        local = np.bincount(cidx[:n_owned], minlength=labels.size)
+        return cls(labels, cidx, sigma_tot, size, local)
+
+    def lookup(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(sigma_tot, known, size, is_local)`` per compact id, the lookup
+        columns of :func:`~repro.core.sweep_kernel.bulk_best_moves`; every
+        label of the snapshot is known."""
         return (
-            dict(zip(self.labels.tolist(), self.sigma_tot.tolist())),
-            dict(zip(self.labels.tolist(), self.size.tolist())),
+            self.sigma_tot,
+            np.ones(self.labels.size, dtype=bool),
+            self.size,
+            self.local > 0,
         )
-

@@ -26,7 +26,9 @@ aggregates exact.  Subscriber ranks then pull ``(sigma_tot, size)`` for
 every community they reference.  Every synchronisation is one full
 exchange, as in Algorithm 2: ranks report their complete contributions,
 owners rebuild their aggregates from scratch, and subscribers rebuild their
-cache; no aggregate state outlives the call.  Between synchronisation
+community state; no aggregate state outlives the call.  The sync is the
+only writer of that state: a sweep reads it, and moves only write
+``comm_of``, which drops it until the next sync.  Between synchronisation
 points remote aggregates go stale — that staleness is precisely what the
 paper's enhanced heuristic defends against.
 """
@@ -37,9 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.community_table import CommunityTable, OwnerTable
+from repro.core.community_table import CommunitySnapshot, OwnerTable
 from repro.core.heuristics import Candidate, MoveHeuristic
-from repro.core.pack import pack_by_owner
+from repro.core.pack import pack_bounds, pack_by_owner
 from repro.core.sweep_kernel import (
     VECTOR_HEURISTICS,
     bulk_best_moves,
@@ -120,13 +122,9 @@ class LocalClustering:
         self.two_m = 2.0 * lg.m_global if lg.m_global > 0 else 1.0
 
         self.comm_of = lg.global_ids.astype(np.int64).copy()
-        # np.unique(comm_of, return_inverse=True), built by the sync and
-        # reused by the next sweep; every write to comm_of clears it
-        self._index: tuple[np.ndarray, np.ndarray] | None = None
-        # the subscriber-side community cache: the pull writes it, the bulk
-        # sweep reads it, and the Gauss-Seidel sweep loads dict views from
-        # it once per pass
-        self.ctab = CommunityTable()
+        # the community state the last sync built for the current comm_of;
+        # the sweeps read it, and every write to comm_of clears it
+        self.snapshot: CommunitySnapshot | None = None
 
         # hub bookkeeping: rank h % p is the designated contributor for hub h
         self._hub_designated = (
@@ -163,23 +161,21 @@ class LocalClustering:
 
         Every rank ships its complete per-community contributions to the
         owners, owners rebuild their aggregates from scratch, and every
-        rank pulls ``(sigma_tot, size)`` for each community it references,
-        rebuilding its subscriber cache, ``ctab`` (Algorithm 2, lines
-        16-25).  Owners hold their aggregates in an
+        rank pulls ``(sigma_tot, size)`` for each community it references
+        (Algorithm 2, lines 16-25).  Owners hold their aggregates in an
         :class:`~repro.core.community_table.OwnerTable`.
 
         One compact label index, rebuilt on every call because ``comm_of``
         changes between calls, yields the contributions, the request set
-        of the pull and the owned-vertex census.  It stays valid until the
-        next write to ``comm_of``, so the next vectorized sweep reuses it.
+        of the pull and the owned-vertex census.  The pulled state lands on
+        that index as ``snapshot``, which the next sweep reads.
         """
         comm = self.comm
-        labels_all, cidx = self._index = np.unique(
-            self.comm_of, return_inverse=True
-        )
+        labels_all, cidx = np.unique(self.comm_of, return_inverse=True)
         labels, tot, cnt, s_in = self._contributions(labels_all, cidx)
-        owner = self._owner(labels) if labels.size else labels
-        payloads = pack_by_owner(owner, comm.size, labels, tot, cnt, s_in)
+        payloads = pack_by_owner(
+            self._owner(labels), comm.size, labels, tot, cnt, s_in
+        )
         received = comm.alltoall(payloads)
 
         # accumulate contributions in rank-arrival order: np.add.at applies
@@ -188,16 +184,7 @@ class LocalClustering:
         own = OwnerTable(
             *(np.concatenate([p[i] for p in received]) for i in range(4))
         )
-        self._pull(own, labels_all)
-
-        # local membership census over OWNED vertices only: a hub delegate
-        # being resident everywhere does not make its community's aggregates
-        # any fresher here, so hubs must not mark communities as "local"
-        # for the heuristics
-        cnts = np.bincount(cidx[: self.lg.n_owned], minlength=labels_all.size)
-        present = cnts > 0
-        self.ctab.set_local_census(labels_all[present], cnts[present])
-
+        self.snapshot = self._pull(own, labels_all, cidx)
         q_part = own.partial_modularity(self.two_m, self.resolution)
         return float(comm.allreduce(q_part))
 
@@ -242,24 +229,32 @@ class LocalClustering:
                 f"rank {self.comm.rank}: no aggregate for community {exc.args[0]}"
             ) from None
 
-    def _pull(self, own: OwnerTable, needed: np.ndarray) -> None:
-        """Request ``(sigma_tot, size)`` for every referenced community and
-        rebuild the subscriber cache from scratch.  ``needed`` is
-        ``np.unique(comm_of)``."""
+    def _pull(
+        self, own: OwnerTable, labels_all: np.ndarray, cidx: np.ndarray
+    ) -> CommunitySnapshot:
+        """Request ``(sigma_tot, size)`` for every referenced community,
+        ``labels_all = np.unique(comm_of)``, and place the replies on the
+        compact index ``cidx``."""
         comm = self.comm
-        requests = pack_by_owner(
-            self._owner(needed) if needed.size else needed, comm.size, needed
+        order, bounds = pack_bounds(self._owner(labels_all), comm.size)
+        staged = labels_all[order]
+        incoming = comm.alltoall(
+            [staged[bounds[r] : bounds[r + 1]] for r in range(comm.size)]
         )
-        incoming = comm.alltoall(requests)
         replies = []
         for req in incoming:
             vals = np.empty((req.size, 2))
             vals[:, 0], vals[:, 1] = self._answer(own, req)
             replies.append((req, vals))
         answered = comm.alltoall(replies)
-        lab = np.concatenate([a[0] for a in answered])
-        vals = np.concatenate([a[1] for a in answered])
-        self.ctab.rebuild(lab, vals[:, 0], np.rint(vals[:, 1]).astype(np.int64))
+        return CommunitySnapshot.from_replies(
+            labels_all,
+            cidx,
+            order,
+            np.concatenate([a[0] for a in answered]),
+            np.concatenate([a[1] for a in answered]),
+            self.lg.n_owned,
+        )
 
     # ------------------------------------------------------------------
     # Phase 1: the local sweep
@@ -319,16 +314,28 @@ class LocalClustering:
                 return chosen, c.gain, stay_gain
         raise AssertionError("heuristic chose a non-candidate community")
 
+    def _synced(self) -> CommunitySnapshot:
+        """The last sync's community state; a sweep without one would read
+        labels and aggregates of different moments, so it fails hard."""
+        if self.snapshot is None:
+            raise RuntimeError(
+                f"rank {self.comm.rank}: comm_of changed since the last "
+                "sync_aggregates; a sweep must follow a sync"
+            )
+        return self.snapshot
+
     def _load_pass_views(self) -> None:
         """Fill the Gauss-Seidel pass's list and dict views from ``comm_of``
-        and ``ctab``, which ghost swaps, hub consensus and syncs update
-        between passes.  ``local_members`` keeps positive counts only, the
-        key set of a fresh census."""
+        and the last sync's snapshot.  ``local_members`` keeps positive
+        counts only, the key set of a fresh census."""
+        snap = self._synced()
         self._cof_list = self.comm_of.tolist()
-        self.sigma_tot, self.csize = self.ctab.as_dicts()
-        live = self.ctab.local > 0
+        labels = snap.labels.tolist()
+        self.sigma_tot = dict(zip(labels, snap.sigma_tot.tolist()))
+        self.csize = dict(zip(labels, snap.size.tolist()))
+        live = snap.local > 0
         self.local_members = dict(
-            zip(self.ctab.labels[live].tolist(), self.ctab.local[live].tolist())
+            zip(snap.labels[live].tolist(), snap.local[live].tolist())
         )
 
     def _apply_move(self, u: int, new_label: int) -> None:
@@ -337,7 +344,7 @@ class LocalClustering:
         cu = int(self.comm_of[u])
         wu = float(self.lg.row_weighted_degree[u])
         self.comm_of[u] = new_label
-        self._index = None
+        self.snapshot = None
         self._cof_list[u] = new_label
         self.sigma_tot[cu] = self.sigma_tot.get(cu, wu) - wu
         self.csize[cu] = self.csize.get(cu, 1) - 1
@@ -346,39 +353,11 @@ class LocalClustering:
         self.local_members[cu] = self.local_members.get(cu, 1) - 1
         self.local_members[new_label] = self.local_members.get(new_label, 0) + 1
 
-    def _apply_moves_bulk(
-        self, rows: np.ndarray, old: np.ndarray, targets: np.ndarray
-    ) -> None:
-        """Move ``rows`` from labels ``old`` to ``targets``, optimistically
-        updating ``ctab``.
-
-        The scatter stream interleaves each move's source and target label
-        (``old0, new0, old1, new1, ...``), so ``np.add.at`` replays the
-        exact per-move update order of sequential :meth:`_apply_move`
-        calls: the table values stay bit-identical to its dict views.
-        ``old`` comes from the caller because a Gauss-Seidel pass has
-        already written ``comm_of`` when it replays its moves here.
-        """
-        if rows.size == 0:
-            return
-        wu = self.lg.row_weighted_degree[rows]
+    def _apply_moves_bulk(self, rows: np.ndarray, targets: np.ndarray) -> None:
+        """Move ``rows`` to ``targets``; the next sync rebuilds the
+        community state."""
         self.comm_of[rows] = targets
-        self._index = None
-        n = int(rows.size)
-        upd = np.empty(2 * n, dtype=np.int64)
-        upd[0::2] = old
-        upd[1::2] = targets
-        d_sigma = np.empty(2 * n)
-        d_sigma[0::2] = -wu
-        d_sigma[1::2] = wu
-        d_size = np.empty(2 * n, dtype=np.int64)
-        d_size[0::2] = -1
-        d_size[1::2] = 1
-        is_owned = rows < self.lg.n_owned
-        d_local = np.empty(2 * n, dtype=np.int64)
-        d_local[0::2] = np.where(is_owned, -1, 0)
-        d_local[1::2] = np.where(is_owned, 1, 0)
-        self.ctab.scatter_add(upd, d_sigma, d_size, d_local)
+        self.snapshot = None
 
     def find_best_pass(self) -> tuple[int, np.ndarray, np.ndarray]:
         """Sweep all row vertices.  Under ``gauss-seidel`` owned vertices
@@ -400,18 +379,12 @@ class LocalClustering:
         )
         self._load_pass_views()
         cof = self._cof_list
-        moves: list[tuple[int, int, int]] = []
+        n_moved = 0
         for u in range(lg.n_owned):
             chosen, _g, _s = self._evaluate_vertex(u)
-            cu = cof[u]
-            if chosen != cu:
+            if chosen != cof[u]:
                 self._apply_move(u, chosen)
-                moves.append((u, cu, chosen))
-        if moves:
-            # replay the owned moves onto the table in pass order
-            self._apply_moves_bulk(
-                *(np.array(col, dtype=np.int64) for col in zip(*moves))
-            )
+                n_moved += 1
         for j in range(lg.n_hubs):
             u = lg.n_owned + j
             if self._indptr_list[u] == self._indptr_list[u + 1]:
@@ -420,7 +393,7 @@ class LocalClustering:
             if chosen != self._cof_list[u]:
                 hub_gain[j] = gain - stay
                 hub_target[j] = float(chosen)
-        return len(moves), hub_gain, hub_target
+        return n_moved, hub_gain, hub_target
 
     def _find_best_pass_vectorized(self) -> tuple[int, np.ndarray, np.ndarray]:
         """Bulk Jacobi sweep via :mod:`repro.core.sweep_kernel`."""
@@ -428,17 +401,16 @@ class LocalClustering:
         # identical work accounting to the scalar sweep: one unit per
         # scanned directed entry (empty rows contribute zero either way)
         self.comm.add_compute(float(lg.indices.size))
-        if self._index is None:
-            self._index = np.unique(self.comm_of, return_inverse=True)
+        snap = self._synced()
         chosen, gain, stay = bulk_best_moves(
             indptr=lg.indptr,
             indices=lg.indices,
             weights=lg.weights,
             comm_of=self.comm_of,
-            label_index=self._index,
+            label_index=(snap.labels, snap.cidx),
             row_wdeg=lg.row_weighted_degree,
             n_rows=lg.n_rows,
-            table=self.ctab,
+            lookup=snap.lookup(),
             two_m=self.two_m,
             resolution=self.resolution,
             theta=self.theta,
@@ -462,19 +434,17 @@ class LocalClustering:
         down_only = self._vec_iter % 2 == 0
         self._vec_iter += 1
         movers = np.flatnonzero(chosen[: lg.n_owned] != cu[: lg.n_owned])
-        # gate decisions read the frozen pre-pass sizes: every table update
-        # waits until all of them are made
+        # gate decisions read the synced sizes; every target is the label
+        # of a row or a neighbour, so it is in the snapshot
         m_old = cu[movers]
         m_tgt = chosen[movers]
-        labs = np.unique(np.concatenate([m_old, m_tgt]))
-        _st, _known, sz_tab, _loc = self.ctab.lookup_eval(labs)
-        sz_old = sz_tab[np.searchsorted(labs, m_old)]
-        sz_tgt = sz_tab[np.searchsorted(labs, m_tgt)]
+        sz_old = snap.size[snap.cidx[movers]]
+        sz_tgt = snap.size[np.searchsorted(snap.labels, m_tgt)]
         gate = (sz_old == 1) & (sz_tgt == 1) & (m_tgt > m_old)
         defer = down_only & (m_tgt > m_old) & ~gate
         deferred = int(np.count_nonzero(defer))
         take = ~gate & ~defer
-        self._apply_moves_bulk(movers[take], m_old[take], m_tgt[take])
+        self._apply_moves_bulk(movers[take], m_tgt[take])
         n_applied = int(np.count_nonzero(take))
 
         hub_gain = np.zeros(lg.n_hubs)
@@ -517,9 +487,7 @@ class LocalClustering:
         hub_cu = self.comm_of[lg.n_owned : lg.n_rows]
         apply = (win_gain > self.theta) & (win_target != hub_cu)
         rows = lg.n_owned + np.flatnonzero(apply)
-        # table updates are once-per-rank optimistic; sync_aggregates
-        # refreshes every community they touch
-        self._apply_moves_bulk(rows, hub_cu[apply], win_target[apply])
+        self._apply_moves_bulk(rows, win_target[apply])
         return int(np.count_nonzero(apply & self._hub_designated))
 
     # ------------------------------------------------------------------
@@ -546,7 +514,7 @@ class LocalClustering:
                 if count_churn:
                     churn += int(np.count_nonzero(self.comm_of[idx] != values))
                 self.comm_of[idx] = values
-                self._index = None
+                self.snapshot = None
         if count_churn:
             self._ghost_churn.append(churn)
 
@@ -588,7 +556,7 @@ class LocalClustering:
                         np.count_nonzero(self.comm_of[idx[positions]] != values)
                     )
                 self.comm_of[idx[positions]] = values
-                self._index = None
+                self.snapshot = None
         if count_churn:
             self._ghost_churn.append(churn)
 
@@ -652,7 +620,7 @@ class LocalClustering:
         # happened to stop (identical on all ranks — see above)
         if best_comm is not None:
             self.comm_of = best_comm
-            self._index = None
+            self.snapshot = None
         return LevelOutcome(
             comm_of=self.comm_of,
             q_history=q_history,

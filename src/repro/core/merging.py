@@ -80,32 +80,29 @@ def _assemble(
 ):
     """Assemble one rank's coarse rows from its aggregated pair stream.
 
-    Returns ``(owned, wdeg, selfloop, ghosts, global_ids, src_local,
-    dst_local, stored_w)``; the caller finishes the CSR (sort + indptr).
-    This rank's owned coarse ids are ``rank, rank + size, ...``, so an
-    owned id's position is ``(c - rank) // size`` and ghost positions are
-    ``searchsorted`` into the sorted ghost array.  Degree/self-loop
-    accumulation via ``np.add.at`` runs in stream order.
+    Returns ``(owned, wdeg, ghosts, global_ids, src_local, dst_local,
+    stored_w)``; the caller finishes the CSR (sort + indptr).  This rank's
+    owned coarse ids are ``rank, rank + size, ...``, so an owned id's
+    position is ``(c - rank) // size`` and ghost positions are
+    ``searchsorted`` into the sorted ghost array.  Degree accumulation via
+    ``np.add.at`` runs in stream order.
     """
     owned = np.arange(rank, k, size, dtype=np.int64)
     src_local = (ncu - rank) // size
     wdeg = np.zeros(owned.size)
     np.add.at(wdeg, src_local, nw)
-    selfloop = np.zeros(owned.size)
-    diag = ncu == ncv
-    np.add.at(selfloop, src_local[diag], nw[diag] / 2.0)
 
     ghost_mask = (ncv % size) != rank
     ghosts = np.unique(ncv[ghost_mask])
     global_ids = np.concatenate([owned, ghosts])
 
-    stored_w = np.where(diag, nw / 2.0, nw)
+    stored_w = np.where(ncu == ncv, nw / 2.0, nw)
     dst_local = np.where(
         ghost_mask,
         owned.size + np.searchsorted(ghosts, ncv),
         (ncv - rank) // size,
     )
-    return owned, wdeg, selfloop, ghosts, global_ids, src_local, dst_local, stored_w
+    return owned, wdeg, ghosts, global_ids, src_local, dst_local, stored_w
 
 
 def merge_level(
@@ -152,9 +149,9 @@ def merge_level(
     payloads = pack_by_owner(acu % size, size, acu, acv, aw)
     received = comm.alltoall(payloads)
 
-    rcu = np.concatenate([p[0] for p in received]) if received else _EMPTY_I64
-    rcv = np.concatenate([p[1] for p in received]) if received else _EMPTY_I64
-    rw = np.concatenate([p[2] for p in received]) if received else _EMPTY_F64
+    rcu = np.concatenate([p[0] for p in received])
+    rcv = np.concatenate([p[1] for p in received])
+    rw = np.concatenate([p[2] for p in received])
     rcu, rcv, rw = _aggregate_pairs(rcu, rcv, rw, n_global)
 
     # --- 2. dense global relabelling ------------------------------------
@@ -172,17 +169,17 @@ def merge_level(
     # --- 3. redistribute rows to the coarse graph's 1D owners -----------
     payloads = pack_by_owner(dense_cu % size, size, dense_cu, dense_cv, rw)
     received = comm.alltoall(payloads)
-    ncu = np.concatenate([p[0] for p in received]) if received else _EMPTY_I64
-    ncv = np.concatenate([p[1] for p in received]) if received else _EMPTY_I64
-    nw = np.concatenate([p[2] for p in received]) if received else _EMPTY_F64
+    ncu = np.concatenate([p[0] for p in received])
+    ncv = np.concatenate([p[1] for p in received])
+    nw = np.concatenate([p[2] for p in received])
     ncu, ncv, nw = _aggregate_pairs(ncu, ncv, nw, max(k, 1))
 
     # --- 4. assemble the new LocalGraph ---------------------------------
     # degrees come for free: wdeg(c) = sum_d D[c][d] (diagonal pre-doubled)
     keep = nw > 0.0
     ncu, ncv, nw = ncu[keep], ncv[keep], nw[keep]
-    owned, wdeg, selfloop, ghosts, global_ids, src_local, dst_local, stored_w = (
-        _assemble(comm.rank, size, k, ncu, ncv, nw)
+    owned, wdeg, ghosts, global_ids, src_local, dst_local, stored_w = _assemble(
+        comm.rank, size, k, ncu, ncv, nw
     )
 
     order = np.lexsort((dst_local, src_local))
@@ -208,7 +205,6 @@ def merge_level(
         indices=dst_local,
         weights=stored_w,
         row_weighted_degree=wdeg,
-        row_selfloop=selfloop,
         hub_global_ids=_EMPTY_I64,
     )
 

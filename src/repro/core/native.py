@@ -203,7 +203,8 @@ def best_moves(
     heuristic_name: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """C version of ``sweep_kernel._best_moves_numpy``: one linear scan of
-    each row.  ``lookup`` is ``table.lookup_eval(labels_all)``."""
+    each row.  ``lookup`` holds the ``(sigma_tot, known, size, is_local)``
+    columns of the ``labels_all`` entries."""
     lib = _library()
     st, st_known, sz, loc = lookup
     k = int(labels_all.size)

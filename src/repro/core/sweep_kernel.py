@@ -14,11 +14,11 @@ move evaluation as *bulk* NumPy array operations over all rows at once:
    ``row * K + cidx[v]`` and one ``np.bincount`` over the pair ids.  The
    pairs come out in (row, label) order and each sum runs left to right
    in CSR entry order, exactly like the scalar evaluator's;
-2. **Gain evaluation** — the rank's
-   :class:`~repro.core.community_table.CommunityTable` is read once per
-   distinct label and gathered by compact id; Eq. 4 gains against the
-   cached ``sigma_tot`` are then one broadcasted expression over the
-   aggregated pairs;
+2. **Gain evaluation** — the synced ``sigma_tot`` / size / local-member
+   columns (:class:`~repro.core.community_table.CommunitySnapshot`) are
+   indexed by the same compact id, so each pair gathers its community's
+   values directly; Eq. 4 gains are then one broadcasted expression over
+   the aggregated pairs;
 3. **Heuristic-gated argmax** — the greedy / minlabel / enhanced
    tie-breaking rules of :mod:`repro.core.heuristics` are expressed as
    vectorized sort keys (the enhanced rule's local > remote-multi >
@@ -37,8 +37,8 @@ singleton may merge into another singleton only toward a smaller label) —
 the same rule the shared-memory baseline uses, and a no-op under
 Gauss–Seidel ordering.
 
-:func:`bulk_best_moves` serves the distributed sweep (the subscriber-side
-label table, possibly stale aggregates); :func:`jacobi_minlabel_sweep` is
+:func:`bulk_best_moves` serves the distributed sweep (the last sync's
+community state, possibly stale aggregates); :func:`jacobi_minlabel_sweep` is
 the dense variant used by the shared-memory baseline, where exact
 aggregates come from ``np.bincount`` and the labels, already in ``[0, n)``,
 are their own compact index.
@@ -56,7 +56,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import native
-from repro.core.community_table import CommunityTable
 
 __all__ = [
     "VECTOR_HEURISTICS",
@@ -136,7 +135,7 @@ def bulk_best_moves(
     label_index: tuple[np.ndarray, np.ndarray],
     row_wdeg: np.ndarray,
     n_rows: int,
-    table: CommunityTable,
+    lookup: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     two_m: float,
     resolution: float,
     theta: float,
@@ -145,11 +144,14 @@ def bulk_best_moves(
     """Heuristic-gated best move for every row vertex at once.
 
     Evaluates the identical quantities as
-    ``LocalClustering._evaluate_vertex`` — Eq. 4 gains against the cached
-    (possibly stale) ``sigma_tot`` / size / local-member columns of
-    ``table`` — against one frozen snapshot of ``comm_of``.
-    ``label_index`` is ``np.unique(comm_of, return_inverse=True)`` for that
-    snapshot.
+    ``LocalClustering._evaluate_vertex`` — Eq. 4 gains against the synced
+    (possibly stale) community aggregates — against one frozen snapshot of
+    ``comm_of``.  ``label_index`` is ``np.unique(comm_of,
+    return_inverse=True)`` for that snapshot, and ``lookup`` holds the
+    ``(sigma_tot, known, size, is_local)`` columns indexed by its compact
+    id.  An unknown label (``known`` False) reads like a missing dict key
+    of the scalar sweep: ``sigma_tot`` 0, or ``wu`` for the row's own
+    community.
 
     Returns ``(chosen, chosen_gain, stay_gain)`` arrays of length
     ``n_rows``; ``chosen[u] == comm_of[u]`` means "stay".  No caches are
@@ -161,9 +163,6 @@ def bulk_best_moves(
             f"supported: {sorted(VECTOR_HEURISTICS)}"
         )
     labels_all, cidx = label_index
-    # one table lookup (one searchsorted pass) over the distinct labels,
-    # gathered by compact id
-    lookup = table.lookup_eval(labels_all)
     kernel = native.best_moves if native.available() else _best_moves_numpy
     return kernel(
         indptr,

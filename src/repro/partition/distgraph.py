@@ -50,7 +50,6 @@ class LocalGraph:
     indices: np.ndarray  # local ids (may point at ghosts)
     weights: np.ndarray
     row_weighted_degree: np.ndarray  # GLOBAL weighted degree of each row vertex
-    row_selfloop: np.ndarray  # self-loop weight of each row vertex
     hub_global_ids: np.ndarray  # identical on all ranks (sorted)
     send_to: dict[int, np.ndarray] = field(default_factory=dict)
     recv_from: dict[int, np.ndarray] = field(default_factory=dict)
@@ -73,19 +72,6 @@ class LocalGraph:
         """Directed CSR entries stored on this rank (the paper's
         "local edge number", Fig. 6(a))."""
         return int(self.indices.size)
-
-    def local_of_global(self) -> dict[int, int]:
-        """Mapping global id -> local id (built on demand)."""
-        return {int(g): i for i, g in enumerate(self.global_ids)}
-
-    def row_neighbors(self, local_u: int) -> np.ndarray:
-        return self.indices[self.indptr[local_u] : self.indptr[local_u + 1]]
-
-    def row_neighbor_weights(self, local_u: int) -> np.ndarray:
-        return self.weights[self.indptr[local_u] : self.indptr[local_u + 1]]
-
-    def is_hub_row(self, local_u: int) -> bool:
-        return self.n_owned <= local_u < self.n_owned + self.n_hubs
 
     def validate(self) -> None:
         """Internal consistency checks (tests call this on every partition)."""
@@ -154,7 +140,6 @@ def build_local_graphs(
     cols_global = graph.indices
     wts = graph.weights
     wdeg = graph.weighted_degrees
-    selfloop = graph.self_loop_weights
     is_hub = np.zeros(n, dtype=bool)
     is_hub[hub_global_ids] = True
 
@@ -221,7 +206,6 @@ def build_local_graphs(
             indices=dst_local,
             weights=w_sorted,
             row_weighted_degree=wdeg[global_ids[:n_rows]].copy(),
-            row_selfloop=selfloop[global_ids[:n_rows]].copy(),
             hub_global_ids=hub_global_ids,
         )
         locals_.append(lg)

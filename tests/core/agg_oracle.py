@@ -27,6 +27,7 @@ from unittest import mock
 import numpy as np
 
 from repro.core import distributed, merging
+from repro.core.community_table import CommunitySnapshot
 from repro.core.local_clustering import LocalClustering
 
 __all__ = [
@@ -114,7 +115,7 @@ class ScalarSyncClustering(LocalClustering):
     def sync_aggregates(self):
         comm = self.comm
         labels, tot, cnt, s_in = self._scalar_contributions()
-        owner = self._owner(labels) if labels.size else labels
+        owner = self._owner(labels)
         payloads = []
         for r in range(comm.size):
             m = owner == r
@@ -122,29 +123,35 @@ class ScalarSyncClustering(LocalClustering):
         own = DictOwnerReference()
         for payload in comm.alltoall(payloads):
             own.merge(*payload)
-        self._dict_pull(own)
-
-        # local membership census over owned vertices only
-        self.ctab.set_local_census(
-            *np.unique(self.comm_of[: self.lg.n_owned], return_counts=True)
-        )
+        self.snapshot = self._dict_pull(own)
         q_part = own.partial_modularity(self.two_m, self.resolution)
         return float(comm.allreduce(q_part))
 
     def _dict_pull(self, own):
-        """Request (sigma_tot, size) for every referenced community and
-        rebuild the subscriber cache from scratch."""
+        """Request (sigma_tot, size) for every referenced community, collect
+        the replies and an owned-vertex census in dicts, and fill the
+        snapshot from them."""
         comm = self.comm
-        needed = np.unique(self.comm_of)
+        needed, cidx = np.unique(self.comm_of, return_inverse=True)
         need_owner = self._owner(needed)
         requests = [needed[need_owner == r] for r in range(comm.size)]
         replies = [(req, own.answer(req)) for req in comm.alltoall(requests)]
-        answered = comm.alltoall(replies)
-        vals = np.concatenate([a[1] for a in answered])
-        self.ctab.rebuild(
-            np.concatenate([a[0] for a in answered]),
-            vals[:, 0],
-            np.rint(vals[:, 1]).astype(np.int64),
+        sigma_tot, csize = {}, {}
+        for req, vals in comm.alltoall(replies):
+            for lab, (t, c) in zip(req.tolist(), vals.tolist()):
+                sigma_tot[lab] = t
+                csize[lab] = round(c)
+        # local membership census over owned vertices only
+        local_members = {}
+        for lab in self.comm_of[: self.lg.n_owned].tolist():
+            local_members[lab] = local_members.get(lab, 0) + 1
+        labs = needed.tolist()
+        return CommunitySnapshot(
+            needed,
+            cidx,
+            np.array([sigma_tot[lab] for lab in labs], dtype=np.float64),
+            np.array([csize[lab] for lab in labs], dtype=np.int64),
+            np.array([local_members.get(lab, 0) for lab in labs], dtype=np.int64),
         )
 
 
@@ -154,12 +161,8 @@ def assemble_scalar(rank, size, k, ncu, ncv, nw):
     owned = np.arange(rank, k, size, dtype=np.int64)
     wdeg = np.zeros(owned.size)
     owned_pos = {int(c): i for i, c in enumerate(owned)}
-    selfloop = np.zeros(owned.size)
-    for c, d, ww in zip(ncu.tolist(), ncv.tolist(), nw.tolist()):
-        i = owned_pos[c]
-        wdeg[i] += ww
-        if c == d:
-            selfloop[i] += ww / 2.0
+    for c, ww in zip(ncu.tolist(), nw.tolist()):
+        wdeg[owned_pos[c]] += ww
 
     ghosts = np.unique(ncv[(ncv % size) != rank])
     global_ids = np.concatenate([owned, ghosts])
@@ -175,7 +178,7 @@ def assemble_scalar(rank, size, k, ncu, ncv, nw):
     dst_local = np.fromiter(
         (local_of[c] for c in ncv.tolist()), dtype=np.int64, count=ncv.size
     )
-    return owned, wdeg, selfloop, ghosts, global_ids, src_local, dst_local, stored_w
+    return owned, wdeg, ghosts, global_ids, src_local, dst_local, stored_w
 
 
 @contextmanager

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.community_table import CommunitySnapshot
 from repro.core.heuristics import MoveHeuristic, get_heuristic
 from repro.core.local_clustering import LocalClustering
 from repro.core.modularity import modularity
 from repro.partition import delegate_partition, oned_partition
 from repro.runtime import SPMDError, run_spmd
+from tests.core.agg_oracle import ScalarSyncClustering
 
 
 def run_level(graph, p, partition_kind="delegate", d_high=None, heuristic="enhanced",
@@ -165,8 +167,8 @@ class TestSweepModeChoice:
 
 
 class TestLabelIndexReuse:
-    """The compact label index the sync builds serves the next vectorized
-    sweep, and every write to ``comm_of`` drops it."""
+    """The snapshot the sync builds on its compact label index serves the
+    next vectorized sweep, and every write to ``comm_of`` drops it."""
 
     def test_sweep_reuses_the_sync_index(self, web_graph, monkeypatch):
         from repro.core import local_clustering
@@ -179,17 +181,15 @@ class TestLabelIndexReuse:
             labels_all, cidx = kw["label_index"]
             # the index handed over describes comm_of as the sweep sees it
             assert np.array_equal(labels_all[cidx], kw["comm_of"])
-            used.append(kw["label_index"])
+            used.append(id(cidx))
             return real(**kw)
 
         monkeypatch.setattr(local_clustering, "bulk_best_moves", spy)
 
         def valid(lc):
-            # a kept index always describes the current comm_of
-            if lc._index is None:
-                return True
-            labels_all, cidx = lc._index
-            return np.array_equal(labels_all[cidx], lc.comm_of)
+            # a kept snapshot always describes the current comm_of
+            snap = lc.snapshot
+            return snap is None or np.array_equal(snap.labels[snap.cidx], lc.comm_of)
 
         def worker(comm):
             lc = LocalClustering(
@@ -199,7 +199,8 @@ class TestLabelIndexReuse:
             built, checks = [], []
             for _ in range(4):
                 lc.sync_aggregates()
-                built.append(lc._index)
+                built.append(id(lc.snapshot.cidx))
+                checks.append(valid(lc))
                 hub_gain, hub_target = lc.find_best_pass()[1:]
                 checks.append(valid(lc))
                 lc.broadcast_delegates(hub_gain, hub_target)
@@ -210,9 +211,7 @@ class TestLabelIndexReuse:
 
         results = run_spmd(2, worker, timeout=60, backend="thread").results
         # every sweep ran on the index its preceding sync built
-        assert {id(index) for index in used} == {
-            id(index) for built, _checks in results for index in built
-        }
+        assert set(used) == {i for built, _checks in results for i in built}
         assert len(used) == 8
         assert all(all(checks) for _built, checks in results)
 
@@ -225,6 +224,81 @@ class TestLabelIndexReuse:
                 sweep_mode="vectorized", max_inner=5,
             )
             lc.run()
-            return lc._index
+            return lc.snapshot
 
         assert run_spmd(2, worker, timeout=60, backend="thread").results == [None, None]
+
+class TestSyncSnapshot:
+    """The sync is the only writer of the community state the sweeps
+    read."""
+
+    @pytest.mark.parametrize("sweep_mode", ["gauss-seidel", "vectorized"])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_snapshot_matches_dict_pull(self, web_graph, sweep_mode, p):
+        """After each sync the snapshot sits on ``np.unique(comm_of)``, and
+        its columns equal the oracle's dict pull of the same state bit for
+        bit, a few inner iterations into the level (hubs included)."""
+        part = delegate_partition(web_graph, p, d_high=30)
+
+        def worker(comm):
+            lg = part.locals[comm.rank]
+            lc = LocalClustering(
+                comm, lg, get_heuristic("enhanced"), sweep_mode=sweep_mode
+            )
+            ref = ScalarSyncClustering(comm, lg, get_heuristic("enhanced"))
+            moved = 0
+            for _ in range(4):
+                q = lc.sync_aggregates()
+                ref.comm_of = lc.comm_of.copy()
+                assert ref.sync_aggregates() == q
+                got, want = lc.snapshot, ref.snapshot
+                assert np.array_equal(got.labels, np.unique(lc.comm_of))
+                for name in CommunitySnapshot._fields:
+                    g, w = getattr(got, name), getattr(want, name)
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+                n, hub_gain, hub_target = lc.find_best_pass()
+                moved += n + lc.broadcast_delegates(hub_gain, hub_target)
+                lc.swap_ghosts()
+            return moved
+
+        assert sum(run_spmd(p, worker, timeout=60, backend="thread").results) > 0
+
+    def test_reply_mismatch_raises(self):
+        """Replies are placed by the request permutation, so a reply stream
+        that does not repeat the requests is a protocol error."""
+        labels = np.array([3, 8, 12], dtype=np.int64)
+        cidx = np.array([0, 2, 1, 0], dtype=np.int64)
+        order = np.array([1, 2, 0], dtype=np.int64)
+        values = np.array([[1.5, 2.0], [4.0, 1.0], [2.5, 1.0]])
+        snap = CommunitySnapshot.from_replies(
+            labels, cidx, order, labels[order], values, 3
+        )
+        assert snap.sigma_tot.tolist() == [2.5, 1.5, 4.0]
+        assert snap.size.tolist() == [1, 2, 1]
+        assert snap.local.tolist() == [1, 1, 1]
+        with pytest.raises(RuntimeError, match="replies"):
+            CommunitySnapshot.from_replies(labels, cidx, order, labels, values, 3)
+
+    @pytest.mark.parametrize("sweep_mode", ["gauss-seidel", "vectorized"])
+    def test_sweep_without_sync_raises(self, web_graph, sweep_mode):
+        """A ghost swap drops the snapshot; a sweep after it, with no sync
+        in between, fails instead of reading aggregates of another
+        moment."""
+        part = delegate_partition(web_graph, 2, d_high=30)
+
+        def worker(comm):
+            lc = LocalClustering(
+                comm, part.locals[comm.rank], get_heuristic("enhanced"),
+                sweep_mode=sweep_mode,
+            )
+            with pytest.raises(RuntimeError, match="sync"):
+                lc.find_best_pass()  # nothing synced yet
+            lc.sync_aggregates()
+            assert lc.snapshot is not None
+            lc.swap_ghosts()
+            assert lc.snapshot is None
+            with pytest.raises(RuntimeError, match="sync"):
+                lc.find_best_pass()
+            return True
+
+        assert run_spmd(2, worker, timeout=60, backend="thread").results == [True, True]

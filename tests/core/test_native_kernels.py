@@ -5,8 +5,8 @@ kernels bit for bit, so which path runs never changes an answer:
 
 1. **Kernel identity** (Hypothesis) — ``best_moves`` against
    ``sweep_kernel._best_moves_numpy`` on random row-sorted CSRs with float
-   weights, self-loops, empty rows, hub rows, labels up to 2**40 and a
-   community table holding unknown labels, for every heuristic; the
+   weights, self-loops, empty rows, hub rows, labels up to 2**40 and
+   lookup columns marking some labels unknown, for every heuristic; the
    internal-weight pass and ``LocalClustering._contributions`` on random
    float-weighted partitioned graphs;
 2. **End-to-end identity** — labels, ``repr(Q)``, per-level Q and per-rank
@@ -37,7 +37,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DistributedConfig, distributed_louvain, native
-from repro.core.community_table import CommunityTable
 from repro.core.heuristics import get_heuristic
 from repro.core.local_clustering import LocalClustering
 from repro.core.sweep_kernel import _best_moves_numpy, internal_weight
@@ -68,8 +67,9 @@ def _indptr(entry_rows, n_rows):
 @st.composite
 def _sweep_cases(draw):
     """A ``_csr_snapshots`` CSR with optional hub rows (dozens of entries
-    each), a row count, per-row weighted degrees, and a community table
-    that knows only some of the labels plus a few absent ones."""
+    each), a row count, per-row weighted degrees, and the
+    ``(sigma_tot, known, size, is_local)`` lookup columns of its labels,
+    some of them unknown (read with the scalar sweep's dict defaults)."""
     entry_rows, indices, weights, comm_of = draw(_csr_snapshots())
     n = comm_of.size
     low = int(entry_rows.max()) + 1 if entry_rows.size else 1
@@ -84,21 +84,21 @@ def _sweep_cases(draw):
         order = np.argsort(entry_rows, kind="stable")
         entry_rows, indices, weights = entry_rows[order], indices[order], weights[order]
 
-    labels = np.unique(comm_of)
-    known = labels[np.array(draw(st.lists(st.booleans(), min_size=labels.size,
-                                          max_size=labels.size)), dtype=bool)]
-    absent = np.array(draw(st.lists(st.integers(0, 2**40), max_size=3)), dtype=np.int64)
-    table_labels = np.unique(np.concatenate([known, absent]))
-    k = table_labels.size
+    k = np.unique(comm_of).size
+    known = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)),
+                     dtype=bool)
     floats = st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False)
-    table = CommunityTable()
-    table.rebuild(
-        table_labels,
-        np.array(draw(st.lists(floats, min_size=k, max_size=k))),
-        np.array(draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)),
-                 dtype=np.int64),
+    sigma = np.array(draw(st.lists(floats, min_size=k, max_size=k)), dtype=np.float64)
+    size = np.array(draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)),
+                    dtype=np.int64)
+    local = np.array(draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)),
+                     dtype=np.int64)
+    lookup = (
+        np.where(known, sigma, 0.0),
+        known,
+        np.where(known, size, 1),
+        known & (local > 0),
     )
-    table.local[:] = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
 
     row_wdeg = np.array(draw(st.lists(
         st.floats(1e-3, 1e3, allow_nan=False), min_size=n_rows, max_size=n_rows)))
@@ -107,17 +107,16 @@ def _sweep_cases(draw):
         resolution=draw(st.sampled_from([1.0, 0.5, 2.0, 1.3])),
         theta=draw(st.sampled_from([1e-12, 0.0, 1e-3])),
     )
-    return entry_rows, indices, weights, comm_of, n_rows, row_wdeg, table, params
+    return entry_rows, indices, weights, comm_of, n_rows, row_wdeg, lookup, params
 
 
 class TestKernelIdentity:
     @settings(max_examples=200, deadline=None)
     @given(_sweep_cases())
     def test_best_moves_matches_numpy(self, c_kernels, case):
-        entry_rows, indices, weights, comm_of, n_rows, row_wdeg, table, params = case
+        entry_rows, indices, weights, comm_of, n_rows, row_wdeg, lookup, params = case
         indptr = _indptr(entry_rows, n_rows)
         labels_all, cidx = np.unique(comm_of, return_inverse=True)
-        lookup = table.lookup_eval(labels_all)
         args = (indptr, indices, weights, cidx, comm_of, row_wdeg, labels_all, lookup)
         for heuristic in HEURISTICS:
             kw = dict(n_rows=n_rows, heuristic_name=heuristic, **params)

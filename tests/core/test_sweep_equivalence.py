@@ -47,8 +47,9 @@ def _snapshot_mismatches(graph, p, heuristic, warm_iters=0):
     ``warm_iters`` inner iterations run first, so the snapshot holds
     multi-member communities: rows then link to one community through
     several entries, and the kernel's grouped sums are checked too.  The
-    kernel reads the rank's ``ctab``; the scalar evaluator reads the dict
-    views a Gauss-Seidel pass loads from it.
+    scalar evaluator reads the dict views a Gauss-Seidel pass loads from
+    the sync's snapshot; the kernel's lookup columns are built from the
+    same dicts, with their ``get`` defaults.
     """
     partition = delegate_partition(graph, p, d_high=40)
 
@@ -62,15 +63,23 @@ def _snapshot_mismatches(graph, p, heuristic, warm_iters=0):
             lc.swap_ghosts()
             lc.sync_aggregates()
         lc._load_pass_views()
+        labels_all, cidx = np.unique(lc.comm_of, return_inverse=True)
+        labs = labels_all.tolist()
+        lookup = (
+            np.array([lc.sigma_tot.get(c, 0.0) for c in labs], dtype=np.float64),
+            np.array([c in lc.sigma_tot for c in labs], dtype=bool),
+            np.array([lc.csize.get(c, 1) for c in labs], dtype=np.int64),
+            np.array([lc.local_members.get(c, 0) > 0 for c in labs], dtype=bool),
+        )
         chosen, gain, stay = bulk_best_moves(
             indptr=lg.indptr,
             indices=lg.indices,
             weights=lg.weights,
             comm_of=lc.comm_of,
-            label_index=np.unique(lc.comm_of, return_inverse=True),
+            label_index=(labels_all, cidx),
             row_wdeg=lg.row_weighted_degree,
             n_rows=lg.n_rows,
-            table=lc.ctab,
+            lookup=lookup,
             two_m=lc.two_m,
             resolution=lc.resolution,
             theta=lc.theta,
