@@ -12,9 +12,13 @@ Besides the pytest-benchmark cases, this file doubles as a script::
 which times each vectorized kernel (local sweep, owner-bucketing pack,
 aggregate sync, merge assembly) against its scalar reference on the
 56k-edge Barabasi-Albert reference graph, and each native C kernel
-(sweep, contributions) against its numpy reference, and writes the
-before/after/speedup table as machine-readable JSON (see
-``docs/PERFORMANCE.md``).  The aggregate-sync and merge-assembly
+against its numpy reference, and writes the before/after/speedup table
+as machine-readable JSON (see ``docs/PERFORMANCE.md``).  The C rows are
+the sweep's gain pass over the snapshot's neighbour-community pairs
+(``sweep``), the sync's fused CSR scan with the contributions built on it
+(``contributions``), the sync's compact label index (``label_index``,
+the label hash against ``np.unique``) and the owner table
+(``owner_table``, the label hash against sorted search).  The aggregate-sync and merge-assembly
 references, and the pipeline row's reference run, come from the test
 oracle ``tests/core/agg_oracle.py``, hence the repository root on
 ``PYTHONPATH``.  ``--check`` exits non-zero if any vectorized
@@ -46,7 +50,7 @@ from repro.core.local_clustering import LocalClustering
 from repro.core.merging import _aggregate_pairs, _assemble
 from repro.core.modularity import modularity
 from repro.core.pack import pack_bounds, pack_by_owner
-from repro.core.sweep_kernel import bulk_best_moves
+from repro.core.sweep_kernel import NumpyLevelKernels, bulk_best_moves
 from repro.graph.csr import build_symmetric_csr
 from repro.graph.generators import barabasi_albert
 from repro.partition import delegate_partition, oned_partition
@@ -241,14 +245,44 @@ def _numpy_kernels():
     return mock.patch.object(native, "available", lambda: False)
 
 
-def _sweep_numpy(lc, snap):
+def _numpy_twin(lc):
+    """A LocalClustering on the same rank state whose kernels are numpy."""
     with _numpy_kernels():
-        return _sweep_vectorized(lc, snap)
+        twin = LocalClustering(lc.comm, lc.lg, lc.heuristic)
+    assert isinstance(twin._kernels, NumpyLevelKernels)
+    twin.comm_of = lc.comm_of
+    return twin
 
 
-def _contributions_numpy(lc, index):
+def _gain_pass(lc, snap):
+    """The vectorized sweep's gain pass over the snapshot's pairs."""
+    return lc._kernels.gains(
+        snap.pairs,
+        snap.cidx,
+        lc.comm_of,
+        snap.labels,
+        snap.lookup(),
+        two_m=lc.two_m,
+        resolution=lc.resolution,
+        theta=lc.theta,
+        heuristic_name=lc.heuristic.name,
+    )
+
+
+def _owner_tables(streams, requests):
+    """Build every owner's table from its stream, answer its pull and sum
+    its partial Q: the owner side of one sync round."""
+    q = 0.0
+    for stream, req in zip(streams, requests):
+        own = OwnerTable(*stream)
+        own.lookup(req)
+        q += own.partial_modularity(1000.0, 1.0)
+    return q
+
+
+def _owner_tables_numpy(streams, requests):
     with _numpy_kernels():
-        return lc._contributions(*index)
+        return _owner_tables(streams, requests)
 
 
 def _pack_workload(graph):
@@ -333,6 +367,10 @@ def _sync_workload(graph, size=SYNC_RANKS):
     }
 
 
+# the scan's neighbour-community pairs are not part of the sync row
+_NO_PAIRS = (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
+
+
 def _sync_scalar(w, two_m=1000.0, resolution=1.0):
     """The seed's dict-based sync round: merge/answer/rebuild/census/Q."""
     q_total = 0.0
@@ -368,7 +406,7 @@ def _sync_vectorized(w, two_m=1000.0, resolution=1.0):
         vals = np.empty((req.size, 2))
         vals[:, 0], vals[:, 1] = own.lookup(req)
     for answered in w["answered"]:
-        CommunitySnapshot.from_replies(*answered)
+        CommunitySnapshot.from_replies(*answered, _NO_PAIRS)
     return q_total
 
 
@@ -511,14 +549,25 @@ def run_kernel_suite(quick=False, pipeline=True):
             "speedup": scalar_s / vector_s if vector_s > 0 else float("inf"),
         }
 
-    # each C kernel against its numpy reference, on the sweep snapshot
+    # each C kernel against its numpy reference: on the sweep snapshot, the
+    # gain pass, the fused scan under the contributions and the label index;
+    # on the sync workload, the owner tables
     lc, synced = snap
     index = (synced.labels, synced.cidx)
+    twin = _numpy_twin(lc) if report["native"] else None
     native_cases = {
-        "sweep": (lambda: _sweep_numpy(*snap), lambda: _sweep_vectorized(*snap)),
+        "sweep": (lambda: _gain_pass(twin, synced), lambda: _gain_pass(lc, synced)),
         "contributions": (
-            lambda: _contributions_numpy(lc, index),
+            lambda: twin._contributions(*index),
             lambda: lc._contributions(*index),
+        ),
+        "label_index": (
+            lambda: np.unique(lc.comm_of, return_inverse=True),
+            lambda: lc._kernels.index(lc.comm_of),
+        ),
+        "owner_table": (
+            lambda: _owner_tables_numpy(streams["streams"], streams["requests"]),
+            lambda: _owner_tables(streams["streams"], streams["requests"]),
         ),
     }
     # sub-millisecond kernels: more repeats for a stable minimum

@@ -6,23 +6,26 @@ owner side, ``dict[int, float]`` caches on the subscriber side) and walked
 them with ``zip(...tolist())`` loops at every iteration.  This module holds
 the numpy-native replacement for both sides:
 
-* :class:`OwnerTable` — the owner's aggregates of one round, a
-  sorted-unique ``int64`` label array plus value columns aligned to it,
-  accumulated from the received contributions with one ``np.unique`` and
-  ``np.add.at`` pass;
+* :class:`OwnerTable` — the owner's aggregates of one round: the labels
+  in first-arrival order of the received stream, which is the seed dict's
+  insertion order, plus value columns aligned to them, summed with
+  ``np.bincount`` over the label ids of the C label hash
+  (:class:`repro.core.native.LabelTable`, or the sort-based
+  :class:`SortedLabelTable` without a compiler);
 * :class:`CommunitySnapshot` — the subscriber's view after the pull: the
-  sync's compact label index ``labels, cidx = np.unique(comm_of,
-  return_inverse=True)`` plus ``sigma_tot`` / size / local-member columns
-  indexed by compact id.  The sync is its only writer, and any write to
-  ``comm_of`` invalidates it, so a reader gathers by compact id and never
-  searches for a label.
+  sync's compact label index ``labels, cidx`` (equal to ``np.unique(comm_of,
+  return_inverse=True)``) plus ``sigma_tot`` / size / local-member columns
+  indexed by compact id, and every row's neighbour-community sums from the
+  sync's CSR scan, which the next vectorized sweep turns into gains.  The
+  sync is its only writer, and any write to ``comm_of`` invalidates it, so
+  a reader gathers by compact id and never searches for a label.
 
 Exactness contract: each kernel reproduces the seed's dict loops *bitwise*.
-Accumulations run in the same order the dict loops used (``np.add.at``
-applies its updates sequentially in stream order, matching per-rank arrival
+Accumulations run in the same order the dict loops used (``np.bincount``
+adds its weights sequentially in stream order, matching per-rank arrival
 order), every label starts from an exact ``0.0``, and
-:meth:`OwnerTable.partial_modularity` sums in dict *insertion* order via the
-``seq`` column so the floating-point reduction order of the seed's
+:meth:`OwnerTable.partial_modularity` sums in id order, which is dict
+*insertion* order, so the floating-point reduction order of the seed's
 ``for lab, acc in own.items()`` loop is preserved.  The dict-based sync
 survives only as a test oracle (``tests/core/agg_oracle.py``);
 ``tests/core/test_agg_equivalence.py`` pins the owner side against it and
@@ -36,19 +39,55 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["OwnerTable", "CommunitySnapshot"]
+from repro.core import native
 
-def _member_positions(
-    sorted_labels: np.ndarray, query: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(positions, found)`` of ``query`` in a sorted-unique label array."""
-    pos = np.searchsorted(sorted_labels, query)
-    pos_c = np.minimum(pos, max(sorted_labels.size - 1, 0))
-    if sorted_labels.size:
-        found = sorted_labels[pos_c] == query
-    else:
-        found = np.zeros(query.size, dtype=bool)
-    return pos_c, found
+__all__ = ["OwnerTable", "CommunitySnapshot", "SortedLabelTable"]
+
+
+class SortedLabelTable:
+    """The numpy fallback of :class:`repro.core.native.LabelTable`: the
+    same first-arrival ids and lookups, from ``np.unique`` and sorted
+    search."""
+
+    __slots__ = ("ids", "labels", "_sorted", "_rank")
+
+    def __init__(self, keys: np.ndarray) -> None:
+        self._sorted, first, inv = np.unique(
+            keys, return_index=True, return_inverse=True
+        )
+        # sorted position -> first-arrival id
+        self._rank = np.empty(first.size, dtype=np.int64)
+        self._rank[np.argsort(first)] = np.arange(first.size, dtype=np.int64)
+        self.ids = self._rank[inv]
+        self.labels = np.empty_like(self._sorted)
+        self.labels[self._rank] = self._sorted
+
+    def find(self, queries: np.ndarray) -> np.ndarray:
+        """The id of every query; :class:`KeyError` names the first query
+        the table does not hold."""
+        pos = np.searchsorted(self._sorted, queries)
+        pos = np.minimum(pos, max(self._sorted.size - 1, 0))
+        if self._sorted.size:
+            found = self._sorted[pos] == queries
+        else:
+            found = np.zeros(queries.size, dtype=bool)
+        if not found.all():
+            raise KeyError(int(queries[np.argmin(found)]))
+        return self._rank[pos]
+
+
+def _label_table(keys: np.ndarray) -> native.LabelTable | SortedLabelTable:
+    """First-arrival label ids of ``keys``: the C hash when the native
+    kernels could be built, else the sort-based fallback."""
+    return (native.LabelTable if native.available() else SortedLabelTable)(keys)
+
+
+def _sums(ids: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
+    """Per-id sums in stream order (``np.bincount`` returns integers for
+    an empty stream, hence the cast)."""
+    return np.bincount(ids, weights=values, minlength=k).astype(
+        np.float64, copy=False
+    )
 
 
 class OwnerTable:
@@ -58,13 +97,12 @@ class OwnerTable:
     Dense replacement for the seed's per-round ``dict[int, list[float]]``.
     Built from the round's received stream: ``labels`` is the rank-order
     concatenation of every peer's payload (each label at most once per
-    peer), so ``np.add.at`` hits each community in exactly the order the
-    scalar loop visited it.  ``seq`` is each label's first position in the
-    stream — dict-insertion order, which is the float accumulation order of
-    the scalar partial-modularity loop.
+    peer).  The label hash numbers the labels in order of first arrival,
+    which is the dict's insertion order, and ``np.bincount`` over those ids
+    hits each community in exactly the order the scalar loop visited it.
     """
 
-    __slots__ = ("labels", "tot", "cnt", "s_in", "seq")
+    __slots__ = ("labels", "tot", "cnt", "s_in", "_index")
 
     def __init__(
         self,
@@ -73,40 +111,35 @@ class OwnerTable:
         cnt: np.ndarray,
         s_in: np.ndarray,
     ) -> None:
-        self.labels, self.seq, pos = np.unique(
-            labels, return_index=True, return_inverse=True
-        )
-        self.tot = np.zeros(self.labels.size)
-        self.cnt = np.zeros(self.labels.size)
-        self.s_in = np.zeros(self.labels.size)
-        np.add.at(self.tot, pos, tot)
-        np.add.at(self.cnt, pos, cnt)
-        np.add.at(self.s_in, pos, s_in)
+        self._index = _label_table(labels)
+        self.labels = self._index.labels
+        ids, k = self._index.ids, self.labels.size
+        self.tot = _sums(ids, tot, k)
+        self.cnt = _sums(ids, cnt, k)
+        self.s_in = _sums(ids, s_in, k)
 
     def __len__(self) -> int:
         return int(self.labels.size)
 
     def lookup(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(sigma_tot, size)`` for every requested label.
+        """``(sigma_tot, size)`` for every requested label, from one probe
+        of the label hash per request.
 
         Raises :class:`KeyError` naming the first unknown label — the
         protocol guarantees owners hold an aggregate for every community a
         subscriber references, exactly like the dict path's hard failure.
         """
-        pos, found = _member_positions(self.labels, labels)
-        if not found.all():
-            missing = labels[~found]
-            raise KeyError(int(missing[0]))
+        pos = self._index.find(labels)
         return self.tot[pos], self.cnt[pos]
 
     def partial_modularity(self, two_m: float, resolution: float) -> float:
-        """Sum of per-community Q terms, accumulated in dict-insertion
-        order (``seq``) with a strictly sequential ``cumsum`` so the result
-        is bit-identical to the scalar ``+=`` loop."""
+        """Sum of per-community Q terms, accumulated in id order (dict
+        insertion order) with a strictly sequential ``cumsum`` so the
+        result is bit-identical to the scalar ``+=`` loop."""
         if self.labels.size == 0:
             return 0.0
         terms = self.s_in / two_m - resolution * (self.tot / two_m) ** 2
-        return float(np.cumsum(terms[np.argsort(self.seq, kind="stable")])[-1])
+        return float(np.cumsum(terms)[-1])
 
 
 class CommunitySnapshot(NamedTuple):
@@ -116,8 +149,13 @@ class CommunitySnapshot(NamedTuple):
     ``labels`` is ``np.unique(comm_of)`` and ``cidx`` the compact id of
     every local vertex (``labels[cidx] == comm_of``); ``sigma_tot`` and
     ``size`` are the owners' replies and ``local`` the number of owned
-    vertices in each community, all indexed by compact id.  It describes
-    ``comm_of`` as the sync saw it, so every write to ``comm_of`` drops it.
+    vertices in each community, all indexed by compact id.  ``pair_ptr``,
+    ``pair_id`` and ``pair_w`` are every row's neighbour-community sums
+    from the sync's CSR scan (row ``u``'s pairs are ``pair_ptr[u] :
+    pair_ptr[u + 1]``; see :meth:`repro.core.native.LevelKernels.scan`).
+    It describes ``comm_of`` as the sync saw it, so every write to
+    ``comm_of`` drops it.  None of its arrays is kernel scratch, so a
+    snapshot held across later syncs stays as it was.
     """
 
     labels: np.ndarray
@@ -125,6 +163,9 @@ class CommunitySnapshot(NamedTuple):
     sigma_tot: np.ndarray
     size: np.ndarray
     local: np.ndarray
+    pair_ptr: np.ndarray
+    pair_id: np.ndarray
+    pair_w: np.ndarray
 
     @classmethod
     def from_replies(
@@ -135,6 +176,7 @@ class CommunitySnapshot(NamedTuple):
         replied: np.ndarray,
         values: np.ndarray,
         n_owned: int,
+        pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
     ) -> CommunitySnapshot:
         """Place the pull's replies on the compact index.
 
@@ -145,7 +187,8 @@ class CommunitySnapshot(NamedTuple):
         anything else breaks the protocol and raises ``RuntimeError``.
         The local-member census counts the first ``n_owned`` vertices:
         hub delegates are resident everywhere, which does not make their
-        communities' aggregates any fresher here.
+        communities' aggregates any fresher here.  ``pairs`` is the
+        scan's ``(pair_ptr, pair_id, pair_w)``.
         """
         if not np.array_equal(replied, labels[order]):
             raise RuntimeError("the pull's replies do not match its requests")
@@ -154,12 +197,17 @@ class CommunitySnapshot(NamedTuple):
         size = np.empty(labels.size, dtype=np.int64)
         size[order] = np.rint(values[:, 1])
         local = np.bincount(cidx[:n_owned], minlength=labels.size)
-        return cls(labels, cidx, sigma_tot, size, local)
+        return cls(labels, cidx, sigma_tot, size, local, *pairs)
+
+    @property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(pair_ptr, pair_id, pair_w)``, the gain pass's input."""
+        return self.pair_ptr, self.pair_id, self.pair_w
 
     def lookup(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(sigma_tot, known, size, is_local)`` per compact id, the lookup
-        columns of :func:`~repro.core.sweep_kernel.bulk_best_moves`; every
-        label of the snapshot is known."""
+        columns of the sweep's gain pass; every label of the snapshot is
+        known."""
         return (
             self.sigma_tot,
             np.ones(self.labels.size, dtype=bool),

@@ -42,11 +42,7 @@ import numpy as np
 from repro.core.community_table import CommunitySnapshot, OwnerTable
 from repro.core.heuristics import Candidate, MoveHeuristic
 from repro.core.pack import pack_bounds, pack_by_owner
-from repro.core.sweep_kernel import (
-    VECTOR_HEURISTICS,
-    bulk_best_moves,
-    internal_weight,
-)
+from repro.core.sweep_kernel import VECTOR_HEURISTICS, level_kernels
 from repro.partition.distgraph import LocalGraph
 from repro.runtime.comm import SimComm
 
@@ -122,6 +118,11 @@ class LocalClustering:
         self.two_m = 2.0 * lg.m_global if lg.m_global > 0 else 1.0
 
         self.comm_of = lg.global_ids.astype(np.int64).copy()
+        # the label index, CSR scan and gain pass, bound to this level's
+        # CSR once: C when it could be built, else numpy
+        self._kernels = level_kernels(
+            lg.indptr, lg.indices, lg.weights, lg.row_weighted_degree, lg.n_local
+        )
         # the community state the last sync built for the current comm_of;
         # the sweeps read it, and every write to comm_of clears it
         self.snapshot: CommunitySnapshot | None = None
@@ -166,39 +167,46 @@ class LocalClustering:
         :class:`~repro.core.community_table.OwnerTable`.
 
         One compact label index, rebuilt on every call because ``comm_of``
-        changes between calls, yields the contributions, the request set
-        of the pull and the owned-vertex census.  The pulled state lands on
-        that index as ``snapshot``, which the next sweep reads.
+        changes between calls (a hash of the labels and a sort of the
+        distinct ones), and one CSR scan under it yield the contributions,
+        the request set of the pull, the owned-vertex census and every
+        row's neighbour-community sums.  The pulled state and the sums land
+        on that index as ``snapshot``, which the next sweep reads.
         """
         comm = self.comm
-        labels_all, cidx = np.unique(self.comm_of, return_inverse=True)
-        labels, tot, cnt, s_in = self._contributions(labels_all, cidx)
+        labels_all, cidx = self._kernels.index(self.comm_of)
+        (labels, tot, cnt, s_in), pairs = self._contributions(labels_all, cidx)
         payloads = pack_by_owner(
             self._owner(labels), comm.size, labels, tot, cnt, s_in
         )
         received = comm.alltoall(payloads)
 
-        # accumulate contributions in rank-arrival order: np.add.at applies
-        # updates sequentially, so every per-community sum is bit-identical
-        # to a dict accumulator fed the same stream
+        # accumulate contributions in rank-arrival order: np.bincount adds
+        # them sequentially, so every per-community sum is bit-identical to
+        # a dict accumulator fed the same stream
         own = OwnerTable(
             *(np.concatenate([p[i] for p in received]) for i in range(4))
         )
-        self.snapshot = self._pull(own, labels_all, cidx)
+        self.snapshot = self._pull(own, labels_all, cidx, pairs)
         q_part = own.partial_modularity(self.two_m, self.resolution)
         return float(comm.allreduce(q_part))
 
     def _contributions(
         self, labels_all: np.ndarray, cidx: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[
+        tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        tuple[np.ndarray, np.ndarray, np.ndarray],
+    ]:
         """(labels, sigma_tot, size, sigma_in) facts this rank must report,
         pre-aggregated per label, on the compact label index
-        ``labels_all, cidx = np.unique(comm_of, return_inverse=True)``.
+        ``labels_all, cidx`` (equal to ``np.unique(comm_of,
+        return_inverse=True)``), and the neighbour-community pairs of every
+        row from the same CSR scan.
 
         Member facts come from owned low vertices and designated hubs, edge
         facts from the directed entries internal to a community (self
         entries doubled, :func:`~repro.core.sweep_kernel.internal_weight`).
-        ``np.bincount`` and the C kernel add their weights one by one in
+        ``np.bincount`` and the C scan add their weights one by one in
         stream order, so every sum is reproducible bit for bit.
         """
         lg = self.lg
@@ -210,11 +218,11 @@ class LocalClustering:
             mem_ids = np.concatenate([mem_ids, cidx[hub_rows]])
             mem_w = np.concatenate([mem_w, lg.row_weighted_degree[hub_rows]])
 
-        s_in, present = internal_weight(lg.indptr, lg.indices, lg.weights, cidx, k)
+        s_in, present, pairs = self._kernels.scan(cidx, k)
         present[mem_ids] = True
         tot = np.bincount(mem_ids, weights=mem_w, minlength=k)[present]
         cnt = np.bincount(mem_ids, minlength=k)[present].astype(np.float64)
-        return labels_all[present], tot, cnt, s_in[present]
+        return (labels_all[present], tot, cnt, s_in[present]), pairs
 
     # ------------------------------------------------------------------
     # The pull
@@ -230,11 +238,15 @@ class LocalClustering:
             ) from None
 
     def _pull(
-        self, own: OwnerTable, labels_all: np.ndarray, cidx: np.ndarray
+        self,
+        own: OwnerTable,
+        labels_all: np.ndarray,
+        cidx: np.ndarray,
+        pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
     ) -> CommunitySnapshot:
         """Request ``(sigma_tot, size)`` for every referenced community,
-        ``labels_all = np.unique(comm_of)``, and place the replies on the
-        compact index ``cidx``."""
+        ``labels_all = np.unique(comm_of)``, and place the replies and the
+        scan's ``pairs`` on the compact index ``cidx``."""
         comm = self.comm
         order, bounds = pack_bounds(self._owner(labels_all), comm.size)
         staged = labels_all[order]
@@ -254,6 +266,7 @@ class LocalClustering:
             np.concatenate([a[0] for a in answered]),
             np.concatenate([a[1] for a in answered]),
             self.lg.n_owned,
+            pairs,
         )
 
     # ------------------------------------------------------------------
@@ -402,15 +415,13 @@ class LocalClustering:
         # scanned directed entry (empty rows contribute zero either way)
         self.comm.add_compute(float(lg.indices.size))
         snap = self._synced()
-        chosen, gain, stay = bulk_best_moves(
-            indptr=lg.indptr,
-            indices=lg.indices,
-            weights=lg.weights,
-            comm_of=self.comm_of,
-            label_index=(snap.labels, snap.cidx),
-            row_wdeg=lg.row_weighted_degree,
-            n_rows=lg.n_rows,
-            lookup=snap.lookup(),
+        # the gain pass over the neighbour-community sums of the sync's scan
+        chosen, gain, stay, chosen_id = self._kernels.gains(
+            snap.pairs,
+            snap.cidx,
+            self.comm_of,
+            snap.labels,
+            snap.lookup(),
             two_m=self.two_m,
             resolution=self.resolution,
             theta=self.theta,
@@ -434,12 +445,11 @@ class LocalClustering:
         down_only = self._vec_iter % 2 == 0
         self._vec_iter += 1
         movers = np.flatnonzero(chosen[: lg.n_owned] != cu[: lg.n_owned])
-        # gate decisions read the synced sizes; every target is the label
-        # of a row or a neighbour, so it is in the snapshot
+        # gate decisions read the synced sizes, by compact id
         m_old = cu[movers]
         m_tgt = chosen[movers]
         sz_old = snap.size[snap.cidx[movers]]
-        sz_tgt = snap.size[np.searchsorted(snap.labels, m_tgt)]
+        sz_tgt = snap.size[chosen_id[movers]]
         gate = (sz_old == 1) & (sz_tgt == 1) & (m_tgt > m_old)
         defer = down_only & (m_tgt > m_old) & ~gate
         deferred = int(np.count_nonzero(defer))

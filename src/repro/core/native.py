@@ -1,11 +1,18 @@
 """Loader of the native per-iteration kernels (``_kernels.c``).
 
-The two O(nnz) passes of every vectorized inner iteration, the sweep's
-best-move scan and the sync's internal-weight pass, have a C version in
-``_kernels.c``.  This module compiles it with the system C compiler on the
-first kernel call (never at import), caches the shared library, and calls
-it through :mod:`ctypes`.  A ``ctypes.CDLL`` call releases the GIL, so the
-thread ranks of one run scan their rows in parallel.
+The vectorized inner iteration runs in C (``_kernels.c``): the label hash
+behind the sync's compact index and the owner table, one fused CSR scan
+that yields the sync's internal weights and every row's neighbour-community
+sums, and the sweep's gain pass over those sums.  This module compiles the
+source with the system C compiler on the first kernel call (never at
+import), caches the shared library, and calls it through :mod:`ctypes`.  A
+``ctypes.CDLL`` call releases the GIL, so the thread ranks of one run scan
+their rows in parallel.
+
+The kernels are bound once per level (:class:`LevelKernels`): the level's
+CSR arrays and the scratch are checked and addressed when the level
+starts, and each call passes raw addresses, so the fixed cost of a call
+stays a few microseconds.
 
 The numpy kernels stay the reference and the fallback: the C functions
 reproduce them bit for bit (same summation order, same operand order, no
@@ -45,13 +52,13 @@ from importlib import resources
 
 import numpy as np
 
-__all__ = ["available", "best_moves", "internal_weight"]
+__all__ = ["LabelTable", "LevelKernels", "available"]
 
 _COMPILER = "cc"
 _FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 _SOURCE = "_kernels.c"
 
-# selection-rule codes of best_moves (the enum in _kernels.c)
+# selection-rule codes of pair_gains (the enum in _kernels.c)
 _HEURISTIC_CODES = {"greedy": 0, "minlabel": 1, "enhanced": 2}
 
 _lock = threading.Lock()
@@ -117,30 +124,33 @@ def _compile(source: str, directory: str) -> str:
 
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
-    """Exact dtype and contiguity for every array argument."""
-    # imported here, with logging below, to keep them off import time
-    from numpy.ctypeslib import ndpointer
-
-    def arr(dtype, out=False):
-        flags = "C_CONTIGUOUS,WRITEABLE" if out else "C_CONTIGUOUS"
-        return ndpointer(dtype=dtype, ndim=1, flags=flags)
-
-    i64, f64, flag = arr(np.int64), arr(np.float64), arr(np.bool_)
-    out_i64, out_f64 = arr(np.int64, True), arr(np.float64, True)
-    n, real = ctypes.c_int64, ctypes.c_double
-    lib.best_moves.restype = None
-    lib.best_moves.argtypes = [
-        n, i64, i64, f64,  # n_rows, indptr, indices, weights
-        i64, i64, f64,  # cidx, comm_of, row_wdeg
-        n, i64, f64, flag, i64, flag,  # k, labels, st, st_known, sz, loc
-        real, real, real, n,  # two_m, resolution, theta, heuristic
-        out_i64, out_f64, out_i64,  # scratch: mark, acc, touched
-        out_i64, out_f64, out_f64,  # chosen, chosen_gain, stay_gain
+    """Argument types of every kernel.  Arrays travel as raw addresses:
+    the wrappers below check each array's dtype and contiguity before
+    taking its address (see :func:`_addr`)."""
+    ptr, n, real = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    lib.label_ids.restype = n
+    lib.label_ids.argtypes = [n, ptr, n, ptr, ptr, ptr]  # n, keys, cap, slots, ids, uniq
+    lib.label_find.restype = n
+    lib.label_find.argtypes = [n, ptr, n, ptr, ptr]  # n, queries, cap, slots, pos
+    lib.label_remap.restype = None
+    lib.label_remap.argtypes = [
+        n, ptr, n, ptr,  # n, ids, k, sorted_labels
+        n, ptr, ptr, ptr,  # cap, slots; scratch: rank; cidx
     ]
-    lib.internal_weight.restype = None
-    lib.internal_weight.argtypes = [
-        n, i64, i64, f64, i64,  # n_rows, indptr, indices, weights, cidx
-        out_f64, arr(np.uint8, True),  # s_in, has_in
+    lib.neighbour_scan.restype = n
+    lib.neighbour_scan.argtypes = [
+        n, ptr, ptr, ptr, ptr, n,  # n_rows, indptr, indices, weights, cidx, k
+        ptr, ptr, ptr,  # s_in, has_in; scratch: marks
+        ptr, ptr, ptr,  # pair_ptr, pair_id, pair_w
+    ]
+    lib.pair_gains.restype = n
+    lib.pair_gains.argtypes = [
+        n, ptr, ptr, ptr,  # n_rows, pair_ptr, pair_id, pair_w
+        ptr, ptr, ptr,  # cidx, comm_of, row_wdeg
+        n, ptr, ptr, ptr, ptr, ptr,  # k, labels, st, st_known, sz, loc
+        real, real, real, n,  # two_m, resolution, theta, heuristic
+        n, ptr,  # scratch: gain_cap, gain
+        ptr, ptr, ptr, ptr,  # chosen, chosen_id, chosen_gain, stay_gain
     ]
     return lib
 
@@ -186,67 +196,205 @@ def available() -> bool:
     return _library() is not None
 
 
-def best_moves(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    cidx: np.ndarray,
-    comm_of: np.ndarray,
-    row_wdeg: np.ndarray,
-    labels_all: np.ndarray,
-    lookup: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    *,
-    n_rows: int,
-    two_m: float,
-    resolution: float,
-    theta: float,
-    heuristic_name: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """C version of ``sweep_kernel._best_moves_numpy``: one linear scan of
-    each row.  ``lookup`` holds the ``(sigma_tot, known, size, is_local)``
-    columns of the ``labels_all`` entries."""
-    lib = _library()
-    st, st_known, sz, loc = lookup
-    k = int(labels_all.size)
-    _check_csr(indptr, indices, weights, n_rows)
-    if cidx.size != comm_of.size or comm_of.size < n_rows or row_wdeg.size < n_rows:
-        raise ValueError("cidx, comm_of and row_wdeg must cover every row")
-    if any(a.size != k for a in lookup):
-        raise ValueError("the table lookup must hold one entry per label")
-    chosen = np.empty(n_rows, dtype=np.int64)
-    chosen_gain = np.empty(n_rows)
-    stay_gain = np.empty(n_rows)
-    lib.best_moves(
-        n_rows, _i64(indptr), _i64(indices), _f64(weights), _i64(cidx),
-        _i64(comm_of), _f64(row_wdeg), k, _i64(labels_all), _f64(st),
-        np.ascontiguousarray(st_known, dtype=np.bool_), _i64(sz),
-        np.ascontiguousarray(loc, dtype=np.bool_), float(two_m),
-        float(resolution), float(theta), _HEURISTIC_CODES[heuristic_name],
-        np.full(k, -1, dtype=np.int64), np.empty(k), np.empty(k, dtype=np.int64),
-        chosen, chosen_gain, stay_gain,
-    )
-    return chosen, chosen_gain, stay_gain
+class LabelTable:
+    """First-arrival ids of int64 keys, in the C label hash.
+
+    ``ids[i]`` is the id of ``keys[i]``, and ``labels[id]`` the key of an
+    id; ids count the distinct keys in order of first arrival, the order a
+    dict assigns them.  :meth:`find` looks keys up in the same table.
+    """
+
+    __slots__ = ("ids", "labels", "_cap", "_slots")
+
+    def __init__(self, keys: np.ndarray) -> None:
+        lib = _library()
+        keys = _exact(keys, _I64)
+        self._cap = _capacity(keys.size)
+        self._slots = np.empty(2 * self._cap, dtype=np.int64)
+        self.ids = np.empty(keys.size, dtype=np.int64)
+        uniq = np.empty(keys.size, dtype=np.int64)
+        k = lib.label_ids(
+            keys.size, _addr(keys), self._cap, _addr(self._slots),
+            _addr(self.ids), _addr(uniq),
+        )
+        self.labels = uniq[:k]
+
+    def find(self, queries: np.ndarray) -> np.ndarray:
+        """The id of every query; :class:`KeyError` names the first query
+        the table does not hold."""
+        queries = _exact(queries, _I64)
+        pos = np.empty(queries.size, dtype=np.int64)
+        missing = _library().label_find(
+            queries.size, _addr(queries), self._cap, _addr(self._slots), _addr(pos)
+        )
+        if missing >= 0:
+            raise KeyError(int(queries[missing]))
+        return pos
 
 
-def internal_weight(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    cidx: np.ndarray,
-    n_labels: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """C version of the internal-weight pass: ``(s_in, has_in)`` per
-    compact id, ``s_in`` summed in CSR entry order with self entries
-    doubled, ``has_in`` marking the ids with an internal entry."""
-    lib = _library()
-    _check_csr(indptr, indices, weights, indptr.size - 1)
-    s_in = np.zeros(n_labels)
-    has_in = np.zeros(n_labels, dtype=np.uint8)
-    lib.internal_weight(
-        indptr.size - 1, _i64(indptr), _i64(indices), _f64(weights), _i64(cidx),
-        s_in, has_in,
-    )
-    return s_in, has_in.view(np.bool_)
+class LevelKernels:
+    """The C kernels of the vectorized inner iteration, bound to one
+    level's local graph.
+
+    The level's arrays (``indptr``, ``indices``, ``weights``, ``row_wdeg``)
+    and the scratch (the label hash, the scan's row marks and the gain
+    pass's row buffer) are checked,
+    converted if need be, and addressed once, here.  A call then checks its
+    per-call arrays with one dtype/contiguity test each and passes them by
+    address.  Every address handed to C belongs to an array that this object
+    or a local name of the calling method holds for the whole call, and
+    every array a method returns is freshly allocated: nothing returned
+    aliases the scratch that the next call overwrites.
+
+    ``n_local`` is the local vertex count: the size of ``comm_of`` and of
+    every compact index, and the bound on the number of distinct labels.
+    :class:`repro.core.sweep_kernel.NumpyLevelKernels` is the numpy
+    reference with the same methods and answers.
+    """
+
+    def __init__(
+        self,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        weights: np.ndarray,
+        row_wdeg: np.ndarray,
+        n_local: int,
+    ) -> None:
+        lib = _library()
+        if lib is None:
+            raise RuntimeError("the native kernels are unavailable")
+        self._lib = lib
+        # references keep the addresses below valid for the level
+        self._csr = (
+            _exact(indptr, _I64), _exact(indices, _I64), _exact(weights, _F64)
+        )
+        self._row_wdeg = _exact(row_wdeg, _F64)
+        self.n_rows = int(self._csr[0].size) - 1
+        self.n_local = int(n_local)
+        _check_csr(*self._csr, self.n_rows)
+        if self.n_rows > self.n_local or self._row_wdeg.size < self.n_rows:
+            raise ValueError("n_local and row_wdeg must cover every row")
+        self._cap = _capacity(self.n_local)
+        # a row has at most one pair per entry
+        self._gain_cap = int(np.diff(self._csr[0]).max(initial=0))
+        self._scratch = (
+            np.empty(2 * self._cap, dtype=np.int64),  # hash slots
+            np.empty(self.n_local, dtype=np.int64),  # first-arrival ids
+            np.empty(self.n_local, dtype=np.int64),  # distinct labels
+            np.empty(self.n_local, dtype=np.int64),  # label ranks
+            np.empty(2 * self.n_local, dtype=np.int64),  # scan: row marks
+            np.empty(self._gain_cap),  # gain pass: one row's gains
+        )
+        self._csr_addr = tuple(_addr(a) for a in self._csr)
+        self._row_wdeg_addr = _addr(self._row_wdeg)
+        self._scratch_addr = tuple(_addr(a) for a in self._scratch)
+
+    def _vertex_array(self, a: np.ndarray) -> np.ndarray:
+        a = _exact(a, _I64)
+        if a.size != self.n_local:
+            raise ValueError(f"expected one entry per local vertex ({self.n_local})")
+        return a
+
+    def index(self, comm_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``np.unique(comm_of, return_inverse=True)``, from one pass of
+        the label hash, a sort of the distinct labels only, and one probe
+        per distinct label to remap the ids."""
+        comm_of = self._vertex_array(comm_of)
+        slots, ids, uniq, rank = self._scratch_addr[:4]
+        k = self._lib.label_ids(
+            self.n_local, _addr(comm_of), self._cap, slots, ids, uniq
+        )
+        labels = np.sort(self._scratch[2][:k])
+        cidx = np.empty(self.n_local, dtype=np.int64)
+        self._lib.label_remap(
+            self.n_local, ids, k, _addr(labels), self._cap, slots, rank, _addr(cidx)
+        )
+        return labels, cidx
+
+    def scan(
+        self, cidx: np.ndarray, n_labels: int
+    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """One CSR pass under the compact index ``cidx`` (ids below
+        ``n_labels``): ``(s_in, has_in, (pair_ptr, pair_id, pair_w))``.
+        ``s_in``/``has_in`` are ``internal_weight``'s; the pairs are each
+        row's neighbour-community sums, self entries excluded, ids in order
+        of first appearance in the row."""
+        cidx = self._vertex_array(cidx)
+        if not 0 <= n_labels <= self.n_local:
+            raise ValueError("more labels than local vertices")
+        indptr, indices, weights = self._csr_addr
+        marks = self._scratch_addr[4]
+        s_in = np.empty(n_labels)
+        has_in = np.empty(n_labels, dtype=np.bool_)
+        pair_ptr = np.empty(self.n_rows + 1, dtype=np.int64)
+        pair_id = np.empty(self._csr[1].size, dtype=np.int64)
+        pair_w = np.empty(self._csr[1].size)
+        n_pairs = self._lib.neighbour_scan(
+            self.n_rows, indptr, indices, weights, _addr(cidx), n_labels,
+            _addr(s_in), _addr(has_in), marks,
+            _addr(pair_ptr), _addr(pair_id), _addr(pair_w),
+        )
+        return s_in, has_in, (pair_ptr, pair_id[:n_pairs], pair_w[:n_pairs])
+
+    def gains(
+        self,
+        pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
+        cidx: np.ndarray,
+        comm_of: np.ndarray,
+        labels: np.ndarray,
+        lookup: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        *,
+        two_m: float,
+        resolution: float,
+        theta: float,
+        heuristic_name: str,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(chosen, chosen_gain, stay_gain, chosen_id)`` of every row from
+        its neighbour-community sums ``pairs`` (:meth:`scan`'s, in any order
+        within a row): the gain pass of ``sweep_kernel.bulk_best_moves``,
+        plus the compact id of each chosen label.  ``lookup`` holds the
+        ``(sigma_tot, known, size, is_local)`` columns of the compact ids,
+        whose labels are ``labels``."""
+        pair_ptr, pair_id, pair_w = (
+            _exact(pairs[0], _I64), _exact(pairs[1], _I64), _exact(pairs[2], _F64)
+        )
+        if (
+            pair_ptr.size != self.n_rows + 1
+            or pair_ptr[0] != 0
+            or pair_id.size != pair_ptr[-1]
+            or pair_w.size != pair_id.size
+        ):
+            raise ValueError("pair_ptr does not describe the pair arrays")
+        cidx, comm_of = self._vertex_array(cidx), self._vertex_array(comm_of)
+        labels = _exact(labels, _I64)
+        st, known, sz, loc = (
+            _exact(lookup[0], _F64), _exact(lookup[1], _BOOL),
+            _exact(lookup[2], _I64), _exact(lookup[3], _BOOL),
+        )
+        k = labels.size
+        if st.size != k or known.size != k or sz.size != k or loc.size != k:
+            raise ValueError("the table lookup must hold one entry per label")
+        chosen = np.empty(self.n_rows, dtype=np.int64)
+        chosen_id = np.empty(self.n_rows, dtype=np.int64)
+        chosen_gain = np.empty(self.n_rows)
+        stay_gain = np.empty(self.n_rows)
+        long_row = self._lib.pair_gains(
+            self.n_rows, _addr(pair_ptr), _addr(pair_id), _addr(pair_w),
+            _addr(cidx), _addr(comm_of), self._row_wdeg_addr,
+            k, _addr(labels), _addr(st), _addr(known), _addr(sz), _addr(loc),
+            two_m, resolution, theta, _HEURISTIC_CODES[heuristic_name],
+            self._gain_cap, self._scratch_addr[5],
+            _addr(chosen), _addr(chosen_id), _addr(chosen_gain), _addr(stay_gain),
+        )
+        if long_row >= 0:
+            raise ValueError(f"row {long_row} has more pairs than entries")
+        return chosen, chosen_gain, stay_gain, chosen_id
+
+
+def _capacity(n: int) -> int:
+    """Slot count of a label hash for ``n`` keys: a power of two of at
+    least ``2 n``, so the load stays at most one half."""
+    return 1 << max(1, (2 * n - 1).bit_length())
 
 
 def _check_csr(
@@ -254,16 +402,31 @@ def _check_csr(
 ) -> None:
     """Shape checks that keep the C loops inside the arrays.  Values are
     trusted: column ids index ``cidx`` and compact ids index the label
-    arrays, which holds for every LocalGraph and ``np.unique`` index."""
+    arrays, which holds for every LocalGraph and label index."""
     if indptr.size != n_rows + 1 or indptr[0] != 0 or indptr[-1] != indices.size:
         raise ValueError("indptr does not describe the entry arrays")
     if weights.size != indices.size:
         raise ValueError("weights must match indices")
 
 
-def _i64(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=np.int64)
+_I64, _F64, _BOOL = np.dtype(np.int64), np.dtype(np.float64), np.dtype(np.bool_)
 
 
-def _f64(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=np.float64)
+def _exact(a: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``a`` itself if it is a C-contiguous ``dtype`` array, else a
+    converted copy (which the caller must hold through the C call)."""
+    if a.dtype == dtype and a.flags.c_contiguous:
+        return a
+    return np.ascontiguousarray(a, dtype=dtype)
+
+
+def _addr(a: np.ndarray) -> int | None:
+    """Address of the first element of a C-contiguous array; None (NULL)
+    for an empty one, which no kernel reads.  The array must stay
+    referenced while C uses the address: never pass a temporary."""
+    if a.size == 0:
+        return None
+    if a.flags.writeable:
+        # about 3x cheaper than a.ctypes.data
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    return a.ctypes.data

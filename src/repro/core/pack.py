@@ -31,9 +31,18 @@ def pack_bounds(owner: np.ndarray, n_buckets: int) -> tuple[np.ndarray, np.ndarr
     """Stable bucketing permutation and bucket boundaries.
 
     Returns ``(order, bounds)`` where ``order`` stably sorts by ``owner``
-    and bucket ``r`` occupies ``order[bounds[r]:bounds[r + 1]]``.
+    and bucket ``r`` occupies ``order[bounds[r]:bounds[r + 1]]``.  Every
+    owner must lie in ``[0, n_buckets)``: the sort key is then narrowed to
+    ``uint8`` (up to 256 buckets) or ``uint16`` (up to 65536), which numpy
+    sorts stably by radix sort, with the same permutation.
     """
-    order = np.argsort(owner, kind="stable")
+    if n_buckets <= 1 << 8:
+        key = owner.astype(np.uint8)
+    elif n_buckets <= 1 << 16:
+        key = owner.astype(np.uint16)
+    else:
+        key = owner
+    order = np.argsort(key, kind="stable")
     counts = (
         np.bincount(owner, minlength=n_buckets)
         if owner.size

@@ -43,12 +43,17 @@ the dense variant used by the shared-memory baseline, where exact
 aggregates come from ``np.bincount`` and the labels, already in ``[0, n)``,
 are their own compact index.
 
-:func:`bulk_best_moves` and :func:`internal_weight` (the sync's
-intra-community edge weight) run the C kernels of
-:mod:`repro.core.native` when they could be built: one linear scan of
-each row with a row-local accumulator in place of the global sort, with
-bit-identical results.  The numpy code here is their reference and the
-fallback.
+The distributed inner iteration splits :func:`bulk_best_moves` in two.
+The sync's one CSR scan yields both its intra-community weights
+(:func:`internal_weight`) and every row's neighbour-community sums
+(:func:`neighbour_pairs`), which the sync's
+:class:`~repro.core.community_table.CommunitySnapshot` carries; the sweep
+is then a gain pass over those pairs.  :func:`level_kernels` binds the
+three steps (label index, scan, gain pass) to one level's CSR: the C
+kernels of :mod:`repro.core.native` when they could be built, which scan
+each row once with a row-local accumulator in place of the global sort,
+else :class:`NumpyLevelKernels`.  The numpy code here is the reference and
+the fallback, and both give bit-identical answers.
 """
 
 from __future__ import annotations
@@ -59,10 +64,13 @@ from repro.core import native
 
 __all__ = [
     "VECTOR_HEURISTICS",
+    "NumpyLevelKernels",
     "aggregate_neighbor_communities",
     "bulk_best_moves",
     "internal_weight",
     "jacobi_minlabel_sweep",
+    "level_kernels",
+    "neighbour_pairs",
 ]
 
 # heuristics with a vectorized selection rule (all registered ones today);
@@ -155,7 +163,9 @@ def bulk_best_moves(
 
     Returns ``(chosen, chosen_gain, stay_gain)`` arrays of length
     ``n_rows``; ``chosen[u] == comm_of[u]`` means "stay".  No caches are
-    mutated.
+    mutated.  This is the one-shot form of a :func:`level_kernels` scan and
+    gain pass; ``LocalClustering`` binds the kernels once per level and
+    takes the pairs from its sync instead.
     """
     if heuristic_name not in VECTOR_HEURISTICS:
         raise ValueError(
@@ -163,22 +173,90 @@ def bulk_best_moves(
             f"supported: {sorted(VECTOR_HEURISTICS)}"
         )
     labels_all, cidx = label_index
-    kernel = native.best_moves if native.available() else _best_moves_numpy
-    return kernel(
-        indptr,
-        indices,
-        weights,
+    if indptr.size != n_rows + 1:
+        raise ValueError("indptr must hold n_rows + 1 offsets")
+    kernels = level_kernels(indptr, indices, weights, row_wdeg, cidx.size)
+    pairs = kernels.scan(cidx, labels_all.size)[2]
+    return kernels.gains(
+        pairs,
         cidx,
         comm_of,
-        row_wdeg,
         labels_all,
         lookup,
-        n_rows=n_rows,
         two_m=two_m,
         resolution=resolution,
         theta=theta,
         heuristic_name=heuristic_name,
-    )
+    )[:3]
+
+
+def level_kernels(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+    row_wdeg: np.ndarray,
+    n_local: int,
+) -> native.LevelKernels | NumpyLevelKernels:
+    """The inner-iteration kernels bound to one level's CSR: the C ones
+    when :mod:`repro.core.native` could build them, else numpy."""
+    kind = native.LevelKernels if native.available() else NumpyLevelKernels
+    return kind(indptr, indices, weights, row_wdeg, n_local)
+
+
+class NumpyLevelKernels:
+    """The numpy reference and fallback of
+    :class:`repro.core.native.LevelKernels`: the same methods with the same
+    answers, bit for bit.  Its pairs list each row's ids in ascending
+    order, the C scan's in order of first appearance; the gain pass does
+    not depend on that order."""
+
+    def __init__(
+        self,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        weights: np.ndarray,
+        row_wdeg: np.ndarray,
+        n_local: int,
+    ) -> None:
+        self._csr = (indptr, indices, weights)
+        self._row_wdeg = row_wdeg
+        self.n_rows = int(indptr.size) - 1
+
+    def index(self, comm_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.unique(comm_of, return_inverse=True)
+
+    def scan(
+        self, cidx: np.ndarray, n_labels: int
+    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        s_in, has_in = internal_weight(*self._csr, cidx, n_labels)
+        return s_in, has_in, neighbour_pairs(*self._csr, cidx, n_labels)
+
+    def gains(
+        self,
+        pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
+        cidx: np.ndarray,
+        comm_of: np.ndarray,
+        labels: np.ndarray,
+        lookup: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        *,
+        two_m: float,
+        resolution: float,
+        theta: float,
+        heuristic_name: str,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return _pair_gains_numpy(
+            pairs,
+            cidx,
+            comm_of,
+            self._row_wdeg,
+            labels,
+            lookup,
+            n_rows=self.n_rows,
+            two_m=two_m,
+            resolution=resolution,
+            theta=theta,
+            heuristic_name=heuristic_name,
+        )
 
 
 def _entry_rows(indptr: np.ndarray) -> np.ndarray:
@@ -186,10 +264,27 @@ def _entry_rows(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
 
 
-def _best_moves_numpy(
+def neighbour_pairs(
     indptr: np.ndarray,
     indices: np.ndarray,
     weights: np.ndarray,
+    cidx: np.ndarray,
+    n_labels: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every row's neighbour-community sums as ``(pair_ptr, pair_id,
+    pair_w)``: row ``u``'s pairs are ``pair_ptr[u]:pair_ptr[u + 1]``, in
+    ascending id order (:func:`aggregate_neighbor_communities` on the
+    CSR)."""
+    rows, ids, w = aggregate_neighbor_communities(
+        _entry_rows(indptr), indices, weights, cidx, n_labels
+    )
+    pair_ptr = np.zeros(indptr.size, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=indptr.size - 1), out=pair_ptr[1:])
+    return pair_ptr, ids, w
+
+
+def _pair_gains_numpy(
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
     cidx: np.ndarray,
     comm_of: np.ndarray,
     row_wdeg: np.ndarray,
@@ -201,14 +296,19 @@ def _best_moves_numpy(
     resolution: float,
     theta: float,
     heuristic_name: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The numpy body of :func:`bulk_best_moves`: the reference the C
-    kernel reproduces bit for bit, and its fallback."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The gain pass of :func:`bulk_best_moves` over each row's
+    neighbour-community sums: the reference the C ``pair_gains`` kernel
+    reproduces bit for bit, and its fallback.  The pairs of a row may come
+    in any order: the winner is the minimum of an injective key among the
+    candidates within ``theta`` of the row's maximum gain.  Returns
+    ``(chosen, chosen_gain, stay_gain, chosen_id)``, the last the compact
+    id of each chosen label."""
+    pair_ptr, pid, pw = pairs
+    pr = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(pair_ptr))
+    row_wdeg = row_wdeg[:n_rows]
     cu = comm_of[:n_rows].astype(np.int64, copy=False)
     cu_id = cidx[:n_rows]
-    pr, pid, pw = aggregate_neighbor_communities(
-        _entry_rows(indptr), indices, weights, cidx, labels_all.size
-    )
     st, st_known, sz, loc = lookup
 
     # stay gain: links into the own community minus the Eq. 4 penalty
@@ -221,6 +321,7 @@ def _best_moves_numpy(
     stay_gain = stay_w - resolution * st_cu * row_wdeg / two_m
 
     chosen = cu.copy()
+    chosen_id = cu_id.astype(np.int64, copy=True)
     chosen_gain = stay_gain.copy()
 
     cand = ~is_stay
@@ -229,7 +330,7 @@ def _best_moves_numpy(
     cgain = pw[cand] - resolution * st[cid] * row_wdeg[cpr] / two_m
     del pr, pid, pw, is_stay, cand
     if cpr.size == 0:
-        return chosen, chosen_gain, stay_gain
+        return chosen, chosen_gain, stay_gain, chosen_id
 
     starts = _segment_starts(cpr)
     improving = cgain > stay_gain[cpr] + theta
@@ -270,8 +371,9 @@ def _best_moves_numpy(
 
     keep = ~veto
     chosen[wrow[keep]] = wlab[keep]
+    chosen_id[wrow[keep]] = wid[keep]
     chosen_gain[wrow[keep]] = cgain[winner][keep]
-    return chosen, chosen_gain, stay_gain
+    return chosen, chosen_gain, stay_gain, chosen_id
 
 
 def internal_weight(
@@ -286,10 +388,8 @@ def internal_weight(
     Every directed entry whose endpoints share a compact id adds its
     weight (twice for a self entry) to ``s_in[cidx[row]]``, in CSR entry
     order; ``has_in`` marks the ids that received at least one entry.
-    Runs the C kernel when :mod:`repro.core.native` could build it.
+    The numpy reference of the C ``neighbour_scan``'s internal weights.
     """
-    if native.available():
-        return native.internal_weight(indptr, indices, weights, cidx, n_labels)
     entry_rows = _entry_rows(indptr)
     cu = cidx[entry_rows]
     internal = cu == cidx[indices]

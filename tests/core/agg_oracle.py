@@ -10,6 +10,8 @@ dict-accumulator versions of both as a test oracle:
 * :class:`ScalarSyncClustering` — a ``LocalClustering`` whose
   ``sync_aggregates`` is the dict path;
 * :func:`assemble_scalar` — the dict-based merge assembly;
+* :func:`canonical_pairs` — a snapshot's neighbour-community pairs in an
+  order that does not depend on which scan built them;
 * :func:`scalar_reference` — a context manager that swaps both into
   :mod:`repro.core.distributed` and :mod:`repro.core.merging` for one run
   and counts the calls.
@@ -29,11 +31,13 @@ import numpy as np
 from repro.core import distributed, merging
 from repro.core.community_table import CommunitySnapshot
 from repro.core.local_clustering import LocalClustering
+from repro.core.sweep_kernel import neighbour_pairs
 
 __all__ = [
     "DictOwnerReference",
     "ScalarSyncClustering",
     "assemble_scalar",
+    "canonical_pairs",
     "scalar_reference",
 ]
 
@@ -130,7 +134,8 @@ class ScalarSyncClustering(LocalClustering):
     def _dict_pull(self, own):
         """Request (sigma_tot, size) for every referenced community, collect
         the replies and an owned-vertex census in dicts, and fill the
-        snapshot from them."""
+        snapshot from them, with the neighbour-community pairs the next
+        vectorized sweep reads."""
         comm = self.comm
         needed, cidx = np.unique(self.comm_of, return_inverse=True)
         need_owner = self._owner(needed)
@@ -146,13 +151,26 @@ class ScalarSyncClustering(LocalClustering):
         for lab in self.comm_of[: self.lg.n_owned].tolist():
             local_members[lab] = local_members.get(lab, 0) + 1
         labs = needed.tolist()
+        lg = self.lg
         return CommunitySnapshot(
             needed,
             cidx,
             np.array([sigma_tot[lab] for lab in labs], dtype=np.float64),
             np.array([csize[lab] for lab in labs], dtype=np.int64),
             np.array([local_members.get(lab, 0) for lab in labs], dtype=np.int64),
+            # the sweep's input, from the numpy reference of the sync's scan
+            *neighbour_pairs(lg.indptr, lg.indices, lg.weights, cidx, needed.size),
         )
+
+
+def canonical_pairs(pairs):
+    """Neighbour-community pairs ``(pair_ptr, pair_id, pair_w)`` with each
+    row's pairs in ascending id order.  The C scan lists them in order of
+    first appearance and the numpy one by id; the sums are the same."""
+    pair_ptr, pair_id, pair_w = pairs
+    rows = np.repeat(np.arange(pair_ptr.size - 1), np.diff(pair_ptr))
+    order = np.lexsort((pair_id, rows))
+    return pair_ptr, pair_id[order], pair_w[order]
 
 
 def assemble_scalar(rank, size, k, ncu, ncv, nw):

@@ -55,7 +55,8 @@ class TestOwnerTableUnit:
             stream = self._random_stream(rng, 40, int(rng.integers(1, 6)))
             table, ref = OwnerTable(*stream), DictOwnerReference()
             ref.merge(*stream)
-            assert np.array_equal(table.labels, sorted(ref.own))
+            # labels in first-arrival order: the dict's insertion order
+            assert table.labels.tolist() == list(ref.own)
             assert len(table) == len(ref.own)
             for lab, acc in ref.own.items():
                 t, c = table.lookup(np.array([lab], dtype=np.int64))
@@ -79,7 +80,7 @@ class TestOwnerTableUnit:
         one = np.ones(4)
         table, ref = OwnerTable(labs, tot, one, tot * 0.9), DictOwnerReference()
         ref.merge(labs, tot, one, tot * 0.9)
-        assert table.labels.tolist() == [1, 5, 9]
+        assert table.labels.tolist() == list(ref.own) == [9, 1, 5]
         assert table.partial_modularity(2.0, 1.3) == ref.partial_modularity(
             2.0, 1.3
         )

@@ -9,7 +9,9 @@ from repro.core.local_clustering import LocalClustering
 from repro.core.modularity import modularity
 from repro.partition import delegate_partition, oned_partition
 from repro.runtime import SPMDError, run_spmd
-from tests.core.agg_oracle import ScalarSyncClustering
+from tests.core.agg_oracle import ScalarSyncClustering, canonical_pairs
+
+_EMPTY_I64 = np.zeros(0, dtype=np.int64)
 
 
 def run_level(graph, p, partition_kind="delegate", d_high=None, heuristic="enhanced",
@@ -170,21 +172,20 @@ class TestLabelIndexReuse:
     """The snapshot the sync builds on its compact label index serves the
     next vectorized sweep, and every write to ``comm_of`` drops it."""
 
-    def test_sweep_reuses_the_sync_index(self, web_graph, monkeypatch):
-        from repro.core import local_clustering
-
+    def test_sweep_reuses_the_sync_index(self, web_graph):
         part = delegate_partition(web_graph, 2, d_high=30)
         used = []
-        real = local_clustering.bulk_best_moves
 
-        def spy(**kw):
-            labels_all, cidx = kw["label_index"]
-            # the index handed over describes comm_of as the sweep sees it
-            assert np.array_equal(labels_all[cidx], kw["comm_of"])
-            used.append(id(cidx))
-            return real(**kw)
+        def spy_on(lc):
+            real = lc._kernels.gains
 
-        monkeypatch.setattr(local_clustering, "bulk_best_moves", spy)
+            def spy(pairs, cidx, comm_of, labels, lookup, **kw):
+                # the index handed over describes comm_of as the sweep sees it
+                assert np.array_equal(labels[cidx], comm_of)
+                used.append(id(cidx))
+                return real(pairs, cidx, comm_of, labels, lookup, **kw)
+
+            lc._kernels.gains = spy
 
         def valid(lc):
             # a kept snapshot always describes the current comm_of
@@ -196,6 +197,7 @@ class TestLabelIndexReuse:
                 comm, part.locals[comm.rank], get_heuristic("enhanced"),
                 sweep_mode="vectorized",
             )
+            spy_on(lc)
             built, checks = [], []
             for _ in range(4):
                 lc.sync_aggregates()
@@ -253,9 +255,12 @@ class TestSyncSnapshot:
                 assert ref.sync_aggregates() == q
                 got, want = lc.snapshot, ref.snapshot
                 assert np.array_equal(got.labels, np.unique(lc.comm_of))
-                for name in CommunitySnapshot._fields:
+                for name in CommunitySnapshot._fields[:5]:
                     g, w = getattr(got, name), getattr(want, name)
                     assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+                # the scan's pairs, bit for bit, up to their order in a row
+                for g, w in zip(canonical_pairs(got.pairs), canonical_pairs(want.pairs)):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
                 n, hub_gain, hub_target = lc.find_best_pass()
                 moved += n + lc.broadcast_delegates(hub_gain, hub_target)
                 lc.swap_ghosts()
@@ -270,14 +275,15 @@ class TestSyncSnapshot:
         cidx = np.array([0, 2, 1, 0], dtype=np.int64)
         order = np.array([1, 2, 0], dtype=np.int64)
         values = np.array([[1.5, 2.0], [4.0, 1.0], [2.5, 1.0]])
+        pairs = (np.zeros(4, dtype=np.int64), _EMPTY_I64, np.zeros(0))
         snap = CommunitySnapshot.from_replies(
-            labels, cidx, order, labels[order], values, 3
+            labels, cidx, order, labels[order], values, 3, pairs
         )
         assert snap.sigma_tot.tolist() == [2.5, 1.5, 4.0]
         assert snap.size.tolist() == [1, 2, 1]
         assert snap.local.tolist() == [1, 1, 1]
         with pytest.raises(RuntimeError, match="replies"):
-            CommunitySnapshot.from_replies(labels, cidx, order, labels, values, 3)
+            CommunitySnapshot.from_replies(labels, cidx, order, labels, values, 3, pairs)
 
     @pytest.mark.parametrize("sweep_mode", ["gauss-seidel", "vectorized"])
     def test_sweep_without_sync_raises(self, web_graph, sweep_mode):

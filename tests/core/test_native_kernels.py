@@ -1,18 +1,25 @@
 """The native kernels (``repro.core.native``) against their numpy references.
 
-The C best-move scan and internal-weight pass must reproduce the numpy
+The C label hash, fused CSR scan and gain pass must reproduce the numpy
 kernels bit for bit, so which path runs never changes an answer:
 
-1. **Kernel identity** (Hypothesis) — ``best_moves`` against
-   ``sweep_kernel._best_moves_numpy`` on random row-sorted CSRs with float
-   weights, self-loops, empty rows, hub rows, labels up to 2**40 and
-   lookup columns marking some labels unknown, for every heuristic; the
-   internal-weight pass and ``LocalClustering._contributions`` on random
-   float-weighted partitioned graphs;
-2. **End-to-end identity** — labels, ``repr(Q)``, per-level Q and per-rank
+1. **Label hash** (Hypothesis) — the sync's compact index against
+   ``np.unique(return_inverse=True)`` on empty input, one label, all labels
+   equal, labels up to 2**62 and keys that collide modulo the table size;
+   the hashed ``OwnerTable`` against the dict reference, insertion order
+   included, and against its sort-based fallback;
+2. **Kernel identity** (Hypothesis) — on random row-sorted CSRs with float
+   weights, self-loops, empty rows, hub rows, labels up to 2**40 and lookup
+   columns marking some labels unknown: the scan's internal weights against
+   ``internal_weight``, its pairs against ``aggregate_neighbor_communities``,
+   and the gain pass against its numpy twin for every heuristic, on
+   C pairs, numpy pairs and pairs shuffled within their rows;
+   ``LocalClustering._contributions`` on random float-weighted partitioned
+   graphs; a snapshot held across later syncs stays unchanged;
+3. **End-to-end identity** — labels, ``repr(Q)``, per-level Q and per-rank
    per-phase byte counts of whole runs with the numpy kernels forced and
    with C;
-3. **Build and cache** — the shipped source names the cached library,
+4. **Build and cache** — the shipped source names the cached library,
    nothing builds at import, a failing compiler falls back to numpy, an
    unsafe cache directory is refused, and concurrent builders into one
    cache directory all load the same library.
@@ -37,11 +44,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DistributedConfig, distributed_louvain, native
+from repro.core.community_table import OwnerTable, SortedLabelTable
 from repro.core.heuristics import get_heuristic
 from repro.core.local_clustering import LocalClustering
-from repro.core.sweep_kernel import _best_moves_numpy, internal_weight
+from repro.core.sweep_kernel import (
+    NumpyLevelKernels,
+    internal_weight,
+    neighbour_pairs,
+)
 from repro.graph.csr import build_symmetric_csr
 from repro.partition import delegate_partition
+from repro.runtime import run_spmd
+from tests.core.agg_oracle import DictOwnerReference, canonical_pairs
 from tests.core.test_sweep_equivalence import _csr_snapshots, _float_weighted
 
 HEURISTICS = ["greedy", "minlabel", "enhanced"]
@@ -62,6 +76,100 @@ def _indptr(entry_rows, n_rows):
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return indptr
+
+
+def _index_only(n_local):
+    """Kernels over an empty CSR: enough for the label index."""
+    empty = np.zeros(0, dtype=np.int64)
+    return native.LevelKernels(np.zeros(1, dtype=np.int64), empty, np.zeros(0),
+                               np.zeros(0), n_local)
+
+
+@st.composite
+def _label_keys(draw):
+    """Label arrays: many repeats, one value, the full int64 range up to
+    2**62, or keys that all hash to one slot modulo the table size."""
+    n = draw(st.integers(0, 200))
+    kind = draw(st.sampled_from(["repeats", "equal", "wide", "collide"]))
+    if kind == "equal":
+        return np.full(n, draw(st.integers(-(2**62), 2**62)), dtype=np.int64)
+    if kind == "collide":
+        cap = native._capacity(n)
+        base = draw(st.integers(0, cap - 1))
+        mult = draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n))
+        return base + cap * np.array(mult, dtype=np.int64)
+    top = 2**62 if kind == "wide" else 20
+    values = st.integers(-top if kind == "wide" else 0, top)
+    return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.int64)
+
+
+@st.composite
+def _owner_streams(draw):
+    """One round's received stream: the rank-order concatenation of up to
+    five peers' payloads, each label at most once per peer, with float
+    values."""
+    top = draw(st.sampled_from([30, 2**62]))
+    labels = st.integers(0, top)
+    parts = draw(st.lists(st.lists(labels, max_size=25, unique=True), max_size=5))
+    labs = np.array([lab for part in parts for lab in part], dtype=np.int64)
+    floats = st.floats(-1e3, 1e3, allow_nan=False)
+    tot, cnt, s_in = (
+        np.array(draw(st.lists(floats, min_size=labs.size, max_size=labs.size)))
+        for _ in range(3)
+    )
+    return labs, tot, cnt, s_in
+
+
+class TestLabelHash:
+    @settings(max_examples=200, deadline=None)
+    @given(_label_keys())
+    def test_index_matches_unique(self, c_kernels, keys):
+        labels, cidx = _index_only(keys.size).index(keys)
+        ref_labels, ref_cidx = np.unique(keys, return_inverse=True)
+        assert _bitwise_equal(labels, ref_labels)
+        assert _bitwise_equal(cidx, ref_cidx.astype(np.int64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_label_keys(), st.lists(st.integers(-(2**62), 2**62), max_size=10))
+    def test_table_numbers_in_first_arrival_order(self, c_kernels, keys, extra):
+        table = native.LabelTable(keys)
+        first = {}
+        for key in keys.tolist():
+            first.setdefault(key, len(first))
+        assert table.labels.tolist() == list(first)
+        assert table.ids.tolist() == [first[key] for key in keys.tolist()]
+        assert table.find(keys).tolist() == table.ids.tolist()
+        for key in extra:
+            if key in first:
+                assert table.find(np.array([key])).tolist() == [first[key]]
+            else:
+                with pytest.raises(KeyError) as exc:
+                    table.find(np.array([*first][:1] + [key], dtype=np.int64))
+                assert exc.value.args == (key,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_owner_streams())
+    def test_owner_table_matches_dict_reference(self, c_kernels, stream):
+        ref = DictOwnerReference()
+        ref.merge(*stream)
+        table = OwnerTable(*stream)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(native, "available", lambda: False)
+            fallback = OwnerTable(*stream)
+        assert isinstance(fallback._index, SortedLabelTable)
+        for t in (table, fallback):
+            assert t.labels.tolist() == list(ref.own)  # insertion order
+            want = np.array(list(ref.own.values()), dtype=np.float64).reshape(-1, 3)
+            for col, name in enumerate(("tot", "cnt", "s_in")):
+                assert _bitwise_equal(getattr(t, name), want[:, col].copy())
+            tot, cnt = t.lookup(stream[0][::-1].copy())
+            vals = ref.answer(stream[0][::-1])
+            assert _bitwise_equal(tot, vals[:, 0].copy())
+            assert _bitwise_equal(cnt, vals[:, 1].copy())
+            assert t.partial_modularity(7.0, 1.3) == ref.partial_modularity(7.0, 1.3)
+            absent = max(ref.own, default=0) + 1
+            with pytest.raises(KeyError):
+                t.lookup(np.array([absent], dtype=np.int64))
 
 
 @st.composite
@@ -107,38 +215,80 @@ def _sweep_cases(draw):
         resolution=draw(st.sampled_from([1.0, 0.5, 2.0, 1.3])),
         theta=draw(st.sampled_from([1e-12, 0.0, 1e-3])),
     )
-    return entry_rows, indices, weights, comm_of, n_rows, row_wdeg, lookup, params
+    seed = draw(st.integers(0, 2**32 - 1))
+    return entry_rows, indices, weights, comm_of, n_rows, row_wdeg, lookup, params, seed
+
+
+def _shuffled_within_rows(pairs, rng):
+    pair_ptr, pair_id, pair_w = pairs
+    rows = np.repeat(np.arange(pair_ptr.size - 1), np.diff(pair_ptr))
+    order = np.lexsort((rng.random(rows.size), rows))
+    return pair_ptr, pair_id[order], pair_w[order]
 
 
 class TestKernelIdentity:
     @settings(max_examples=200, deadline=None)
     @given(_sweep_cases())
     def test_best_moves_matches_numpy(self, c_kernels, case):
-        entry_rows, indices, weights, comm_of, n_rows, row_wdeg, lookup, params = case
+        """The C gain pass against the numpy one on the numpy pairs, on the
+        C scan's pairs, the numpy pairs and pairs shuffled within their
+        rows; the numpy gain pass on the C pairs too.  The decision of a
+        row does not depend on the order of its pairs."""
+        (entry_rows, indices, weights, comm_of, n_rows, row_wdeg, lookup, params,
+         seed) = case
         indptr = _indptr(entry_rows, n_rows)
         labels_all, cidx = np.unique(comm_of, return_inverse=True)
-        args = (indptr, indices, weights, cidx, comm_of, row_wdeg, labels_all, lookup)
+        csr = (indptr, indices, weights, row_wdeg, comm_of.size)
+        c, ref_kernels = native.LevelKernels(*csr), NumpyLevelKernels(*csr)
+        c_pairs = c.scan(cidx, labels_all.size)[2]
+        np_pairs = neighbour_pairs(indptr, indices, weights, cidx, labels_all.size)
+        shuffled = _shuffled_within_rows(c_pairs, np.random.default_rng(seed))
         for heuristic in HEURISTICS:
-            kw = dict(n_rows=n_rows, heuristic_name=heuristic, **params)
-            got = native.best_moves(*args, **kw)
-            ref = _best_moves_numpy(*args, **kw)
-            for g, r in zip(got, ref):
-                assert _bitwise_equal(g, r), heuristic
+            kw = dict(heuristic_name=heuristic, **params)
+            ref = ref_kernels.gains(np_pairs, cidx, comm_of, labels_all, lookup, **kw)
+            # the chosen compact ids name the chosen labels
+            assert np.array_equal(labels_all[ref[3]], ref[0])
+            for kernels, pairs in [
+                (c, c_pairs), (c, np_pairs), (c, shuffled), (ref_kernels, c_pairs)
+            ]:
+                got = kernels.gains(pairs, cidx, comm_of, labels_all, lookup, **kw)
+                assert len(got) == len(ref) == 4
+                for g, r in zip(got, ref):
+                    assert _bitwise_equal(g, r), heuristic
 
     @settings(max_examples=200, deadline=None)
-    @given(_csr_snapshots())
-    def test_internal_weight_matches_numpy(self, c_kernels, snapshot):
-        entry_rows, indices, weights, comm_of = snapshot
-        n_rows = int(entry_rows.max()) + 1 if entry_rows.size else 1
+    @given(_sweep_cases())
+    def test_internal_weight_matches_numpy(self, c_kernels, case):
+        """The fused scan's internal weights against ``internal_weight``,
+        and its pairs against ``aggregate_neighbor_communities``."""
+        entry_rows, indices, weights, comm_of, n_rows, row_wdeg = case[:6]
         indptr = _indptr(entry_rows, n_rows)
         labels_all, cidx = np.unique(comm_of, return_inverse=True)
         k = labels_all.size
-        got = internal_weight(indptr, indices, weights, cidx, k)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(native, "available", lambda: False)
-            ref = internal_weight(indptr, indices, weights, cidx, k)
-        assert _bitwise_equal(got[0], ref[0])
-        assert np.array_equal(got[1], ref[1])
+        kernels = native.LevelKernels(indptr, indices, weights, row_wdeg, comm_of.size)
+        s_in, has_in, pairs = kernels.scan(cidx, k)
+        ref_s_in, ref_has_in = internal_weight(indptr, indices, weights, cidx, k)
+        assert _bitwise_equal(s_in, ref_s_in)
+        assert _bitwise_equal(has_in, ref_has_in)
+        ref_pairs = neighbour_pairs(indptr, indices, weights, cidx, k)
+        for g, r in zip(canonical_pairs(pairs), ref_pairs):
+            assert _bitwise_equal(g, r)
+
+
+    def test_gain_pass_rejects_rows_longer_than_the_level(self, c_kernels):
+        """The gain pass buffers one row's gains, sized by the level's
+        longest row; pairs with a longer row are refused, not overrun."""
+        one = np.ones(2)
+        kernels = native.LevelKernels(
+            np.array([0, 1, 2]), np.array([1, 0]), one, one, 2
+        )
+        cidx = np.array([0, 1])
+        pairs = (np.array([0, 2, 2]), np.array([0, 1]), one)
+        lookup = (one, np.ones(2, dtype=bool), np.ones(2, dtype=np.int64),
+                  np.ones(2, dtype=bool))
+        with pytest.raises(ValueError, match="row 0"):
+            kernels.gains(pairs, cidx, cidx, cidx, lookup, two_m=2.0,
+                          resolution=1.0, theta=0.0, heuristic_name="greedy")
 
 
 @st.composite
@@ -170,14 +320,54 @@ class TestContributionsIdentity:
         for rank, lg in enumerate(partition.locals):
             comm = SimpleNamespace(rank=rank, size=p)
             lc = LocalClustering(comm, lg, get_heuristic("enhanced"))
-            lc.comm_of = pool[rng.integers(0, pool.size, lc.comm_of.size)]
-            index = np.unique(lc.comm_of, return_inverse=True)
-            got = lc._contributions(*index)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(native, "available", lambda: False)
-                ref = lc._contributions(*index)
+                ref_lc = LocalClustering(comm, lg, get_heuristic("enhanced"))
+            assert isinstance(ref_lc._kernels, NumpyLevelKernels)
+            lc.comm_of = pool[rng.integers(0, pool.size, lc.comm_of.size)]
+            index = lc._kernels.index(lc.comm_of)
+            for g, r in zip(index, ref_lc._kernels.index(lc.comm_of)):
+                assert _bitwise_equal(g, r)
+            got, got_pairs = lc._contributions(*index)
+            ref, ref_pairs = ref_lc._contributions(*index)
             for g, r in zip(got, ref):
                 assert _bitwise_equal(g, r)
+            for g, r in zip(canonical_pairs(got_pairs), ref_pairs):
+                assert _bitwise_equal(g, r)
+
+
+class TestSnapshotLifetime:
+    def test_snapshot_survives_later_syncs(self, web_graph):
+        """Nothing a sync returns aliases kernel scratch: a snapshot held
+        across two later syncs keeps every byte, and shares no memory
+        with the snapshots built after it."""
+        part = delegate_partition(_float_weighted(web_graph), 2, d_high=30)
+
+        def worker(comm):
+            lc = LocalClustering(
+                comm, part.locals[comm.rank], get_heuristic("enhanced"),
+                sweep_mode="vectorized",
+            )
+            lc.sync_aggregates()
+            held = lc.snapshot
+            frozen = [a.copy() for a in held]
+            later = []
+            for _ in range(2):
+                _moved, hub_gain, hub_target = lc.find_best_pass()
+                lc.broadcast_delegates(hub_gain, hub_target)
+                lc.swap_ghosts()
+                lc.sync_aggregates()
+                later.append(lc.snapshot)
+            unchanged = all(_bitwise_equal(a, b) for a, b in zip(held, frozen))
+            shared = any(
+                np.shares_memory(a, b) for snap in later for a in held for b in snap
+            )
+            moved = not np.array_equal(held.labels[held.cidx], lc.comm_of)
+            return unchanged, shared, moved
+
+        results = run_spmd(2, worker, timeout=60, backend="thread").results
+        assert all(unchanged and not shared for unchanged, shared, _m in results)
+        assert any(moved for _u, _s, moved in results)
 
 
 def _outcome(graph, p, **kw):
@@ -234,7 +424,8 @@ class TestEndToEndIdentity:
 class TestBuildAndCache:
     def test_source_ships_and_names_the_library(self, c_kernels, tmp_path):
         source = resources.files("repro.core").joinpath("_kernels.c").read_text()
-        assert "void best_moves(" in source and "void internal_weight(" in source
+        for kernel in ("label_ids", "label_find", "neighbour_scan", "pair_gains"):
+            assert f" {kernel}(" in source
         lib = native._load(cache_dir=str(tmp_path))
         digest = hashlib.sha256(
             "\0".join([source, "cc", *native._FLAGS, platform.machine()]).encode()
@@ -328,15 +519,14 @@ class TestBuildAndCache:
 
 def _build_child(cache_dir, go, report):
     go.wait()
-    lib = native._load(cache_dir=cache_dir)
-    # one row with one self entry of weight 1: s_in doubles it
-    s_in = np.zeros(1)
-    has_in = np.zeros(1, dtype=np.uint8)
+    native._lib, native._tried = native._load(cache_dir=cache_dir), True
+    # one row with one self entry of weight 1: s_in doubles it, no pair
     zero = np.zeros(1, dtype=np.int64)
-    lib.internal_weight(
-        1, np.array([0, 1], dtype=np.int64), zero, np.ones(1), zero, s_in, has_in
+    kernels = native.LevelKernels(
+        np.array([0, 1], dtype=np.int64), zero, np.ones(1), np.ones(1), 1
     )
-    if s_in[0] != 2.0 or has_in[0] != 1:
+    s_in, has_in, pairs = kernels.scan(zero, 1)
+    if s_in[0] != 2.0 or not has_in[0] or pairs[1].size:
         raise SystemExit(1)
     with open(report, "w") as fh:
-        fh.write(lib._name)
+        fh.write(native._lib._name)

@@ -103,17 +103,28 @@ class TestPackByOwner:
             assert got[r].tobytes() == vals[owner == r].tobytes()
 
 
+# bucket counts on both sides of the uint8 and uint16 sort keys
+BUCKET_COUNTS = st.one_of(
+    st.integers(min_value=1, max_value=9), st.sampled_from([255, 256, 257, 65537])
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),
     n=st.integers(min_value=0, max_value=120),
-    n_buckets=st.integers(min_value=1, max_value=9),
+    n_buckets=BUCKET_COUNTS,
 )
 def test_pack_matches_mask_property(data, n, n_buckets):
+    top = n_buckets - 1
+    # owners anywhere in range, and often at the edges of the narrow keys
+    edges = sorted({0, top, min(255, top), min(256, top), min(65535, top)})
     owner = np.asarray(
         data.draw(
             st.lists(
-                st.integers(min_value=0, max_value=n_buckets - 1),
+                st.one_of(
+                    st.integers(min_value=0, max_value=top), st.sampled_from(edges)
+                ),
                 min_size=n, max_size=n,
             )
         ),
@@ -128,9 +139,15 @@ def test_pack_matches_mask_property(data, n, n_buckets):
         ),
         dtype=np.float64,
     )
+    # the narrowed sort key gives the int64 key's stable permutation
+    order, bounds = pack_bounds(owner, n_buckets)
+    assert np.array_equal(order, np.argsort(owner, kind="stable"))
+    assert np.array_equal(np.diff(bounds), np.bincount(owner, minlength=n_buckets))
     tags = np.arange(n, dtype=np.int64)
     got = pack_by_owner(owner, n_buckets, vals, tags)
-    for r in range(n_buckets):
+    assert len(got) == n_buckets
+    for r in np.unique(owner).tolist() + [0, top]:
         m = owner == r
         assert np.array_equal(got[r][0], vals[m])
         assert np.array_equal(got[r][1], tags[m])
+    assert sum(p[0].size for p in got) == n
