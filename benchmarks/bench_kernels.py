@@ -50,7 +50,7 @@ from repro.core.local_clustering import LocalClustering
 from repro.core.merging import _aggregate_pairs, _assemble
 from repro.core.modularity import modularity
 from repro.core.pack import pack_bounds, pack_by_owner
-from repro.core.sweep_kernel import NumpyLevelKernels, bulk_best_moves
+from repro.core.sweep_kernel import NumpyLevelKernels, level_kernels
 from repro.graph.csr import build_symmetric_csr
 from repro.graph.generators import barabasi_albert
 from repro.partition import delegate_partition, oned_partition
@@ -223,21 +223,23 @@ def _sweep_scalar(lc, snap):
 
 
 def _sweep_vectorized(lc, snap):
+    """One-shot vectorized sweep of the snapshot: bind the level kernels,
+    scan the CSR under the snapshot's index, and run the gain pass."""
     lg = lc.lg
-    return bulk_best_moves(
-        indptr=lg.indptr,
-        indices=lg.indices,
-        weights=lg.weights,
-        comm_of=lc.comm_of,
-        label_index=(snap.labels, snap.cidx),
-        row_wdeg=lg.row_weighted_degree,
-        n_rows=lg.n_rows,
-        lookup=snap.lookup(),
+    kernels = level_kernels(
+        lg.indptr, lg.indices, lg.weights, lg.row_weighted_degree, lc.comm_of.size
+    )
+    return kernels.gains(
+        kernels.scan(snap.cidx, snap.labels.size)[2],
+        snap.cidx,
+        lc.comm_of,
+        snap.labels,
+        snap.lookup(),
         two_m=lc.two_m,
         resolution=lc.resolution,
         theta=lc.theta,
         heuristic_name=lc.heuristic.name,
-    )
+    )[:3]
 
 
 def _numpy_kernels():

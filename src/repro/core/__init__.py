@@ -39,7 +39,6 @@ from repro.core.directed import (
     directed_modularity,
     distributed_directed_louvain,
 )
-from repro.core.sweep_kernel import bulk_best_moves, jacobi_minlabel_sweep
 
 __all__ = [
     "modularity",
@@ -65,6 +64,4 @@ __all__ = [
     "directed_louvain",
     "directed_modularity",
     "distributed_directed_louvain",
-    "bulk_best_moves",
-    "jacobi_minlabel_sweep",
 ]

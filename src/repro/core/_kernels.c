@@ -10,7 +10,10 @@
  *   - neighbour_scan yields the internal-weight sums of
  *     repro.core.sweep_kernel.internal_weight and the per-row
  *     neighbour-community sums of aggregate_neighbor_communities;
- *   - pair_gains makes the decisions of _pair_gains_numpy from those sums.
+ *   - pair_gains makes the decisions of NumpyLevelKernels.gains from
+ *     those sums; it is the one gain pass of every Jacobi sweep in the
+ *     package, the distributed vectorized sweep and the shared-memory
+ *     baseline alike.
  *
  * The float kernels therefore
  *
@@ -202,8 +205,8 @@ int64_t neighbour_scan(
 /* Heuristic-gated best move of rows [0, n_rows) from their neighbour-
  * community sums (neighbour_scan's pairs, in any order within a row).
  *
- * labels, st, st_known, sz and loc are the labels and the synced community
- * columns of the k compact ids.  The selection follows bulk_best_moves:
+ * labels, st, sz and loc are the labels and the synced community columns
+ * of the k compact ids.  The selection follows NumpyLevelKernels.gains:
  * among candidates whose gain beats the stay gain by more than theta, those
  * within theta of the best are ranked by an injective integer key (the
  * compact id, prefixed by the category for the enhanced rule), and the
@@ -225,7 +228,6 @@ int64_t pair_gains(
     int64_t k,
     const int64_t *labels,
     const double *st,
-    const uint8_t *st_known,
     const int64_t *sz,
     const uint8_t *loc,
     double two_m,
@@ -261,7 +263,7 @@ int64_t pair_gains(
                 any = 1;
             }
         }
-        double st_cu = (st_known[cu] ? st[cu] : wu) - wu;
+        double st_cu = st[cu] - wu;
         double stay = stay_w - resolution * st_cu * wu / two_m;
         chosen[u] = comm_of[u];
         chosen_id[u] = cu;

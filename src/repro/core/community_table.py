@@ -204,13 +204,7 @@ class CommunitySnapshot(NamedTuple):
         """``(pair_ptr, pair_id, pair_w)``, the gain pass's input."""
         return self.pair_ptr, self.pair_id, self.pair_w
 
-    def lookup(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(sigma_tot, known, size, is_local)`` per compact id, the lookup
-        columns of the sweep's gain pass; every label of the snapshot is
-        known."""
-        return (
-            self.sigma_tot,
-            np.ones(self.labels.size, dtype=bool),
-            self.size,
-            self.local > 0,
-        )
+    def lookup(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(sigma_tot, size, is_local)`` per compact id, the lookup
+        columns of the sweep's gain pass."""
+        return self.sigma_tot, self.size, self.local > 0

@@ -52,7 +52,13 @@ from importlib import resources
 
 import numpy as np
 
-__all__ = ["LabelTable", "LevelKernels", "available"]
+__all__ = [
+    "LabelTable",
+    "LevelKernels",
+    "VECTOR_HEURISTICS",
+    "available",
+    "heuristic_code",
+]
 
 _COMPILER = "cc"
 _FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
@@ -60,6 +66,8 @@ _SOURCE = "_kernels.c"
 
 # selection-rule codes of pair_gains (the enum in _kernels.c)
 _HEURISTIC_CODES = {"greedy": 0, "minlabel": 1, "enhanced": 2}
+# heuristics with a vectorized selection rule (all registered ones today)
+VECTOR_HEURISTICS = frozenset(_HEURISTIC_CODES)
 
 _lock = threading.Lock()
 _lib: ctypes.CDLL | None = None
@@ -147,7 +155,7 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.pair_gains.argtypes = [
         n, ptr, ptr, ptr,  # n_rows, pair_ptr, pair_id, pair_w
         ptr, ptr, ptr,  # cidx, comm_of, row_wdeg
-        n, ptr, ptr, ptr, ptr, ptr,  # k, labels, st, st_known, sz, loc
+        n, ptr, ptr, ptr, ptr,  # k, labels, st, sz, loc
         real, real, real, n,  # two_m, resolution, theta, heuristic
         n, ptr,  # scratch: gain_cap, gain
         ptr, ptr, ptr, ptr,  # chosen, chosen_id, chosen_gain, stay_gain
@@ -194,6 +202,19 @@ def _library() -> ctypes.CDLL | None:
 def available() -> bool:
     """True if the C kernels are in use (builds them on the first call)."""
     return _library() is not None
+
+
+def heuristic_code(name: str) -> int:
+    """The ``pair_gains`` code of heuristic ``name``'s selection rule; both
+    gain passes check their heuristic here.  Raises :class:`ValueError`
+    for a heuristic outside :data:`VECTOR_HEURISTICS`."""
+    try:
+        return _HEURISTIC_CODES[name]
+    except KeyError:
+        raise ValueError(
+            f"no vectorized rule for heuristic {name!r}; "
+            f"supported: {sorted(VECTOR_HEURISTICS)}"
+        ) from None
 
 
 class LabelTable:
@@ -342,7 +363,7 @@ class LevelKernels:
         cidx: np.ndarray,
         comm_of: np.ndarray,
         labels: np.ndarray,
-        lookup: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        lookup: tuple[np.ndarray, np.ndarray, np.ndarray],
         *,
         two_m: float,
         resolution: float,
@@ -351,10 +372,10 @@ class LevelKernels:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(chosen, chosen_gain, stay_gain, chosen_id)`` of every row from
         its neighbour-community sums ``pairs`` (:meth:`scan`'s, in any order
-        within a row): the gain pass of ``sweep_kernel.bulk_best_moves``,
-        plus the compact id of each chosen label.  ``lookup`` holds the
-        ``(sigma_tot, known, size, is_local)`` columns of the compact ids,
-        whose labels are ``labels``."""
+        within a row), plus the compact id of each chosen label.
+        ``lookup`` holds the ``(sigma_tot, size, is_local)`` columns of the
+        compact ids, whose labels are ``labels``."""
+        code = heuristic_code(heuristic_name)
         pair_ptr, pair_id, pair_w = (
             _exact(pairs[0], _I64), _exact(pairs[1], _I64), _exact(pairs[2], _F64)
         )
@@ -367,12 +388,11 @@ class LevelKernels:
             raise ValueError("pair_ptr does not describe the pair arrays")
         cidx, comm_of = self._vertex_array(cidx), self._vertex_array(comm_of)
         labels = _exact(labels, _I64)
-        st, known, sz, loc = (
-            _exact(lookup[0], _F64), _exact(lookup[1], _BOOL),
-            _exact(lookup[2], _I64), _exact(lookup[3], _BOOL),
+        st, sz, loc = (
+            _exact(lookup[0], _F64), _exact(lookup[1], _I64), _exact(lookup[2], _BOOL)
         )
         k = labels.size
-        if st.size != k or known.size != k or sz.size != k or loc.size != k:
+        if st.size != k or sz.size != k or loc.size != k:
             raise ValueError("the table lookup must hold one entry per label")
         chosen = np.empty(self.n_rows, dtype=np.int64)
         chosen_id = np.empty(self.n_rows, dtype=np.int64)
@@ -381,8 +401,8 @@ class LevelKernels:
         long_row = self._lib.pair_gains(
             self.n_rows, _addr(pair_ptr), _addr(pair_id), _addr(pair_w),
             _addr(cidx), _addr(comm_of), self._row_wdeg_addr,
-            k, _addr(labels), _addr(st), _addr(known), _addr(sz), _addr(loc),
-            two_m, resolution, theta, _HEURISTIC_CODES[heuristic_name],
+            k, _addr(labels), _addr(st), _addr(sz), _addr(loc),
+            two_m, resolution, theta, code,
             self._gain_cap, self._scratch_addr[5],
             _addr(chosen), _addr(chosen_id), _addr(chosen_gain), _addr(stay_gain),
         )

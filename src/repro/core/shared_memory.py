@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.coarsen import coarsen_graph
 from repro.core.modularity import modularity
-from repro.core.sweep_kernel import jacobi_minlabel_sweep
+from repro.core.sweep_kernel import level_kernels
 from repro.graph.csr import CSRGraph
 
 __all__ = ["shared_memory_louvain", "SharedMemoryResult"]
@@ -46,15 +46,27 @@ def _jacobi_one_level(
     theta: float,
     max_sweeps: int,
     stall_patience: int,
-    sweep_mode: str = "loop",
 ) -> tuple[np.ndarray, int, float]:
-    """Jacobi sweeps with the minimum-label rule until stable."""
+    """Jacobi sweeps with the minimum-label rule until stable.
+
+    Each sweep is the distributed sweep's gain pass
+    (:func:`repro.core.sweep_kernel.level_kernels`, bound once per level)
+    against the exact ``sigma_tot`` / size columns of the current state.
+    The labels lie in ``[0, n)``, so they are their own compact index; the
+    greedy rule takes the smallest label among near-equal best gains, and
+    Lu et al.'s swap gate then keeps a singleton from entering another
+    singleton's community toward a larger label.
+    """
     n = graph.n_vertices
     m = graph.total_weight
     two_m = 2.0 * m if m > 0 else 1.0
     wdeg = graph.weighted_degrees
     comm = np.arange(n, dtype=np.int64)
-    indptr, indices, weights = graph.indptr, graph.indices, graph.weights
+    labels = np.arange(n, dtype=np.int64)
+    # shared memory has no remote communities: the column is never read by
+    # the greedy rule, but the gain pass takes one
+    is_local = np.ones(n, dtype=bool)
+    kernels = level_kernels(graph.indptr, graph.indices, graph.weights, wdeg, n)
 
     best_q = -np.inf
     best_comm = comm.copy()
@@ -62,65 +74,26 @@ def _jacobi_one_level(
     sweeps = 0
     work = 0.0
     for _sweep in range(max_sweeps):
-        if sweep_mode == "vectorized":
-            comm, moved = jacobi_minlabel_sweep(
-                indptr, indices, weights, wdeg, comm, two_m, theta
-            )
-            work += float(indices.size)
-            sweeps += 1
-            q = modularity(graph, comm)
-            if q > best_q + theta:
-                best_q = q
-                best_comm = comm.copy()
-                stall = 0
-            else:
-                stall += 1
-            if moved == 0 or stall >= stall_patience:
-                break
-            continue
-        # frozen snapshot: sigma_tot per community of the CURRENT state
-        sigma_tot: dict[int, float] = {}
-        csize: dict[int, int] = {}
-        for v in range(n):
-            c = int(comm[v])
-            sigma_tot[c] = sigma_tot.get(c, 0.0) + float(wdeg[v])
-            csize[c] = csize.get(c, 0) + 1
-
-        new_comm = comm.copy()
-        moved = 0
-        for u in range(n):
-            s, e = indptr[u], indptr[u + 1]
-            work += e - s
-            cu = int(comm[u])
-            wu = float(wdeg[u])
-            links: dict[int, float] = {}
-            for k in range(s, e):
-                v = indices[k]
-                if v == u:
-                    continue
-                c = int(comm[v])
-                links[c] = links.get(c, 0.0) + weights[k]
-            st_cu = sigma_tot[cu] - wu
-            stay = links.get(cu, 0.0) - st_cu * wu / two_m
-            best_c, best_g = cu, stay
-            for c, w_uc in links.items():
-                if c == cu:
-                    continue
-                g = w_uc - sigma_tot[c] * wu / two_m
-                if g > best_g + theta or (g > best_g - theta and c < best_c):
-                    best_c, best_g = c, g
-            if best_c != cu:
-                # Lu et al.'s minimum-label swap gate: a singleton may only
-                # enter another singleton's community toward a smaller label
-                if (
-                    csize.get(cu, 1) == 1
-                    and csize.get(best_c, 1) == 1
-                    and best_c > cu
-                ):
-                    continue
-                new_comm[u] = best_c
-                moved += 1
-        comm = new_comm
+        # frozen snapshot: exact sigma_tot and size of the current state
+        sigma_tot = np.bincount(comm, weights=wdeg, minlength=n)
+        csize = np.bincount(comm, minlength=n)
+        chosen = kernels.gains(
+            kernels.scan(comm, n)[2],
+            comm,
+            comm,
+            labels,
+            (sigma_tot, csize, is_local),
+            two_m=two_m,
+            resolution=1.0,
+            theta=theta,
+            heuristic_name="greedy",
+        )[0]
+        move = (chosen != comm) & ~(
+            (csize[comm] == 1) & (csize[chosen] == 1) & (chosen > comm)
+        )
+        moved = int(np.count_nonzero(move))
+        comm = np.where(move, chosen, comm)
+        work += float(graph.indices.size)
         sweeps += 1
         q = modularity(graph, comm)
         if q > best_q + theta:
@@ -143,22 +116,16 @@ def shared_memory_louvain(
     max_sweeps: int = 100,
     stall_patience: int = 3,
     t_unit: float = 1.0e-8,
-    sweep_mode: str = "loop",
 ) -> SharedMemoryResult:
     """Multi-level Jacobi/min-label Louvain with a thread-scaled time
     estimate.
 
-    ``sweep_mode="vectorized"`` runs each Jacobi sweep through the bulk
-    NumPy kernel (:func:`repro.core.sweep_kernel.jacobi_minlabel_sweep`)
-    instead of the per-vertex loop; near-tie resolution differs slightly
-    (the kernel takes the global minimum label among top candidates, the
-    loop the first minimum encountered in scan order), so assignments may
-    differ while quality is equivalent.
+    Every sweep scans each directed entry once (``work_units`` counts
+    them), evaluating all vertices against the frozen state of the
+    previous sweep; ties among near-equal gains go to the smallest label.
     """
     if n_threads < 1:
         raise ValueError("n_threads must be >= 1")
-    if sweep_mode not in ("loop", "vectorized"):
-        raise ValueError("sweep_mode must be 'loop' or 'vectorized'")
     current = graph
     levels: list[np.ndarray] = []
     q_per_level: list[float] = []
@@ -167,7 +134,7 @@ def shared_memory_louvain(
     q_prev = modularity(graph, np.arange(graph.n_vertices))
     for _level in range(max_levels):
         assignment, sweeps, work = _jacobi_one_level(
-            current, theta, max_sweeps, stall_patience, sweep_mode
+            current, theta, max_sweeps, stall_patience
         )
         total_work += work
         coarse, dense = coarsen_graph(current, assignment)

@@ -14,11 +14,12 @@ move evaluation as *bulk* NumPy array operations over all rows at once:
    ``row * K + cidx[v]`` and one ``np.bincount`` over the pair ids.  The
    pairs come out in (row, label) order and each sum runs left to right
    in CSR entry order, exactly like the scalar evaluator's;
-2. **Gain evaluation** — the synced ``sigma_tot`` / size / local-member
-   columns (:class:`~repro.core.community_table.CommunitySnapshot`) are
-   indexed by the same compact id, so each pair gathers its community's
-   values directly; Eq. 4 gains are then one broadcasted expression over
-   the aggregated pairs;
+2. **Gain evaluation** — the ``sigma_tot`` / size / local-member columns
+   (for the distributed sweep those of the sync's
+   :class:`~repro.core.community_table.CommunitySnapshot`) are indexed by
+   the same compact id, so each pair gathers its community's values
+   directly; Eq. 4 gains are then one broadcasted expression over the
+   aggregated pairs;
 3. **Heuristic-gated argmax** — the greedy / minlabel / enhanced
    tie-breaking rules of :mod:`repro.core.heuristics` are expressed as
    vectorized sort keys (the enhanced rule's local > remote-multi >
@@ -37,23 +38,19 @@ singleton may merge into another singleton only toward a smaller label) —
 the same rule the shared-memory baseline uses, and a no-op under
 Gauss–Seidel ordering.
 
-:func:`bulk_best_moves` serves the distributed sweep (the last sync's
-community state, possibly stale aggregates); :func:`jacobi_minlabel_sweep` is
-the dense variant used by the shared-memory baseline, where exact
-aggregates come from ``np.bincount`` and the labels, already in ``[0, n)``,
-are their own compact index.
-
-The distributed inner iteration splits :func:`bulk_best_moves` in two.
-The sync's one CSR scan yields both its intra-community weights
-(:func:`internal_weight`) and every row's neighbour-community sums
-(:func:`neighbour_pairs`), which the sync's
-:class:`~repro.core.community_table.CommunitySnapshot` carries; the sweep
-is then a gain pass over those pairs.  :func:`level_kernels` binds the
-three steps (label index, scan, gain pass) to one level's CSR: the C
-kernels of :mod:`repro.core.native` when they could be built, which scan
-each row once with a row-local accumulator in place of the global sort,
-else :class:`NumpyLevelKernels`.  The numpy code here is the reference and
-the fallback, and both give bit-identical answers.
+:func:`level_kernels` binds the three steps (label index, scan, gain pass)
+to one level's CSR: the C kernels of :mod:`repro.core.native` when they
+could be built, which scan each row once with a row-local accumulator in
+place of the global sort, else :class:`NumpyLevelKernels`.  The scan yields
+both the internal weights (:func:`internal_weight`) and every row's
+neighbour-community sums (:func:`neighbour_pairs`); the sweep is a gain
+pass over those sums.  Every Jacobi sweep of the package runs on these
+bound kernels: the distributed sweep takes its pairs from the sync's
+snapshot (possibly stale aggregates), and the shared-memory baseline
+(:mod:`repro.core.shared_memory`) scans its labels, already in ``[0, n)``
+and so their own compact index, against exact ``np.bincount`` columns.
+The numpy code here is the reference and the fallback, and both give
+bit-identical answers.
 """
 
 from __future__ import annotations
@@ -61,21 +58,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import native
+from repro.core.native import VECTOR_HEURISTICS
 
 __all__ = [
     "VECTOR_HEURISTICS",
     "NumpyLevelKernels",
     "aggregate_neighbor_communities",
-    "bulk_best_moves",
     "internal_weight",
-    "jacobi_minlabel_sweep",
     "level_kernels",
     "neighbour_pairs",
 ]
-
-# heuristics with a vectorized selection rule (all registered ones today);
-# LocalClustering(sweep_mode="vectorized") rejects anything else
-VECTOR_HEURISTICS = frozenset({"greedy", "minlabel", "enhanced"})
 
 _I64_MAX = np.iinfo(np.int64).max
 
@@ -134,62 +126,6 @@ def _segment_starts(sorted_rows: np.ndarray) -> np.ndarray:
     return np.flatnonzero(boundary)
 
 
-def bulk_best_moves(
-    *,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    comm_of: np.ndarray,
-    label_index: tuple[np.ndarray, np.ndarray],
-    row_wdeg: np.ndarray,
-    n_rows: int,
-    lookup: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    two_m: float,
-    resolution: float,
-    theta: float,
-    heuristic_name: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Heuristic-gated best move for every row vertex at once.
-
-    Evaluates the identical quantities as
-    ``LocalClustering._evaluate_vertex`` — Eq. 4 gains against the synced
-    (possibly stale) community aggregates — against one frozen snapshot of
-    ``comm_of``.  ``label_index`` is ``np.unique(comm_of,
-    return_inverse=True)`` for that snapshot, and ``lookup`` holds the
-    ``(sigma_tot, known, size, is_local)`` columns indexed by its compact
-    id.  An unknown label (``known`` False) reads like a missing dict key
-    of the scalar sweep: ``sigma_tot`` 0, or ``wu`` for the row's own
-    community.
-
-    Returns ``(chosen, chosen_gain, stay_gain)`` arrays of length
-    ``n_rows``; ``chosen[u] == comm_of[u]`` means "stay".  No caches are
-    mutated.  This is the one-shot form of a :func:`level_kernels` scan and
-    gain pass; ``LocalClustering`` binds the kernels once per level and
-    takes the pairs from its sync instead.
-    """
-    if heuristic_name not in VECTOR_HEURISTICS:
-        raise ValueError(
-            f"no vectorized rule for heuristic {heuristic_name!r}; "
-            f"supported: {sorted(VECTOR_HEURISTICS)}"
-        )
-    labels_all, cidx = label_index
-    if indptr.size != n_rows + 1:
-        raise ValueError("indptr must hold n_rows + 1 offsets")
-    kernels = level_kernels(indptr, indices, weights, row_wdeg, cidx.size)
-    pairs = kernels.scan(cidx, labels_all.size)[2]
-    return kernels.gains(
-        pairs,
-        cidx,
-        comm_of,
-        labels_all,
-        lookup,
-        two_m=two_m,
-        resolution=resolution,
-        theta=theta,
-        heuristic_name=heuristic_name,
-    )[:3]
-
-
 def level_kernels(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -237,26 +173,92 @@ class NumpyLevelKernels:
         cidx: np.ndarray,
         comm_of: np.ndarray,
         labels: np.ndarray,
-        lookup: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        lookup: tuple[np.ndarray, np.ndarray, np.ndarray],
         *,
         two_m: float,
         resolution: float,
         theta: float,
         heuristic_name: str,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return _pair_gains_numpy(
-            pairs,
-            cidx,
-            comm_of,
-            self._row_wdeg,
-            labels,
-            lookup,
-            n_rows=self.n_rows,
-            two_m=two_m,
-            resolution=resolution,
-            theta=theta,
-            heuristic_name=heuristic_name,
-        )
+        """The gain pass over each row's neighbour-community sums: the
+        reference the C ``pair_gains`` kernel reproduces bit for bit, and
+        its fallback.  ``lookup`` holds the ``(sigma_tot, size,
+        is_local)`` columns of the compact ids.  The pairs of a row may
+        come in any order: the winner is the minimum of an injective key
+        among the candidates within ``theta`` of the row's maximum gain.
+        Returns ``(chosen, chosen_gain, stay_gain, chosen_id)``, the last
+        the compact id of each chosen label."""
+        native.heuristic_code(heuristic_name)
+        pair_ptr, pid, pw = pairs
+        n_rows = self.n_rows
+        pr = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(pair_ptr))
+        row_wdeg = self._row_wdeg[:n_rows]
+        cu = comm_of[:n_rows].astype(np.int64, copy=False)
+        cu_id = cidx[:n_rows]
+        st, sz, loc = lookup
+
+        # stay gain: links into the own community minus the Eq. 4 penalty
+        # against sigma_tot(cu) without u
+        stay_w = np.zeros(n_rows)
+        is_stay = pid == cu_id[pr]
+        stay_w[pr[is_stay]] = pw[is_stay]
+        st_cu = st[cu_id] - row_wdeg
+        stay_gain = stay_w - resolution * st_cu * row_wdeg / two_m
+
+        chosen = cu.copy()
+        chosen_id = cu_id.astype(np.int64, copy=True)
+        chosen_gain = stay_gain.copy()
+
+        cand = ~is_stay
+        cpr = pr[cand]
+        cid = pid[cand]
+        cgain = pw[cand] - resolution * st[cid] * row_wdeg[cpr] / two_m
+        del pr, pid, pw, is_stay, cand
+        if cpr.size == 0:
+            return chosen, chosen_gain, stay_gain, chosen_id
+
+        starts = _segment_starts(cpr)
+        improving = cgain > stay_gain[cpr] + theta
+        gains_masked = np.where(improving, cgain, -np.inf)
+        row_best = np.full(n_rows, -np.inf)
+        row_best[cpr[starts]] = np.maximum.reduceat(gains_masked, starts)
+        top = improving & (cgain >= row_best[cpr] - theta)
+
+        # strategy _pick as an integer sort key: smaller key == preferred.
+        # Compact ids order like labels, so greedy/minlabel pick the minimum
+        # id; enhanced prefixes the id with its category (local=0, remote
+        # multi-member=1, remote singleton=2)
+        if heuristic_name == "enhanced":
+            category = np.where(loc[cid], 0, np.where(sz[cid] > 1, 1, 2))
+            key = category.astype(np.int64) * labels.size + cid
+        else:
+            key = cid
+        key_masked = np.where(top, key, _I64_MAX)
+        row_min = np.full(n_rows, _I64_MAX, dtype=np.int64)
+        row_min[cpr[starts]] = np.minimum.reduceat(key_masked, starts)
+        # (row, id) pairs are unique and the key is injective in the id, so
+        # each moving row matches exactly one winning candidate
+        winner = np.flatnonzero(top & (key_masked == row_min[cpr]))
+
+        wrow = cpr[winner]
+        wid = cid[winner]
+        wlab = labels[wid]
+        wloc = loc[wid]
+        wsz = sz[wid]
+
+        # strategy _veto on the winning candidate
+        if heuristic_name == "minlabel":
+            veto = ~wloc & (wlab > cu[wrow])
+        elif heuristic_name == "enhanced":
+            veto = ~wloc & (wsz == 1) & (wlab > cu[wrow])
+        else:  # greedy
+            veto = np.zeros(wrow.size, dtype=bool)
+
+        keep = ~veto
+        chosen[wrow[keep]] = wlab[keep]
+        chosen_id[wrow[keep]] = wid[keep]
+        chosen_gain[wrow[keep]] = cgain[winner][keep]
+        return chosen, chosen_gain, stay_gain, chosen_id
 
 
 def _entry_rows(indptr: np.ndarray) -> np.ndarray:
@@ -281,99 +283,6 @@ def neighbour_pairs(
     pair_ptr = np.zeros(indptr.size, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=indptr.size - 1), out=pair_ptr[1:])
     return pair_ptr, ids, w
-
-
-def _pair_gains_numpy(
-    pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
-    cidx: np.ndarray,
-    comm_of: np.ndarray,
-    row_wdeg: np.ndarray,
-    labels_all: np.ndarray,
-    lookup: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    *,
-    n_rows: int,
-    two_m: float,
-    resolution: float,
-    theta: float,
-    heuristic_name: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The gain pass of :func:`bulk_best_moves` over each row's
-    neighbour-community sums: the reference the C ``pair_gains`` kernel
-    reproduces bit for bit, and its fallback.  The pairs of a row may come
-    in any order: the winner is the minimum of an injective key among the
-    candidates within ``theta`` of the row's maximum gain.  Returns
-    ``(chosen, chosen_gain, stay_gain, chosen_id)``, the last the compact
-    id of each chosen label."""
-    pair_ptr, pid, pw = pairs
-    pr = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(pair_ptr))
-    row_wdeg = row_wdeg[:n_rows]
-    cu = comm_of[:n_rows].astype(np.int64, copy=False)
-    cu_id = cidx[:n_rows]
-    st, st_known, sz, loc = lookup
-
-    # stay gain: links into the own community minus the Eq. 4 penalty
-    # against sigma_tot(cu) without u (missing label defaults to wu, as in
-    # the scalar sweep)
-    stay_w = np.zeros(n_rows)
-    is_stay = pid == cu_id[pr]
-    stay_w[pr[is_stay]] = pw[is_stay]
-    st_cu = np.where(st_known[cu_id], st[cu_id], row_wdeg) - row_wdeg
-    stay_gain = stay_w - resolution * st_cu * row_wdeg / two_m
-
-    chosen = cu.copy()
-    chosen_id = cu_id.astype(np.int64, copy=True)
-    chosen_gain = stay_gain.copy()
-
-    cand = ~is_stay
-    cpr = pr[cand]
-    cid = pid[cand]
-    cgain = pw[cand] - resolution * st[cid] * row_wdeg[cpr] / two_m
-    del pr, pid, pw, is_stay, cand
-    if cpr.size == 0:
-        return chosen, chosen_gain, stay_gain, chosen_id
-
-    starts = _segment_starts(cpr)
-    improving = cgain > stay_gain[cpr] + theta
-    gains_masked = np.where(improving, cgain, -np.inf)
-    row_best = np.full(n_rows, -np.inf)
-    row_best[cpr[starts]] = np.maximum.reduceat(gains_masked, starts)
-    top = improving & (cgain >= row_best[cpr] - theta)
-
-    # strategy _pick as an integer sort key: smaller key == preferred.
-    # Compact ids order like labels, so greedy/minlabel pick the minimum
-    # id; enhanced prefixes the id with its category (local=0, remote
-    # multi-member=1, remote singleton=2)
-    if heuristic_name == "enhanced":
-        category = np.where(loc[cid], 0, np.where(sz[cid] > 1, 1, 2))
-        key = category.astype(np.int64) * labels_all.size + cid
-    else:
-        key = cid
-    key_masked = np.where(top, key, _I64_MAX)
-    row_min = np.full(n_rows, _I64_MAX, dtype=np.int64)
-    row_min[cpr[starts]] = np.minimum.reduceat(key_masked, starts)
-    # (row, id) pairs are unique and the key is injective in the id, so
-    # each moving row matches exactly one winning candidate
-    winner = np.flatnonzero(top & (key_masked == row_min[cpr]))
-
-    wrow = cpr[winner]
-    wid = cid[winner]
-    wlab = labels_all[wid]
-    wloc = loc[wid]
-    wsz = sz[wid]
-
-    # strategy _veto on the winning candidate
-    if heuristic_name == "minlabel":
-        veto = ~wloc & (wlab > cu[wrow])
-    elif heuristic_name == "enhanced":
-        veto = ~wloc & (wsz == 1) & (wlab > cu[wrow])
-    else:  # greedy
-        veto = np.zeros(wrow.size, dtype=bool)
-
-    keep = ~veto
-    chosen[wrow[keep]] = wlab[keep]
-    chosen_id[wrow[keep]] = wid[keep]
-    chosen_gain[wrow[keep]] = cgain[winner][keep]
-    return chosen, chosen_gain, stay_gain, chosen_id
 
 
 def internal_weight(
@@ -406,64 +315,3 @@ def internal_weight(
     has_in[in_ids] = True
     return s_in, has_in
 
-
-def jacobi_minlabel_sweep(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    wdeg: np.ndarray,
-    comm: np.ndarray,
-    two_m: float,
-    theta: float,
-) -> tuple[np.ndarray, int]:
-    """One vectorized Jacobi sweep with Lu et al.'s min-label rule.
-
-    Dense counterpart of :func:`bulk_best_moves` for the shared-memory
-    baseline: labels live in ``[0, n)`` so exact ``sigma_tot`` / community
-    sizes come straight from ``np.bincount`` — no dict indirection, no
-    staleness.  Ties among near-equal gains go to the smallest label and
-    singleton-to-singleton moves toward larger labels are gated, exactly
-    the safeguards of ``repro.core.shared_memory._jacobi_one_level``.
-
-    Returns ``(new_comm, n_moved)``; ``comm`` is not mutated.
-    """
-    n = int(comm.size)
-    comm = comm.astype(np.int64, copy=False)
-    sigma_tot = np.bincount(comm, weights=wdeg, minlength=n)
-    csize = np.bincount(comm, minlength=n)
-    # labels already lie in [0, n): they are their own compact index
-    pr, pc, pw = aggregate_neighbor_communities(
-        _entry_rows(indptr), indices, weights, comm, n
-    )
-
-    stay_w = np.zeros(n)
-    is_stay = pc == comm[pr]
-    stay_w[pr[is_stay]] = pw[is_stay]
-    stay_gain = stay_w - (sigma_tot[comm] - wdeg) * wdeg / two_m
-
-    cand = ~is_stay
-    cpr = pr[cand]
-    cpc = pc[cand]
-    cgain = pw[cand] - sigma_tot[cpc] * wdeg[cpr] / two_m
-    new_comm = comm.copy()
-    if cpr.size == 0:
-        return new_comm, 0
-
-    starts = _segment_starts(cpr)
-    improving = cgain > stay_gain[cpr] + theta
-    gains_masked = np.where(improving, cgain, -np.inf)
-    row_best = np.full(n, -np.inf)
-    row_best[cpr[starts]] = np.maximum.reduceat(gains_masked, starts)
-    top = improving & (cgain >= row_best[cpr] - theta)
-
-    key_masked = np.where(top, cpc, _I64_MAX)
-    row_min = np.full(n, _I64_MAX, dtype=np.int64)
-    row_min[cpr[starts]] = np.minimum.reduceat(key_masked, starts)
-    winner = np.flatnonzero(top & (key_masked == row_min[cpr]))
-
-    wrow = cpr[winner]
-    wlab = cpc[winner]
-    gate = (csize[comm[wrow]] == 1) & (csize[wlab] == 1) & (wlab > comm[wrow])
-    keep = ~gate
-    new_comm[wrow[keep]] = wlab[keep]
-    return new_comm, int(keep.sum())

@@ -9,11 +9,12 @@ kernels bit for bit, so which path runs never changes an answer:
    the hashed ``OwnerTable`` against the dict reference, insertion order
    included, and against its sort-based fallback;
 2. **Kernel identity** (Hypothesis) — on random row-sorted CSRs with float
-   weights, self-loops, empty rows, hub rows, labels up to 2**40 and lookup
-   columns marking some labels unknown: the scan's internal weights against
-   ``internal_weight``, its pairs against ``aggregate_neighbor_communities``,
-   and the gain pass against its numpy twin for every heuristic, on
-   C pairs, numpy pairs and pairs shuffled within their rows;
+   weights, self-loops, empty rows, hub rows and labels up to 2**40: the
+   scan's internal weights against ``internal_weight``, its pairs against
+   ``aggregate_neighbor_communities``, and the gain pass against its numpy
+   twin for every heuristic, on C pairs, numpy pairs and pairs shuffled
+   within their rows; both gain passes refuse a heuristic they have no
+   rule for;
    ``LocalClustering._contributions`` on random float-weighted partitioned
    graphs; a snapshot held across later syncs stays unchanged;
 3. **End-to-end identity** — labels, ``repr(Q)``, per-level Q and per-rank
@@ -33,6 +34,7 @@ import logging
 import multiprocessing
 import os
 import platform
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -176,8 +178,7 @@ class TestLabelHash:
 def _sweep_cases(draw):
     """A ``_csr_snapshots`` CSR with optional hub rows (dozens of entries
     each), a row count, per-row weighted degrees, and the
-    ``(sigma_tot, known, size, is_local)`` lookup columns of its labels,
-    some of them unknown (read with the scalar sweep's dict defaults)."""
+    ``(sigma_tot, size, is_local)`` lookup columns of its labels."""
     entry_rows, indices, weights, comm_of = draw(_csr_snapshots())
     n = comm_of.size
     low = int(entry_rows.max()) + 1 if entry_rows.size else 1
@@ -193,20 +194,13 @@ def _sweep_cases(draw):
         entry_rows, indices, weights = entry_rows[order], indices[order], weights[order]
 
     k = np.unique(comm_of).size
-    known = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)),
-                     dtype=bool)
     floats = st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False)
     sigma = np.array(draw(st.lists(floats, min_size=k, max_size=k)), dtype=np.float64)
     size = np.array(draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)),
                     dtype=np.int64)
     local = np.array(draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)),
                      dtype=np.int64)
-    lookup = (
-        np.where(known, sigma, 0.0),
-        known,
-        np.where(known, size, 1),
-        known & (local > 0),
-    )
+    lookup = (sigma, size, local > 0)
 
     row_wdeg = np.array(draw(st.lists(
         st.floats(1e-3, 1e3, allow_nan=False), min_size=n_rows, max_size=n_rows)))
@@ -284,11 +278,34 @@ class TestKernelIdentity:
         )
         cidx = np.array([0, 1])
         pairs = (np.array([0, 2, 2]), np.array([0, 1]), one)
-        lookup = (one, np.ones(2, dtype=bool), np.ones(2, dtype=np.int64),
-                  np.ones(2, dtype=bool))
+        lookup = (one, np.ones(2, dtype=np.int64), np.ones(2, dtype=bool))
         with pytest.raises(ValueError, match="row 0"):
             kernels.gains(pairs, cidx, cidx, cidx, lookup, two_m=2.0,
                           resolution=1.0, theta=0.0, heuristic_name="greedy")
+
+    @pytest.mark.parametrize("kind", ["c", "numpy"])
+    def test_gain_pass_rejects_unknown_heuristic(self, request, karate, kind):
+        """A heuristic without a vectorized rule is refused by both gain
+        passes with the same error, instead of running some other rule."""
+        if kind == "c":
+            request.getfixturevalue("c_kernels")
+        cls = native.LevelKernels if kind == "c" else NumpyLevelKernels
+        n = karate.n_vertices
+        kernels = cls(
+            karate.indptr, karate.indices, karate.weights,
+            karate.weighted_degrees, n,
+        )
+        comm = np.arange(n, dtype=np.int64)
+        lookup = (karate.weighted_degrees, np.ones(n, dtype=np.int64),
+                  np.ones(n, dtype=bool))
+        expected = re.escape(
+            "no vectorized rule for heuristic 'bogus'; "
+            "supported: ['enhanced', 'greedy', 'minlabel']"
+        )
+        with pytest.raises(ValueError, match=expected):
+            kernels.gains(kernels.scan(comm, n)[2], comm, comm, comm, lookup,
+                          two_m=2.0 * karate.total_weight, resolution=1.0,
+                          theta=1e-12, heuristic_name="bogus")
 
 
 @st.composite

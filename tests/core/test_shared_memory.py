@@ -1,12 +1,17 @@
 """Tests for the Lu et al. shared-memory parallel Louvain baseline."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.core import native
 from repro.core.modularity import modularity
 from repro.core.shared_memory import shared_memory_louvain
 from repro.core import sequential_louvain
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import lfr_graph, ring_of_cliques
+from tests.core.test_sweep_equivalence import _float_weighted
 
 
 class TestSharedMemoryLouvain:
@@ -75,51 +80,36 @@ class TestSharedMemoryLouvain:
         qs = res.modularity_per_level
         assert all(b >= a - 1e-12 for a, b in zip(qs, qs[1:]))
 
-
-class TestVectorizedSweepMode:
-    """The bulk Jacobi kernel must match the per-vertex loop's quality."""
-
-    def test_karate_equivalent_quality(self, karate):
-        loop = shared_memory_louvain(karate)
-        vec = shared_memory_louvain(karate, sweep_mode="vectorized")
-        assert np.isclose(vec.modularity, modularity(karate, vec.assignment))
-        assert abs(loop.modularity - vec.modularity) < 0.02
-
-    def test_lfr_recovery(self, lfr_small):
-        from repro.quality import normalized_mutual_information
-
-        res = shared_memory_louvain(lfr_small.graph, sweep_mode="vectorized")
-        assert (
-            normalized_mutual_information(res.assignment, lfr_small.ground_truth)
-            > 0.8
-        )
-
-    def test_ring_of_cliques_exact(self):
-        from repro.graph.ops import relabel_communities
-
-        g = ring_of_cliques(6, 5)
-        res = shared_memory_louvain(g, sweep_mode="vectorized")
-        expected = np.repeat(np.arange(6), 5)
-        assert np.array_equal(
-            relabel_communities(res.assignment), relabel_communities(expected)
-        )
-
-    def test_bouncing_pair_gated(self):
-        from repro.graph.csr import CSRGraph
-
-        g = CSRGraph.from_edges(2, [(0, 1)])
-        res = shared_memory_louvain(g, sweep_mode="vectorized")
-        assert res.assignment[0] == res.assignment[1]
-
     def test_work_units_match_loop(self, karate):
-        """Both sweeps scan every directed entry once per sweep (compare on
-        one level so both run over the identical graph)."""
-        loop = shared_memory_louvain(karate, max_levels=1)
-        vec = shared_memory_louvain(karate, max_levels=1, sweep_mode="vectorized")
-        assert loop.work_units / max(sum(loop.sweeps_per_level), 1) == (
-            vec.work_units / max(sum(vec.sweeps_per_level), 1)
-        )
+        """Every sweep scans each directed entry once (one level, so every
+        sweep runs over the input graph)."""
+        res = shared_memory_louvain(karate, max_levels=1)
+        assert res.work_units == sum(res.sweeps_per_level) * karate.indices.size
 
     def test_invalid_mode_rejected(self, karate):
-        with pytest.raises(ValueError):
-            shared_memory_louvain(karate, sweep_mode="bogus")
+        """The sweep has one implementation, so there is no mode to pick."""
+        with pytest.raises(TypeError):
+            shared_memory_louvain(karate, sweep_mode="vectorized")
+
+    @pytest.mark.parametrize("name", ["karate", "lfr_small", "web_graph", "empty"])
+    def test_numpy_kernels_match_c(self, request, name):
+        """The sweep's gain pass gives the same run on the numpy kernels as
+        on the C ones, float weights and a vertex-free graph included."""
+        if name == "empty":
+            graph = CSRGraph.from_edges(0, [])
+        elif name == "lfr_small":
+            graph = request.getfixturevalue(name).graph
+        elif name == "web_graph":
+            graph = _float_weighted(request.getfixturevalue(name))
+        else:
+            graph = request.getfixturevalue(name)
+        ref = shared_memory_louvain(graph)
+        with mock.patch.object(native, "available", lambda: False):
+            got = shared_memory_louvain(graph)
+        assert np.array_equal(got.assignment, ref.assignment)
+        assert repr(got.modularity) == repr(ref.modularity)
+        assert [repr(q) for q in got.modularity_per_level] == [
+            repr(q) for q in ref.modularity_per_level
+        ]
+        assert got.sweeps_per_level == ref.sweeps_per_level
+        assert got.work_units == ref.work_units

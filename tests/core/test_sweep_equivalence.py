@@ -26,7 +26,7 @@ from repro.core import DistributedConfig, distributed_louvain, sequential_louvai
 from repro.core.heuristics import get_heuristic
 from repro.core.local_clustering import LocalClustering
 from repro.core.modularity import modularity
-from repro.core.sweep_kernel import aggregate_neighbor_communities, bulk_best_moves
+from repro.core.sweep_kernel import aggregate_neighbor_communities, level_kernels
 from repro.graph.csr import build_symmetric_csr
 from repro.partition import delegate_partition
 from repro.runtime import run_spmd
@@ -49,7 +49,7 @@ def _snapshot_mismatches(graph, p, heuristic, warm_iters=0):
     several entries, and the kernel's grouped sums are checked too.  The
     scalar evaluator reads the dict views a Gauss-Seidel pass loads from
     the sync's snapshot; the kernel's lookup columns are built from the
-    same dicts, with their ``get`` defaults.
+    same dicts, which hold every label of ``comm_of``.
     """
     partition = delegate_partition(graph, p, d_high=40)
 
@@ -66,20 +66,20 @@ def _snapshot_mismatches(graph, p, heuristic, warm_iters=0):
         labels_all, cidx = np.unique(lc.comm_of, return_inverse=True)
         labs = labels_all.tolist()
         lookup = (
-            np.array([lc.sigma_tot.get(c, 0.0) for c in labs], dtype=np.float64),
-            np.array([c in lc.sigma_tot for c in labs], dtype=bool),
-            np.array([lc.csize.get(c, 1) for c in labs], dtype=np.int64),
+            np.array([lc.sigma_tot[c] for c in labs], dtype=np.float64),
+            np.array([lc.csize[c] for c in labs], dtype=np.int64),
             np.array([lc.local_members.get(c, 0) > 0 for c in labs], dtype=bool),
         )
-        chosen, gain, stay = bulk_best_moves(
-            indptr=lg.indptr,
-            indices=lg.indices,
-            weights=lg.weights,
-            comm_of=lc.comm_of,
-            label_index=(labels_all, cidx),
-            row_wdeg=lg.row_weighted_degree,
-            n_rows=lg.n_rows,
-            lookup=lookup,
+        kernels = level_kernels(
+            lg.indptr, lg.indices, lg.weights, lg.row_weighted_degree,
+            lc.comm_of.size,
+        )
+        chosen, gain, stay, _chosen_id = kernels.gains(
+            kernels.scan(cidx, labels_all.size)[2],
+            cidx,
+            lc.comm_of,
+            labels_all,
+            lookup,
             two_m=lc.two_m,
             resolution=lc.resolution,
             theta=lc.theta,
