@@ -17,8 +17,13 @@ as machine-readable JSON (see ``docs/PERFORMANCE.md``).  The C rows are
 the sweep's gain pass over the snapshot's neighbour-community pairs
 (``sweep``), the sync's fused CSR scan with the contributions built on it
 (``contributions``), the sync's compact label index (``label_index``,
-the label hash against ``np.unique``) and the owner table
-(``owner_table``, the label hash against sorted search).  The aggregate-sync and merge-assembly
+the label hash against ``np.unique``), the owner table
+(``owner_table``, the label hash against sorted search), and graph
+construction by counting sort against comparison sorts: the global CSR
+build from a shuffled edge list (``csr_build``), the row sorts of a
+delegate partition's per-rank CSRs (``partition``, ``native.pair_sort``
+on every rank's entries in their arrival order) and the merge's pair
+aggregation over every CSR entry (``merge_aggregate``).  The aggregate-sync and merge-assembly
 references, and the pipeline row's reference run, come from the test
 oracle ``tests/core/agg_oracle.py``, hence the repository root on
 ``PYTHONPATH``.  ``--check`` exits non-zero if any vectorized
@@ -419,15 +424,61 @@ def _merge_workload(graph, size=SYNC_RANKS, rank=0):
     assign = rng.integers(0, max(n // 8, 2), n).astype(np.int64)
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
     cu, cv = assign[rows], assign[graph.indices]
-    acu, acv, aw = _aggregate_pairs(cu, cv, graph.weights, n)
+    acu, acv, aw = _aggregate_pairs(cu, cv, graph.weights)
     glabels = np.unique(np.concatenate([acu, acv]))
     k = int(glabels.size)
     dcu = np.searchsorted(glabels, acu)
     dcv = np.searchsorted(glabels, acv)
     sel = dcu % size == rank
-    ncu, ncv, nw = _aggregate_pairs(dcu[sel], dcv[sel], aw[sel], k)
+    ncu, ncv, nw = _aggregate_pairs(dcu[sel], dcv[sel], aw[sel])
     keep = nw > 0.0
     return rank, size, k, ncu[keep], ncv[keep], nw[keep]
+
+
+def _aggregate_workload(graph):
+    """Merge step 1's input: every CSR entry as a (community, community,
+    weight) triple under a random assignment of about n / 8 labels."""
+    rng = np.random.default_rng(13)
+    n = graph.n_vertices
+    assign = rng.integers(0, max(n // 8, 2), n).astype(np.int64) * 7919
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
+    return assign[rows], assign[graph.indices], graph.weights
+
+
+def _partition_workload(graph, size=SYNC_RANKS):
+    """Every rank's row-sort arguments in a delegate partition
+    (``native.pair_sort(src_local, dst_local, n_rows, n_local)``), its
+    entries in the order ``build_local_graphs`` meets them (global CSR
+    order)."""
+    part = delegate_partition(graph, size, d_high=64)
+    args = []
+    for lg in part.locals:
+        src = np.repeat(np.arange(lg.n_rows, dtype=np.int64), np.diff(lg.indptr))
+        order = np.lexsort((lg.global_ids[lg.indices], lg.global_ids[src]))
+        args.append((src[order], lg.indices[order], lg.n_rows, lg.n_local))
+    return args
+
+
+def _csr_build_workload(graph):
+    """The edge list of ``graph`` in random order and orientation, with
+    float weights: a real input to sort, not an already sorted one."""
+    src, dst, _w = graph.edge_arrays()
+    rng = np.random.default_rng(3)
+    order = rng.permutation(src.size)
+    src, dst = src[order], dst[order]
+    flip = rng.random(src.size) < 0.5
+    src, dst = np.where(flip, dst, src), np.where(flip, src, dst)
+    return graph.n_vertices, src, dst, rng.uniform(0.5, 2.0, src.size)
+
+
+def _with_numpy_kernels(fn):
+    """``fn`` run with the numpy kernels in place of the C ones."""
+
+    def run():
+        with _numpy_kernels():
+            return fn()
+
+    return run
 
 
 def test_kernel_sweep_bulk(benchmark, scalefree_graph):
@@ -557,6 +608,19 @@ def run_kernel_suite(quick=False, pipeline=True):
     lc, synced = snap
     index = (synced.labels, synced.cidx)
     twin = _numpy_twin(lc) if report["native"] else None
+    build_args = _csr_build_workload(graph)
+    pairs = _aggregate_workload(graph)
+    row_sort_args = _partition_workload(graph)
+
+    def csr_build():
+        return build_symmetric_csr(*build_args)
+
+    def partition():
+        return [native.pair_sort(*args) for args in row_sort_args]
+
+    def merge_aggregate():
+        return _aggregate_pairs(*pairs)
+
     native_cases = {
         "sweep": (lambda: _gain_pass(twin, synced), lambda: _gain_pass(lc, synced)),
         "contributions": (
@@ -571,6 +635,9 @@ def run_kernel_suite(quick=False, pipeline=True):
             lambda: _owner_tables_numpy(streams["streams"], streams["requests"]),
             lambda: _owner_tables(streams["streams"], streams["requests"]),
         ),
+        "csr_build": (_with_numpy_kernels(csr_build), csr_build),
+        "partition": (_with_numpy_kernels(partition), partition),
+        "merge_aggregate": (_with_numpy_kernels(merge_aggregate), merge_aggregate),
     }
     # sub-millisecond kernels: more repeats for a stable minimum
     for name, (numpy_fn, c_fn) in native_cases.items() if report["native"] else ():

@@ -1,4 +1,4 @@
-/* Native per-iteration kernels of the vectorized inner iteration.
+/* Native kernels: the vectorized inner iteration and graph construction.
  *
  * repro.core.native compiles this file with the system C compiler on first
  * use and calls it through ctypes.  The numpy kernels are the reference and
@@ -13,7 +13,14 @@
  *   - pair_gains makes the decisions of NumpyLevelKernels.gains from
  *     those sums; it is the one gain pass of every Jacobi sweep in the
  *     package, the distributed vectorized sweep and the shared-memory
- *     baseline alike.
+ *     baseline alike;
+ *   - pair_sort, run_sums and symmetric_fill build CSRs in linear time:
+ *     pair_sort is a stable argsort by (a, b) that also yields the indptr
+ *     of a, run_sums merges equal pairs as np.add.at does, and
+ *     symmetric_fill lays out both directions of deduplicated undirected
+ *     edges.  repro.graph.csr.build_symmetric_csr,
+ *     repro.partition.distgraph.build_local_graphs and
+ *     repro.core.merging.merge_level run on them.
  *
  * The float kernels therefore
  *
@@ -307,4 +314,154 @@ int64_t pair_gains(
         }
     }
     return -1;
+}
+
+/* Stable counting sort of n pairs (a[i], b[i]) with a in [0, na) and b in
+ * [0, nb), in two passes: by b, then by a.  order receives the positions
+ * in (a, b) order, equal pairs in input order: the order of a stable
+ * argsort of a * nb + b, without forming that key.  Input already in that
+ * order (a CSR's entries, say) skips both passes.  indptr (na + 1 entries)
+ * receives the start of each a's run in order.  Scratch: count (max(na,
+ * nb) entries), tmp (2 n entries, (position, a) couples, so that each
+ * scattered write of the first pass touches one cache line).  Returns -1,
+ * or the first position whose a or b is out of range, in which case
+ * nothing is written to order. */
+int64_t pair_sort(
+    int64_t n,
+    const int64_t *a,
+    const int64_t *b,
+    int64_t na,
+    int64_t nb,
+    int64_t *count,
+    int64_t *tmp,
+    int64_t *order,
+    int64_t *indptr)
+{
+    for (int64_t j = 0; j < na; j++)
+        count[j] = 0;
+    int sorted = 1;
+    for (int64_t i = 0; i < n; i++) {
+        if ((uint64_t)b[i] >= (uint64_t)nb || (uint64_t)a[i] >= (uint64_t)na)
+            return i;
+        count[a[i]]++;
+        if (i && (a[i] < a[i - 1] || (a[i] == a[i - 1] && b[i] < b[i - 1])))
+            sorted = 0;
+    }
+    int64_t s = 0;
+    for (int64_t j = 0; j < na; j++) {
+        indptr[j] = s;
+        s += count[j];
+    }
+    indptr[na] = s;
+    if (sorted) {
+        for (int64_t i = 0; i < n; i++)
+            order[i] = i;
+        return -1;
+    }
+    for (int64_t j = 0; j < nb; j++)
+        count[j] = 0;
+    for (int64_t i = 0; i < n; i++)
+        count[b[i]]++;
+    s = 0;
+    for (int64_t j = 0; j < nb; j++) {
+        int64_t c = count[j];
+        count[j] = s;
+        s += c;
+    }
+    for (int64_t i = 0; i < n; i++) {
+        int64_t p = count[b[i]]++;
+        tmp[2 * p] = i;
+        tmp[2 * p + 1] = a[i];
+    }
+    for (int64_t j = 0; j < na; j++)
+        count[j] = indptr[j];
+    for (int64_t t = 0; t < n; t++)
+        order[count[tmp[2 * t + 1]]++] = tmp[2 * t];
+    return -1;
+}
+
+/* Walk the pairs in order (pair_sort's) and emit one run per maximal
+ * stretch of equal (a, b): its a, its b, and its weights summed from 0.0
+ * in order.  Within a run that is input order, the order in which
+ * np.add.at over the run ids adds them.  Returns the number of runs. */
+int64_t run_sums(
+    int64_t n,
+    const int64_t *order,
+    const int64_t *a,
+    const int64_t *b,
+    const double *w,
+    int64_t *run_a,
+    int64_t *run_b,
+    double *run_w)
+{
+    int64_t r = -1;
+    for (int64_t t = 0; t < n; t++) {
+        int64_t i = order[t];
+        if (r < 0 || a[i] != run_a[r] || b[i] != run_b[r]) {
+            r++;
+            run_a[r] = a[i];
+            run_b[r] = b[i];
+            run_w[r] = 0.0;
+        }
+        run_w[r] += w[i];
+    }
+    return r + 1;
+}
+
+/* The symmetric CSR over n vertices of m distinct undirected edges
+ * (lo[e], hi[e], w[e]), lo <= hi < n, listed in (lo, hi) order: each edge
+ * appears in both rows, a self-loop once.  Visiting the edges in that
+ * order fills every row in ascending neighbour order: a row u first gets
+ * its neighbours below u (from edges whose lo is below u, all visited
+ * before u's own), then, from its own edges, those from u up.  indptr
+ * takes n + 1 entries, indices and weights room for 2 m.  Scratch: cursor
+ * (n entries) and slots (2 m entries of 16 bytes): the fill scatters each
+ * entry's (neighbour, weight) couple into one slot, one cache line per
+ * write, and a sequential pass then splits the slots.  Returns the number
+ * of entries. */
+typedef struct {
+    int64_t index;
+    double weight;
+} csr_slot;
+
+int64_t symmetric_fill(
+    int64_t m,
+    const int64_t *lo,
+    const int64_t *hi,
+    const double *w,
+    int64_t n,
+    int64_t *indptr,
+    int64_t *cursor,
+    csr_slot *slots,
+    int64_t *indices,
+    double *weights)
+{
+    for (int64_t u = 0; u <= n; u++)
+        indptr[u] = 0;
+    for (int64_t e = 0; e < m; e++) {
+        indptr[lo[e] + 1]++;
+        if (hi[e] != lo[e])
+            indptr[hi[e] + 1]++;
+    }
+    for (int64_t u = 0; u < n; u++) {
+        indptr[u + 1] += indptr[u];
+        cursor[u] = indptr[u];
+    }
+    for (int64_t e = 0; e < m; e++) {
+        int64_t u = lo[e], v = hi[e];
+        csr_slot *slot = slots + cursor[u]++;
+        slot->index = v;
+        slot->weight = w[e];
+        if (v != u) {
+            slot = slots + cursor[v]++;
+            slot->index = u;
+            slot->weight = w[e];
+        }
+    }
+    int64_t nnz = indptr[n];
+    for (int64_t p = 0; p < nnz; p++) {
+        indices[p] = slots[p].index;
+        weights[p] = slots[p].weight;
+    }
+    return nnz;
 }

@@ -13,17 +13,25 @@ entries at full weight and the self-loop at ``D[c][c] / 2``, preserving both
 ``m`` and all community degrees (see :mod:`repro.core.coarsen` for the
 sequential equivalent).
 
-The local assembly step (building the coarse CSR from the received pair
-aggregates) remaps labels with ``searchsorted`` arithmetic and scatters
-degrees with ``np.add.at``, which applies its updates sequentially in
-stream order; ``tests/core/agg_oracle.py`` holds the dict-based reference
-it is pinned against, field by field.
+Every sort here is linear when the C kernels are in use
+(:mod:`repro.core.native`): pair aggregation compacts the labels with the
+label hash and merges equal pairs with a counting sort and a run sum, the
+dense relabel looks labels up in a :class:`~repro.core.native.LabelTable`,
+and the coarse CSR comes from the same counting sort.  Every float sum
+runs sequentially in stream order from 0.0 on both paths, so the numpy
+fallback gives the same bits.  The local assembly step (building the
+coarse rows from the received pair aggregates) has a dict-based reference
+in ``tests/core/agg_oracle.py`` that it is pinned against, field by
+field.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from repro.core import native
 from repro.core.pack import pack_by_owner
 from repro.partition.distgraph import LocalGraph
 from repro.runtime.comm import SimComm
@@ -33,46 +41,71 @@ __all__ = ["merge_level"]
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 _EMPTY_F64 = np.zeros(0, dtype=np.float64)
 
-# largest n_global for which cu * n_global + cv cannot overflow int64
-# (floor(sqrt(2**63 - 1))); beyond it the keyed path would silently wrap
-# and merge unrelated pairs, so aggregation switches to the lexsort path
-_PAIR_KEY_LIMIT = 3_037_000_499
-
 
 def _aggregate_pairs_sorted(
     cu: np.ndarray, cv: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pair aggregation without forming ``cu * n + cv`` keys.
+    """Pair aggregation by lexsort, for labels too far apart to key.
 
     Lexsort is stable, so each ``(cu, cv)`` group keeps its entries in
-    original order; the unbuffered ``np.add.at`` scatter then accumulates
-    each group with the same strictly sequential additions as the keyed
-    path (``reduceat`` would not do: it sums long segments pairwise).
+    original order, and :func:`~repro.core.native.run_sums` accumulates
+    each group with strictly sequential additions from 0.0 (``reduceat``
+    would not do: it sums long segments pairwise).  No ``cu * n + cv`` key
+    is formed, so no value range can overflow.
     """
-    order = np.lexsort((cv, cu))
-    cu_s, cv_s, w_s = cu[order], cv[order], w[order]
-    boundary = np.empty(cu_s.size, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (cu_s[1:] != cu_s[:-1]) | (cv_s[1:] != cv_s[:-1])
-    starts = np.flatnonzero(boundary)
-    w_sum = np.zeros(starts.size)
-    np.add.at(w_sum, np.cumsum(boundary) - 1, w_s)
-    return cu_s[starts], cv_s[starts], w_sum
+    return native.run_sums(np.lexsort((cv, cu)), cu, cv, w)
+
+
+def _aggregate_pairs_numpy(
+    cu: np.ndarray, cv: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The numpy pair aggregation: one int64 key per pair over the labels'
+    span, ``np.unique`` (sort-based with ``return_inverse``) and
+    ``np.bincount``, which adds each weight into its pair's bin in stream
+    order from 0.0.  Spans whose square would overflow int64 take the
+    lexsort path."""
+    lo = min(int(cu.min()), int(cv.min()))
+    span = max(int(cu.max()), int(cv.max())) - lo + 1
+    if span * span >= 2**63:
+        return _aggregate_pairs_sorted(cu, cv, w)
+    uniq, inv = np.unique((cu - lo) * span + (cv - lo), return_inverse=True)
+    w_sum = np.bincount(inv, weights=w, minlength=uniq.size)
+    return uniq // span + lo, uniq % span + lo, w_sum
+
+
+def _aggregate_ids(
+    a: np.ndarray, b: np.ndarray, w: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum ``w`` over identical pairs of compact ids ``(a, b)``, in input
+    order from 0.0, and return the distinct pairs as ``labels`` (ascending,
+    so id order is label order) in ascending order.  The C path sorts by
+    counting, with scratch sized by the number of labels."""
+    if a.size == 0:
+        return _EMPTY_I64, _EMPTY_I64, _EMPTY_F64
+    if native.available():
+        k = labels.size
+        order, _ = native.pair_sort(a, b, k, k)
+        ra, rb, rw = native.run_sums(order, a, b, w)
+    else:
+        ra, rb, rw = _aggregate_pairs_numpy(a, b, w)
+    return labels[ra], labels[rb], rw
 
 
 def _aggregate_pairs(
-    cu: np.ndarray, cv: np.ndarray, w: np.ndarray, n_global: int
+    cu: np.ndarray, cv: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sum ``w`` over identical ``(cu, cv)`` pairs."""
+    """Sum ``w`` over identical label pairs ``(cu, cv)``, in input order
+    from 0.0; the pairs come out in ascending ``(cu, cv)`` order.  The C
+    path compacts the labels first
+    (:func:`repro.core.native.unique_inverse`), so nothing is sized or
+    keyed by the label range."""
     if cu.size == 0:
         return _EMPTY_I64, _EMPTY_I64, _EMPTY_F64
-    if n_global > _PAIR_KEY_LIMIT:
-        return _aggregate_pairs_sorted(cu, cv, w)
-    key = cu * np.int64(n_global) + cv
-    uniq, inv = np.unique(key, return_inverse=True)
-    w_sum = np.zeros(uniq.size)
-    np.add.at(w_sum, inv, w)
-    return (uniq // n_global).astype(np.int64), (uniq % n_global).astype(np.int64), w_sum
+    if not native.available():
+        return _aggregate_pairs_numpy(cu, cv, w)
+    n = cu.size
+    labels, ids = native.unique_inverse(np.concatenate([cu, cv]))
+    return _aggregate_ids(ids[:n], ids[n:], w, labels)
 
 
 def _assemble(
@@ -83,25 +116,21 @@ def _assemble(
     Returns ``(owned, wdeg, ghosts, global_ids, src_local, dst_local,
     stored_w)``; the caller finishes the CSR (sort + indptr).  This rank's
     owned coarse ids are ``rank, rank + size, ...``, so an owned id's
-    position is ``(c - rank) // size`` and ghost positions are
-    ``searchsorted`` into the sorted ghost array.  Degree accumulation via
-    ``np.add.at`` runs in stream order.
+    position is ``(c - rank) // size``; ghost positions come from the
+    sorted ghost index (:func:`repro.core.native.unique_inverse`).  Degrees
+    are summed in stream order by ``np.bincount``.
     """
     owned = np.arange(rank, k, size, dtype=np.int64)
     src_local = (ncu - rank) // size
-    wdeg = np.zeros(owned.size)
-    np.add.at(wdeg, src_local, nw)
+    wdeg = np.bincount(src_local, weights=nw, minlength=owned.size)
 
     ghost_mask = (ncv % size) != rank
-    ghosts = np.unique(ncv[ghost_mask])
+    ghosts, ghost_pos = native.unique_inverse(ncv[ghost_mask])
     global_ids = np.concatenate([owned, ghosts])
 
     stored_w = np.where(ncu == ncv, nw / 2.0, nw)
-    dst_local = np.where(
-        ghost_mask,
-        owned.size + np.searchsorted(ghosts, ncv),
-        (ncv - rank) // size,
-    )
+    dst_local = (ncv - rank) // size
+    dst_local[ghost_mask] = owned.size + ghost_pos
     return owned, wdeg, ghosts, global_ids, src_local, dst_local, stored_w
 
 
@@ -125,14 +154,13 @@ def merge_level(
         hubs) and ``coarse_ids[i]`` its dense community id in the new graph.
     """
     size = comm.size
-    n_global = lg.n_global
 
     # --- 1. directed aggregation, keyed to the community owner ----------
+    # on the compact index of the rank's labels
+    labels, cidx = native.unique_inverse(comm_of)
     entry_rows = np.repeat(np.arange(lg.n_rows, dtype=np.int64), np.diff(lg.indptr))
-    cu = comm_of[entry_rows]
-    cv = comm_of[lg.indices]
     w = np.where(lg.indices == entry_rows, 2.0 * lg.weights, lg.weights)
-    acu, acv, aw = _aggregate_pairs(cu, cv, w, n_global)
+    acu, acv, aw = _aggregate_ids(cidx[entry_rows], cidx[lg.indices], w, labels)
 
     # marker entries keep edgeless communities alive
     mem_local = np.arange(lg.n_owned, dtype=np.int64)
@@ -141,7 +169,9 @@ def merge_level(
         mem_local = np.concatenate(
             [mem_local, lg.n_owned + np.flatnonzero(designated)]
         )
-    mem_labels = np.unique(comm_of[mem_local]) if mem_local.size else _EMPTY_I64
+    present = np.zeros(labels.size, dtype=bool)
+    present[cidx[mem_local]] = True
+    mem_labels = labels[present]
     acu = np.concatenate([acu, mem_labels])
     acv = np.concatenate([acv, mem_labels])
     aw = np.concatenate([aw, np.zeros(mem_labels.size)])
@@ -152,19 +182,27 @@ def merge_level(
     rcu = np.concatenate([p[0] for p in received])
     rcv = np.concatenate([p[1] for p in received])
     rw = np.concatenate([p[2] for p in received])
-    rcu, rcv, rw = _aggregate_pairs(rcu, rcv, rw, n_global)
+    rcu, rcv, rw = _aggregate_pairs(rcu, rcv, rw)
 
     # --- 2. dense global relabelling ------------------------------------
-    my_labels = np.unique(rcu)
-    all_labels = comm.allgather(my_labels)
+    # the aggregated pairs come in (cu, cv) order: one label per run of rcu
+    run_start = np.ones(rcu.size, dtype=bool)
+    run_start[1:] = rcu[1:] != rcu[:-1]
+    all_labels = comm.allgather(rcu[run_start])
     global_labels = np.sort(np.concatenate(all_labels))  # disjoint by owner
     k = int(global_labels.size)
-    dense_cu = np.searchsorted(global_labels, rcu)
-    dense_cv = np.searchsorted(global_labels, rcv)
+    # a label's dense id is its position in the sorted labels, which the C
+    # label hash finds in O(1): first-arrival ids of distinct sorted keys
+    if native.available():
+        dense_of = native.LabelTable(global_labels).find
+    else:
+        dense_of = functools.partial(np.searchsorted, global_labels)
+    dense_cu = dense_of(rcu)
+    dense_cv = dense_of(rcv)
 
     # authoritative level mapping for composition later
     fine_ids = lg.global_ids[mem_local]
-    coarse_ids = np.searchsorted(global_labels, comm_of[mem_local])
+    coarse_ids = dense_of(comm_of[mem_local])
 
     # --- 3. redistribute rows to the coarse graph's 1D owners -----------
     payloads = pack_by_owner(dense_cu % size, size, dense_cu, dense_cv, rw)
@@ -172,7 +210,7 @@ def merge_level(
     ncu = np.concatenate([p[0] for p in received])
     ncv = np.concatenate([p[1] for p in received])
     nw = np.concatenate([p[2] for p in received])
-    ncu, ncv, nw = _aggregate_pairs(ncu, ncv, nw, max(k, 1))
+    ncu, ncv, nw = _aggregate_pairs(ncu, ncv, nw)
 
     # --- 4. assemble the new LocalGraph ---------------------------------
     # degrees come for free: wdeg(c) = sum_d D[c][d] (diagonal pre-doubled)
@@ -182,16 +220,11 @@ def merge_level(
         comm.rank, size, k, ncu, ncv, nw
     )
 
-    order = np.lexsort((dst_local, src_local))
-    src_local, dst_local, stored_w = (
-        src_local[order],
-        dst_local[order],
-        stored_w[order],
+    # rows in (source, target) order
+    order, indptr = native.pair_sort(
+        src_local, dst_local, owned.size, global_ids.size
     )
-    counts = np.zeros(owned.size, dtype=np.int64)
-    np.add.at(counts, src_local, 1)
-    indptr = np.zeros(owned.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    dst_local, stored_w = dst_local[order], stored_w[order]
 
     new_lg = LocalGraph(
         rank=comm.rank,

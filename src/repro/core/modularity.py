@@ -12,8 +12,11 @@ Conventions (identical to Blondel et al. and to
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
+from repro.core import native
 from repro.graph.csr import CSRGraph
 
 __all__ = [
@@ -24,18 +27,15 @@ __all__ = [
 ]
 
 
-def community_aggregates(
+def _community_sums(
     graph: CSRGraph, assignment: np.ndarray
-) -> tuple[dict[int, float], dict[int, float]]:
-    """Compute ``(sigma_in, sigma_tot)`` per community label.
-
-    ``assignment[v]`` is the community label of vertex ``v`` (labels are
-    arbitrary integers).
-    """
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(labels, sigma_in, sigma_tot)``: the sorted distinct labels and
+    their two sums, each summed in CSR entry (vertex) order from 0.0."""
     assignment = np.asarray(assignment, dtype=np.int64)
     if assignment.shape != (graph.n_vertices,):
         raise ValueError("assignment must have one label per vertex")
-    labels, inverse = np.unique(assignment, return_inverse=True)
+    labels, inverse = native.unique_inverse(assignment)
     k = labels.size
 
     rows = np.repeat(
@@ -48,14 +48,24 @@ def community_aggregates(
     # directed entries count both directions; double self-loop entries so
     # that sigma_in uses A_uu = 2 w_uu
     contrib = np.where(loops, 2.0 * w, w)
-    in_arr = np.zeros(k)
-    np.add.at(in_arr, inverse[rows[internal]], contrib[internal])
-    tot_arr = np.zeros(k)
-    np.add.at(tot_arr, inverse, graph.weighted_degrees)
+    in_arr = np.bincount(
+        inverse[rows[internal]], weights=contrib[internal], minlength=k
+    )
+    tot_arr = np.bincount(inverse, weights=graph.weighted_degrees, minlength=k)
+    return labels, in_arr, tot_arr
 
-    sigma_in = {int(lab): float(v) for lab, v in zip(labels, in_arr)}
-    sigma_tot = {int(lab): float(v) for lab, v in zip(labels, tot_arr)}
-    return sigma_in, sigma_tot
+
+def community_aggregates(
+    graph: CSRGraph, assignment: np.ndarray
+) -> tuple[dict[int, float], dict[int, float]]:
+    """Compute ``(sigma_in, sigma_tot)`` per community label.
+
+    ``assignment[v]`` is the community label of vertex ``v`` (labels are
+    arbitrary integers).
+    """
+    labels, in_arr, tot_arr = _community_sums(graph, assignment)
+    labels = labels.tolist()
+    return dict(zip(labels, in_arr.tolist())), dict(zip(labels, tot_arr.tolist()))
 
 
 def modularity(
@@ -70,14 +80,18 @@ def modularity(
     m = graph.total_weight
     if m <= 0:
         return 0.0
-    sigma_in, sigma_tot = community_aggregates(graph, assignment)
+    _, in_arr, tot_arr = _community_sums(graph, assignment)
     two_m = 2.0 * m
-    return float(
-        sum(
-            sigma_in[c] / two_m - resolution * (sigma_tot[c] / two_m) ** 2
-            for c in sigma_tot
-        )
+    # Python's float ** 2 (libm pow) and numpy's x * x round differently
+    # about once in a thousand values, and the built-in sum adds in label
+    # order (compensated from Python 3.12 on), so the squares and the sum
+    # stay Python's: Q is the same to the last bit as the per-label
+    # Python expression it replaces
+    squares = np.fromiter(
+        map(pow, (tot_arr / two_m).tolist(), repeat(2)), dtype=np.float64,
+        count=tot_arr.size,
     )
+    return float(sum((in_arr / two_m - resolution * squares).tolist()))
 
 
 def modularity_gain(

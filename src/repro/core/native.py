@@ -1,9 +1,17 @@
-"""Loader of the native per-iteration kernels (``_kernels.c``).
+"""Loader of the native kernels (``_kernels.c``).
 
 The vectorized inner iteration runs in C (``_kernels.c``): the label hash
 behind the sync's compact index and the owner table, one fused CSR scan
 that yields the sync's internal weights and every row's neighbour-community
-sums, and the sweep's gain pass over those sums.  This module compiles the
+sums, and the sweep's gain pass over those sums.  So does graph
+construction: a stable counting sort by ``(a, b)`` with the ``indptr`` of
+``a`` (:func:`pair_sort`), the merge of equal pairs (:func:`run_sums`) and
+the symmetric layout of deduplicated edges (:func:`symmetric_csr`), which
+``build_symmetric_csr``, ``build_local_graphs`` and ``merge_level`` use in
+place of comparison sorts, and the label hash's ``np.unique(...,
+return_inverse=True)`` (:func:`unique_inverse`).  :func:`pair_sort`,
+:func:`run_sums` and :func:`unique_inverse` take their numpy fallback
+themselves, so their callers do not branch.  This module compiles the
 source with the system C compiler on the first kernel call (never at
 import), caches the shared library, and calls it through :mod:`ctypes`.  A
 ``ctypes.CDLL`` call releases the GIL, so the thread ranks of one run scan
@@ -58,6 +66,10 @@ __all__ = [
     "VECTOR_HEURISTICS",
     "available",
     "heuristic_code",
+    "pair_sort",
+    "run_sums",
+    "symmetric_csr",
+    "unique_inverse",
 ]
 
 _COMPILER = "cc"
@@ -160,6 +172,19 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         n, ptr,  # scratch: gain_cap, gain
         ptr, ptr, ptr, ptr,  # chosen, chosen_id, chosen_gain, stay_gain
     ]
+    lib.pair_sort.restype = n
+    lib.pair_sort.argtypes = [
+        n, ptr, ptr, n, n,  # n, a, b, na, nb
+        ptr, ptr, ptr, ptr,  # scratch: count, tmp; order, indptr
+    ]
+    lib.run_sums.restype = n
+    lib.run_sums.argtypes = [n, ptr, ptr, ptr, ptr, ptr, ptr, ptr]
+    lib.symmetric_fill.restype = n
+    lib.symmetric_fill.argtypes = [
+        n, ptr, ptr, ptr, n,  # m, lo, hi, w, n
+        ptr, ptr, ptr,  # indptr; scratch: cursor, slots
+        ptr, ptr,  # indices, weights
+    ]
     return lib
 
 
@@ -202,6 +227,13 @@ def _library() -> ctypes.CDLL | None:
 def available() -> bool:
     """True if the C kernels are in use (builds them on the first call)."""
     return _library() is not None
+
+
+def _lib_or_raise() -> ctypes.CDLL:
+    lib = _library()
+    if lib is None:
+        raise RuntimeError("the native kernels are unavailable")
+    return lib
 
 
 def heuristic_code(name: str) -> int:
@@ -281,10 +313,7 @@ class LevelKernels:
         row_wdeg: np.ndarray,
         n_local: int,
     ) -> None:
-        lib = _library()
-        if lib is None:
-            raise RuntimeError("the native kernels are unavailable")
-        self._lib = lib
+        self._lib = _lib_or_raise()
         # references keep the addresses below valid for the level
         self._csr = (
             _exact(indptr, _I64), _exact(indices, _I64), _exact(weights, _F64)
@@ -409,6 +438,152 @@ class LevelKernels:
         if long_row >= 0:
             raise ValueError(f"row {long_row} has more pairs than entries")
         return chosen, chosen_gain, stay_gain, chosen_id
+
+
+def _hash_index(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` from the label hash: one
+    pass numbers the keys, only the distinct ones are sorted, and one probe
+    per distinct key remaps the ids (as :meth:`LevelKernels.index`)."""
+    lib = _lib_or_raise()
+    keys = _exact(keys, _I64)
+    n = keys.size
+    cap = _capacity(n)
+    slots = np.empty(2 * cap, dtype=np.int64)
+    ids = np.empty(n, dtype=np.int64)
+    uniq = np.empty(n, dtype=np.int64)
+    k = lib.label_ids(n, _addr(keys), cap, _addr(slots), _addr(ids), _addr(uniq))
+    labels = np.sort(uniq[:k])
+    rank = np.empty(k, dtype=np.int64)
+    inverse = np.empty(n, dtype=np.int64)
+    lib.label_remap(
+        n, _addr(ids), k, _addr(labels), cap, _addr(slots), _addr(rank),
+        _addr(inverse),
+    )
+    return labels, inverse
+
+
+def unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` of int64 ``keys``: from the
+    label hash when the C kernels are in use, else from ``np.unique``
+    itself, which sorts (with ``return_inverse`` it never takes numpy's
+    hash path; see ``docs/PERFORMANCE.md``)."""
+    if available():
+        return _hash_index(keys)
+    return np.unique(np.asarray(keys, dtype=np.int64), return_inverse=True)
+
+
+def pair_sort(
+    a: np.ndarray, b: np.ndarray, na: int, nb: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, indptr)`` of the pairs ``(a[i], b[i])``, ``a`` in
+    ``[0, na)`` and ``b`` in ``[0, nb)``: ``order`` is the stable argsort
+    by ``(a, b)``, equal to ``np.argsort(a * nb + b, kind="stable")``, and
+    ``indptr`` (``na + 1`` entries) the start of each ``a`` value's run in
+    it.  The C kernel sorts in two counting passes and forms no key; the
+    numpy fallback sorts that key, or lexsorts where ``na * nb`` would
+    overflow int64.  Raises :class:`ValueError` for an id out of range."""
+    a, b = _exact(a, _I64), _exact(b, _I64)
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValueError("a and b must be 1-D arrays of equal length")
+    na, nb, n = int(na), int(nb), a.size
+    if na < 0 or nb < 0:
+        raise ValueError("na and nb must be non-negative")
+    if not available():
+        return _pair_sort_numpy(a, b, na, nb)
+    count = np.empty(max(na, nb), dtype=np.int64)
+    tmp = np.empty(2 * n, dtype=np.int64)
+    order = np.empty(n, dtype=np.int64)
+    indptr = np.empty(na + 1, dtype=np.int64)
+    bad = _lib_or_raise().pair_sort(
+        n, _addr(a), _addr(b), na, nb, _addr(count), _addr(tmp), _addr(order),
+        _addr(indptr),
+    )
+    if bad >= 0:
+        _out_of_range(a, b, na, nb, bad)
+    return order, indptr
+
+
+def _pair_sort_numpy(
+    a: np.ndarray, b: np.ndarray, na: int, nb: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The numpy reference of :func:`pair_sort`."""
+    if a.size and (a.min() < 0 or a.max() >= na or b.min() < 0 or b.max() >= nb):
+        bad = (a < 0) | (a >= na) | (b < 0) | (b >= nb)
+        _out_of_range(a, b, na, nb, int(np.argmax(bad)))
+    if na * nb < 2**63:
+        order = np.argsort(a * np.int64(nb) + b, kind="stable")
+    else:
+        order = np.lexsort((b, a))
+    indptr = np.zeros(na + 1, dtype=np.int64)
+    np.cumsum(np.bincount(a, minlength=na), out=indptr[1:])
+    return order, indptr
+
+
+def _out_of_range(a: np.ndarray, b: np.ndarray, na: int, nb: int, i: int) -> None:
+    raise ValueError(
+        f"pair {i} ({int(a[i])}, {int(b[i])}) is outside [0, {na}) x [0, {nb})"
+    )
+
+
+def run_sums(
+    order: np.ndarray, a: np.ndarray, b: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs of equal ``(a, b)`` along ``order`` (:func:`pair_sort`'s,
+    or any order that groups equal pairs): each run's ``a``, ``b`` and its
+    ``w`` summed from 0.0 in ``order``, the additions ``np.add.at`` over
+    run ids makes.  The values of ``a`` and ``b`` are only compared."""
+    order = _exact(order, _I64)
+    a, b, w = _exact(a, _I64), _exact(b, _I64), _exact(w, _F64)
+    n = order.size
+    if a.size != n or b.size != n or w.size != n:
+        raise ValueError("order, a, b and w must have equal length")
+    if not available():
+        return _run_sums_numpy(order, a, b, w)
+    run_a = np.empty(n, dtype=np.int64)
+    run_b = np.empty(n, dtype=np.int64)
+    run_w = np.empty(n)
+    r = _lib_or_raise().run_sums(
+        n, _addr(order), _addr(a), _addr(b), _addr(w),
+        _addr(run_a), _addr(run_b), _addr(run_w),
+    )
+    return run_a[:r], run_b[:r], run_w[:r]
+
+
+def _run_sums_numpy(
+    order: np.ndarray, a: np.ndarray, b: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The numpy reference of :func:`run_sums`: ``np.bincount`` adds each
+    weight into its run's bin in stream order, from 0.0."""
+    a, b = a[order], b[order]
+    start = np.ones(a.size, dtype=bool)
+    start[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    sums = np.bincount(np.cumsum(start) - 1, weights=w[order])
+    # an empty bincount is int64 even with weights
+    return a[start], b[start], sums.astype(np.float64, copy=False)
+
+
+def symmetric_csr(
+    n: int, lo: np.ndarray, hi: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, indices, weights)`` of the symmetric CSR over ``n``
+    vertices of the undirected edges ``(lo[i], hi[i], w[i])``, ``lo <=
+    hi``: equal edges merge, their weights summed in input order from
+    0.0, each edge fills both rows (a self-loop one), and every row lists
+    its neighbours in ascending order."""
+    lib = _lib_or_raise()
+    order, _ = pair_sort(lo, hi, n, n)
+    ulo, uhi, uw = run_sums(order, lo, hi, w)
+    m = ulo.size
+    indptr = np.empty(n + 1, dtype=np.int64)
+    cursor = np.empty(n, dtype=np.int64)
+    slots = np.empty(4 * m, dtype=np.int64)  # (neighbour, weight) couples
+    indices = np.empty(2 * m, dtype=np.int64)
+    weights = np.empty(2 * m)
+    nnz = lib.symmetric_fill(
+        m, _addr(ulo), _addr(uhi), _addr(uw), n, _addr(indptr), _addr(cursor),
+        _addr(slots), _addr(indices), _addr(weights),
+    )
+    return indptr, indices[:nnz], weights[:nnz]
 
 
 def _capacity(n: int) -> int:

@@ -310,6 +310,20 @@ def build_symmetric_csr(
     # Canonicalise: (min, max) so duplicates in either orientation merge.
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
+    # deferred: repro.core's __init__ pulls in modules that import this one
+    from repro.core import native
+
+    if native.available():
+        return CSRGraph(*native.symmetric_csr(n_vertices, lo, hi, weights))
+    return CSRGraph(*_symmetric_csr_numpy(n_vertices, lo, hi, weights))
+
+
+def _symmetric_csr_numpy(
+    n_vertices: int, lo: np.ndarray, hi: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The numpy reference (and fallback) of
+    :func:`repro.core.native.symmetric_csr`: the CSR arrays of the edges
+    ``(lo, hi)``, ``lo <= hi``, duplicates merged in input order."""
     key = lo * np.int64(n_vertices if n_vertices > 0 else 1) + hi
     order = np.argsort(key, kind="stable")
     lo, hi, w = lo[order], hi[order], weights[order]
@@ -332,8 +346,8 @@ def build_symmetric_csr(
     np.add.at(counts, s, 1)
     indptr = np.zeros(n_vertices + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    # stable sort on one int64 key, in (row, neighbour) order; the key
-    # stays below 2**63 for n_vertices up to about 3.03e9, like the
-    # canonicalisation key above
+    # stable sort on one int64 key, in (row, neighbour) order; this key and
+    # the canonicalisation key above stay below 2**63 for n_vertices up to
+    # about 3.03e9 (the C path forms no keys)
     order = np.argsort(s * np.int64(max(n_vertices, 1)) + d, kind="stable")
-    return CSRGraph(indptr, d[order], ww[order])
+    return indptr, d[order], ww[order]

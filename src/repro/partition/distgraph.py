@@ -133,6 +133,7 @@ def build_local_graphs(
     """
     # imported here, not at module top: repro.core's __init__ eagerly pulls
     # in the distributed driver, which imports this module back
+    from repro.core import native
     from repro.core.pack import pack_bounds, pack_by_owner
 
     n = graph.n_vertices
@@ -149,7 +150,7 @@ def build_local_graphs(
     # ghost subscription lists: for each owner rank, which peers need which
     # of its vertices (built globally here; the runtime rebuilds these
     # distributedly after each merge)
-    send_to_all: list[dict[int, list[np.ndarray]]] = [dict() for _ in range(size)]
+    send_to_all: list[dict[int, np.ndarray]] = [dict() for _ in range(size)]
     recv_from_all: list[dict[int, np.ndarray]] = [dict() for _ in range(size)]
 
     # one stable bucketing pass over all E entries instead of a boolean
@@ -165,8 +166,12 @@ def build_local_graphs(
         # round-robin owned ids are just arange(r, n, size), hubs excluded
         cand = np.arange(r, n, size, dtype=np.int64)
         owned = cand[~is_hub[cand]]
-        # ghosts: entry endpoints that are neither owned here nor hubs
-        endpoints = np.unique(np.concatenate([e_src, e_dst]))
+        # ghosts: entry endpoints that are neither owned here nor hubs, in
+        # ascending order (a mask over the vertices: np.unique would hash)
+        seen = np.zeros(n, dtype=bool)
+        seen[e_src] = True
+        seen[e_dst] = True
+        endpoints = np.flatnonzero(seen)
         ghost_mask = (owners[endpoints] != r) & ~is_hub[endpoints]
         ghosts = endpoints[ghost_mask]
         # a source endpoint can only be owned-low or hub by construction of
@@ -180,19 +185,11 @@ def build_local_graphs(
         src_local = local_of[e_src]
         if src_local.size and src_local.max() >= n_rows:
             raise AssertionError("entry sourced at a ghost vertex")
-        # stable sort on one int64 key, in (source row, target) order; the
-        # key stays below 2**63 for fewer than about 3.03e9 local vertices
+        # stable sort in (source row, target) order
         dst_local = local_of[e_dst]
-        order = np.argsort(
-            src_local * np.int64(global_ids.size) + dst_local, kind="stable"
+        order, indptr = native.pair_sort(
+            src_local, dst_local, n_rows, global_ids.size
         )
-        src_local = src_local[order]
-        dst_local = dst_local[order]
-        w_sorted = e_w[order]
-        counts = np.zeros(n_rows, dtype=np.int64)
-        np.add.at(counts, src_local, 1)
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
 
         lg = LocalGraph(
             rank=r,
@@ -203,8 +200,8 @@ def build_local_graphs(
             n_owned=int(owned.size),
             n_hubs=int(hub_global_ids.size),
             indptr=indptr,
-            indices=dst_local,
-            weights=w_sorted,
+            indices=dst_local[order],
+            weights=e_w[order],
             row_weighted_degree=wdeg[global_ids[:n_rows]].copy(),
             hub_global_ids=hub_global_ids,
         )
@@ -217,14 +214,11 @@ def build_local_graphs(
             for peer, ids in enumerate(buckets):
                 if ids.size:
                     recv_from_all[r][peer] = ids
-                    send_to_all[peer].setdefault(r, []).append(ids)
+                    send_to_all[peer][r] = ids
 
     for r in range(size):
         locals_[r].recv_from = recv_from_all[r]
-        locals_[r].send_to = {
-            peer: np.unique(np.concatenate(chunks))
-            for peer, chunks in send_to_all[r].items()
-        }
+        locals_[r].send_to = send_to_all[r]
 
     return Partition(
         kind=kind,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import native
+
 __all__ = ["contingency_table", "pair_counts"]
 
 
@@ -22,12 +24,11 @@ def contingency_table(
         raise ValueError("labelings must be 1-D arrays of equal length")
     if a.size == 0:
         return np.zeros((0, 0), dtype=np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64)
-    _, ai = np.unique(a, return_inverse=True)
-    _, bi = np.unique(b, return_inverse=True)
+    _, ai = native.unique_inverse(a)
+    _, bi = native.unique_inverse(b)
     ka = int(ai.max()) + 1
     kb = int(bi.max()) + 1
-    table = np.zeros((ka, kb), dtype=np.int64)
-    np.add.at(table, (ai, bi), 1)
+    table = np.bincount(ai * kb + bi, minlength=ka * kb).reshape(ka, kb)
     return table, table.sum(axis=1), table.sum(axis=0)
 
 

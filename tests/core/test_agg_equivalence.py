@@ -12,7 +12,8 @@ identical per-phase wire bytes.  This suite pins that claim:
    accumulation of partial modularity (the subscriber-side snapshot is
    pinned against the oracle's dict pull in ``test_local_clustering.py``);
 2. **Merge** — ``merge_level`` vs the oracle's scalar assembly,
-   field by field on every rank;
+   field by field on every rank, on the C kernels and on the numpy
+   fallback;
 3. **End-to-end grid** — full pipeline, product vs oracle over
    p × partitioning × sweep_mode × ghost_mode: same
    assignment, same Q, same per-phase byte counters.
@@ -21,16 +22,19 @@ The oracle is swapped in by patching modules of this interpreter, so every
 comparison runs on ``backend="thread"`` and asserts that the oracle ran.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from repro.core import DistributedConfig, distributed_louvain
+from repro.core import DistributedConfig, distributed_louvain, native
 from repro.core.community_table import OwnerTable
 from repro.core.merging import merge_level
 from repro.graph.generators import lfr_graph
 from repro.partition import delegate_partition, oned_partition
 from repro.runtime import run_spmd
 from tests.core.agg_oracle import DictOwnerReference, scalar_reference
+from tests.core.test_sweep_equivalence import _float_weighted
 
 
 class TestOwnerTableUnit:
@@ -113,11 +117,40 @@ class TestMergeImplEquivalence:
     @pytest.mark.parametrize("p", [1, 2, 4])
     @pytest.mark.parametrize("kind", ["1d", "delegate"])
     def test_vectorized_assembly_bitwise(self, ba_graph, p, kind):
+        self._assert_matches_oracle(ba_graph, p, kind)
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    @pytest.mark.parametrize("kind", ["1d", "delegate"])
+    def test_numpy_fallback_bitwise(self, ba_graph, p, kind):
+        """The same check with the numpy kernels in place of the C ones
+        (pair aggregation, dense relabel, ghost index, CSR sort)."""
+        with mock.patch.object(native, "available", lambda: False):
+            self._assert_matches_oracle(ba_graph, p, kind)
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    @pytest.mark.parametrize("kind", ["1d", "delegate"])
+    def test_c_and_numpy_bitwise_on_float_weights(self, ba_graph, p, kind):
+        """Float weights make every pair sum's addition order visible: the
+        C and numpy aggregations must add in the same order."""
+        if not native.available():
+            pytest.skip("no C compiler: only the numpy path runs here")
+        graph = _float_weighted(ba_graph)
+        got = _merge_all_fields(graph, p, kind)
+        with mock.patch.object(native, "available", lambda: False):
+            ref = _merge_all_fields(graph, p, kind)
+        TestMergeImplEquivalence._assert_same_fields(got, ref)
+
+    @staticmethod
+    def _assert_matches_oracle(ba_graph, p, kind):
         vec = _merge_all_fields(ba_graph, p, kind)
         with scalar_reference() as calls:
             ref = _merge_all_fields(ba_graph, p, kind)
         assert calls["assemble"] == p
-        for (vlg, vf, vc), (slg, sf, sc) in zip(vec, ref):
+        TestMergeImplEquivalence._assert_same_fields(vec, ref)
+
+    @staticmethod
+    def _assert_same_fields(vec, ref):
+        for (vlg, vf, vc), (slg, sf, sc) in zip(vec, ref, strict=True):
             assert np.array_equal(vf, sf) and np.array_equal(vc, sc)
             for name in (
                 "global_ids", "indptr", "indices", "hub_global_ids"

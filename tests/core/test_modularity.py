@@ -133,3 +133,90 @@ class TestNeighborCommunityWeights:
         a = np.zeros(34, dtype=np.int64)
         w = neighbor_community_weights(karate, a, 0)
         assert w == {0: float(karate.degrees[0])}
+
+
+def _dict_modularity(graph, assignment, resolution=1.0):
+    """The per-label dict form of Eq. 2 that ``modularity`` replaced:
+    ``np.unique`` + ``np.add.at`` sums, then a generator sum in label
+    order.  ``modularity`` must give the same bits."""
+    m = graph.total_weight
+    if m <= 0:
+        return 0.0, {}, {}
+    labels, inverse = np.unique(np.asarray(assignment, dtype=np.int64),
+                                return_inverse=True)
+    rows = np.repeat(np.arange(graph.n_vertices), np.diff(graph.indptr))
+    internal = inverse[rows] == inverse[graph.indices]
+    contrib = np.where(rows == graph.indices, 2.0 * graph.weights, graph.weights)
+    in_arr = np.zeros(labels.size)
+    np.add.at(in_arr, inverse[rows[internal]], contrib[internal])
+    tot_arr = np.zeros(labels.size)
+    np.add.at(tot_arr, inverse, graph.weighted_degrees)
+    sigma_in = {int(c): float(v) for c, v in zip(labels, in_arr)}
+    sigma_tot = {int(c): float(v) for c, v in zip(labels, tot_arr)}
+    two_m = 2.0 * m
+    q = float(sum(
+        sigma_in[c] / two_m - resolution * (sigma_tot[c] / two_m) ** 2
+        for c in sigma_tot
+    ))
+    return q, sigma_in, sigma_tot
+
+
+def _float_web_graph():
+    from repro.graph.csr import build_symmetric_csr
+    from repro.graph.generators import copying_web_graph
+
+    g = copying_web_graph(400, seed=3)
+    src, dst, _w = g.edge_arrays()
+    w = np.random.default_rng(5).uniform(0.01, 3.0, src.size)
+    return build_symmetric_csr(g.n_vertices, src, dst, w)
+
+
+class TestExactAgainstDictForm:
+    """``modularity`` and ``community_aggregates`` keep the bits of the
+    dict-based code they replaced, on both kernel paths."""
+
+    @pytest.mark.parametrize("force_numpy", [False, True], ids=["auto", "numpy"])
+    @pytest.mark.parametrize("resolution", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("graph_name", ["karate", "web_float"])
+    def test_bitwise(self, karate, graph_name, resolution, force_numpy):
+        from unittest import mock
+
+        from repro.core import native
+
+        graph = karate if graph_name == "karate" else _float_web_graph()
+        rng = np.random.default_rng(11)
+        assignments = [
+            np.arange(graph.n_vertices),
+            rng.integers(0, 7, graph.n_vertices) * 1_000_003 - 50,
+            rng.integers(0, graph.n_vertices // 3, graph.n_vertices),
+        ]
+        patch = (
+            mock.patch.object(native, "available", lambda: False)
+            if force_numpy
+            else mock.patch.object(native, "available", native.available)
+        )
+        with patch:
+            for a in assignments:
+                q_ref, in_ref, tot_ref = _dict_modularity(graph, a, resolution)
+                assert repr(modularity(graph, a, resolution)) == repr(q_ref)
+                sigma_in, sigma_tot = community_aggregates(graph, a)
+                assert list(sigma_in.items()) == list(in_ref.items())
+                assert list(sigma_tot.items()) == list(tot_ref.items())
+
+    def test_squares_round_like_python_pow(self, karate):
+        """On these weights ``x * x`` in place of Python's ``x ** 2``
+        shifts Q by a few ulps, so the bits pin the squaring too."""
+        from repro.graph.csr import build_symmetric_csr
+
+        src, dst, _w = karate.edge_arrays()
+        w = np.random.default_rng(226).uniform(0.01, 3.0, src.size)
+        graph = build_symmetric_csr(karate.n_vertices, src, dst, w)
+        a = np.arange(graph.n_vertices) % 3
+        q_ref, _in, _tot = _dict_modularity(graph, a)
+        assert repr(modularity(graph, a)) == repr(q_ref) == "0.013344596136638236"
+
+    def test_zero_vertex_graph(self):
+        g = CSRGraph.from_edges(0, [])
+        empty = np.zeros(0, dtype=np.int64)
+        assert modularity(g, empty) == 0.0
+        assert community_aggregates(g, empty) == ({}, {})

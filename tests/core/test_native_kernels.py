@@ -17,10 +17,13 @@ kernels bit for bit, so which path runs never changes an answer:
    rule for;
    ``LocalClustering._contributions`` on random float-weighted partitioned
    graphs; a snapshot held across later syncs stays unchanged;
-3. **End-to-end identity** — labels, ``repr(Q)``, per-level Q and per-rank
+3. **Graph build** (Hypothesis) — the counting sort against a stable
+   argsort, its run sums against ``np.unique`` plus ``np.add.at`` to the
+   bit, and the hashed ``unique_inverse`` against ``np.unique``;
+4. **End-to-end identity** — labels, ``repr(Q)``, per-level Q and per-rank
    per-phase byte counts of whole runs with the numpy kernels forced and
    with C;
-4. **Build and cache** — the shipped source names the cached library,
+5. **Build and cache** — the shipped source names the cached library,
    nothing builds at import, a failing compiler falls back to numpy, an
    unsafe cache directory is refused, and concurrent builders into one
    cache directory all load the same library.
@@ -29,6 +32,7 @@ Tests that need the C kernels skip where no compiler is present; the CI
 jobs assert separately that the kernels build there.
 """
 
+import contextlib
 import hashlib
 import logging
 import multiprocessing
@@ -39,6 +43,7 @@ import subprocess
 import sys
 from importlib import resources
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -67,6 +72,15 @@ HEURISTICS = ["greedy", "minlabel", "enhanced"]
 def c_kernels():
     if not native.available():
         pytest.skip("no C compiler: only the numpy kernels run here")
+
+
+def _kernel_path(request, kind):
+    """A context in which the ``kind`` (``"c"`` or ``"numpy"``) kernels
+    run; the C kind skips without a compiler."""
+    if kind == "c":
+        request.getfixturevalue("c_kernels")
+        return contextlib.nullcontext()
+    return mock.patch.object(native, "available", lambda: False)
 
 
 def _bitwise_equal(a, b):
@@ -172,6 +186,73 @@ class TestLabelHash:
             absent = max(ref.own, default=0) + 1
             with pytest.raises(KeyError):
                 t.lookup(np.array([absent], dtype=np.int64))
+
+
+@st.composite
+def _pairs(draw):
+    """Pairs ``(a, b)`` in ``[0, na) x [0, nb)`` with float weights, often
+    already in ``(a, b)`` order (the kernel's no-sort path)."""
+    na = draw(st.integers(0, 12))
+    nb = draw(st.integers(0, 12))
+    n = draw(st.integers(0, 80)) if na and nb else 0
+    a = np.array(draw(st.lists(st.integers(0, max(na - 1, 0)), min_size=n,
+                               max_size=n)), dtype=np.int64)
+    b = np.array(draw(st.lists(st.integers(0, max(nb - 1, 0)), min_size=n,
+                               max_size=n)), dtype=np.int64)
+    if draw(st.booleans()):
+        order = np.lexsort((b, a))
+        a, b = a[order], b[order]
+    w = np.array(draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False),
+                               min_size=n, max_size=n)), dtype=np.float64)
+    return a, b, w, na, nb
+
+
+class TestGraphBuildKernels:
+    """The counting sort, the run sums and the label index against the
+    numpy operations they replace."""
+
+    @pytest.mark.parametrize("kind", ["c", "numpy"])
+    @given(case=_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_pair_sort_and_run_sums(self, request, kind, case):
+        a, b, w, na, nb = case
+        with _kernel_path(request, kind):
+            order, indptr = native.pair_sort(a, b, na, nb)
+            ra, rb, rw = native.run_sums(order, a, b, w)
+        assert np.array_equal(order, np.argsort(a * nb + b, kind="stable"))
+        assert np.array_equal(indptr, _indptr(a, na))
+        key = a * nb + b
+        uniq, inv = np.unique(key, return_inverse=True)
+        ref = np.zeros(uniq.size)
+        np.add.at(ref, inv, w)
+        assert np.array_equal(ra, uniq // max(nb, 1))
+        assert np.array_equal(rb, uniq % max(nb, 1))
+        assert _bitwise_equal(rw, ref)
+
+    @pytest.mark.parametrize("kind", ["c", "numpy"])
+    def test_pair_sort_rejects_out_of_range(self, request, kind):
+        with _kernel_path(request, kind):
+            for a, b in (([0, 3], [0, 0]), ([0, 0], [0, -1])):
+                with pytest.raises(ValueError, match="pair 1 .* is outside"):
+                    native.pair_sort(np.array(a), np.array(b), 3, 3)
+
+    def test_numpy_pair_sort_past_the_key_range(self):
+        """Where ``na * nb`` would overflow an int64 key, the numpy
+        fallback lexsorts instead, with the same order."""
+        big = 2**62  # 2 * big is past the int64 range
+        a = np.array([1, 0, 1, 0], dtype=np.int64)
+        b = np.array([big - 1, big - 1, 0, 5], dtype=np.int64)
+        order, indptr = native._pair_sort_numpy(a, b, 2, big)
+        assert order.tolist() == [3, 1, 2, 0]
+        assert indptr.tolist() == [0, 2, 4]
+
+    @given(_label_keys())
+    @settings(max_examples=100, deadline=None)
+    def test_unique_inverse(self, c_kernels, keys):
+        labels, inverse = native.unique_inverse(keys)
+        ref_labels, ref_inverse = np.unique(keys, return_inverse=True)
+        assert _bitwise_equal(labels, ref_labels)
+        assert np.array_equal(inverse, ref_inverse)
 
 
 @st.composite

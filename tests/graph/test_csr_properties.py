@@ -94,3 +94,46 @@ def test_edge_orientation_irrelevant(data):
     a = CSRGraph.from_edges(n, edges, weights=weights)
     b = CSRGraph.from_edges(n, flipped, weights=weights)
     assert a == b
+
+
+@st.composite
+def raw_edge_arrays(draw):
+    """Edge arrays with duplicates in both orientations, self-loops, float
+    weights and isolated vertices; ``n = 0`` included."""
+    n = draw(st.integers(min_value=0, max_value=MAX_N))
+    m = draw(st.integers(min_value=0, max_value=60)) if n else 0
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                 min_size=m, max_size=m)
+    ) if n else []
+    # repeat some edges reversed, so duplicates arrive in both orientations
+    flips = draw(st.lists(st.integers(0, max(m - 1, 0)), max_size=m)) if m else []
+    pairs = pairs + [pairs[i][::-1] for i in flips]
+    weights = draw(
+        st.lists(
+            st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
+            min_size=len(pairs), max_size=len(pairs),
+        )
+    )
+    src = np.array([p[0] for p in pairs], dtype=np.int64)
+    dst = np.array([p[1] for p in pairs], dtype=np.int64)
+    return n, src, dst, np.array(weights, dtype=np.float64)
+
+
+@given(raw_edge_arrays())
+@settings(max_examples=150, deadline=None)
+def test_native_build_matches_numpy(data):
+    """The C build (counting sort, run sums, symmetric fill) and the numpy
+    reference give the same arrays, weights to the bit."""
+    from unittest import mock
+
+    from repro.core import native
+
+    n, src, dst, w = data
+    got = build_symmetric_csr(n, src, dst, w)
+    with mock.patch.object(native, "available", lambda: False):
+        ref = build_symmetric_csr(n, src, dst, w)
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert got.weights.tobytes() == ref.weights.tobytes()
+    got.validate()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.quality import (
+    contingency_table,
     adjusted_rand_index,
     f_measure,
     jaccard_index,
@@ -120,3 +121,42 @@ class TestScoreAll:
                     assert -1.0 <= v <= 1.0
                 else:
                     assert 0.0 <= v <= 1.0
+
+
+class TestContingencyExact:
+    """``contingency_table`` counts with one ``np.bincount``; it must equal
+    the 2-D ``np.add.at`` table it replaced, on both kernel paths."""
+
+    @staticmethod
+    def _add_at_table(a, b):
+        _, ai = np.unique(a, return_inverse=True)
+        _, bi = np.unique(b, return_inverse=True)
+        table = np.zeros((ai.max() + 1, bi.max() + 1), dtype=np.int64)
+        np.add.at(table, (ai, bi), 1)
+        return table
+
+    @pytest.mark.parametrize("force_numpy", [False, True], ids=["auto", "numpy"])
+    def test_matches_add_at(self, force_numpy):
+        from unittest import mock
+
+        from repro.core import native
+
+        rng = np.random.default_rng(4)
+        patch = (
+            mock.patch.object(native, "available", lambda: False)
+            if force_numpy
+            else mock.patch.object(native, "available", native.available)
+        )
+        with patch:
+            for n in (1, 2, 50, 500):
+                a = rng.integers(-5, 9, n) * 977
+                b = rng.integers(0, 40, n)
+                table, sa, sb = contingency_table(a, b)
+                ref = self._add_at_table(a, b)
+                assert table.dtype == ref.dtype and np.array_equal(table, ref)
+                assert np.array_equal(sa, ref.sum(axis=1))
+                assert np.array_equal(sb, ref.sum(axis=0))
+
+    def test_empty(self):
+        table, sa, sb = contingency_table(np.zeros(0), np.zeros(0))
+        assert table.shape == (0, 0) and sa.size == 0 and sb.size == 0
