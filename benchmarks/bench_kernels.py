@@ -15,11 +15,15 @@ aggregate sync, merge assembly) against its scalar reference on the
 against its numpy reference, and writes the before/after/speedup table
 as machine-readable JSON (see ``docs/PERFORMANCE.md``).  The C rows are
 the sweep's gain pass over the snapshot's neighbour-community pairs
-(``sweep``), the sync's fused CSR scan with the contributions built on it
-(``contributions``), the sync's compact label index (``label_index``,
-the label hash against ``np.unique``), the owner table
-(``owner_table``, the label hash against sorted search), and graph
-construction by counting sort against comparison sorts: the global CSR
+(``sweep``), the sync's compact label index (``label_index``, against
+``np.unique``), the phases of the inner iteration on rank 0 of a
+recorded p=4 sync round, its peers' payloads replayed: the send phase
+(``send``: index, fused scan, member sums, owner bucketing), the owner
+phase (``owner``: owner table, partial Q, answers) and one whole inner
+iteration, a sync plus a vectorized sweep (``inner_iteration``), which
+``inner_iteration_small`` repeats at request-stream size (rank 0 of
+``lfr_graph(300, mu=0.3, seed=3)`` at p=2); and graph construction by
+counting sort against comparison sorts: the global CSR
 build from a shuffled edge list (``csr_build``), the row sorts of a
 delegate partition's per-rank CSRs (``partition``, ``native.pair_sort``
 on every rank's entries in their arrival order) and the merge's pair
@@ -57,7 +61,7 @@ from repro.core.modularity import modularity
 from repro.core.pack import pack_bounds, pack_by_owner
 from repro.core.sweep_kernel import NumpyLevelKernels, level_kernels
 from repro.graph.csr import build_symmetric_csr
-from repro.graph.generators import barabasi_albert
+from repro.graph.generators import barabasi_albert, lfr_graph
 from repro.partition import delegate_partition, oned_partition
 from repro.quality import score_all
 from repro.runtime import run_spmd
@@ -223,6 +227,46 @@ def _sweep_workload(graph, size=SYNC_RANKS):
     return lc, lc.snapshot
 
 
+def _phase_round_program(comm, partition):
+    """A few inner iterations into level 1, then one recorded sync round:
+    rank 0 returns its LocalClustering and the payloads its peers sent it,
+    which replay that round's owner and place phases exactly."""
+    lc = LocalClustering(
+        comm, partition.locals[comm.rank], get_heuristic("enhanced"),
+        sweep_mode="vectorized",
+    )
+    lc.sync_aggregates()
+    for _ in range(SWEEP_WARM_ITERS):
+        _moved, hub_gain, hub_target = lc.find_best_pass()
+        lc.broadcast_delegates(hub_gain, hub_target)
+        lc.swap_ghosts()
+        lc.sync_aggregates()
+    contributions, requests = lc._kernels.send(lc.comm_of)
+    received = comm.alltoall(contributions)
+    incoming = comm.alltoall(requests)
+    _q, replies = lc._kernels.owner(received, incoming)
+    answered = comm.alltoall(replies)
+    return (lc, received, incoming, answered) if comm.rank == 0 else None
+
+
+def _phase_round(graph, size, d_high):
+    """Rank 0's bound level and one recorded sync round (see
+    :func:`_phase_round_program`)."""
+    partition = delegate_partition(graph, size, d_high=d_high)
+    return run_spmd(size, _phase_round_program, partition, backend="thread").results[0]
+
+
+def _inner_iteration(lc, received, incoming, answered):
+    """One sync plus one vectorized sweep of rank 0 on its bound level
+    kernels, the peers' side of the round replayed: the four phase calls
+    of an inner iteration that do not wait on another rank."""
+    kernels = lc._kernels
+    kernels.send(lc.comm_of)
+    kernels.owner(received, incoming)
+    snap = CommunitySnapshot(*kernels.place(answered))
+    return kernels.sweep(snap, lc.comm_of.copy(), True)
+
+
 def _sweep_scalar(lc, snap):
     return [lc._evaluate_vertex(u) for u in range(lc.lg.n_rows)]
 
@@ -274,22 +318,6 @@ def _gain_pass(lc, snap):
         theta=lc.theta,
         heuristic_name=lc.heuristic.name,
     )
-
-
-def _owner_tables(streams, requests):
-    """Build every owner's table from its stream, answer its pull and sum
-    its partial Q: the owner side of one sync round."""
-    q = 0.0
-    for stream, req in zip(streams, requests):
-        own = OwnerTable(*stream)
-        own.lookup(req)
-        q += own.partial_modularity(1000.0, 1.0)
-    return q
-
-
-def _owner_tables_numpy(streams, requests):
-    with _numpy_kernels():
-        return _owner_tables(streams, requests)
 
 
 def _pack_workload(graph):
@@ -374,10 +402,6 @@ def _sync_workload(graph, size=SYNC_RANKS):
     }
 
 
-# the scan's neighbour-community pairs are not part of the sync row
-_NO_PAIRS = (np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
-
-
 def _sync_scalar(w, two_m=1000.0, resolution=1.0):
     """The seed's dict-based sync round: merge/answer/rebuild/census/Q."""
     q_total = 0.0
@@ -412,8 +436,13 @@ def _sync_vectorized(w, two_m=1000.0, resolution=1.0):
         req = w["requests"][owner]
         vals = np.empty((req.size, 2))
         vals[:, 0], vals[:, 1] = own.lookup(req)
-    for answered in w["answered"]:
-        CommunitySnapshot.from_replies(*answered, _NO_PAIRS)
+    for nd, cidx, order, _req, vals, n_owned in w["answered"]:
+        # the numpy place phase: replies onto the compact index, census
+        sigma_tot = np.empty(nd.size)
+        sigma_tot[order] = vals[:, 0]
+        size = np.empty(nd.size, dtype=np.int64)
+        size[order] = np.rint(vals[:, 1])
+        np.bincount(cidx[:n_owned], minlength=nd.size)
     return q_total
 
 
@@ -603,11 +632,17 @@ def run_kernel_suite(quick=False, pipeline=True):
         }
 
     # each C kernel against its numpy reference: on the sweep snapshot, the
-    # gain pass, the fused scan under the contributions and the label index;
-    # on the sync workload, the owner tables
+    # gain pass and the label index; on rank 0's recorded sync round, the
+    # send and owner phases, and one whole inner iteration (sync plus
+    # sweep) there and at request-stream size
     lc, synced = snap
-    index = (synced.labels, synced.cidx)
     twin = _numpy_twin(lc) if report["native"] else None
+    round_ = _phase_round(graph, SYNC_RANKS, 64)
+    small = lfr_graph(300, mu=0.3, seed=3)
+    small_round = _phase_round(getattr(small, "graph", small), 2, 32)
+    if report["native"]:
+        round_twin = (_numpy_twin(round_[0]), *round_[1:])
+        small_twin = (_numpy_twin(small_round[0]), *small_round[1:])
     build_args = _csr_build_workload(graph)
     pairs = _aggregate_workload(graph)
     row_sort_args = _partition_workload(graph)
@@ -623,17 +658,25 @@ def run_kernel_suite(quick=False, pipeline=True):
 
     native_cases = {
         "sweep": (lambda: _gain_pass(twin, synced), lambda: _gain_pass(lc, synced)),
-        "contributions": (
-            lambda: twin._contributions(*index),
-            lambda: lc._contributions(*index),
+        "send": (
+            lambda: round_twin[0]._kernels.send(round_[0].comm_of),
+            lambda: round_[0]._kernels.send(round_[0].comm_of),
         ),
         "label_index": (
             lambda: np.unique(lc.comm_of, return_inverse=True),
             lambda: lc._kernels.index(lc.comm_of),
         ),
-        "owner_table": (
-            lambda: _owner_tables_numpy(streams["streams"], streams["requests"]),
-            lambda: _owner_tables(streams["streams"], streams["requests"]),
+        "owner": (
+            lambda: round_twin[0]._kernels.owner(*round_twin[1:3]),
+            lambda: round_[0]._kernels.owner(*round_[1:3]),
+        ),
+        "inner_iteration": (
+            lambda: _inner_iteration(*round_twin),
+            lambda: _inner_iteration(*round_),
+        ),
+        "inner_iteration_small": (
+            lambda: _inner_iteration(*small_twin),
+            lambda: _inner_iteration(*small_round),
         ),
         "csr_build": (_with_numpy_kernels(csr_build), csr_build),
         "partition": (_with_numpy_kernels(partition), partition),

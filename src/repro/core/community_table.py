@@ -9,9 +9,11 @@ the numpy-native replacement for both sides:
 * :class:`OwnerTable` — the owner's aggregates of one round: the labels
   in first-arrival order of the received stream, which is the seed dict's
   insertion order, plus value columns aligned to them, summed with
-  ``np.bincount`` over the label ids of the C label hash
-  (:class:`repro.core.native.LabelTable`, or the sort-based
-  :class:`SortedLabelTable` without a compiler);
+  ``np.bincount`` over the first-arrival label ids of
+  :class:`SortedLabelTable`.  It is the numpy reference of the owner phase
+  (:meth:`repro.core.sweep_kernel.NumpyLevelKernels.owner`); the C owner
+  phase (``sync_owner`` in ``_kernels.c``) builds the same table in the
+  label hash;
 * :class:`CommunitySnapshot` — the subscriber's view after the pull: the
   sync's compact label index ``labels, cidx`` (equal to ``np.unique(comm_of,
   return_inverse=True)``) plus ``sigma_tot`` / size / local-member columns
@@ -39,15 +41,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core import native
-
 __all__ = ["OwnerTable", "CommunitySnapshot", "SortedLabelTable"]
 
 
 class SortedLabelTable:
-    """The numpy fallback of :class:`repro.core.native.LabelTable`: the
-    same first-arrival ids and lookups, from ``np.unique`` and sorted
-    search."""
+    """First-arrival ids of int64 keys, as :class:`repro.core.native.LabelTable`
+    numbers them, from ``np.unique`` and sorted search."""
 
     __slots__ = ("ids", "labels", "_sorted", "_rank")
 
@@ -76,12 +75,6 @@ class SortedLabelTable:
         return self._rank[pos]
 
 
-def _label_table(keys: np.ndarray) -> native.LabelTable | SortedLabelTable:
-    """First-arrival label ids of ``keys``: the C hash when the native
-    kernels could be built, else the sort-based fallback."""
-    return (native.LabelTable if native.available() else SortedLabelTable)(keys)
-
-
 def _sums(ids: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
     """Per-id sums in stream order (``np.bincount`` returns integers for
     an empty stream, hence the cast)."""
@@ -97,8 +90,8 @@ class OwnerTable:
     Dense replacement for the seed's per-round ``dict[int, list[float]]``.
     Built from the round's received stream: ``labels`` is the rank-order
     concatenation of every peer's payload (each label at most once per
-    peer).  The label hash numbers the labels in order of first arrival,
-    which is the dict's insertion order, and ``np.bincount`` over those ids
+    peer).  The labels are numbered in order of first arrival, which is
+    the dict's insertion order, and ``np.bincount`` over those ids
     hits each community in exactly the order the scalar loop visited it.
     """
 
@@ -111,7 +104,7 @@ class OwnerTable:
         cnt: np.ndarray,
         s_in: np.ndarray,
     ) -> None:
-        self._index = _label_table(labels)
+        self._index = SortedLabelTable(labels)
         self.labels = self._index.labels
         ids, k = self._index.ids, self.labels.size
         self.tot = _sums(ids, tot, k)
@@ -122,8 +115,8 @@ class OwnerTable:
         return int(self.labels.size)
 
     def lookup(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(sigma_tot, size)`` for every requested label, from one probe
-        of the label hash per request.
+        """``(sigma_tot, size)`` for every requested label, from one sorted
+        search per request.
 
         Raises :class:`KeyError` naming the first unknown label — the
         protocol guarantees owners hold an aggregate for every community a
@@ -153,9 +146,11 @@ class CommunitySnapshot(NamedTuple):
     ``pair_id`` and ``pair_w`` are every row's neighbour-community sums
     from the sync's CSR scan (row ``u``'s pairs are ``pair_ptr[u] :
     pair_ptr[u + 1]``; see :meth:`repro.core.native.LevelKernels.scan`).
-    It describes ``comm_of`` as the sync saw it, so every write to
-    ``comm_of`` drops it.  None of its arrays is kernel scratch, so a
-    snapshot held across later syncs stays as it was.
+    The sync's ``place`` phase (:meth:`repro.core.native.LevelKernels.place`
+    or its numpy reference) builds its columns.  It describes ``comm_of``
+    as the sync saw it, so every write to ``comm_of`` drops it.  None of
+    its arrays is kernel scratch, so a snapshot held across later syncs
+    stays as it was.
     """
 
     labels: np.ndarray
@@ -166,38 +161,6 @@ class CommunitySnapshot(NamedTuple):
     pair_ptr: np.ndarray
     pair_id: np.ndarray
     pair_w: np.ndarray
-
-    @classmethod
-    def from_replies(
-        cls,
-        labels: np.ndarray,
-        cidx: np.ndarray,
-        order: np.ndarray,
-        replied: np.ndarray,
-        values: np.ndarray,
-        n_owned: int,
-        pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
-    ) -> CommunitySnapshot:
-        """Place the pull's replies on the compact index.
-
-        The requests were ``labels[order]`` (the owner-bucketing
-        permutation of :func:`~repro.core.pack.pack_bounds`), so the
-        rank-order concatenation of the replies, ``replied`` with its
-        ``(sigma_tot, size)`` rows ``values``, must repeat them exactly;
-        anything else breaks the protocol and raises ``RuntimeError``.
-        The local-member census counts the first ``n_owned`` vertices:
-        hub delegates are resident everywhere, which does not make their
-        communities' aggregates any fresher here.  ``pairs`` is the
-        scan's ``(pair_ptr, pair_id, pair_w)``.
-        """
-        if not np.array_equal(replied, labels[order]):
-            raise RuntimeError("the pull's replies do not match its requests")
-        sigma_tot = np.empty(labels.size)
-        sigma_tot[order] = values[:, 0]
-        size = np.empty(labels.size, dtype=np.int64)
-        size[order] = np.rint(values[:, 1])
-        local = np.bincount(cidx[:n_owned], minlength=labels.size)
-        return cls(labels, cidx, sigma_tot, size, local, *pairs)
 
     @property
     def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -39,9 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.community_table import CommunitySnapshot, OwnerTable
+from repro.core.community_table import CommunitySnapshot
 from repro.core.heuristics import Candidate, MoveHeuristic
-from repro.core.pack import pack_bounds, pack_by_owner
+from repro.core.native import SyncSpec
 from repro.core.sweep_kernel import VECTOR_HEURISTICS, level_kernels
 from repro.partition.distgraph import LocalGraph
 from repro.runtime.comm import SimComm
@@ -118,21 +118,31 @@ class LocalClustering:
         self.two_m = 2.0 * lg.m_global if lg.m_global > 0 else 1.0
 
         self.comm_of = lg.global_ids.astype(np.int64).copy()
-        # the label index, CSR scan and gain pass, bound to this level's
-        # CSR once: C when it could be built, else numpy
-        self._kernels = level_kernels(
-            lg.indptr, lg.indices, lg.weights, lg.row_weighted_degree, lg.n_local
-        )
-        # the community state the last sync built for the current comm_of;
-        # the sweeps read it, and every write to comm_of clears it
-        self.snapshot: CommunitySnapshot | None = None
-
         # hub bookkeeping: rank h % p is the designated contributor for hub h
         self._hub_designated = (
             lg.hub_global_ids % comm.size == comm.rank
             if lg.n_hubs
             else np.zeros(0, dtype=bool)
         )
+        # the rows whose member facts this rank reports: owned low
+        # vertices, then designated hubs
+        members = np.concatenate([
+            np.arange(lg.n_owned, dtype=np.int64),
+            lg.n_owned + np.flatnonzero(self._hub_designated),
+        ])
+        # the phases of the sync and the vectorized sweep, bound to this
+        # level once: C when it could be built, else numpy
+        self._kernels = level_kernels(
+            lg.indptr, lg.indices, lg.weights, lg.row_weighted_degree, lg.n_local,
+            SyncSpec(
+                comm.rank, comm.size, lg.n_owned, members, self.two_m,
+                resolution, theta, heuristic.name,
+            ),
+        )
+        # the community state the last sync built for the current comm_of;
+        # the sweeps read it, and every write to comm_of clears it
+        self.snapshot: CommunitySnapshot | None = None
+
         # precompute ghost-exchange index arrays
         owned = lg.global_ids[: lg.n_owned]
         ghosts = lg.global_ids[lg.n_rows :]
@@ -154,120 +164,32 @@ class LocalClustering:
     # ------------------------------------------------------------------
     # Phase 4: aggregate synchronisation + modularity
     # ------------------------------------------------------------------
-    def _owner(self, labels: np.ndarray) -> np.ndarray:
-        return labels % self.comm.size
-
     def sync_aggregates(self) -> float:
         """Synchronise exact community aggregates and compute global Q.
 
         Every rank ships its complete per-community contributions to the
         owners, owners rebuild their aggregates from scratch, and every
         rank pulls ``(sigma_tot, size)`` for each community it references
-        (Algorithm 2, lines 16-25).  Owners hold their aggregates in an
-        :class:`~repro.core.community_table.OwnerTable`.
+        (Algorithm 2, lines 16-25).
 
-        One compact label index, rebuilt on every call because ``comm_of``
-        changes between calls (a hash of the labels and a sort of the
-        distinct ones), and one CSR scan under it yield the contributions,
-        the request set of the pull, the owned-vertex census and every
-        row's neighbour-community sums.  The pulled state and the sums land
-        on that index as ``snapshot``, which the next sweep reads.
+        Between two collectives the work is one call of the level kernels
+        (``send``, ``owner``, ``place``).  One compact label index, rebuilt
+        on every call because ``comm_of`` changes between calls, and one
+        CSR scan under it yield the contributions, the request set of the
+        pull, the owned-vertex census and every row's neighbour-community
+        sums.  Owners accumulate contributions in rank-arrival order, so
+        every per-community sum is bit-identical to a dict accumulator fed
+        the same stream.  The pulled state and the sums land on the index
+        as ``snapshot``, which the next sweep reads.
         """
         comm = self.comm
-        labels_all, cidx = self._kernels.index(self.comm_of)
-        (labels, tot, cnt, s_in), pairs = self._contributions(labels_all, cidx)
-        payloads = pack_by_owner(
-            self._owner(labels), comm.size, labels, tot, cnt, s_in
-        )
-        received = comm.alltoall(payloads)
-
-        # accumulate contributions in rank-arrival order: np.bincount adds
-        # them sequentially, so every per-community sum is bit-identical to
-        # a dict accumulator fed the same stream
-        own = OwnerTable(
-            *(np.concatenate([p[i] for p in received]) for i in range(4))
-        )
-        self.snapshot = self._pull(own, labels_all, cidx, pairs)
-        q_part = own.partial_modularity(self.two_m, self.resolution)
+        kernels = self._kernels
+        contributions, requests = kernels.send(self.comm_of)
+        received = comm.alltoall(contributions)
+        incoming = comm.alltoall(requests)
+        q_part, replies = kernels.owner(received, incoming)
+        self.snapshot = CommunitySnapshot(*kernels.place(comm.alltoall(replies)))
         return float(comm.allreduce(q_part))
-
-    def _contributions(
-        self, labels_all: np.ndarray, cidx: np.ndarray
-    ) -> tuple[
-        tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        tuple[np.ndarray, np.ndarray, np.ndarray],
-    ]:
-        """(labels, sigma_tot, size, sigma_in) facts this rank must report,
-        pre-aggregated per label, on the compact label index
-        ``labels_all, cidx`` (equal to ``np.unique(comm_of,
-        return_inverse=True)``), and the neighbour-community pairs of every
-        row from the same CSR scan.
-
-        Member facts come from owned low vertices and designated hubs, edge
-        facts from the directed entries internal to a community (self
-        entries doubled, :func:`~repro.core.sweep_kernel.internal_weight`).
-        ``np.bincount`` and the C scan add their weights one by one in
-        stream order, so every sum is reproducible bit for bit.
-        """
-        lg = self.lg
-        k = labels_all.size
-        mem_ids = cidx[: lg.n_owned]
-        mem_w = lg.row_weighted_degree[: lg.n_owned]
-        if lg.n_hubs:
-            hub_rows = lg.n_owned + np.flatnonzero(self._hub_designated)
-            mem_ids = np.concatenate([mem_ids, cidx[hub_rows]])
-            mem_w = np.concatenate([mem_w, lg.row_weighted_degree[hub_rows]])
-
-        s_in, present, pairs = self._kernels.scan(cidx, k)
-        present[mem_ids] = True
-        tot = np.bincount(mem_ids, weights=mem_w, minlength=k)[present]
-        cnt = np.bincount(mem_ids, minlength=k)[present].astype(np.float64)
-        return (labels_all[present], tot, cnt, s_in[present]), pairs
-
-    # ------------------------------------------------------------------
-    # The pull
-    # ------------------------------------------------------------------
-    def _answer(self, own: OwnerTable, req: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Owner-side reply values.  A request for a community this rank
-        holds no aggregate for breaks the protocol, so it fails hard."""
-        try:
-            return own.lookup(req)
-        except KeyError as exc:
-            raise RuntimeError(
-                f"rank {self.comm.rank}: no aggregate for community {exc.args[0]}"
-            ) from None
-
-    def _pull(
-        self,
-        own: OwnerTable,
-        labels_all: np.ndarray,
-        cidx: np.ndarray,
-        pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
-    ) -> CommunitySnapshot:
-        """Request ``(sigma_tot, size)`` for every referenced community,
-        ``labels_all = np.unique(comm_of)``, and place the replies and the
-        scan's ``pairs`` on the compact index ``cidx``."""
-        comm = self.comm
-        order, bounds = pack_bounds(self._owner(labels_all), comm.size)
-        staged = labels_all[order]
-        incoming = comm.alltoall(
-            [staged[bounds[r] : bounds[r + 1]] for r in range(comm.size)]
-        )
-        replies = []
-        for req in incoming:
-            vals = np.empty((req.size, 2))
-            vals[:, 0], vals[:, 1] = self._answer(own, req)
-            replies.append((req, vals))
-        answered = comm.alltoall(replies)
-        return CommunitySnapshot.from_replies(
-            labels_all,
-            cidx,
-            order,
-            np.concatenate([a[0] for a in answered]),
-            np.concatenate([a[1] for a in answered]),
-            self.lg.n_owned,
-            pairs,
-        )
 
     # ------------------------------------------------------------------
     # Phase 1: the local sweep
@@ -409,65 +331,21 @@ class LocalClustering:
         return n_moved, hub_gain, hub_target
 
     def _find_best_pass_vectorized(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """Bulk Jacobi sweep via :mod:`repro.core.sweep_kernel`."""
-        lg = self.lg
+        """Bulk Jacobi sweep: one call of the level kernels' ``sweep``,
+        which decides every row against the snapshot, applies the owned
+        moves through the two dampers (see
+        :meth:`repro.core.sweep_kernel.NumpyLevelKernels.sweep`) and
+        returns the hub proposals.  Even iterations apply label-decreasing
+        moves only."""
         # identical work accounting to the scalar sweep: one unit per
         # scanned directed entry (empty rows contribute zero either way)
-        self.comm.add_compute(float(lg.indices.size))
+        self.comm.add_compute(float(self.lg.indices.size))
         snap = self._synced()
-        # the gain pass over the neighbour-community sums of the sync's scan
-        chosen, gain, stay, chosen_id = self._kernels.gains(
-            snap.pairs,
-            snap.cidx,
-            self.comm_of,
-            snap.labels,
-            snap.lookup(),
-            two_m=self.two_m,
-            resolution=self.resolution,
-            theta=self.theta,
-            heuristic_name=self.heuristic.name,
-        )
-        cu = self.comm_of[: lg.n_rows]
-
-        # owned moves: decide against the snapshot, then apply in bulk.
-        # Two dampers keep synchronous application from mass-oscillating
-        # (whole communities trading labels every iteration, the Jacobi
-        # failure mode Gauss–Seidel ordering never exhibits):
-        #
-        # * Lu et al.'s singleton swap gate — a singleton may merge into
-        #   another singleton only toward the smaller label;
-        # * a direction gate — on even iterations only label-decreasing
-        #   moves apply; gated moves are *deferred* (still counted, so the
-        #   level cannot falsely report convergence) and get their chance
-        #   on the next, unrestricted iteration.  A two-community swap
-        #   cycle then executes only its down-label half, after which the
-        #   re-evaluated state has nothing to swap back.
         down_only = self._vec_iter % 2 == 0
         self._vec_iter += 1
-        movers = np.flatnonzero(chosen[: lg.n_owned] != cu[: lg.n_owned])
-        # gate decisions read the synced sizes, by compact id
-        m_old = cu[movers]
-        m_tgt = chosen[movers]
-        sz_old = snap.size[snap.cidx[movers]]
-        sz_tgt = snap.size[chosen_id[movers]]
-        gate = (sz_old == 1) & (sz_tgt == 1) & (m_tgt > m_old)
-        defer = down_only & (m_tgt > m_old) & ~gate
-        deferred = int(np.count_nonzero(defer))
-        take = ~gate & ~defer
-        self._apply_moves_bulk(movers[take], m_tgt[take])
-        n_applied = int(np.count_nonzero(take))
-
-        hub_gain = np.zeros(lg.n_hubs)
-        if lg.n_hubs:
-            hub_choice = chosen[lg.n_owned :]
-            hub_cu = cu[lg.n_owned :]
-            hub_target = hub_cu.astype(np.float64)
-            prop = hub_choice != hub_cu
-            hub_gain[prop] = (gain - stay)[lg.n_owned :][prop]
-            hub_target[prop] = hub_choice[prop].astype(np.float64)
-        else:
-            hub_target = _EMPTY_F64
-        return n_applied + deferred, hub_gain, hub_target
+        moved = self._kernels.sweep(snap, self.comm_of, down_only)
+        self.snapshot = None
+        return moved
 
     # ------------------------------------------------------------------
     # Phase 2: delegate consensus

@@ -108,6 +108,23 @@ def _aggregate_pairs(
     return _aggregate_ids(ids[:n], ids[n:], w, labels)
 
 
+def _aggregate_owned_rows(
+    rank: int, size: int, k: int, ncu: np.ndarray, ncv: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_aggregate_pairs` of merge step 3, whose ``ncu`` are this
+    rank's own dense ids ``rank, rank + size, ...`` below ``k``: their
+    positions ``(ncu - rank) // size`` are already compact and in label
+    order, so the C path hashes ``ncv`` alone.  The pairs come out in the
+    same ascending ``(ncu, ncv)`` order, with the same sums."""
+    if ncu.size == 0 or not native.available():
+        return _aggregate_pairs(ncu, ncv, w)
+    rows = (ncu - rank) // size
+    labels, cols = native.unique_inverse(ncv)
+    order, _ = native.pair_sort(rows, cols, len(range(rank, k, size)), labels.size)
+    ra, rb, rw = native.run_sums(order, rows, cols, w)
+    return ra * size + rank, labels[rb], rw
+
+
 def _assemble(
     rank: int, size: int, k: int, ncu: np.ndarray, ncv: np.ndarray, nw: np.ndarray
 ):
@@ -210,7 +227,7 @@ def merge_level(
     ncu = np.concatenate([p[0] for p in received])
     ncv = np.concatenate([p[1] for p in received])
     nw = np.concatenate([p[2] for p in received])
-    ncu, ncv, nw = _aggregate_pairs(ncu, ncv, nw)
+    ncu, ncv, nw = _aggregate_owned_rows(comm.rank, size, k, ncu, ncv, nw)
 
     # --- 4. assemble the new LocalGraph ---------------------------------
     # degrees come for free: wdeg(c) = sum_d D[c][d] (diagonal pre-doubled)

@@ -1,26 +1,45 @@
 """Loader of the native kernels (``_kernels.c``).
 
-The vectorized inner iteration runs in C (``_kernels.c``): the label hash
-behind the sync's compact index and the owner table, one fused CSR scan
-that yields the sync's internal weights and every row's neighbour-community
-sums, and the sweep's gain pass over those sums.  So does graph
-construction: a stable counting sort by ``(a, b)`` with the ``indptr`` of
-``a`` (:func:`pair_sort`), the merge of equal pairs (:func:`run_sums`) and
-the symmetric layout of deduplicated edges (:func:`symmetric_csr`), which
-``build_symmetric_csr``, ``build_local_graphs`` and ``merge_level`` use in
-place of comparison sorts, and the label hash's ``np.unique(...,
-return_inverse=True)`` (:func:`unique_inverse`).  :func:`pair_sort`,
-:func:`run_sums` and :func:`unique_inverse` take their numpy fallback
-themselves, so their callers do not branch.  This module compiles the
-source with the system C compiler on the first kernel call (never at
-import), caches the shared library, and calls it through :mod:`ctypes`.  A
-``ctypes.CDLL`` call releases the GIL, so the thread ranks of one run scan
-their rows in parallel.
+The vectorized inner iteration runs in C (``_kernels.c``), one call per
+phase between two collectives, bound once per level by
+:class:`LevelKernels`:
 
-The kernels are bound once per level (:class:`LevelKernels`): the level's
-CSR arrays and the scratch are checked and addressed when the level
-starts, and each call passes raw addresses, so the fixed cost of a call
-stays a few microseconds.
+* ``sync_send`` — the sync's compact label index (``label_index``: a
+  counting table over the labels' span, or the label hash plus a radix
+  sort of the distinct labels), the fused CSR scan (``neighbour_scan``:
+  internal weights and every row's neighbour-community sums), the member
+  sums, and the owner bucketing of the contributions and the requests;
+* ``sync_owner`` — the owner table of the received contributions in the
+  label hash, its partial Q and the answers to the incoming requests;
+* ``sync_place`` — the reply check, the replies on the compact index and
+  the local-member census;
+* ``sync_sweep`` — the gain pass over those sums (``decide``, as
+  ``pair_gains``), the two Jacobi dampers, the owned moves and the hub
+  proposals.
+
+``label_index``, ``neighbour_scan`` and ``pair_gains`` stay callable on
+their own (:meth:`LevelKernels.index`, :meth:`~LevelKernels.scan`,
+:meth:`~LevelKernels.gains`, used by the shared-memory baseline), and
+``label_ids``/``label_find`` serve :class:`LabelTable`.  Graph
+construction runs in C too: a stable counting sort by ``(a, b)`` with the
+``indptr`` of ``a`` (:func:`pair_sort`), the merge of equal pairs
+(:func:`run_sums`) and the symmetric layout of deduplicated edges
+(:func:`symmetric_csr`), which ``build_symmetric_csr``,
+``build_local_graphs`` and ``merge_level`` use in place of comparison
+sorts, and ``np.unique(..., return_inverse=True)`` from ``label_index``
+(:func:`unique_inverse`).  :func:`pair_sort`, :func:`run_sums` and
+:func:`unique_inverse` take their numpy fallback themselves, so their
+callers do not branch.  This module compiles the source with the system C
+compiler on the first kernel call (never at import), caches the shared
+library, and calls it through :mod:`ctypes`.  A ``ctypes.CDLL`` call
+releases the GIL, so the thread ranks of one run compute in parallel.
+
+The kernels are bound once per level: the level's arrays and the scratch
+are checked and addressed when the level starts, into one ``level_state``
+struct, and each call passes that struct and raw addresses, so the fixed
+cost of a call stays a few microseconds.  Every array a call ships or
+returns is freshly allocated: the thread backend hands payloads to peers
+by reference.
 
 The numpy kernels stay the reference and the fallback: the C functions
 reproduce them bit for bit (same summation order, same operand order, no
@@ -57,12 +76,14 @@ import subprocess
 import tempfile
 import threading
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "LabelTable",
     "LevelKernels",
+    "SyncSpec",
     "VECTOR_HEURISTICS",
     "available",
     "heuristic_code",
@@ -152,10 +173,11 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.label_ids.argtypes = [n, ptr, n, ptr, ptr, ptr]  # n, keys, cap, slots, ids, uniq
     lib.label_find.restype = n
     lib.label_find.argtypes = [n, ptr, n, ptr, ptr]  # n, queries, cap, slots, pos
-    lib.label_remap.restype = None
-    lib.label_remap.argtypes = [
-        n, ptr, n, ptr,  # n, ids, k, sorted_labels
-        n, ptr, ptr, ptr,  # cap, slots; scratch: rank; cidx
+    lib.label_index.restype = n
+    lib.label_index.argtypes = [
+        n, ptr, n, ptr,  # n, keys, cap, slots
+        ptr, ptr, ptr,  # scratch: ids, tmp, count
+        ptr, ptr,  # labels, cidx (may be ids)
     ]
     lib.neighbour_scan.restype = n
     lib.neighbour_scan.argtypes = [
@@ -171,6 +193,32 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         real, real, real, n,  # two_m, resolution, theta, heuristic
         n, ptr,  # scratch: gain_cap, gain
         ptr, ptr, ptr, ptr,  # chosen, chosen_id, chosen_gain, stay_gain
+    ]
+    state = ctypes.POINTER(_LevelState)
+    lib.sync_send.restype = n
+    lib.sync_send.argtypes = [
+        state, ptr,  # level, comm_of
+        ptr, ptr, ptr, ptr, ptr,  # labels, cidx, pair_ptr, pair_id, pair_w
+        ptr, ptr, ptr, ptr,  # c_lab, c_tot, c_cnt, c_sin
+        ptr, ptr,  # r_lab, bounds
+    ]
+    lib.sync_owner.restype = n
+    lib.sync_owner.argtypes = [
+        state, ptr, ptr,  # level, n_in, in
+        n, ptr, ptr,  # cap; scratch: slots, acc
+        ptr, ptr, ptr, ptr,  # n_req, req, vals, q
+    ]
+    lib.sync_place.restype = n
+    lib.sync_place.argtypes = [
+        state, n, ptr, ptr,  # level, k, r_lab, cidx
+        ptr, ptr, ptr,  # n_rep, rep_lab, rep_vals
+        ptr, ptr, ptr,  # sigma_tot, size, local
+    ]
+    lib.sync_sweep.restype = n
+    lib.sync_sweep.argtypes = [
+        state, n, ptr, ptr, ptr, ptr,  # level, k, labels, cidx, st, sz
+        ptr, ptr, ptr,  # pair_ptr, pair_id, pair_w
+        n, ptr, ptr, ptr,  # down_only, comm_of, hub_gain, hub_target
     ]
     lib.pair_sort.restype = n
     lib.pair_sort.argtypes = [
@@ -285,19 +333,74 @@ class LabelTable:
         return pos
 
 
+class SyncSpec(NamedTuple):
+    """What one rank's sync and sweep need beyond its CSR.
+
+    ``members`` are the rows whose member facts this rank reports: the
+    owned rows, then the hub rows it is the designated contributor for.
+    Label ``c`` is owned by rank ``c % size``.  ``two_m``, ``resolution``,
+    ``theta`` and ``heuristic`` are the partial Q's and the gain pass's.
+    """
+
+    rank: int
+    size: int
+    n_owned: int
+    members: np.ndarray
+    two_m: float
+    resolution: float
+    theta: float
+    heuristic: str
+
+
+_I64_FIELDS = ("n_local", "n_rows", "n_owned", "n_members", "size", "heuristic", "cap")
+_F64_FIELDS = ("two_m", "resolution", "theta")
+_PTR_FIELDS = (
+    "indptr", "indices", "weights", "row_wdeg", "members",
+    "slots", "ids", "tmp", "count", "marks", "cnt", "order",
+    "s_in", "tot", "gain", "present", "is_local",
+)
+
+
+class _LevelState(ctypes.Structure):
+    """``level_state`` of ``_kernels.c``, field for field."""
+
+    _fields_ = (
+        [(name, ctypes.c_int64) for name in _I64_FIELDS]
+        + [(name, ctypes.c_double) for name in _F64_FIELDS]
+        + [(name, ctypes.c_void_p) for name in _PTR_FIELDS]
+    )
+
+
 class LevelKernels:
     """The C kernels of the vectorized inner iteration, bound to one
     level's local graph.
 
-    The level's arrays (``indptr``, ``indices``, ``weights``, ``row_wdeg``)
-    and the scratch (the label hash, the scan's row marks and the gain
-    pass's row buffer) are checked,
-    converted if need be, and addressed once, here.  A call then checks its
-    per-call arrays with one dtype/contiguity test each and passes them by
-    address.  Every address handed to C belongs to an array that this object
-    or a local name of the calling method holds for the whole call, and
-    every array a method returns is freshly allocated: nothing returned
-    aliases the scratch that the next call overwrites.
+    The level's arrays (``indptr``, ``indices``, ``weights``, ``row_wdeg``
+    and the spec's member rows) and the scratch are checked, converted if
+    need be, and addressed once, here, into one ``level_state``.  With a
+    :class:`SyncSpec`, each phase of the inner iteration between two
+    collectives is then one C call that releases the GIL:
+
+    * :meth:`send` — the label index, the fused scan, the member sums and
+      the owner bucketing of the contributions and the requests;
+    * :meth:`owner` — the owner table of the received contributions, its
+      partial Q and the answers to the incoming requests;
+    * :meth:`place` — the replies and the local-member census on the
+      compact index: the columns of a
+      :class:`~repro.core.community_table.CommunitySnapshot`;
+    * :meth:`sweep` — the gain pass over the last snapshot's pairs, its
+      two dampers and the owned moves, written into ``comm_of``.
+
+    :meth:`index`, :meth:`scan` and :meth:`gains` are the same steps one
+    at a time, for the shared-memory baseline and the tests.
+
+    Every address handed to C belongs to an array that this object or a
+    local name of the calling method holds for the whole call.  Arrays
+    that peers sent are checked for dtype and length first.  Every array
+    a method returns or ships is freshly allocated: the thread backend
+    hands payloads to peers by reference, and a snapshot must survive
+    later syncs, so nothing returned aliases the scratch that the next
+    call overwrites.
 
     ``n_local`` is the local vertex count: the size of ``comm_of`` and of
     every compact index, and the bound on the number of distinct labels.
@@ -312,6 +415,7 @@ class LevelKernels:
         weights: np.ndarray,
         row_wdeg: np.ndarray,
         n_local: int,
+        spec: SyncSpec | None = None,
     ) -> None:
         self._lib = _lib_or_raise()
         # references keep the addresses below valid for the level
@@ -324,20 +428,57 @@ class LevelKernels:
         _check_csr(*self._csr, self.n_rows)
         if self.n_rows > self.n_local or self._row_wdeg.size < self.n_rows:
             raise ValueError("n_local and row_wdeg must cover every row")
-        self._cap = _capacity(self.n_local)
+        self._spec = spec
+        if spec is None:
+            spec = SyncSpec(0, 1, self.n_rows, _EMPTY_I64, 1.0, 1.0, 0.0, "greedy")
+        members = _exact(spec.members, _I64)
+        if members.size and (members.min() < 0 or members.max() >= self.n_rows):
+            raise ValueError("member rows must be rows of the level")
+        if not 0 <= spec.n_owned <= self.n_rows or spec.size < 1:
+            raise ValueError("the sync spec does not fit the level")
+        n = self.n_local
+        self._cap = _capacity(n)
         # a row has at most one pair per entry
         self._gain_cap = int(np.diff(self._csr[0]).max(initial=0))
-        self._scratch = (
-            np.empty(2 * self._cap, dtype=np.int64),  # hash slots
-            np.empty(self.n_local, dtype=np.int64),  # first-arrival ids
-            np.empty(self.n_local, dtype=np.int64),  # distinct labels
-            np.empty(self.n_local, dtype=np.int64),  # label ranks
-            np.empty(2 * self.n_local, dtype=np.int64),  # scan: row marks
-            np.empty(self._gain_cap),  # gain pass: one row's gains
+        scratch = dict(
+            slots=np.empty(2 * self._cap, dtype=np.int64),
+            ids=np.empty(n, dtype=np.int64),
+            tmp=np.empty(n, dtype=np.int64),
+            count=np.empty(max(2048, spec.size), dtype=np.int64),
+            marks=np.empty(n, dtype=np.int64),
+            cnt=np.empty(n, dtype=np.int64),
+            order=np.empty(n, dtype=np.int64),
+            s_in=np.empty(n),
+            tot=np.empty(n),
+            gain=np.empty(self._gain_cap),
+            present=np.empty(n, dtype=np.bool_),
+            is_local=np.empty(n, dtype=np.bool_),
         )
+        self._scratch = scratch
+        self._members = members
+        self._state = _LevelState(
+            n_local=n, n_rows=self.n_rows, n_owned=spec.n_owned,
+            n_members=members.size, size=spec.size,
+            # a heuristic without a vectorized rule fails in sweep
+            heuristic=_HEURISTIC_CODES.get(spec.heuristic, -1), cap=self._cap,
+            two_m=spec.two_m, resolution=spec.resolution, theta=spec.theta,
+            indptr=_addr(self._csr[0]), indices=_addr(self._csr[1]),
+            weights=_addr(self._csr[2]), row_wdeg=_addr(self._row_wdeg),
+            members=_addr(members),
+            **{name: _addr(a) for name, a in scratch.items()},
+        )
+        self._level = ctypes.pointer(self._state)
         self._csr_addr = tuple(_addr(a) for a in self._csr)
         self._row_wdeg_addr = _addr(self._row_wdeg)
-        self._scratch_addr = tuple(_addr(a) for a in self._scratch)
+        self._bounds = np.empty(2 * (spec.size + 1), dtype=np.int64)
+        self._q = np.empty(1)
+        # the owner table's scratch, grown to the largest stream seen
+        self._owner_slots = _EMPTY_I64
+        self._owner_acc = np.empty(0)
+        # the state of the sync in progress and of the last snapshot
+        self._sent: tuple | None = None
+        self._placed: tuple | None = None
+        self._placed_addr: tuple = ()
 
     def _vertex_array(self, a: np.ndarray) -> np.ndarray:
         a = _exact(a, _I64)
@@ -345,21 +486,24 @@ class LevelKernels:
             raise ValueError(f"expected one entry per local vertex ({self.n_local})")
         return a
 
+    def _sync_spec(self) -> SyncSpec:
+        if self._spec is None:
+            raise RuntimeError("these kernels were bound without a sync spec")
+        return self._spec
+
     def index(self, comm_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``np.unique(comm_of, return_inverse=True)``, from one pass of
-        the label hash, a sort of the distinct labels only, and one probe
-        per distinct label to remap the ids."""
+        the label hash, a radix sort of the distinct labels only, and one
+        probe per distinct label to remap the ids."""
         comm_of = self._vertex_array(comm_of)
-        slots, ids, uniq, rank = self._scratch_addr[:4]
-        k = self._lib.label_ids(
-            self.n_local, _addr(comm_of), self._cap, slots, ids, uniq
-        )
-        labels = np.sort(self._scratch[2][:k])
+        sc = self._state
+        labels = np.empty(self.n_local, dtype=np.int64)
         cidx = np.empty(self.n_local, dtype=np.int64)
-        self._lib.label_remap(
-            self.n_local, ids, k, _addr(labels), self._cap, slots, rank, _addr(cidx)
+        k = self._lib.label_index(
+            self.n_local, _addr(comm_of), self._cap, sc.slots, sc.ids, sc.tmp,
+            sc.count, _addr(labels), _addr(cidx),
         )
-        return labels, cidx
+        return labels[:k], cidx
 
     def scan(
         self, cidx: np.ndarray, n_labels: int
@@ -373,7 +517,6 @@ class LevelKernels:
         if not 0 <= n_labels <= self.n_local:
             raise ValueError("more labels than local vertices")
         indptr, indices, weights = self._csr_addr
-        marks = self._scratch_addr[4]
         s_in = np.empty(n_labels)
         has_in = np.empty(n_labels, dtype=np.bool_)
         pair_ptr = np.empty(self.n_rows + 1, dtype=np.int64)
@@ -381,7 +524,7 @@ class LevelKernels:
         pair_w = np.empty(self._csr[1].size)
         n_pairs = self._lib.neighbour_scan(
             self.n_rows, indptr, indices, weights, _addr(cidx), n_labels,
-            _addr(s_in), _addr(has_in), marks,
+            _addr(s_in), _addr(has_in), self._state.marks,
             _addr(pair_ptr), _addr(pair_id), _addr(pair_w),
         )
         return s_in, has_in, (pair_ptr, pair_id[:n_pairs], pair_w[:n_pairs])
@@ -432,34 +575,229 @@ class LevelKernels:
             _addr(cidx), _addr(comm_of), self._row_wdeg_addr,
             k, _addr(labels), _addr(st), _addr(sz), _addr(loc),
             two_m, resolution, theta, code,
-            self._gain_cap, self._scratch_addr[5],
+            self._gain_cap, self._state.gain,
             _addr(chosen), _addr(chosen_id), _addr(chosen_gain), _addr(stay_gain),
         )
         if long_row >= 0:
             raise ValueError(f"row {long_row} has more pairs than entries")
         return chosen, chosen_gain, stay_gain, chosen_id
 
+    # ------------------------------------------------------------------
+    # The phases of the inner iteration
+    # ------------------------------------------------------------------
+    def send(self, comm_of: np.ndarray) -> tuple[list, list]:
+        """``(contributions, requests)`` of a sync of ``comm_of``: per
+        owner rank, the 4-tuple ``(labels, sigma_tot, size, sigma_in)`` of
+        this rank's facts, pre-aggregated per label, and the int64 labels
+        this rank references, both in ascending label order.  Keeps the
+        compact index and the scan's pairs for :meth:`place`."""
+        size = self._sync_spec().size
+        comm_of = self._vertex_array(comm_of)
+        n, n_entries = self.n_local, self._csr[1].size
+        labels = np.empty(n, dtype=np.int64)
+        cidx = np.empty(n, dtype=np.int64)
+        pair_ptr = np.empty(self.n_rows + 1, dtype=np.int64)
+        pair_id = np.empty(n_entries, dtype=np.int64)
+        pair_w = np.empty(n_entries)
+        c_lab = np.empty(n, dtype=np.int64)
+        c_tot, c_cnt, c_sin = np.empty(n), np.empty(n), np.empty(n)
+        r_lab = np.empty(n, dtype=np.int64)
+        k = self._lib.sync_send(
+            self._level, _addr(comm_of), _addr(labels), _addr(cidx),
+            _addr(pair_ptr), _addr(pair_id), _addr(pair_w),
+            _addr(c_lab), _addr(c_tot), _addr(c_cnt), _addr(c_sin),
+            _addr(r_lab), _addr(self._bounds),
+        )
+        n_pairs = int(pair_ptr[-1])
+        b = self._bounds.tolist()
+        contributions = [
+            (c_lab[lo:hi], c_tot[lo:hi], c_cnt[lo:hi], c_sin[lo:hi])
+            for lo, hi in zip(b[:size], b[1 : size + 1])
+        ]
+        requests = [r_lab[lo:hi] for lo, hi in zip(b[size + 1 : -1], b[size + 2 :])]
+        self._sent = (
+            labels[:k], cidx, pair_ptr, pair_id[:n_pairs], pair_w[:n_pairs], r_lab
+        )
+        return contributions, requests
+
+    def owner(self, received: list, incoming: list) -> tuple[float, list]:
+        """``(q_part, replies)``: the partial modularity of the aggregates
+        of the ``received`` contributions (one 4-tuple per peer, in rank
+        order), and per peer the ``(req, vals)`` answer to its ``incoming``
+        requests, ``vals`` holding ``(sigma_tot, size)`` rows.  A request
+        for a community this owner holds no aggregate for raises
+        ``RuntimeError``."""
+        spec = self._sync_spec()
+        size = spec.size
+        if len(received) != size or len(incoming) != size:
+            raise ValueError(f"expected one payload from each of {size} ranks")
+        held = []
+        n_in = (ctypes.c_int64 * size)()
+        in_ptr = (ctypes.c_void_p * (4 * size))()
+        for r, (lab, *values) in enumerate(received):
+            cols = [_exact(lab, _I64)] + [_exact(a, _F64) for a in values]
+            m = cols[0].size
+            if len(cols) != 4 or any(a.shape != (m,) for a in cols):
+                raise ValueError(
+                    f"rank {spec.rank}: malformed contributions from rank {r}"
+                )
+            n_in[r] = m
+            for j, a in enumerate(cols):
+                in_ptr[j * size + r] = _addr(a)
+            held.append(cols)
+        n_req = (ctypes.c_int64 * size)()
+        req_ptr = (ctypes.c_void_p * size)()
+        for r, req in enumerate(incoming):
+            req = _exact(req, _I64)
+            if req.ndim != 1:
+                raise ValueError(f"rank {spec.rank}: malformed requests from rank {r}")
+            n_req[r] = req.size
+            req_ptr[r] = _addr(req)
+            held.append(req)
+        n_stream = sum(n_in)
+        cap = _capacity(n_stream)
+        if self._owner_slots.size < 2 * cap:
+            self._owner_slots = np.empty(2 * cap, dtype=np.int64)
+        if self._owner_acc.size < 3 * n_stream:
+            self._owner_acc = np.empty(3 * n_stream)
+        vals = np.empty((sum(n_req), 2))
+        missing = self._lib.sync_owner(
+            self._level, n_in, in_ptr, cap, _addr(self._owner_slots),
+            _addr(self._owner_acc), n_req, req_ptr, _addr(vals), _addr(self._q),
+        )
+        if missing >= 0:
+            label = np.concatenate([np.asarray(req) for req in incoming])[missing]
+            raise RuntimeError(
+                f"rank {spec.rank}: no aggregate for community {int(label)}"
+            )
+        replies, lo = [], 0
+        for req, m in zip(incoming, n_req):
+            replies.append((req, vals[lo : lo + m]))
+            lo += m
+        return float(self._q[0]), replies
+
+    def place(self, answered: list) -> tuple:
+        """The columns of the sync's
+        :class:`~repro.core.community_table.CommunitySnapshot`: the replies
+        to :meth:`send`'s requests (``(req, vals)`` per owner, in rank
+        order) on the compact index, with the local-member census and the
+        scan's pairs.  Replies that do not repeat the requests raise
+        ``RuntimeError``."""
+        spec = self._sync_spec()
+        if self._sent is None:
+            raise RuntimeError("place needs a send first")
+        labels, cidx, pair_ptr, pair_id, pair_w, r_lab = self._sent
+        k = labels.size
+        if len(answered) != spec.size:
+            raise ValueError(f"expected one reply from each of {spec.size} ranks")
+        held = []
+        n_rep = (ctypes.c_int64 * spec.size)()
+        lab_ptr = (ctypes.c_void_p * spec.size)()
+        val_ptr = (ctypes.c_void_p * spec.size)()
+        for r, (req, vals) in enumerate(answered):
+            req, vals = _exact(req, _I64), _exact(vals, _F64)
+            if req.ndim != 1 or vals.shape != (req.size, 2):
+                raise RuntimeError("the pull's replies do not match its requests")
+            n_rep[r] = req.size
+            lab_ptr[r], val_ptr[r] = _addr(req), _addr(vals)
+            held.append((req, vals))
+        if sum(n_rep) != k:
+            raise RuntimeError("the pull's replies do not match its requests")
+        sigma_tot = np.empty(k)
+        csize = np.empty(k, dtype=np.int64)
+        local = np.empty(k, dtype=np.int64)
+        bad = self._lib.sync_place(
+            self._level, k, _addr(r_lab), _addr(cidx), n_rep, lab_ptr, val_ptr,
+            _addr(sigma_tot), _addr(csize), _addr(local),
+        )
+        if bad >= 0:
+            raise RuntimeError("the pull's replies do not match its requests")
+        self._sent = None
+        self._placed = (
+            labels, cidx, sigma_tot, csize, local, pair_ptr, pair_id, pair_w
+        )
+        self._placed_addr = tuple(_addr(a) for a in self._placed)
+        return self._placed
+
+    def sweep(
+        self, snap: tuple, comm_of: np.ndarray, down_only: bool
+    ) -> tuple[int, np.ndarray, np.ndarray]:
+        """One Jacobi sweep over the snapshot of the last :meth:`place`:
+        the gain pass, Lu et al.'s singleton swap gate and the direction
+        gate (``down_only``: label-increasing moves are counted but
+        deferred), with the owned moves written into ``comm_of`` in place.
+        Returns ``(moves, hub_gain, hub_target)``: the owned movers
+        counted, and each hub row's proposal."""
+        heuristic_code(self._sync_spec().heuristic)
+        if not (
+            comm_of.dtype == _I64
+            and comm_of.flags.c_contiguous
+            and comm_of.flags.writeable
+            and comm_of.size == self.n_local
+        ):
+            raise ValueError("comm_of must be a writable int64 array of the level")
+        placed = self._placed
+        if placed is not None and all(a is b for a, b in zip(snap, placed)):
+            # the last place's own arrays: checked and addressed there
+            held, addr = placed, self._placed_addr
+        else:
+            held = self._checked_snapshot(snap)
+            addr = tuple(_addr(a) for a in held)
+        labels, cidx, st, sz, _local, pair_ptr, pair_id, pair_w = addr
+        n_hubs = self.n_rows - self._state.n_owned
+        hub_gain = np.empty(n_hubs)
+        hub_target = np.empty(n_hubs)
+        moves = self._lib.sync_sweep(
+            self._level, held[0].size, labels, cidx, st, sz,
+            pair_ptr, pair_id, pair_w, int(down_only), _addr(comm_of),
+            _addr(hub_gain), _addr(hub_target),
+        )
+        return moves, hub_gain, hub_target
+
+    def _checked_snapshot(self, snap: tuple) -> tuple:
+        """A snapshot that no :meth:`place` of this object built (a test
+        oracle's, say): its arrays converted and checked as :meth:`gains`
+        checks its own, and its census marked in the scratch that
+        ``sync_sweep`` reads."""
+        labels, cidx, st, sz, local, pair_ptr, pair_id, pair_w = snap
+        cols = (
+            _exact(labels, _I64), self._vertex_array(cidx), _exact(st, _F64),
+            _exact(sz, _I64), _exact(local, _I64), _exact(pair_ptr, _I64),
+            _exact(pair_id, _I64), _exact(pair_w, _F64),
+        )
+        k = cols[0].size
+        if any(a.size != k for a in cols[2:5]):
+            raise ValueError("the snapshot must hold one entry per label")
+        pair_ptr = cols[5]
+        if (
+            pair_ptr.size != self.n_rows + 1
+            or pair_ptr[0] != 0
+            or cols[6].size != pair_ptr[-1]
+            or cols[7].size != cols[6].size
+            or np.diff(pair_ptr).max(initial=0) > self._gain_cap
+        ):
+            raise ValueError("pair_ptr does not describe the pair arrays")
+        np.greater(cols[4], 0, out=self._scratch["is_local"][:k])
+        return cols
+
 
 def _hash_index(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(keys, return_inverse=True)`` from the label hash: one
-    pass numbers the keys, only the distinct ones are sorted, and one probe
-    per distinct key remaps the ids (as :meth:`LevelKernels.index`)."""
+    """``np.unique(keys, return_inverse=True)`` from ``label_index`` (as
+    :meth:`LevelKernels.index`).  The first-arrival ids become the inverse
+    in place, so the call holds four key-sized arrays and the hash slots,
+    no more."""
     lib = _lib_or_raise()
     keys = _exact(keys, _I64)
     n = keys.size
     cap = _capacity(n)
     slots = np.empty(2 * cap, dtype=np.int64)
-    ids = np.empty(n, dtype=np.int64)
-    uniq = np.empty(n, dtype=np.int64)
-    k = lib.label_ids(n, _addr(keys), cap, _addr(slots), _addr(ids), _addr(uniq))
-    labels = np.sort(uniq[:k])
-    rank = np.empty(k, dtype=np.int64)
-    inverse = np.empty(n, dtype=np.int64)
-    lib.label_remap(
-        n, _addr(ids), k, _addr(labels), cap, _addr(slots), _addr(rank),
-        _addr(inverse),
+    inverse, tmp, labels = (np.empty(n, dtype=np.int64) for _ in range(3))
+    count = np.empty(2048, dtype=np.int64)
+    k = lib.label_index(
+        n, _addr(keys), cap, _addr(slots), _addr(inverse), _addr(tmp),
+        _addr(count), _addr(labels), _addr(inverse),
     )
-    return labels, inverse
+    return labels[:k], inverse
 
 
 def unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -605,6 +943,7 @@ def _check_csr(
 
 
 _I64, _F64, _BOOL = np.dtype(np.int64), np.dtype(np.float64), np.dtype(np.bool_)
+_EMPTY_I64 = np.zeros(0, dtype=np.int64)
 
 
 def _exact(a: np.ndarray, dtype: np.dtype) -> np.ndarray:

@@ -49,6 +49,13 @@ bound kernels: the distributed sweep takes its pairs from the sync's
 snapshot (possibly stale aggregates), and the shared-memory baseline
 (:mod:`repro.core.shared_memory`) scans its labels, already in ``[0, n)``
 and so their own compact index, against exact ``np.bincount`` columns.
+
+Bound with a rank's :class:`~repro.core.native.SyncSpec`, the kernels
+also run the phases of the distributed inner iteration, one method per
+stretch between two collectives: ``send``, ``owner`` and ``place`` for
+the aggregate sync, ``sweep`` for the vectorized sweep with its dampers.
+:class:`NumpyLevelKernels` holds the numpy form of each, the reference
+that the C phases reproduce and the path that runs without a compiler.
 The numpy code here is the reference and the fallback, and both give
 bit-identical answers.
 """
@@ -58,7 +65,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import native
+from repro.core.community_table import OwnerTable
 from repro.core.native import VECTOR_HEURISTICS
+from repro.core.pack import pack_bounds, pack_by_owner
 
 __all__ = [
     "VECTOR_HEURISTICS",
@@ -132,11 +141,14 @@ def level_kernels(
     weights: np.ndarray,
     row_wdeg: np.ndarray,
     n_local: int,
+    spec: native.SyncSpec | None = None,
 ) -> native.LevelKernels | NumpyLevelKernels:
     """The inner-iteration kernels bound to one level's CSR: the C ones
-    when :mod:`repro.core.native` could build them, else numpy."""
+    when :mod:`repro.core.native` could build them, else numpy.  The phase
+    methods (``send``, ``owner``, ``place``, ``sweep``) need the rank's
+    ``spec``."""
     kind = native.LevelKernels if native.available() else NumpyLevelKernels
-    return kind(indptr, indices, weights, row_wdeg, n_local)
+    return kind(indptr, indices, weights, row_wdeg, n_local, spec)
 
 
 class NumpyLevelKernels:
@@ -144,7 +156,8 @@ class NumpyLevelKernels:
     :class:`repro.core.native.LevelKernels`: the same methods with the same
     answers, bit for bit.  Its pairs list each row's ids in ascending
     order, the C scan's in order of first appearance; the gain pass does
-    not depend on that order."""
+    not depend on that order.  ``send`` keeps the sync's compact index,
+    pairs and request order until ``place`` reads them."""
 
     def __init__(
         self,
@@ -153,10 +166,14 @@ class NumpyLevelKernels:
         weights: np.ndarray,
         row_wdeg: np.ndarray,
         n_local: int,
+        spec: native.SyncSpec | None = None,
     ) -> None:
         self._csr = (indptr, indices, weights)
         self._row_wdeg = row_wdeg
         self.n_rows = int(indptr.size) - 1
+        self._spec = spec
+        # the compact index, pairs and request order of the sync in progress
+        self._sent: tuple | None = None
 
     def index(self, comm_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.unique(comm_of, return_inverse=True)
@@ -259,6 +276,160 @@ class NumpyLevelKernels:
         chosen_id[wrow[keep]] = wid[keep]
         chosen_gain[wrow[keep]] = cgain[winner][keep]
         return chosen, chosen_gain, stay_gain, chosen_id
+
+
+    # ------------------------------------------------------------------
+    # The phases of the inner iteration
+    # ------------------------------------------------------------------
+    def _sync_spec(self) -> native.SyncSpec:
+        if self._spec is None:
+            raise RuntimeError("these kernels were bound without a sync spec")
+        return self._spec
+
+    def send(self, comm_of: np.ndarray) -> tuple[list, list]:
+        """``(contributions, requests)``: this rank's
+        ``(labels, sigma_tot, size, sigma_in)`` facts, pre-aggregated per
+        label and split by owner, and the labels it references, split the
+        same way.
+
+        Member facts come from the spec's member rows (owned low vertices
+        and designated hubs), edge facts from the directed entries internal
+        to a community (self entries doubled, :func:`internal_weight`).
+        ``np.bincount`` adds its weights one by one in stream order, so
+        every sum is reproducible bit for bit.  Keeps the compact index,
+        the scan's pairs and the request order for :meth:`place`.
+        """
+        spec = self._sync_spec()
+        size = spec.size
+        labels_all, cidx = self.index(comm_of)
+        k = labels_all.size
+        mem_ids = cidx[spec.members]
+        s_in, present, pairs = self.scan(cidx, k)
+        present[mem_ids] = True
+        weights = self._row_wdeg[spec.members]
+        tot = np.bincount(mem_ids, weights=weights, minlength=k)[present]
+        cnt = np.bincount(mem_ids, minlength=k)[present]
+        labels = labels_all[present]
+        contributions = pack_by_owner(
+            labels % size,
+            size,
+            labels,
+            # an empty bincount is int64 even with weights
+            tot.astype(np.float64, copy=False),
+            cnt.astype(np.float64),
+            s_in[present],
+        )
+        order, bounds = pack_bounds(labels_all % size, size)
+        staged = labels_all[order]
+        requests = [staged[bounds[r] : bounds[r + 1]] for r in range(size)]
+        self._sent = (labels_all, cidx, pairs, order)
+        return contributions, requests
+
+    def owner(self, received: list, incoming: list) -> tuple[float, list]:
+        """``(q_part, replies)``: the owner table of the ``received``
+        contributions (:class:`~repro.core.community_table.OwnerTable`,
+        fed in rank-arrival order), its partial modularity, and each
+        peer's ``(req, vals)`` answer.  A request for a community this
+        owner holds no aggregate for breaks the protocol: ``RuntimeError``
+        names the rank and the label."""
+        spec = self._sync_spec()
+        own = OwnerTable(
+            *(np.concatenate([p[i] for p in received]) for i in range(4))
+        )
+        q_part = own.partial_modularity(spec.two_m, spec.resolution)
+        replies = []
+        for req in incoming:
+            vals = np.empty((req.size, 2))
+            try:
+                vals[:, 0], vals[:, 1] = own.lookup(req)
+            except KeyError as exc:
+                raise RuntimeError(
+                    f"rank {spec.rank}: no aggregate for community {exc.args[0]}"
+                ) from None
+            replies.append((req, vals))
+        return q_part, replies
+
+    def place(self, answered: list) -> tuple:
+        """The snapshot columns ``(labels, cidx, sigma_tot, size, local,
+        pair_ptr, pair_id, pair_w)`` of the sync.
+
+        The requests were ``labels[order]``, so the rank-order
+        concatenation of the replies must repeat them exactly; anything
+        else raises ``RuntimeError``.  The local-member census counts the
+        owned vertices only: hub delegates are resident everywhere, which
+        does not make their communities' aggregates any fresher here.
+        """
+        spec = self._sync_spec()
+        if self._sent is None:
+            raise RuntimeError("place needs a send first")
+        labels, cidx, pairs, order = self._sent
+        replied = np.concatenate([a[0] for a in answered])
+        values = np.concatenate([a[1] for a in answered])
+        if not np.array_equal(replied, labels[order]):
+            raise RuntimeError("the pull's replies do not match its requests")
+        sigma_tot = np.empty(labels.size)
+        sigma_tot[order] = values[:, 0]
+        size = np.empty(labels.size, dtype=np.int64)
+        size[order] = np.rint(values[:, 1])
+        local = np.bincount(cidx[: spec.n_owned], minlength=labels.size)
+        self._sent = None
+        return (labels, cidx, sigma_tot, size, local, *pairs)
+
+    def sweep(
+        self, snap, comm_of: np.ndarray, down_only: bool
+    ) -> tuple[int, np.ndarray, np.ndarray]:
+        """One Jacobi sweep over the snapshot ``snap``: the gain pass, then
+        the owned moves written into ``comm_of`` in place.  Returns
+        ``(moves, hub_gain, hub_target)``.
+
+        Two dampers keep synchronous application from mass-oscillating
+        (whole communities trading labels every iteration, the Jacobi
+        failure mode Gauss-Seidel ordering never exhibits):
+
+        * Lu et al.'s singleton swap gate: a singleton may merge into
+          another singleton only toward the smaller label;
+        * a direction gate: with ``down_only`` only label-decreasing moves
+          apply; gated moves are *deferred* (still counted, so the level
+          cannot falsely report convergence) and get their chance on the
+          next, unrestricted iteration.  A two-community swap cycle then
+          executes only its down-label half, after which the re-evaluated
+          state has nothing to swap back.
+        """
+        spec = self._sync_spec()
+        n_owned = spec.n_owned
+        chosen, gain, stay, chosen_id = self.gains(
+            snap.pairs,
+            snap.cidx,
+            comm_of,
+            snap.labels,
+            snap.lookup(),
+            two_m=spec.two_m,
+            resolution=spec.resolution,
+            theta=spec.theta,
+            heuristic_name=spec.heuristic,
+        )
+        cu = comm_of[: self.n_rows]
+        movers = np.flatnonzero(chosen[:n_owned] != cu[:n_owned])
+        # gate decisions read the synced sizes, by compact id
+        m_old = cu[movers]
+        m_tgt = chosen[movers]
+        sz_old = snap.size[snap.cidx[movers]]
+        sz_tgt = snap.size[chosen_id[movers]]
+        gate = (sz_old == 1) & (sz_tgt == 1) & (m_tgt > m_old)
+        defer = down_only & (m_tgt > m_old) & ~gate
+        take = ~gate & ~defer
+        comm_of[movers[take]] = m_tgt[take]
+        moves = int(np.count_nonzero(take)) + int(np.count_nonzero(defer))
+
+        n_hubs = self.n_rows - n_owned
+        hub_gain = np.zeros(n_hubs)
+        hub_target = cu[n_owned:].astype(np.float64)
+        if n_hubs:
+            hub_choice = chosen[n_owned:]
+            prop = hub_choice != cu[n_owned:]
+            hub_gain[prop] = (gain - stay)[n_owned:][prop]
+            hub_target[prop] = hub_choice[prop].astype(np.float64)
+        return moves, hub_gain, hub_target
 
 
 def _entry_rows(indptr: np.ndarray) -> np.ndarray:

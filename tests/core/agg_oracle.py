@@ -119,7 +119,7 @@ class ScalarSyncClustering(LocalClustering):
     def sync_aggregates(self):
         comm = self.comm
         labels, tot, cnt, s_in = self._scalar_contributions()
-        owner = self._owner(labels)
+        owner = labels % comm.size
         payloads = []
         for r in range(comm.size):
             m = owner == r
@@ -138,7 +138,7 @@ class ScalarSyncClustering(LocalClustering):
         vectorized sweep reads."""
         comm = self.comm
         needed, cidx = np.unique(self.comm_of, return_inverse=True)
-        need_owner = self._owner(needed)
+        need_owner = needed % comm.size
         requests = [needed[need_owner == r] for r in range(comm.size)]
         replies = [(req, own.answer(req)) for req in comm.alltoall(requests)]
         sigma_tot, csize = {}, {}

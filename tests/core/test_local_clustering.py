@@ -1,8 +1,13 @@
 """Tests for parallel local clustering (Algorithm 2)."""
 
+import contextlib
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.core import native
 from repro.core.community_table import CommunitySnapshot
 from repro.core.heuristics import MoveHeuristic, get_heuristic
 from repro.core.local_clustering import LocalClustering
@@ -177,15 +182,15 @@ class TestLabelIndexReuse:
         used = []
 
         def spy_on(lc):
-            real = lc._kernels.gains
+            real = lc._kernels.sweep
 
-            def spy(pairs, cidx, comm_of, labels, lookup, **kw):
+            def spy(snap, comm_of, down_only):
                 # the index handed over describes comm_of as the sweep sees it
-                assert np.array_equal(labels[cidx], comm_of)
-                used.append(id(cidx))
-                return real(pairs, cidx, comm_of, labels, lookup, **kw)
+                assert np.array_equal(snap.labels[snap.cidx], comm_of)
+                used.append(id(snap.cidx))
+                return real(snap, comm_of, down_only)
 
-            lc._kernels.gains = spy
+            lc._kernels.sweep = spy
 
         def valid(lc):
             # a kept snapshot always describes the current comm_of
@@ -270,20 +275,40 @@ class TestSyncSnapshot:
 
     def test_reply_mismatch_raises(self):
         """Replies are placed by the request permutation, so a reply stream
-        that does not repeat the requests is a protocol error."""
-        labels = np.array([3, 8, 12], dtype=np.int64)
-        cidx = np.array([0, 2, 1, 0], dtype=np.int64)
-        order = np.array([1, 2, 0], dtype=np.int64)
-        values = np.array([[1.5, 2.0], [4.0, 1.0], [2.5, 1.0]])
-        pairs = (np.zeros(4, dtype=np.int64), _EMPTY_I64, np.zeros(0))
-        snap = CommunitySnapshot.from_replies(
-            labels, cidx, order, labels[order], values, 3, pairs
+        that does not repeat the requests is a protocol error, on the C
+        path (where a compiler exists) and on the numpy one."""
+        # four local vertices, three of them owned rows, at rank 0 of 2:
+        # labels [3, 8, 12], requests [8, 12] to rank 0 and [3] to rank 1
+        lg = SimpleNamespace(
+            indptr=np.zeros(4, dtype=np.int64), indices=_EMPTY_I64,
+            weights=np.zeros(0), row_weighted_degree=np.ones(4), n_local=4,
+            n_owned=3, n_hubs=0, n_rows=3, m_global=1.0,
+            hub_global_ids=_EMPTY_I64, global_ids=np.arange(4), send_to={},
+            recv_from={},
         )
-        assert snap.sigma_tot.tolist() == [2.5, 1.5, 4.0]
-        assert snap.size.tolist() == [1, 2, 1]
-        assert snap.local.tolist() == [1, 1, 1]
-        with pytest.raises(RuntimeError, match="replies"):
-            CommunitySnapshot.from_replies(labels, cidx, order, labels, values, 3, pairs)
+        comm = SimpleNamespace(rank=0, size=2)
+        paths = [False, True] if native.available() else [True]
+        for numpy in paths:
+            with mock.patch.object(native, "available", lambda: False) if numpy \
+                    else contextlib.nullcontext():
+                kernels = LocalClustering(comm, lg, get_heuristic("enhanced"))._kernels
+            comm_of = np.array([3, 12, 8, 3], dtype=np.int64)
+            _contributions, requests = kernels.send(comm_of)
+            assert [r.tolist() for r in requests] == [[8, 12], [3]]
+            answered = [
+                (requests[0], np.array([[1.5, 2.0], [4.0, 1.0]])),
+                (requests[1], np.array([[2.5, 1.0]])),
+            ]
+            snap = CommunitySnapshot(*kernels.place(answered))
+            assert snap.sigma_tot.tolist() == [2.5, 1.5, 4.0]
+            assert snap.size.tolist() == [1, 2, 1]
+            assert snap.local.tolist() == [1, 1, 1]
+            kernels.send(comm_of)
+            in_label_order = [
+                (np.array([3, 8]), answered[0][1]), (np.array([12]), answered[1][1])
+            ]
+            with pytest.raises(RuntimeError, match="replies"):
+                kernels.place(in_label_order)
 
     @pytest.mark.parametrize("sweep_mode", ["gauss-seidel", "vectorized"])
     def test_sweep_without_sync_raises(self, web_graph, sweep_mode):

@@ -177,3 +177,29 @@ class TestAggregatePairsOverflowNumpy(TestAggregatePairsOverflow):
     def _numpy_only(self):
         with mock.patch.object(native, "available", lambda: False):
             yield
+
+
+class TestAggregateOwnedRows:
+    """Merge step 3 aggregates rows whose sources are this rank's own dense
+    ids without hashing them: the same pairs, order and sums as the
+    general aggregation."""
+
+    @pytest.mark.parametrize("size,rank", [(1, 0), (2, 1), (3, 0), (4, 3)])
+    def test_matches_aggregate_pairs(self, size, rank):
+        from repro.core.merging import _aggregate_owned_rows, _aggregate_pairs
+
+        rng = np.random.default_rng(size * 10 + rank)
+        k = 40
+        owned = np.arange(rank, k, size, dtype=np.int64)
+        ncu = owned[rng.integers(0, owned.size, 300)]
+        ncv = rng.integers(0, k, 300).astype(np.int64)
+        w = rng.uniform(0.1, 3.0, 300)
+        got = _aggregate_owned_rows(rank, size, k, ncu, ncv, w)
+        want = _aggregate_pairs(ncu, ncv, w)
+        for g, r in zip(got, want):
+            assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+        empty = np.zeros(0, dtype=np.int64)
+        assert all(
+            a.size == 0 for a in _aggregate_owned_rows(rank, size, k, empty, empty,
+                                                       np.zeros(0))
+        )

@@ -6,8 +6,8 @@ kernels bit for bit, so which path runs never changes an answer:
 1. **Label hash** (Hypothesis) — the sync's compact index against
    ``np.unique(return_inverse=True)`` on empty input, one label, all labels
    equal, labels up to 2**62 and keys that collide modulo the table size;
-   the hashed ``OwnerTable`` against the dict reference, insertion order
-   included, and against its sort-based fallback;
+   the ``OwnerTable`` against the dict reference, insertion order
+   included;
 2. **Kernel identity** (Hypothesis) — on random row-sorted CSRs with float
    weights, self-loops, empty rows, hub rows and labels up to 2**40: the
    scan's internal weights against ``internal_weight``, its pairs against
@@ -15,8 +15,10 @@ kernels bit for bit, so which path runs never changes an answer:
    twin for every heuristic, on C pairs, numpy pairs and pairs shuffled
    within their rows; both gain passes refuse a heuristic they have no
    rule for;
-   ``LocalClustering._contributions`` on random float-weighted partitioned
-   graphs; a snapshot held across later syncs stays unchanged;
+   the sync's send phase (contributions, requests and pairs) on random
+   float-weighted partitioned graphs, whose other phases
+   ``tests/core/test_phase_kernels.py`` covers; a snapshot held across
+   later syncs stays unchanged;
 3. **Graph build** (Hypothesis) — the counting sort against a stable
    argsort, its run sums against ``np.unique`` plus ``np.add.at`` to the
    bit, and the hashed ``unique_inverse`` against ``np.unique``;
@@ -51,7 +53,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DistributedConfig, distributed_louvain, native
-from repro.core.community_table import OwnerTable, SortedLabelTable
+from repro.core.community_table import OwnerTable
 from repro.core.heuristics import get_heuristic
 from repro.core.local_clustering import LocalClustering
 from repro.core.sweep_kernel import (
@@ -165,27 +167,25 @@ class TestLabelHash:
 
     @settings(max_examples=200, deadline=None)
     @given(_owner_streams())
-    def test_owner_table_matches_dict_reference(self, c_kernels, stream):
+    def test_owner_table_matches_dict_reference(self, stream):
+        """The owner table, the numpy reference of the owner phase, against
+        the dict accumulator (``test_phase_kernels.py`` pins the C owner
+        phase against the table)."""
         ref = DictOwnerReference()
         ref.merge(*stream)
-        table = OwnerTable(*stream)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(native, "available", lambda: False)
-            fallback = OwnerTable(*stream)
-        assert isinstance(fallback._index, SortedLabelTable)
-        for t in (table, fallback):
-            assert t.labels.tolist() == list(ref.own)  # insertion order
-            want = np.array(list(ref.own.values()), dtype=np.float64).reshape(-1, 3)
-            for col, name in enumerate(("tot", "cnt", "s_in")):
-                assert _bitwise_equal(getattr(t, name), want[:, col].copy())
-            tot, cnt = t.lookup(stream[0][::-1].copy())
-            vals = ref.answer(stream[0][::-1])
-            assert _bitwise_equal(tot, vals[:, 0].copy())
-            assert _bitwise_equal(cnt, vals[:, 1].copy())
-            assert t.partial_modularity(7.0, 1.3) == ref.partial_modularity(7.0, 1.3)
-            absent = max(ref.own, default=0) + 1
-            with pytest.raises(KeyError):
-                t.lookup(np.array([absent], dtype=np.int64))
+        t = OwnerTable(*stream)
+        assert t.labels.tolist() == list(ref.own)  # insertion order
+        want = np.array(list(ref.own.values()), dtype=np.float64).reshape(-1, 3)
+        for col, name in enumerate(("tot", "cnt", "s_in")):
+            assert _bitwise_equal(getattr(t, name), want[:, col].copy())
+        tot, cnt = t.lookup(stream[0][::-1].copy())
+        vals = ref.answer(stream[0][::-1])
+        assert _bitwise_equal(tot, vals[:, 0].copy())
+        assert _bitwise_equal(cnt, vals[:, 1].copy())
+        assert t.partial_modularity(7.0, 1.3) == ref.partial_modularity(7.0, 1.3)
+        absent = max(ref.own, default=0) + 1
+        with pytest.raises(KeyError):
+            t.lookup(np.array([absent], dtype=np.int64))
 
 
 @st.composite
@@ -426,10 +426,16 @@ class TestContributionsIdentity:
             index = lc._kernels.index(lc.comm_of)
             for g, r in zip(index, ref_lc._kernels.index(lc.comm_of)):
                 assert _bitwise_equal(g, r)
-            got, got_pairs = lc._contributions(*index)
-            ref, ref_pairs = ref_lc._contributions(*index)
-            for g, r in zip(got, ref):
+            # the send phase: the contributions and requests, per owner
+            got, got_req = lc._kernels.send(lc.comm_of)
+            ref, ref_req = ref_lc._kernels.send(lc.comm_of)
+            for g_cols, r_cols in zip(got, ref):
+                for g, r in zip(g_cols, r_cols):
+                    assert _bitwise_equal(g, r)
+            for g, r in zip(got_req, ref_req):
                 assert _bitwise_equal(g, r)
+            got_pairs = lc._kernels._sent[2:5]
+            ref_pairs = ref_lc._kernels._sent[2]
             for g, r in zip(canonical_pairs(got_pairs), ref_pairs):
                 assert _bitwise_equal(g, r)
 
@@ -522,7 +528,10 @@ class TestEndToEndIdentity:
 class TestBuildAndCache:
     def test_source_ships_and_names_the_library(self, c_kernels, tmp_path):
         source = resources.files("repro.core").joinpath("_kernels.c").read_text()
-        for kernel in ("label_ids", "label_find", "neighbour_scan", "pair_gains"):
+        for kernel in (
+            "label_ids", "label_find", "label_index", "neighbour_scan",
+            "pair_gains", "sync_send", "sync_owner", "sync_place", "sync_sweep",
+        ):
             assert f" {kernel}(" in source
         lib = native._load(cache_dir=str(tmp_path))
         digest = hashlib.sha256(
