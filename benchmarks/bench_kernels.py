@@ -27,9 +27,12 @@ counting sort against comparison sorts: the global CSR
 build from a shuffled edge list (``csr_build``), the row sorts of a
 delegate partition's per-rank CSRs (``partition``, ``native.pair_sort``
 on every rank's entries in their arrival order) and the merge's pair
-aggregation over every CSR entry (``merge_aggregate``).  The aggregate-sync and merge-assembly
-references, and the pipeline row's reference run, come from the test
-oracle ``tests/core/agg_oracle.py``, hence the repository root on
+aggregation over every CSR entry (``merge_aggregate``).  The numpy
+references of the C kernels (``NumpyLevelKernels``, ``OwnerTable`` and
+the graph-construction twins) come from the test oracle
+``tests/core/numpy_kernels.py``, and the aggregate-sync and
+merge-assembly references, and the pipeline row's reference run, from
+``tests/core/agg_oracle.py``, hence the repository root on
 ``PYTHONPATH``.  ``--check`` exits non-zero if any vectorized
 kernel is slower than its scalar reference, or any C kernel slower than
 its numpy reference (the CI ``bench-smoke`` gate); ``--quick`` shrinks
@@ -40,7 +43,6 @@ import argparse
 import json
 import sys
 import time
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,13 +55,12 @@ from repro.core import (
     sequential_louvain,
 )
 from repro.core.coarsen import coarsen_graph
-from repro.core.community_table import CommunitySnapshot, OwnerTable
+from repro.core.community_table import CommunitySnapshot
 from repro.core.heuristics import get_heuristic
 from repro.core.local_clustering import LocalClustering
 from repro.core.merging import _aggregate_pairs, _assemble
 from repro.core.modularity import modularity
 from repro.core.pack import pack_bounds, pack_by_owner
-from repro.core.sweep_kernel import NumpyLevelKernels, level_kernels
 from repro.graph.csr import build_symmetric_csr
 from repro.graph.generators import barabasi_albert, lfr_graph
 from repro.partition import delegate_partition, oned_partition
@@ -69,6 +70,12 @@ from tests.core.agg_oracle import (
     DictOwnerReference,
     assemble_scalar,
     scalar_reference,
+)
+from tests.core.numpy_kernels import (
+    NumpyLevelKernels,
+    OwnerTable,
+    _aggregate_pairs_numpy,
+    numpy_path,
 )
 
 
@@ -275,7 +282,7 @@ def _sweep_vectorized(lc, snap):
     """One-shot vectorized sweep of the snapshot: bind the level kernels,
     scan the CSR under the snapshot's index, and run the gain pass."""
     lg = lc.lg
-    kernels = level_kernels(
+    kernels = native.LevelKernels(
         lg.indptr, lg.indices, lg.weights, lg.row_weighted_degree, lc.comm_of.size
     )
     return kernels.gains(
@@ -291,14 +298,9 @@ def _sweep_vectorized(lc, snap):
     )[:3]
 
 
-def _numpy_kernels():
-    """Context in which the numpy kernels run instead of the C ones."""
-    return mock.patch.object(native, "available", lambda: False)
-
-
 def _numpy_twin(lc):
     """A LocalClustering on the same rank state whose kernels are numpy."""
-    with _numpy_kernels():
+    with numpy_path():
         twin = LocalClustering(lc.comm, lc.lg, lc.heuristic)
     assert isinstance(twin._kernels, NumpyLevelKernels)
     twin.comm_of = lc.comm_of
@@ -501,10 +503,10 @@ def _csr_build_workload(graph):
 
 
 def _with_numpy_kernels(fn):
-    """``fn`` run with the numpy kernels in place of the C ones."""
+    """``fn`` run with the numpy references in place of the C kernels."""
 
     def run():
-        with _numpy_kernels():
+        with numpy_path():
             return fn()
 
     return run
@@ -595,7 +597,6 @@ def run_kernel_suite(quick=False, pipeline=True):
             "n_edges": int(graph.n_edges),
         },
         "quick": quick,
-        "native": native.available(),
         "kernels": {},
         "native_kernels": {},
     }
@@ -636,13 +637,12 @@ def run_kernel_suite(quick=False, pipeline=True):
     # send and owner phases, and one whole inner iteration (sync plus
     # sweep) there and at request-stream size
     lc, synced = snap
-    twin = _numpy_twin(lc) if report["native"] else None
+    twin = _numpy_twin(lc)
     round_ = _phase_round(graph, SYNC_RANKS, 64)
     small = lfr_graph(300, mu=0.3, seed=3)
     small_round = _phase_round(getattr(small, "graph", small), 2, 32)
-    if report["native"]:
-        round_twin = (_numpy_twin(round_[0]), *round_[1:])
-        small_twin = (_numpy_twin(small_round[0]), *small_round[1:])
+    round_twin = (_numpy_twin(round_[0]), *round_[1:])
+    small_twin = (_numpy_twin(small_round[0]), *small_round[1:])
     build_args = _csr_build_workload(graph)
     pairs = _aggregate_workload(graph)
     row_sort_args = _partition_workload(graph)
@@ -680,10 +680,13 @@ def run_kernel_suite(quick=False, pipeline=True):
         ),
         "csr_build": (_with_numpy_kernels(csr_build), csr_build),
         "partition": (_with_numpy_kernels(partition), partition),
-        "merge_aggregate": (_with_numpy_kernels(merge_aggregate), merge_aggregate),
+        "merge_aggregate": (
+            _with_numpy_kernels(lambda: _aggregate_pairs_numpy(*pairs)),
+            merge_aggregate,
+        ),
     }
     # sub-millisecond kernels: more repeats for a stable minimum
-    for name, (numpy_fn, c_fn) in native_cases.items() if report["native"] else ():
+    for name, (numpy_fn, c_fn) in native_cases.items():
         numpy_s = _best_of(numpy_fn, 10 * repeats)
         c_s = _best_of(c_fn, 10 * repeats)
         report["native_kernels"][name] = {
@@ -754,15 +757,12 @@ def main(argv=None):
             f"{name:{width}s}  {row['scalar_s'] * 1e3:8.2f}ms  "
             f"{row['vectorized_s'] * 1e3:8.2f}ms  {row['speedup']:6.2f}x"
         )
-    if report["native"]:
-        print(f"{'native':{width}s}  {'numpy':>10s}  {'C':>10s}  speedup")
-        for name, row in report["native_kernels"].items():
-            print(
-                f"{name:{width}s}  {row['numpy_s'] * 1e3:8.2f}ms  "
-                f"{row['c_s'] * 1e3:8.2f}ms  {row['speedup']:6.2f}x"
-            )
-    else:
-        print("native kernels unavailable: numpy only")
+    print(f"{'native':{width}s}  {'numpy':>10s}  {'C':>10s}  speedup")
+    for name, row in report["native_kernels"].items():
+        print(
+            f"{name:{width}s}  {row['numpy_s'] * 1e3:8.2f}ms  "
+            f"{row['c_s'] * 1e3:8.2f}ms  {row['speedup']:6.2f}x"
+        )
     if "pipeline" in report:
         row = report["pipeline"]
         print(

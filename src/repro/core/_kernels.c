@@ -1,16 +1,18 @@
 /* Native kernels: the vectorized inner iteration and graph construction.
  *
  * repro.core.native compiles this file with the system C compiler on first
- * use and calls it through ctypes.  The numpy kernels are the reference and
- * every kernel here reproduces them bit for bit:
+ * use and calls it through ctypes; it is the only implementation of these
+ * kernels, so the package needs a C compiler.  Numpy references of each
+ * kernel live in tests/core/numpy_kernels.py as test oracles, and every
+ * kernel here reproduces them bit for bit:
  *
  *   - label_ids numbers int64 keys in first-arrival order, the order a
  *     dict assigns them, and label_find looks keys up; label_index gives
  *     np.unique(keys, return_inverse=True), by counting over the keys'
  *     span or through the hash and a radix sort of the distinct keys;
- *   - neighbour_scan yields the internal-weight sums of
- *     repro.core.sweep_kernel.internal_weight and the per-row
- *     neighbour-community sums of aggregate_neighbor_communities;
+ *   - neighbour_scan yields the internal-weight sums of internal_weight
+ *     and the per-row neighbour-community sums of
+ *     aggregate_neighbor_communities;
  *   - pair_gains makes the decisions of NumpyLevelKernels.gains from
  *     those sums; decide, its row step, is the one gain pass of every
  *     Jacobi sweep in the package, the distributed vectorized sweep and

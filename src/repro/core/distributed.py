@@ -13,8 +13,11 @@ Stages, as in the paper:
    stops improving.
 
 Execution is simulated SPMD (see :mod:`repro.runtime`): each rank is a
-thread, and all times reported by the benchmark harness come from the BSP
-cost model applied to the measured per-rank work and traffic.
+thread of the calling interpreter (``backend="thread"``) or a pooled
+spawned interpreter (``backend="process"``), and all times reported by the
+benchmark harness come from the BSP cost model applied to the measured
+per-rank work and traffic.  The ranks compute on the C kernels of
+:mod:`repro.core.native`, which need a C compiler.
 """
 
 from __future__ import annotations

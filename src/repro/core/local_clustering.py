@@ -39,10 +39,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core import native
 from repro.core.community_table import CommunitySnapshot
 from repro.core.heuristics import Candidate, MoveHeuristic
-from repro.core.native import SyncSpec
-from repro.core.sweep_kernel import VECTOR_HEURISTICS, level_kernels
+from repro.core.native import VECTOR_HEURISTICS, SyncSpec
 from repro.partition.distgraph import LocalGraph
 from repro.runtime.comm import SimComm
 
@@ -131,8 +131,8 @@ class LocalClustering:
             lg.n_owned + np.flatnonzero(self._hub_designated),
         ])
         # the phases of the sync and the vectorized sweep, bound to this
-        # level once: C when it could be built, else numpy
-        self._kernels = level_kernels(
+        # level once
+        self._kernels = native.LevelKernels(
             lg.indptr, lg.indices, lg.weights, lg.row_weighted_degree, lg.n_local,
             SyncSpec(
                 comm.rank, comm.size, lg.n_owned, members, self.two_m,
@@ -334,8 +334,8 @@ class LocalClustering:
         """Bulk Jacobi sweep: one call of the level kernels' ``sweep``,
         which decides every row against the snapshot, applies the owned
         moves through the two dampers (see
-        :meth:`repro.core.sweep_kernel.NumpyLevelKernels.sweep`) and
-        returns the hub proposals.  Even iterations apply label-decreasing
+        :meth:`repro.core.native.LevelKernels.sweep`) and returns the hub
+        proposals.  Even iterations apply label-decreasing
         moves only."""
         # identical work accounting to the scalar sweep: one unit per
         # scanned directed entry (empty rows contribute zero either way)

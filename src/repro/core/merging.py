@@ -13,21 +13,19 @@ entries at full weight and the self-loop at ``D[c][c] / 2``, preserving both
 ``m`` and all community degrees (see :mod:`repro.core.coarsen` for the
 sequential equivalent).
 
-Every sort here is linear when the C kernels are in use
-(:mod:`repro.core.native`): pair aggregation compacts the labels with the
-label hash and merges equal pairs with a counting sort and a run sum, the
-dense relabel looks labels up in a :class:`~repro.core.native.LabelTable`,
-and the coarse CSR comes from the same counting sort.  Every float sum
-runs sequentially in stream order from 0.0 on both paths, so the numpy
-fallback gives the same bits.  The local assembly step (building the
+Every sort here is linear, by the C kernels of :mod:`repro.core.native`:
+pair aggregation compacts the labels with the label hash and merges equal
+pairs with a counting sort and a run sum, the dense relabel looks labels
+up in a :class:`~repro.core.native.LabelTable`, and the coarse CSR comes
+from the same counting sort.  Every float sum runs sequentially in stream
+order from 0.0, the order of the numpy references in
+``tests/core/numpy_kernels.py``.  The local assembly step (building the
 coarse rows from the received pair aggregates) has a dict-based reference
 in ``tests/core/agg_oracle.py`` that it is pinned against, field by
 field.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -42,52 +40,18 @@ _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 _EMPTY_F64 = np.zeros(0, dtype=np.float64)
 
 
-def _aggregate_pairs_sorted(
-    cu: np.ndarray, cv: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pair aggregation by lexsort, for labels too far apart to key.
-
-    Lexsort is stable, so each ``(cu, cv)`` group keeps its entries in
-    original order, and :func:`~repro.core.native.run_sums` accumulates
-    each group with strictly sequential additions from 0.0 (``reduceat``
-    would not do: it sums long segments pairwise).  No ``cu * n + cv`` key
-    is formed, so no value range can overflow.
-    """
-    return native.run_sums(np.lexsort((cv, cu)), cu, cv, w)
-
-
-def _aggregate_pairs_numpy(
-    cu: np.ndarray, cv: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The numpy pair aggregation: one int64 key per pair over the labels'
-    span, ``np.unique`` (sort-based with ``return_inverse``) and
-    ``np.bincount``, which adds each weight into its pair's bin in stream
-    order from 0.0.  Spans whose square would overflow int64 take the
-    lexsort path."""
-    lo = min(int(cu.min()), int(cv.min()))
-    span = max(int(cu.max()), int(cv.max())) - lo + 1
-    if span * span >= 2**63:
-        return _aggregate_pairs_sorted(cu, cv, w)
-    uniq, inv = np.unique((cu - lo) * span + (cv - lo), return_inverse=True)
-    w_sum = np.bincount(inv, weights=w, minlength=uniq.size)
-    return uniq // span + lo, uniq % span + lo, w_sum
-
-
 def _aggregate_ids(
     a: np.ndarray, b: np.ndarray, w: np.ndarray, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sum ``w`` over identical pairs of compact ids ``(a, b)``, in input
     order from 0.0, and return the distinct pairs as ``labels`` (ascending,
-    so id order is label order) in ascending order.  The C path sorts by
-    counting, with scratch sized by the number of labels."""
+    so id order is label order) in ascending order.  The sort counts, with
+    scratch sized by the number of labels."""
     if a.size == 0:
         return _EMPTY_I64, _EMPTY_I64, _EMPTY_F64
-    if native.available():
-        k = labels.size
-        order, _ = native.pair_sort(a, b, k, k)
-        ra, rb, rw = native.run_sums(order, a, b, w)
-    else:
-        ra, rb, rw = _aggregate_pairs_numpy(a, b, w)
+    k = labels.size
+    order, _ = native.pair_sort(a, b, k, k)
+    ra, rb, rw = native.run_sums(order, a, b, w)
     return labels[ra], labels[rb], rw
 
 
@@ -95,14 +59,11 @@ def _aggregate_pairs(
     cu: np.ndarray, cv: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sum ``w`` over identical label pairs ``(cu, cv)``, in input order
-    from 0.0; the pairs come out in ascending ``(cu, cv)`` order.  The C
-    path compacts the labels first
-    (:func:`repro.core.native.unique_inverse`), so nothing is sized or
-    keyed by the label range."""
+    from 0.0; the pairs come out in ascending ``(cu, cv)`` order.  The
+    labels are compacted first (:func:`repro.core.native.unique_inverse`),
+    so nothing is sized or keyed by the label range."""
     if cu.size == 0:
         return _EMPTY_I64, _EMPTY_I64, _EMPTY_F64
-    if not native.available():
-        return _aggregate_pairs_numpy(cu, cv, w)
     n = cu.size
     labels, ids = native.unique_inverse(np.concatenate([cu, cv]))
     return _aggregate_ids(ids[:n], ids[n:], w, labels)
@@ -114,10 +75,10 @@ def _aggregate_owned_rows(
     """:func:`_aggregate_pairs` of merge step 3, whose ``ncu`` are this
     rank's own dense ids ``rank, rank + size, ...`` below ``k``: their
     positions ``(ncu - rank) // size`` are already compact and in label
-    order, so the C path hashes ``ncv`` alone.  The pairs come out in the
-    same ascending ``(ncu, ncv)`` order, with the same sums."""
-    if ncu.size == 0 or not native.available():
-        return _aggregate_pairs(ncu, ncv, w)
+    order, so only ``ncv`` is hashed.  The pairs come out in the same
+    ascending ``(ncu, ncv)`` order, with the same sums."""
+    if ncu.size == 0:
+        return _EMPTY_I64, _EMPTY_I64, _EMPTY_F64
     rows = (ncu - rank) // size
     labels, cols = native.unique_inverse(ncv)
     order, _ = native.pair_sort(rows, cols, len(range(rank, k, size)), labels.size)
@@ -210,10 +171,7 @@ def merge_level(
     k = int(global_labels.size)
     # a label's dense id is its position in the sorted labels, which the C
     # label hash finds in O(1): first-arrival ids of distinct sorted keys
-    if native.available():
-        dense_of = native.LabelTable(global_labels).find
-    else:
-        dense_of = functools.partial(np.searchsorted, global_labels)
+    dense_of = native.LabelTable(global_labels).find
     dense_cu = dense_of(rcu)
     dense_cv = dense_of(rcv)
 

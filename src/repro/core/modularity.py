@@ -31,27 +31,20 @@ def _community_sums(
     graph: CSRGraph, assignment: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(labels, sigma_in, sigma_tot)``: the sorted distinct labels and
-    their two sums, each summed in CSR entry (vertex) order from 0.0."""
+    their two sums, each summed in CSR entry (vertex) order from 0.0.
+    ``sigma_in`` is the C scan's internal weight (self entries doubled, so
+    ``A_uu = 2 w_uu``), the sum the aggregate sync reports."""
     assignment = np.asarray(assignment, dtype=np.int64)
     if assignment.shape != (graph.n_vertices,):
         raise ValueError("assignment must have one label per vertex")
     labels, inverse = native.unique_inverse(assignment)
     k = labels.size
-
-    rows = np.repeat(
-        np.arange(graph.n_vertices, dtype=np.int64), np.diff(graph.indptr)
+    wdeg = graph.weighted_degrees
+    kernels = native.LevelKernels(
+        graph.indptr, graph.indices, graph.weights, wdeg, graph.n_vertices
     )
-    cols = graph.indices
-    w = graph.weights
-    internal = inverse[rows] == inverse[cols]
-    loops = rows == cols
-    # directed entries count both directions; double self-loop entries so
-    # that sigma_in uses A_uu = 2 w_uu
-    contrib = np.where(loops, 2.0 * w, w)
-    in_arr = np.bincount(
-        inverse[rows[internal]], weights=contrib[internal], minlength=k
-    )
-    tot_arr = np.bincount(inverse, weights=graph.weighted_degrees, minlength=k)
+    in_arr = kernels.scan(inverse, k)[0]
+    tot_arr = np.bincount(inverse, weights=wdeg, minlength=k)
     return labels, in_arr, tot_arr
 
 

@@ -19,18 +19,16 @@ phase between two collectives, bound once per level by
 
 ``label_index``, ``neighbour_scan`` and ``pair_gains`` stay callable on
 their own (:meth:`LevelKernels.index`, :meth:`~LevelKernels.scan`,
-:meth:`~LevelKernels.gains`, used by the shared-memory baseline), and
-``label_ids``/``label_find`` serve :class:`LabelTable`.  Graph
-construction runs in C too: a stable counting sort by ``(a, b)`` with the
-``indptr`` of ``a`` (:func:`pair_sort`), the merge of equal pairs
-(:func:`run_sums`) and the symmetric layout of deduplicated edges
-(:func:`symmetric_csr`), which ``build_symmetric_csr``,
+:meth:`~LevelKernels.gains`, used by the shared-memory baseline and by
+``modularity``), and ``label_ids``/``label_find`` serve
+:class:`LabelTable`.  Graph construction runs in C too: a stable counting
+sort by ``(a, b)`` with the ``indptr`` of ``a`` (:func:`pair_sort`), the
+merge of equal pairs (:func:`run_sums`) and the symmetric layout of
+deduplicated edges (:func:`symmetric_csr`), which ``build_symmetric_csr``,
 ``build_local_graphs`` and ``merge_level`` use in place of comparison
 sorts, and ``np.unique(..., return_inverse=True)`` from ``label_index``
-(:func:`unique_inverse`).  :func:`pair_sort`, :func:`run_sums` and
-:func:`unique_inverse` take their numpy fallback themselves, so their
-callers do not branch.  This module compiles the source with the system C
-compiler on the first kernel call (never at import), caches the shared
+(:func:`unique_inverse`).  This module compiles the source with the system
+C compiler on the first kernel call (never at import), caches the shared
 library, and calls it through :mod:`ctypes`.  A ``ctypes.CDLL`` call
 releases the GIL, so the thread ranks of one run compute in parallel.
 
@@ -41,16 +39,16 @@ cost of a call stays a few microseconds.  Every array a call ships or
 returns is freshly allocated: the thread backend hands payloads to peers
 by reference.
 
-The numpy kernels stay the reference and the fallback: the C functions
-reproduce them bit for bit (same summation order, same operand order, no
-fused multiply-add), so which path runs never changes an answer.  There is
-no option to choose; :func:`available` reports which path is in use.
+The C kernels are the only implementation, and a C compiler is required.
+They reproduce numpy's summation and operand order (no fused
+multiply-add), and the tests pin them bit for bit against numpy
+references kept as oracles (``tests/core/numpy_kernels.py``).
 
 Build and cache:
 
 * the command is ``cc -O3 -fPIC -shared -ffp-contract=off``, with no
   ``-march=native`` and no fast-math: both would break bit-identity with
-  numpy;
+  the numpy references;
 * the library lives in ``$XDG_CACHE_HOME/repro`` (default
   ``~/.cache/repro``), a directory of mode 0700 that must be owned by the
   current user and not writable by group or others.  Its file name carries
@@ -60,14 +58,18 @@ Build and cache:
   ``os.replace`` then renames onto the final name: processes that build
   at the same time (pooled rank workers) need no lock;
 * if the cache directory is unusable, the build goes to a private
-  ``tempfile.mkdtemp()`` directory instead.  If the build fails at all,
-  the numpy kernels run and the reason is logged once.
+  ``tempfile.mkdtemp()`` directory instead;
+* the build runs once per process.  If it fails, the first kernel call
+  raises a :class:`RuntimeError` that names the compiler command and its
+  output, and every later kernel call raises the same error without
+  building again.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import logging
 import os
 import platform
 import shutil
@@ -85,7 +87,6 @@ __all__ = [
     "LevelKernels",
     "SyncSpec",
     "VECTOR_HEURISTICS",
-    "available",
     "heuristic_code",
     "pair_sort",
     "run_sums",
@@ -102,8 +103,10 @@ _HEURISTIC_CODES = {"greedy": 0, "minlabel": 1, "enhanced": 2}
 # heuristics with a vectorized selection rule (all registered ones today)
 VECTOR_HEURISTICS = frozenset(_HEURISTIC_CODES)
 
+_log = logging.getLogger(__name__)
 _lock = threading.Lock()
 _lib: ctypes.CDLL | None = None
+_error: RuntimeError | None = None
 _tried = False
 
 
@@ -236,19 +239,16 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     return lib
 
 
-def _load(cache_dir: str | None = None) -> ctypes.CDLL | None:
-    """Build (or find) and open the library; None, with one log line, if
-    that fails.  ``cache_dir`` replaces the default cache directory (for
-    tests)."""
-    import logging
-
-    log = logging.getLogger(__name__)
+def _load(cache_dir: str | None = None) -> ctypes.CDLL:
+    """Build (or find) and open the library.  ``cache_dir`` replaces the
+    default cache directory (for tests).  Raises :class:`RuntimeError`,
+    naming the compiler command and its output, if that fails."""
     try:
         source = _source_text()
         directory = cache_dir if cache_dir is not None else _cache_dir()
         if _usable_dir(directory):
             return _declare(ctypes.CDLL(_compile(source, directory)))
-        log.info("cache directory %s refused; building privately", directory)
+        _log.info("cache directory %s refused; building privately", directory)
         private = tempfile.mkdtemp(prefix="repro-kernels-")
         try:
             # the mapping outlives the file, so the directory can go
@@ -258,30 +258,30 @@ def _load(cache_dir: str | None = None) -> ctypes.CDLL | None:
     except (OSError, subprocess.CalledProcessError) as exc:
         detail = getattr(exc, "stderr", None)
         reason = detail.decode(errors="replace").strip() if detail else str(exc)
-        log.warning("native kernels unavailable, using numpy: %s", reason)
-        return None
+        command = " ".join([_COMPILER, *_FLAGS, "-x", "c", "-", "-o", "<library>"])
+        raise RuntimeError(
+            f"the native kernels could not be built or loaded with "
+            f"`{command}` (a C compiler is required): {reason}"
+        ) from exc
 
 
-def _library() -> ctypes.CDLL | None:
-    global _lib, _tried
+def _library() -> ctypes.CDLL:
+    """The kernel library, built on the first call of the process.  A
+    failed build raises on this call and on every later one, with the
+    same error and without a second attempt."""
+    global _lib, _error, _tried
     if not _tried:
         with _lock:
             if not _tried:
-                _lib = _load()
+                try:
+                    _lib = _load()
+                except RuntimeError as exc:
+                    _error = exc
                 _tried = True
+    if _lib is None:
+        # a fresh exception per call: thread ranks may raise at once
+        raise RuntimeError(*_error.args) from _error.__cause__
     return _lib
-
-
-def available() -> bool:
-    """True if the C kernels are in use (builds them on the first call)."""
-    return _library() is not None
-
-
-def _lib_or_raise() -> ctypes.CDLL:
-    lib = _library()
-    if lib is None:
-        raise RuntimeError("the native kernels are unavailable")
-    return lib
 
 
 def heuristic_code(name: str) -> int:
@@ -404,8 +404,6 @@ class LevelKernels:
 
     ``n_local`` is the local vertex count: the size of ``comm_of`` and of
     every compact index, and the bound on the number of distinct labels.
-    :class:`repro.core.sweep_kernel.NumpyLevelKernels` is the numpy
-    reference with the same methods and answers.
     """
 
     def __init__(
@@ -417,7 +415,7 @@ class LevelKernels:
         n_local: int,
         spec: SyncSpec | None = None,
     ) -> None:
-        self._lib = _lib_or_raise()
+        self._lib = _library()
         # references keep the addresses below valid for the level
         self._csr = (
             _exact(indptr, _I64), _exact(indices, _I64), _exact(weights, _F64)
@@ -781,12 +779,12 @@ class LevelKernels:
         return cols
 
 
-def _hash_index(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(keys, return_inverse=True)`` from ``label_index`` (as
-    :meth:`LevelKernels.index`).  The first-arrival ids become the inverse
-    in place, so the call holds four key-sized arrays and the hash slots,
-    no more."""
-    lib = _lib_or_raise()
+def unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` of int64 ``keys``, from
+    ``label_index`` (as :meth:`LevelKernels.index`).  The first-arrival
+    ids become the inverse in place, so the call holds four key-sized
+    arrays and the hash slots, no more."""
+    lib = _library()
     keys = _exact(keys, _I64)
     n = keys.size
     cap = _capacity(n)
@@ -800,16 +798,6 @@ def _hash_index(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return labels[:k], inverse
 
 
-def unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(keys, return_inverse=True)`` of int64 ``keys``: from the
-    label hash when the C kernels are in use, else from ``np.unique``
-    itself, which sorts (with ``return_inverse`` it never takes numpy's
-    hash path; see ``docs/PERFORMANCE.md``)."""
-    if available():
-        return _hash_index(keys)
-    return np.unique(np.asarray(keys, dtype=np.int64), return_inverse=True)
-
-
 def pair_sort(
     a: np.ndarray, b: np.ndarray, na: int, nb: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -817,43 +805,24 @@ def pair_sort(
     ``[0, na)`` and ``b`` in ``[0, nb)``: ``order`` is the stable argsort
     by ``(a, b)``, equal to ``np.argsort(a * nb + b, kind="stable")``, and
     ``indptr`` (``na + 1`` entries) the start of each ``a`` value's run in
-    it.  The C kernel sorts in two counting passes and forms no key; the
-    numpy fallback sorts that key, or lexsorts where ``na * nb`` would
-    overflow int64.  Raises :class:`ValueError` for an id out of range."""
+    it, from two counting passes that form no key, so no ``na * nb`` can
+    overflow.  Raises :class:`ValueError` for an id out of range."""
     a, b = _exact(a, _I64), _exact(b, _I64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("a and b must be 1-D arrays of equal length")
     na, nb, n = int(na), int(nb), a.size
     if na < 0 or nb < 0:
         raise ValueError("na and nb must be non-negative")
-    if not available():
-        return _pair_sort_numpy(a, b, na, nb)
     count = np.empty(max(na, nb), dtype=np.int64)
     tmp = np.empty(2 * n, dtype=np.int64)
     order = np.empty(n, dtype=np.int64)
     indptr = np.empty(na + 1, dtype=np.int64)
-    bad = _lib_or_raise().pair_sort(
+    bad = _library().pair_sort(
         n, _addr(a), _addr(b), na, nb, _addr(count), _addr(tmp), _addr(order),
         _addr(indptr),
     )
     if bad >= 0:
         _out_of_range(a, b, na, nb, bad)
-    return order, indptr
-
-
-def _pair_sort_numpy(
-    a: np.ndarray, b: np.ndarray, na: int, nb: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The numpy reference of :func:`pair_sort`."""
-    if a.size and (a.min() < 0 or a.max() >= na or b.min() < 0 or b.max() >= nb):
-        bad = (a < 0) | (a >= na) | (b < 0) | (b >= nb)
-        _out_of_range(a, b, na, nb, int(np.argmax(bad)))
-    if na * nb < 2**63:
-        order = np.argsort(a * np.int64(nb) + b, kind="stable")
-    else:
-        order = np.lexsort((b, a))
-    indptr = np.zeros(na + 1, dtype=np.int64)
-    np.cumsum(np.bincount(a, minlength=na), out=indptr[1:])
     return order, indptr
 
 
@@ -875,29 +844,14 @@ def run_sums(
     n = order.size
     if a.size != n or b.size != n or w.size != n:
         raise ValueError("order, a, b and w must have equal length")
-    if not available():
-        return _run_sums_numpy(order, a, b, w)
     run_a = np.empty(n, dtype=np.int64)
     run_b = np.empty(n, dtype=np.int64)
     run_w = np.empty(n)
-    r = _lib_or_raise().run_sums(
+    r = _library().run_sums(
         n, _addr(order), _addr(a), _addr(b), _addr(w),
         _addr(run_a), _addr(run_b), _addr(run_w),
     )
     return run_a[:r], run_b[:r], run_w[:r]
-
-
-def _run_sums_numpy(
-    order: np.ndarray, a: np.ndarray, b: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The numpy reference of :func:`run_sums`: ``np.bincount`` adds each
-    weight into its run's bin in stream order, from 0.0."""
-    a, b = a[order], b[order]
-    start = np.ones(a.size, dtype=bool)
-    start[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    sums = np.bincount(np.cumsum(start) - 1, weights=w[order])
-    # an empty bincount is int64 even with weights
-    return a[start], b[start], sums.astype(np.float64, copy=False)
 
 
 def symmetric_csr(
@@ -908,7 +862,7 @@ def symmetric_csr(
     hi``: equal edges merge, their weights summed in input order from
     0.0, each edge fills both rows (a self-loop one), and every row lists
     its neighbours in ascending order."""
-    lib = _lib_or_raise()
+    lib = _library()
     order, _ = pair_sort(lo, hi, n, n)
     ulo, uhi, uw = run_sums(order, lo, hi, w)
     m = ulo.size

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core import native
 from repro.core.coarsen import coarsen_graph
 from repro.core.modularity import modularity
-from repro.core.sweep_kernel import level_kernels
 from repro.graph.csr import CSRGraph
 
 __all__ = ["shared_memory_louvain", "SharedMemoryResult"]
@@ -50,7 +50,7 @@ def _jacobi_one_level(
     """Jacobi sweeps with the minimum-label rule until stable.
 
     Each sweep is the distributed sweep's gain pass
-    (:func:`repro.core.sweep_kernel.level_kernels`, bound once per level)
+    (:class:`repro.core.native.LevelKernels`, bound once per level)
     against the exact ``sigma_tot`` / size columns of the current state.
     The labels lie in ``[0, n)``, so they are their own compact index; the
     greedy rule takes the smallest label among near-equal best gains, and
@@ -66,7 +66,9 @@ def _jacobi_one_level(
     # shared memory has no remote communities: the column is never read by
     # the greedy rule, but the gain pass takes one
     is_local = np.ones(n, dtype=bool)
-    kernels = level_kernels(graph.indptr, graph.indices, graph.weights, wdeg, n)
+    kernels = native.LevelKernels(
+        graph.indptr, graph.indices, graph.weights, wdeg, n
+    )
 
     best_q = -np.inf
     best_comm = comm.copy()

@@ -313,41 +313,4 @@ def build_symmetric_csr(
     # deferred: repro.core's __init__ pulls in modules that import this one
     from repro.core import native
 
-    if native.available():
-        return CSRGraph(*native.symmetric_csr(n_vertices, lo, hi, weights))
-    return CSRGraph(*_symmetric_csr_numpy(n_vertices, lo, hi, weights))
-
-
-def _symmetric_csr_numpy(
-    n_vertices: int, lo: np.ndarray, hi: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The numpy reference (and fallback) of
-    :func:`repro.core.native.symmetric_csr`: the CSR arrays of the edges
-    ``(lo, hi)``, ``lo <= hi``, duplicates merged in input order."""
-    key = lo * np.int64(n_vertices if n_vertices > 0 else 1) + hi
-    order = np.argsort(key, kind="stable")
-    lo, hi, w = lo[order], hi[order], weights[order]
-    if lo.size:
-        boundary = np.empty(lo.size, dtype=bool)
-        boundary[0] = True
-        boundary[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-        group = np.cumsum(boundary) - 1
-        n_unique = int(group[-1]) + 1
-        merged_w = np.zeros(n_unique, dtype=np.float64)
-        np.add.at(merged_w, group, w)
-        lo, hi, w = lo[boundary], hi[boundary], merged_w
-    # Expand to both directions (self-loops once).
-    loops = lo == hi
-    s = np.concatenate([lo, hi[~loops]])
-    d = np.concatenate([hi, lo[~loops]])
-    ww = np.concatenate([w, w[~loops]])
-    # Counting sort into CSR.
-    counts = np.zeros(n_vertices, dtype=np.int64)
-    np.add.at(counts, s, 1)
-    indptr = np.zeros(n_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    # stable sort on one int64 key, in (row, neighbour) order; this key and
-    # the canonicalisation key above stay below 2**63 for n_vertices up to
-    # about 3.03e9 (the C path forms no keys)
-    order = np.argsort(s * np.int64(max(n_vertices, 1)) + d, kind="stable")
-    return indptr, d[order], ww[order]
+    return CSRGraph(*native.symmetric_csr(n_vertices, lo, hi, weights))

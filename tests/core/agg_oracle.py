@@ -2,9 +2,9 @@
 
 The product has one aggregate-sync path
 (:meth:`repro.core.local_clustering.LocalClustering.sync_aggregates`, on
-:class:`~repro.core.community_table.OwnerTable`) and one merge assembly
-(``repro.core.merging._assemble``).  This module keeps the seed's
-dict-accumulator versions of both as a test oracle:
+the C owner phase of :class:`repro.core.native.LevelKernels`) and one
+merge assembly (``repro.core.merging._assemble``).  This module keeps the
+seed's dict-accumulator versions of both as a test oracle:
 
 * :class:`DictOwnerReference` — the owner-side accumulator;
 * :class:`ScalarSyncClustering` — a ``LocalClustering`` whose
@@ -31,7 +31,7 @@ import numpy as np
 from repro.core import distributed, merging
 from repro.core.community_table import CommunitySnapshot
 from repro.core.local_clustering import LocalClustering
-from repro.core.sweep_kernel import neighbour_pairs
+from tests.core.numpy_kernels import neighbour_pairs
 
 __all__ = [
     "DictOwnerReference",

@@ -1,81 +1,50 @@
-"""Vectorized (Jacobi-style) local-sweep kernels.
+"""The numpy references of the C kernels (``repro.core.native``).
 
-The per-vertex Python loop in
-:meth:`repro.core.local_clustering.LocalClustering._evaluate_vertex` scans
-one CSR row at a time, which makes the stage-1/stage-2 sweep the dominant
-cost of the whole simulation.  This module expresses the identical Eq. 4
-move evaluation as *bulk* NumPy array operations over all rows at once:
+The product has one implementation of every kernel: the C one in
+``src/repro/core/_kernels.c``.  The numpy forms below are the references it
+reproduces bit for bit (same summation order, same operand order, no fused
+multiply-add).  Their bodies are the numpy twins the product used to run
+where no C compiler was found, moved here unchanged:
 
-1. **Pair aggregation** — a compact index ``labels_all, cidx =
-   np.unique(comm_of, return_inverse=True)`` numbers the rank's
-   communities ``0..K-1`` in label order.  The per-(row, neighbour-
-   community) link weights ``w(u -> c)`` are computed for every row
-   simultaneously by one stable argsort of the int64 key
-   ``row * K + cidx[v]`` and one ``np.bincount`` over the pair ids.  The
-   pairs come out in (row, label) order and each sum runs left to right
-   in CSR entry order, exactly like the scalar evaluator's;
-2. **Gain evaluation** — the ``sigma_tot`` / size / local-member columns
-   (for the distributed sweep those of the sync's
-   :class:`~repro.core.community_table.CommunitySnapshot`) are indexed by
-   the same compact id, so each pair gathers its community's values
-   directly; Eq. 4 gains are then one broadcasted expression over the
-   aggregated pairs;
-3. **Heuristic-gated argmax** — the greedy / minlabel / enhanced
-   tie-breaking rules of :mod:`repro.core.heuristics` are expressed as
-   vectorized sort keys (the enhanced rule's local > remote-multi >
-   remote-singleton preference becomes an integer ``category * K + id``
-   key) reduced per row with :func:`numpy.minimum.reduceat`, followed by
-   the same anti-swap vetoes applied to the winning candidate.
+* :class:`NumpyLevelKernels` — :class:`repro.core.native.LevelKernels`:
+  the label index, the fused scan (:func:`internal_weight`,
+  :func:`neighbour_pairs` over :func:`aggregate_neighbor_communities`), the
+  gain pass and the four phases of the inner iteration (``send``,
+  ``owner``, ``place``, ``sweep``);
+* :class:`SortedLabelTable` — :class:`repro.core.native.LabelTable`;
+* :class:`OwnerTable` — the owner phase's table, in first-arrival order;
+* :func:`_pair_sort_numpy`, :func:`_run_sums_numpy`, :func:`unique_inverse`
+  and :func:`_symmetric_csr_numpy` — :func:`repro.core.native.pair_sort`,
+  ``run_sums``, ``unique_inverse`` and ``symmetric_csr``;
+* :func:`_aggregate_pairs_numpy` and :func:`_aggregate_pairs_sorted` — the
+  merge's pair aggregation by one int64 key over the labels' span, and by
+  lexsort where that key would overflow.
 
-Semantics: one bulk pass evaluates *every* row against a frozen snapshot
-of the community state — Jacobi iteration — whereas the scalar loop
-applies owned moves immediately so later vertices see them — Gauss–Seidel.
-Both converge to equivalent modularity (the outer loop's stall patience and
-best-state tracking absorb Jacobi oscillation), but trajectories differ;
-see ``docs/ALGORITHM.md``.  To keep within-rank Jacobi updates from
-ping-ponging, bulk application adds Lu et al.'s singleton swap gate (a
-singleton may merge into another singleton only toward a smaller label) —
-the same rule the shared-memory baseline uses, and a no-op under
-Gauss–Seidel ordering.
-
-:func:`level_kernels` binds the three steps (label index, scan, gain pass)
-to one level's CSR: the C kernels of :mod:`repro.core.native` when they
-could be built, which scan each row once with a row-local accumulator in
-place of the global sort, else :class:`NumpyLevelKernels`.  The scan yields
-both the internal weights (:func:`internal_weight`) and every row's
-neighbour-community sums (:func:`neighbour_pairs`); the sweep is a gain
-pass over those sums.  Every Jacobi sweep of the package runs on these
-bound kernels: the distributed sweep takes its pairs from the sync's
-snapshot (possibly stale aggregates), and the shared-memory baseline
-(:mod:`repro.core.shared_memory`) scans its labels, already in ``[0, n)``
-and so their own compact index, against exact ``np.bincount`` columns.
-
-Bound with a rank's :class:`~repro.core.native.SyncSpec`, the kernels
-also run the phases of the distributed inner iteration, one method per
-stretch between two collectives: ``send``, ``owner`` and ``place`` for
-the aggregate sync, ``sweep`` for the vectorized sweep with its dampers.
-:class:`NumpyLevelKernels` holds the numpy form of each, the reference
-that the C phases reproduce and the path that runs without a compiler.
-The numpy code here is the reference and the fallback, and both give
-bit-identical answers.
+Tests compare the C kernels against these directly.  Where a whole run has
+to go through them, :func:`numpy_path` substitutes them for the kernels of
+:mod:`repro.core.native` that the product calls.  The substitution patches
+module attributes of the calling interpreter, so it only reaches ranks that
+run there: pass ``backend="thread"`` to every run under it.
 """
 
-from __future__ import annotations
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 
 from repro.core import native
-from repro.core.community_table import OwnerTable
-from repro.core.native import VECTOR_HEURISTICS
+from repro.core.native import _out_of_range
 from repro.core.pack import pack_bounds, pack_by_owner
 
 __all__ = [
-    "VECTOR_HEURISTICS",
     "NumpyLevelKernels",
+    "OwnerTable",
+    "SortedLabelTable",
     "aggregate_neighbor_communities",
     "internal_weight",
-    "level_kernels",
     "neighbour_pairs",
+    "numpy_path",
+    "unique_inverse",
 ]
 
 _I64_MAX = np.iinfo(np.int64).max
@@ -135,24 +104,8 @@ def _segment_starts(sorted_rows: np.ndarray) -> np.ndarray:
     return np.flatnonzero(boundary)
 
 
-def level_kernels(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    weights: np.ndarray,
-    row_wdeg: np.ndarray,
-    n_local: int,
-    spec: native.SyncSpec | None = None,
-) -> native.LevelKernels | NumpyLevelKernels:
-    """The inner-iteration kernels bound to one level's CSR: the C ones
-    when :mod:`repro.core.native` could build them, else numpy.  The phase
-    methods (``send``, ``owner``, ``place``, ``sweep``) need the rank's
-    ``spec``."""
-    kind = native.LevelKernels if native.available() else NumpyLevelKernels
-    return kind(indptr, indices, weights, row_wdeg, n_local, spec)
-
-
 class NumpyLevelKernels:
-    """The numpy reference and fallback of
+    """The numpy reference of
     :class:`repro.core.native.LevelKernels`: the same methods with the same
     answers, bit for bit.  Its pairs list each row's ids in ascending
     order, the C scan's in order of first appearance; the gain pass does
@@ -198,9 +151,9 @@ class NumpyLevelKernels:
         heuristic_name: str,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The gain pass over each row's neighbour-community sums: the
-        reference the C ``pair_gains`` kernel reproduces bit for bit, and
-        its fallback.  ``lookup`` holds the ``(sigma_tot, size,
-        is_local)`` columns of the compact ids.  The pairs of a row may
+        reference the C ``pair_gains`` kernel reproduces bit for bit.
+        ``lookup`` holds the ``(sigma_tot, size, is_local)`` columns of
+        the compact ids.  The pairs of a row may
         come in any order: the winner is the minimum of an injective key
         among the candidates within ``theta`` of the row's maximum gain.
         Returns ``(chosen, chosen_gain, stay_gain, chosen_id)``, the last
@@ -327,7 +280,7 @@ class NumpyLevelKernels:
 
     def owner(self, received: list, incoming: list) -> tuple[float, list]:
         """``(q_part, replies)``: the owner table of the ``received``
-        contributions (:class:`~repro.core.community_table.OwnerTable`,
+        contributions (:class:`OwnerTable`,
         fed in rank-arrival order), its partial modularity, and each
         peer's ``(req, vals)`` answer.  A request for a community this
         owner holds no aggregate for breaks the protocol: ``RuntimeError``
@@ -486,3 +439,212 @@ def internal_weight(
     has_in[in_ids] = True
     return s_in, has_in
 
+
+class SortedLabelTable:
+    """First-arrival ids of int64 keys, as :class:`repro.core.native.LabelTable`
+    numbers them, from ``np.unique`` and sorted search."""
+
+    __slots__ = ("ids", "labels", "_sorted", "_rank")
+
+    def __init__(self, keys: np.ndarray) -> None:
+        self._sorted, first, inv = np.unique(
+            keys, return_index=True, return_inverse=True
+        )
+        # sorted position -> first-arrival id
+        self._rank = np.empty(first.size, dtype=np.int64)
+        self._rank[np.argsort(first)] = np.arange(first.size, dtype=np.int64)
+        self.ids = self._rank[inv]
+        self.labels = np.empty_like(self._sorted)
+        self.labels[self._rank] = self._sorted
+
+    def find(self, queries: np.ndarray) -> np.ndarray:
+        """The id of every query; :class:`KeyError` names the first query
+        the table does not hold."""
+        pos = np.searchsorted(self._sorted, queries)
+        pos = np.minimum(pos, max(self._sorted.size - 1, 0))
+        if self._sorted.size:
+            found = self._sorted[pos] == queries
+        else:
+            found = np.zeros(queries.size, dtype=bool)
+        if not found.all():
+            raise KeyError(int(queries[np.argmin(found)]))
+        return self._rank[pos]
+
+
+def _sums(ids: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
+    """Per-id sums in stream order (``np.bincount`` returns integers for
+    an empty stream, hence the cast)."""
+    return np.bincount(ids, weights=values, minlength=k).astype(
+        np.float64, copy=False
+    )
+
+
+class OwnerTable:
+    """Owner-side per-community aggregates (``sigma_tot``, size, ``sigma_in``)
+    of one synchronisation round.
+
+    Dense replacement for the seed's per-round ``dict[int, list[float]]``.
+    Built from the round's received stream: ``labels`` is the rank-order
+    concatenation of every peer's payload (each label at most once per
+    peer).  The labels are numbered in order of first arrival, which is
+    the dict's insertion order, and ``np.bincount`` over those ids
+    hits each community in exactly the order the scalar loop visited it.
+    """
+
+    __slots__ = ("labels", "tot", "cnt", "s_in", "_index")
+
+    def __init__(
+        self,
+        labels: np.ndarray,
+        tot: np.ndarray,
+        cnt: np.ndarray,
+        s_in: np.ndarray,
+    ) -> None:
+        self._index = SortedLabelTable(labels)
+        self.labels = self._index.labels
+        ids, k = self._index.ids, self.labels.size
+        self.tot = _sums(ids, tot, k)
+        self.cnt = _sums(ids, cnt, k)
+        self.s_in = _sums(ids, s_in, k)
+
+    def __len__(self) -> int:
+        return int(self.labels.size)
+
+    def lookup(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(sigma_tot, size)`` for every requested label, from one sorted
+        search per request.
+
+        Raises :class:`KeyError` naming the first unknown label — the
+        protocol guarantees owners hold an aggregate for every community a
+        subscriber references, exactly like the dict path's hard failure.
+        """
+        pos = self._index.find(labels)
+        return self.tot[pos], self.cnt[pos]
+
+    def partial_modularity(self, two_m: float, resolution: float) -> float:
+        """Sum of per-community Q terms, accumulated in id order (dict
+        insertion order) with a strictly sequential ``cumsum`` so the
+        result is bit-identical to the scalar ``+=`` loop."""
+        if self.labels.size == 0:
+            return 0.0
+        terms = self.s_in / two_m - resolution * (self.tot / two_m) ** 2
+        return float(np.cumsum(terms)[-1])
+
+
+def _pair_sort_numpy(
+    a: np.ndarray, b: np.ndarray, na: int, nb: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The numpy reference of :func:`repro.core.native.pair_sort`."""
+    if a.size and (a.min() < 0 or a.max() >= na or b.min() < 0 or b.max() >= nb):
+        bad = (a < 0) | (a >= na) | (b < 0) | (b >= nb)
+        _out_of_range(a, b, na, nb, int(np.argmax(bad)))
+    if na * nb < 2**63:
+        order = np.argsort(a * np.int64(nb) + b, kind="stable")
+    else:
+        order = np.lexsort((b, a))
+    indptr = np.zeros(na + 1, dtype=np.int64)
+    np.cumsum(np.bincount(a, minlength=na), out=indptr[1:])
+    return order, indptr
+
+
+def _run_sums_numpy(
+    order: np.ndarray, a: np.ndarray, b: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The numpy reference of :func:`repro.core.native.run_sums`: ``np.bincount`` adds each
+    weight into its run's bin in stream order, from 0.0."""
+    a, b = a[order], b[order]
+    start = np.ones(a.size, dtype=bool)
+    start[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    sums = np.bincount(np.cumsum(start) - 1, weights=w[order])
+    # an empty bincount is int64 even with weights
+    return a[start], b[start], sums.astype(np.float64, copy=False)
+
+
+def unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The numpy reference of :func:`repro.core.native.unique_inverse`:
+    ``np.unique`` itself, which sorts (with ``return_inverse`` it never
+    takes numpy's hash path)."""
+    return np.unique(np.asarray(keys, dtype=np.int64), return_inverse=True)
+
+
+def _symmetric_csr_numpy(
+    n_vertices: int, lo: np.ndarray, hi: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The numpy reference of
+    :func:`repro.core.native.symmetric_csr`: the CSR arrays of the edges
+    ``(lo, hi)``, ``lo <= hi``, duplicates merged in input order."""
+    key = lo * np.int64(n_vertices if n_vertices > 0 else 1) + hi
+    order = np.argsort(key, kind="stable")
+    lo, hi, w = lo[order], hi[order], weights[order]
+    if lo.size:
+        boundary = np.empty(lo.size, dtype=bool)
+        boundary[0] = True
+        boundary[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        group = np.cumsum(boundary) - 1
+        n_unique = int(group[-1]) + 1
+        merged_w = np.zeros(n_unique, dtype=np.float64)
+        np.add.at(merged_w, group, w)
+        lo, hi, w = lo[boundary], hi[boundary], merged_w
+    # Expand to both directions (self-loops once).
+    loops = lo == hi
+    s = np.concatenate([lo, hi[~loops]])
+    d = np.concatenate([hi, lo[~loops]])
+    ww = np.concatenate([w, w[~loops]])
+    # Counting sort into CSR.
+    counts = np.zeros(n_vertices, dtype=np.int64)
+    np.add.at(counts, s, 1)
+    indptr = np.zeros(n_vertices + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    # stable sort on one int64 key, in (row, neighbour) order; this key and
+    # the canonicalisation key above stay below 2**63 for n_vertices up to
+    # about 3.03e9 (the C path forms no keys)
+    order = np.argsort(s * np.int64(max(n_vertices, 1)) + d, kind="stable")
+    return indptr, d[order], ww[order]
+
+
+def _aggregate_pairs_sorted(
+    cu: np.ndarray, cv: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair aggregation by lexsort, for labels too far apart to key.
+
+    Lexsort is stable, so each ``(cu, cv)`` group keeps its entries in
+    original order, and :func:`~repro.core.native.run_sums` accumulates
+    each group with strictly sequential additions from 0.0 (``reduceat``
+    would not do: it sums long segments pairwise).  No ``cu * n + cv`` key
+    is formed, so no value range can overflow.
+    """
+    return native.run_sums(np.lexsort((cv, cu)), cu, cv, w)
+
+
+def _aggregate_pairs_numpy(
+    cu: np.ndarray, cv: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The numpy pair aggregation: one int64 key per pair over the labels'
+    span, ``np.unique`` (sort-based with ``return_inverse``) and
+    ``np.bincount``, which adds each weight into its pair's bin in stream
+    order from 0.0.  Spans whose square would overflow int64 take the
+    lexsort path."""
+    lo = min(int(cu.min()), int(cv.min()))
+    span = max(int(cu.max()), int(cv.max())) - lo + 1
+    if span * span >= 2**63:
+        return _aggregate_pairs_sorted(cu, cv, w)
+    uniq, inv = np.unique((cu - lo) * span + (cv - lo), return_inverse=True)
+    w_sum = np.bincount(inv, weights=w, minlength=uniq.size)
+    return uniq // span + lo, uniq % span + lo, w_sum
+
+
+@contextmanager
+def numpy_path():
+    """Run the product on these references: every kernel of
+    :mod:`repro.core.native` that ``src/`` calls is replaced by its numpy
+    form for the duration of the context (thread ranks only)."""
+    with mock.patch.multiple(
+        native,
+        LevelKernels=NumpyLevelKernels,
+        LabelTable=SortedLabelTable,
+        pair_sort=_pair_sort_numpy,
+        run_sums=_run_sums_numpy,
+        unique_inverse=unique_inverse,
+        symmetric_csr=_symmetric_csr_numpy,
+    ):
+        yield

@@ -7,13 +7,14 @@ different local optima — these kernels claim *bitwise* equivalence with
 the seed's dict loops: identical labels, identical Q to the last ulp,
 identical per-phase wire bytes.  This suite pins that claim:
 
-1. **Unit** — ``OwnerTable``, built from one received stream, against the
-   oracle's dict owner accumulator, including the insertion-order float
-   accumulation of partial modularity (the subscriber-side snapshot is
-   pinned against the oracle's dict pull in ``test_local_clustering.py``);
+1. **Unit** — the numpy ``OwnerTable`` (the reference of the C owner
+   phase), built from one received stream, against the oracle's dict
+   owner accumulator, including the insertion-order float accumulation of
+   partial modularity (the subscriber-side snapshot is pinned against the
+   oracle's dict pull in ``test_local_clustering.py``);
 2. **Merge** — ``merge_level`` vs the oracle's scalar assembly,
-   field by field on every rank, on the C kernels and on the numpy
-   fallback;
+   field by field on every rank, on the C kernels and on their numpy
+   references (``tests/core/numpy_kernels.py``);
 3. **End-to-end grid** — full pipeline, product vs oracle over
    p × partitioning × sweep_mode × ghost_mode: same
    assignment, same Q, same per-phase byte counters.
@@ -22,18 +23,16 @@ The oracle is swapped in by patching modules of this interpreter, so every
 comparison runs on ``backend="thread"`` and asserts that the oracle ran.
 """
 
-from unittest import mock
-
 import numpy as np
 import pytest
 
-from repro.core import DistributedConfig, distributed_louvain, native
-from repro.core.community_table import OwnerTable
+from repro.core import DistributedConfig, distributed_louvain
 from repro.core.merging import merge_level
 from repro.graph.generators import lfr_graph
 from repro.partition import delegate_partition, oned_partition
 from repro.runtime import run_spmd
 from tests.core.agg_oracle import DictOwnerReference, scalar_reference
+from tests.core.numpy_kernels import OwnerTable, numpy_path
 from tests.core.test_sweep_equivalence import _float_weighted
 
 
@@ -122,9 +121,9 @@ class TestMergeImplEquivalence:
     @pytest.mark.parametrize("p", [1, 2, 4])
     @pytest.mark.parametrize("kind", ["1d", "delegate"])
     def test_numpy_fallback_bitwise(self, ba_graph, p, kind):
-        """The same check with the numpy kernels in place of the C ones
-        (pair aggregation, dense relabel, ghost index, CSR sort)."""
-        with mock.patch.object(native, "available", lambda: False):
+        """The same check with the numpy references in place of the C
+        kernels (pair aggregation, dense relabel, ghost index, CSR sort)."""
+        with numpy_path():
             self._assert_matches_oracle(ba_graph, p, kind)
 
     @pytest.mark.parametrize("p", [1, 2, 4])
@@ -132,11 +131,9 @@ class TestMergeImplEquivalence:
     def test_c_and_numpy_bitwise_on_float_weights(self, ba_graph, p, kind):
         """Float weights make every pair sum's addition order visible: the
         C and numpy aggregations must add in the same order."""
-        if not native.available():
-            pytest.skip("no C compiler: only the numpy path runs here")
         graph = _float_weighted(ba_graph)
         got = _merge_all_fields(graph, p, kind)
-        with mock.patch.object(native, "available", lambda: False):
+        with numpy_path():
             ref = _merge_all_fields(graph, p, kind)
         TestMergeImplEquivalence._assert_same_fields(got, ref)
 

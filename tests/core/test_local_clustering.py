@@ -2,12 +2,10 @@
 
 import contextlib
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.core import native
 from repro.core.community_table import CommunitySnapshot
 from repro.core.heuristics import MoveHeuristic, get_heuristic
 from repro.core.local_clustering import LocalClustering
@@ -15,6 +13,7 @@ from repro.core.modularity import modularity
 from repro.partition import delegate_partition, oned_partition
 from repro.runtime import SPMDError, run_spmd
 from tests.core.agg_oracle import ScalarSyncClustering, canonical_pairs
+from tests.core.numpy_kernels import numpy_path
 
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 
@@ -275,8 +274,8 @@ class TestSyncSnapshot:
 
     def test_reply_mismatch_raises(self):
         """Replies are placed by the request permutation, so a reply stream
-        that does not repeat the requests is a protocol error, on the C
-        path (where a compiler exists) and on the numpy one."""
+        that does not repeat the requests is a protocol error, in C and in
+        the numpy reference."""
         # four local vertices, three of them owned rows, at rank 0 of 2:
         # labels [3, 8, 12], requests [8, 12] to rank 0 and [3] to rank 1
         lg = SimpleNamespace(
@@ -287,10 +286,8 @@ class TestSyncSnapshot:
             recv_from={},
         )
         comm = SimpleNamespace(rank=0, size=2)
-        paths = [False, True] if native.available() else [True]
-        for numpy in paths:
-            with mock.patch.object(native, "available", lambda: False) if numpy \
-                    else contextlib.nullcontext():
+        for numpy in (False, True):
+            with numpy_path() if numpy else contextlib.nullcontext():
                 kernels = LocalClustering(comm, lg, get_heuristic("enhanced"))._kernels
             comm_of = np.array([3, 12, 8, 3], dtype=np.int64)
             _contributions, requests = kernels.send(comm_of)

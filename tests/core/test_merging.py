@@ -1,11 +1,8 @@
 """Tests for distributed graph merging (Algorithm 3)."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 
-from repro.core import native
 from repro.core.coarsen import coarsen_graph
 from repro.core.merging import merge_level
 from repro.graph.csr import CSRGraph, build_symmetric_csr
@@ -125,58 +122,62 @@ class TestMergeCorrectness:
 
 
 class TestAggregatePairsOverflow:
-    """No label range can overflow a ``cu * n + cv`` key: the C path
-    compacts the labels before it sorts, and the numpy path keys the
-    labels' span only while its square fits in int64, else lexsorts
-    (``_aggregate_pairs_sorted``).  These run on the path in use;
-    :class:`TestAggregatePairsOverflowNumpy` repeats them on numpy."""
+    """No label range can overflow a ``cu * n + cv`` key: the product
+    compacts the labels before it sorts.  :class:`TestAggregatePairsOverflowNumpy`
+    repeats the cases on the numpy reference, which keys the labels' span
+    only while its square fits in int64, else lexsorts
+    (``_aggregate_pairs_sorted``)."""
+
+    @staticmethod
+    def aggregate(cu, cv, w):
+        from repro.core.merging import _aggregate_pairs
+
+        return _aggregate_pairs(cu, cv, w)
 
     def test_sorted_path_matches_keyed_path(self):
-        from repro.core.merging import _aggregate_pairs, _aggregate_pairs_sorted
+        from tests.core.numpy_kernels import _aggregate_pairs_sorted
 
         rng = np.random.default_rng(42)
         cu = rng.integers(0, 50, 500).astype(np.int64)
         cv = rng.integers(0, 50, 500).astype(np.int64)
         w = rng.standard_normal(500) ** 2
-        ku, kv, kw = _aggregate_pairs(cu, cv, w)
+        ku, kv, kw = self.aggregate(cu, cv, w)
         su, sv, sw = _aggregate_pairs_sorted(cu, cv, w)
         assert np.array_equal(ku, su)
         assert np.array_equal(kv, sv)
         assert kw.tobytes() == sw.tobytes()  # same accumulation order
 
     def test_huge_n_global_does_not_wrap(self):
-        from repro.core.merging import _aggregate_pairs
-
         # above floor(sqrt(2**63 - 1)): a cu * n + cv key would wrap int64
         hi = np.int64(3 * 3_037_000_499 - 1)
         cu = np.array([hi, 0, hi, 0], dtype=np.int64)
         cv = np.array([0, hi, 0, hi], dtype=np.int64)
         w = np.array([1.0, 2.0, 3.0, 4.0])
-        au, av, aw = _aggregate_pairs(cu, cv, w)
+        au, av, aw = self.aggregate(cu, cv, w)
         assert au.size == 2  # two distinct pairs, NOT merged by key wrap
         assert np.array_equal(au, [0, hi])
         assert np.array_equal(av, [hi, 0])
         assert np.array_equal(aw, [6.0, 4.0])
 
     def test_below_limit_uses_keyed_path_unchanged(self):
-        from repro.core.merging import _aggregate_pairs
-
         cu = np.array([1, 1, 0], dtype=np.int64)
         cv = np.array([2, 2, 1], dtype=np.int64)
         w = np.array([0.5, 0.25, 1.0])
-        au, av, aw = _aggregate_pairs(cu, cv, w)
+        au, av, aw = self.aggregate(cu, cv, w)
         assert np.array_equal(au, [0, 1])
         assert np.array_equal(av, [1, 2])
         assert np.array_equal(aw, [1.0, 0.75])
 
 
 class TestAggregatePairsOverflowNumpy(TestAggregatePairsOverflow):
-    """The same cases with the numpy fallback forced."""
+    """The same cases on the numpy reference of the pair aggregation."""
 
-    @pytest.fixture(autouse=True)
-    def _numpy_only(self):
-        with mock.patch.object(native, "available", lambda: False):
-            yield
+    @staticmethod
+    def aggregate(cu, cv, w):
+        from tests.core.numpy_kernels import _aggregate_pairs_numpy, numpy_path
+
+        with numpy_path():
+            return _aggregate_pairs_numpy(cu, cv, w)
 
 
 class TestAggregateOwnedRows:

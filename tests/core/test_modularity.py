@@ -173,15 +173,16 @@ def _float_web_graph():
 
 class TestExactAgainstDictForm:
     """``modularity`` and ``community_aggregates`` keep the bits of the
-    dict-based code they replaced, on both kernel paths."""
+    dict-based code they replaced, on the C kernels and on their numpy
+    references."""
 
     @pytest.mark.parametrize("force_numpy", [False, True], ids=["auto", "numpy"])
     @pytest.mark.parametrize("resolution", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("graph_name", ["karate", "web_float"])
     def test_bitwise(self, karate, graph_name, resolution, force_numpy):
-        from unittest import mock
+        import contextlib
 
-        from repro.core import native
+        from tests.core.numpy_kernels import numpy_path
 
         graph = karate if graph_name == "karate" else _float_web_graph()
         rng = np.random.default_rng(11)
@@ -190,12 +191,7 @@ class TestExactAgainstDictForm:
             rng.integers(0, 7, graph.n_vertices) * 1_000_003 - 50,
             rng.integers(0, graph.n_vertices // 3, graph.n_vertices),
         ]
-        patch = (
-            mock.patch.object(native, "available", lambda: False)
-            if force_numpy
-            else mock.patch.object(native, "available", native.available)
-        )
-        with patch:
+        with numpy_path() if force_numpy else contextlib.nullcontext():
             for a in assignments:
                 q_ref, in_ref, tot_ref = _dict_modularity(graph, a, resolution)
                 assert repr(modularity(graph, a, resolution)) == repr(q_ref)
@@ -220,3 +216,21 @@ class TestExactAgainstDictForm:
         empty = np.zeros(0, dtype=np.int64)
         assert modularity(g, empty) == 0.0
         assert community_aggregates(g, empty) == ({}, {})
+
+    def test_isolated_vertices(self):
+        """Edgeless communities have float sums of 0.0, isolated vertices
+        beside edges included."""
+        edgeless = CSRGraph.from_edges(3, [])
+        sigma_in, sigma_tot = community_aggregates(edgeless, np.array([4, 0, 4]))
+        assert list(sigma_in.items()) == [(0, 0.0), (4, 0.0)]
+        assert list(sigma_tot.items()) == [(0, 0.0), (4, 0.0)]
+        assert all(type(v) is float for v in [*sigma_in.values(), *sigma_tot.values()])
+        assert modularity(edgeless, np.array([4, 0, 4])) == 0.0
+        # vertex 2 is isolated; the 0-1 edge is internal to community 7
+        g = CSRGraph.from_edges(3, [(0, 1), (1, 1)])
+        a = np.array([7, 7, 9])
+        sigma_in, sigma_tot = community_aggregates(g, a)
+        q_ref, in_ref, tot_ref = _dict_modularity(g, a)
+        assert list(sigma_in.items()) == list(in_ref.items()) == [(7, 4.0), (9, 0.0)]
+        assert list(sigma_tot.items()) == list(tot_ref.items())
+        assert repr(modularity(g, a)) == repr(q_ref)

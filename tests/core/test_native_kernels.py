@@ -1,7 +1,7 @@
 """The native kernels (``repro.core.native``) against their numpy references.
 
 The C label hash, fused CSR scan and gain pass must reproduce the numpy
-kernels bit for bit, so which path runs never changes an answer:
+references of ``tests/core/numpy_kernels.py`` bit for bit:
 
 1. **Label hash** (Hypothesis) — the sync's compact index against
    ``np.unique(return_inverse=True)`` on empty input, one label, all labels
@@ -23,20 +23,19 @@ kernels bit for bit, so which path runs never changes an answer:
    argsort, its run sums against ``np.unique`` plus ``np.add.at`` to the
    bit, and the hashed ``unique_inverse`` against ``np.unique``;
 4. **End-to-end identity** — labels, ``repr(Q)``, per-level Q and per-rank
-   per-phase byte counts of whole runs with the numpy kernels forced and
-   with C;
+   per-phase byte counts of whole runs on C and on the numpy references
+   (substituted by ``numpy_path``);
 5. **Build and cache** — the shipped source names the cached library,
-   nothing builds at import, a failing compiler falls back to numpy, an
-   unsafe cache directory is refused, and concurrent builders into one
-   cache directory all load the same library.
+   nothing builds at import, a failing compiler raises one error that
+   names it (no second build, no fallback), an unsafe cache directory is
+   refused, and concurrent builders into one cache directory all load the
+   same library.
 
-Tests that need the C kernels skip where no compiler is present; the CI
-jobs assert separately that the kernels build there.
+The C kernels are required: without a compiler these tests fail.
 """
 
 import contextlib
 import hashlib
-import logging
 import multiprocessing
 import os
 import platform
@@ -45,7 +44,6 @@ import subprocess
 import sys
 from importlib import resources
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,36 +51,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DistributedConfig, distributed_louvain, native
-from repro.core.community_table import OwnerTable
 from repro.core.heuristics import get_heuristic
 from repro.core.local_clustering import LocalClustering
-from repro.core.sweep_kernel import (
-    NumpyLevelKernels,
-    internal_weight,
-    neighbour_pairs,
-)
 from repro.graph.csr import build_symmetric_csr
 from repro.partition import delegate_partition
-from repro.runtime import run_spmd
+from repro.runtime import SPMDError, run_spmd
 from tests.core.agg_oracle import DictOwnerReference, canonical_pairs
+from tests.core.numpy_kernels import (
+    NumpyLevelKernels,
+    OwnerTable,
+    _pair_sort_numpy,
+    internal_weight,
+    neighbour_pairs,
+    numpy_path,
+)
 from tests.core.test_sweep_equivalence import _csr_snapshots, _float_weighted
 
 HEURISTICS = ["greedy", "minlabel", "enhanced"]
 
 
-@pytest.fixture(scope="module")
-def c_kernels():
-    if not native.available():
-        pytest.skip("no C compiler: only the numpy kernels run here")
-
-
-def _kernel_path(request, kind):
+def _kernel_path(kind):
     """A context in which the ``kind`` (``"c"`` or ``"numpy"``) kernels
-    run; the C kind skips without a compiler."""
-    if kind == "c":
-        request.getfixturevalue("c_kernels")
-        return contextlib.nullcontext()
-    return mock.patch.object(native, "available", lambda: False)
+    run."""
+    return contextlib.nullcontext() if kind == "c" else numpy_path()
 
 
 def _bitwise_equal(a, b):
@@ -141,7 +132,7 @@ def _owner_streams(draw):
 class TestLabelHash:
     @settings(max_examples=200, deadline=None)
     @given(_label_keys())
-    def test_index_matches_unique(self, c_kernels, keys):
+    def test_index_matches_unique(self, keys):
         labels, cidx = _index_only(keys.size).index(keys)
         ref_labels, ref_cidx = np.unique(keys, return_inverse=True)
         assert _bitwise_equal(labels, ref_labels)
@@ -149,7 +140,7 @@ class TestLabelHash:
 
     @settings(max_examples=200, deadline=None)
     @given(_label_keys(), st.lists(st.integers(-(2**62), 2**62), max_size=10))
-    def test_table_numbers_in_first_arrival_order(self, c_kernels, keys, extra):
+    def test_table_numbers_in_first_arrival_order(self, keys, extra):
         table = native.LabelTable(keys)
         first = {}
         for key in keys.tolist():
@@ -168,7 +159,7 @@ class TestLabelHash:
     @settings(max_examples=200, deadline=None)
     @given(_owner_streams())
     def test_owner_table_matches_dict_reference(self, stream):
-        """The owner table, the numpy reference of the owner phase, against
+        """The numpy owner table, the reference of the owner phase, against
         the dict accumulator (``test_phase_kernels.py`` pins the C owner
         phase against the table)."""
         ref = DictOwnerReference()
@@ -214,9 +205,9 @@ class TestGraphBuildKernels:
     @pytest.mark.parametrize("kind", ["c", "numpy"])
     @given(case=_pairs())
     @settings(max_examples=150, deadline=None)
-    def test_pair_sort_and_run_sums(self, request, kind, case):
+    def test_pair_sort_and_run_sums(self, kind, case):
         a, b, w, na, nb = case
-        with _kernel_path(request, kind):
+        with _kernel_path(kind):
             order, indptr = native.pair_sort(a, b, na, nb)
             ra, rb, rw = native.run_sums(order, a, b, w)
         assert np.array_equal(order, np.argsort(a * nb + b, kind="stable"))
@@ -230,25 +221,25 @@ class TestGraphBuildKernels:
         assert _bitwise_equal(rw, ref)
 
     @pytest.mark.parametrize("kind", ["c", "numpy"])
-    def test_pair_sort_rejects_out_of_range(self, request, kind):
-        with _kernel_path(request, kind):
+    def test_pair_sort_rejects_out_of_range(self, kind):
+        with _kernel_path(kind):
             for a, b in (([0, 3], [0, 0]), ([0, 0], [0, -1])):
                 with pytest.raises(ValueError, match="pair 1 .* is outside"):
                     native.pair_sort(np.array(a), np.array(b), 3, 3)
 
     def test_numpy_pair_sort_past_the_key_range(self):
         """Where ``na * nb`` would overflow an int64 key, the numpy
-        fallback lexsorts instead, with the same order."""
+        reference lexsorts instead, with the same order."""
         big = 2**62  # 2 * big is past the int64 range
         a = np.array([1, 0, 1, 0], dtype=np.int64)
         b = np.array([big - 1, big - 1, 0, 5], dtype=np.int64)
-        order, indptr = native._pair_sort_numpy(a, b, 2, big)
+        order, indptr = _pair_sort_numpy(a, b, 2, big)
         assert order.tolist() == [3, 1, 2, 0]
         assert indptr.tolist() == [0, 2, 4]
 
     @given(_label_keys())
     @settings(max_examples=100, deadline=None)
-    def test_unique_inverse(self, c_kernels, keys):
+    def test_unique_inverse(self, keys):
         labels, inverse = native.unique_inverse(keys)
         ref_labels, ref_inverse = np.unique(keys, return_inverse=True)
         assert _bitwise_equal(labels, ref_labels)
@@ -304,7 +295,7 @@ def _shuffled_within_rows(pairs, rng):
 class TestKernelIdentity:
     @settings(max_examples=200, deadline=None)
     @given(_sweep_cases())
-    def test_best_moves_matches_numpy(self, c_kernels, case):
+    def test_best_moves_matches_numpy(self, case):
         """The C gain pass against the numpy one on the numpy pairs, on the
         C scan's pairs, the numpy pairs and pairs shuffled within their
         rows; the numpy gain pass on the C pairs too.  The decision of a
@@ -333,7 +324,7 @@ class TestKernelIdentity:
 
     @settings(max_examples=200, deadline=None)
     @given(_sweep_cases())
-    def test_internal_weight_matches_numpy(self, c_kernels, case):
+    def test_internal_weight_matches_numpy(self, case):
         """The fused scan's internal weights against ``internal_weight``,
         and its pairs against ``aggregate_neighbor_communities``."""
         entry_rows, indices, weights, comm_of, n_rows, row_wdeg = case[:6]
@@ -350,7 +341,7 @@ class TestKernelIdentity:
             assert _bitwise_equal(g, r)
 
 
-    def test_gain_pass_rejects_rows_longer_than_the_level(self, c_kernels):
+    def test_gain_pass_rejects_rows_longer_than_the_level(self):
         """The gain pass buffers one row's gains, sized by the level's
         longest row; pairs with a longer row are refused, not overrun."""
         one = np.ones(2)
@@ -365,11 +356,9 @@ class TestKernelIdentity:
                           resolution=1.0, theta=0.0, heuristic_name="greedy")
 
     @pytest.mark.parametrize("kind", ["c", "numpy"])
-    def test_gain_pass_rejects_unknown_heuristic(self, request, karate, kind):
+    def test_gain_pass_rejects_unknown_heuristic(self, karate, kind):
         """A heuristic without a vectorized rule is refused by both gain
         passes with the same error, instead of running some other rule."""
-        if kind == "c":
-            request.getfixturevalue("c_kernels")
         cls = native.LevelKernels if kind == "c" else NumpyLevelKernels
         n = karate.n_vertices
         kernels = cls(
@@ -410,7 +399,7 @@ def _partitioned_graphs(draw):
 class TestContributionsIdentity:
     @settings(max_examples=100, deadline=None)
     @given(_partitioned_graphs())
-    def test_contributions_match_numpy(self, c_kernels, case):
+    def test_contributions_match_numpy(self, case):
         graph, p, pool, seed = case
         rng = np.random.default_rng(seed)
         # d_high=3 makes hub delegates, whose rows only one rank reports
@@ -418,8 +407,7 @@ class TestContributionsIdentity:
         for rank, lg in enumerate(partition.locals):
             comm = SimpleNamespace(rank=rank, size=p)
             lc = LocalClustering(comm, lg, get_heuristic("enhanced"))
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(native, "available", lambda: False)
+            with numpy_path():
                 ref_lc = LocalClustering(comm, lg, get_heuristic("enhanced"))
             assert isinstance(ref_lc._kernels, NumpyLevelKernels)
             lc.comm_of = pool[rng.integers(0, pool.size, lc.comm_of.size)]
@@ -484,8 +472,7 @@ def _outcome(graph, p, **kw):
 
 def _assert_same_run(graph, p, **kw):
     got = _outcome(graph, p, **kw)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(native, "available", lambda: False)
+    with numpy_path():
         ref = _outcome(graph, p, **kw)
     assert np.array_equal(got[0], ref[0])
     assert got[1:] == ref[1:]
@@ -500,25 +487,25 @@ MODES = {
 
 
 class TestEndToEndIdentity:
-    """Whole runs agree exactly with the numpy kernels forced and with C.
+    """Whole runs agree exactly on C and on the numpy references.
     The sync's internal-weight pass runs under every sweep mode, the
     best-move scan under the vectorized one."""
 
     @pytest.mark.parametrize("mode", sorted(MODES))
     @pytest.mark.parametrize("p", [1, 2, 4])
-    def test_mode_grid(self, c_kernels, ba_graph, p, mode):
+    def test_mode_grid(self, ba_graph, p, mode):
         # the p x mode grid of test_agg_equivalence, on float weights
         _assert_same_run(_float_weighted(ba_graph), p, **MODES[mode])
 
     @pytest.mark.parametrize("p", [1, 2, 8])
     @pytest.mark.parametrize("name", ["karate", "lfr_small", "web_graph"])
-    def test_graphs(self, c_kernels, request, name, p):
+    def test_graphs(self, request, name, p):
         graph = request.getfixturevalue(name)
         graph = getattr(graph, "graph", graph)
         _assert_same_run(graph, p, sweep_mode="vectorized")
 
     @pytest.mark.parametrize("heuristic", HEURISTICS)
-    def test_heuristics(self, c_kernels, web_graph, heuristic):
+    def test_heuristics(self, web_graph, heuristic):
         _assert_same_run(
             _float_weighted(web_graph), 4, sweep_mode="vectorized",
             heuristic=heuristic, max_inner=30,
@@ -526,7 +513,7 @@ class TestEndToEndIdentity:
 
 
 class TestBuildAndCache:
-    def test_source_ships_and_names_the_library(self, c_kernels, tmp_path):
+    def test_source_ships_and_names_the_library(self, tmp_path):
         source = resources.files("repro.core").joinpath("_kernels.c").read_text()
         for kernel in (
             "label_ids", "label_find", "label_index", "neighbour_scan",
@@ -551,25 +538,55 @@ class TestBuildAndCache:
         )
         assert out.stdout.strip() == "False"
 
-    def test_failing_compiler_falls_back_to_numpy(
-        self, monkeypatch, tmp_path, caplog, web_graph
-    ):
-        ref = _outcome(_float_weighted(web_graph), 2, sweep_mode="vectorized")
+    def test_failing_compiler_raises(self, monkeypatch, tmp_path, web_graph):
+        """Without a working compiler the first kernel call raises an error
+        that names the compiler command; later calls raise it again without
+        a second build, no library is left in the cache, and runs fail
+        instead of hanging or taking some other path."""
+        graph = _float_weighted(web_graph)
+        part = delegate_partition(graph, 2, d_high=30)
+        compiles = []
+        real_compile = native._compile
+
+        def counted(*args):
+            compiles.append(args)
+            return real_compile(*args)
+
+        monkeypatch.setattr(native, "_compile", counted)
         monkeypatch.setattr(native, "_COMPILER", "false")
         monkeypatch.setattr(native, "_lib", None)
+        monkeypatch.setattr(native, "_error", None)
         monkeypatch.setattr(native, "_tried", False)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        with caplog.at_level(logging.WARNING, logger="repro.core.native"):
-            assert not native.available()
-            assert not native.available()  # one attempt, one log line
-        logged = [r for r in caplog.records if r.name == "repro.core.native"]
-        assert len(logged) == 1 and "unavailable" in logged[0].message
+        command = re.escape("`false -O3 -fPIC -shared -ffp-contract=off")
+        with pytest.raises(RuntimeError, match=command) as first:
+            native.unique_inverse(np.arange(3))
+        message = str(first.value)
+        with pytest.raises(RuntimeError) as again:
+            native.pair_sort(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
+                             1, 1)
+        assert str(again.value) == message
+        assert len(compiles) == 1
         assert not [f for f in os.listdir(tmp_path / "repro") if f.endswith(".so")]
-        got = _outcome(_float_weighted(web_graph), 2, sweep_mode="vectorized")
-        assert np.array_equal(got[0], ref[0])
-        assert got[1:] == ref[1:]
+        # the partitioner is the first kernel caller of a whole run
+        with pytest.raises(RuntimeError) as run:
+            distributed_louvain(graph, 2, DistributedConfig(backend="thread"))
+        assert str(run.value) == message
+        # ranks that bind their level kernels fail the SPMD run
+        with pytest.raises(SPMDError) as ranks:
+            run_spmd(
+                2,
+                lambda comm: LocalClustering(
+                    comm, part.locals[comm.rank], get_heuristic("enhanced")
+                ),
+                timeout=60,
+                backend="thread",
+            )
+        assert message in str(ranks.value)
+        assert str(ranks.value.original) == message
+        assert len(compiles) == 1
 
-    def test_world_writable_cache_refused(self, c_kernels, tmp_path):
+    def test_world_writable_cache_refused(self, tmp_path):
         unsafe = tmp_path / "unsafe"
         unsafe.mkdir()
         unsafe.chmod(0o777)
@@ -577,7 +594,7 @@ class TestBuildAndCache:
         assert native._load(cache_dir=str(unsafe)) is not None  # built privately
         assert os.listdir(unsafe) == []
 
-    def test_foreign_owned_cache_refused(self, c_kernels, tmp_path, monkeypatch):
+    def test_foreign_owned_cache_refused(self, tmp_path, monkeypatch):
         other = tmp_path / "other"
         other.mkdir(mode=0o700)
         assert native._usable_dir(str(other))
@@ -587,12 +604,12 @@ class TestBuildAndCache:
         assert native._load(cache_dir=str(other)) is not None
         assert os.listdir(other) == []
 
-    def test_new_cache_dir_is_private(self, c_kernels, tmp_path):
+    def test_new_cache_dir_is_private(self, tmp_path):
         fresh = tmp_path / "a" / "repro"
         assert native._load(cache_dir=str(fresh)) is not None
         assert fresh.stat().st_mode & 0o777 == 0o700
 
-    def test_concurrent_builds_share_one_library(self, c_kernels, tmp_path):
+    def test_concurrent_builds_share_one_library(self, tmp_path):
         cache = tmp_path / "cache"
         cache.mkdir(mode=0o700)
         reports = tmp_path / "reports"

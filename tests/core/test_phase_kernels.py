@@ -6,21 +6,19 @@ its level kernels: ``send`` (the contributions and the requests of a sync),
 snapshot columns) and ``sweep`` (the Jacobi gain pass with its dampers).
 Here every rank of a partitioned graph runs those calls by hand, with the
 collectives done by routing the payloads between the ranks' lists, once
-with :class:`repro.core.native.LevelKernels` and once with
-:class:`repro.core.sweep_kernel.NumpyLevelKernels`.  Every payload, the
+with :class:`repro.core.native.LevelKernels` and once with its numpy
+reference :class:`tests.core.numpy_kernels.NumpyLevelKernels`.  Every payload, the
 partial Q, the snapshot columns and the sweep's ``comm_of``, move count
 and hub proposals must agree bit for bit (the C scan lists a row's pairs
 in first-appearance order, numpy in ascending order, so pairs are compared
 through :func:`tests.core.agg_oracle.canonical_pairs`).
 
-The protocol checks run on both paths: an owner asked for a community it
-holds no aggregate for, and replies that do not repeat the requests, raise
-``RuntimeError``.  Tests that need the C kernels skip where no compiler is
-present.
+The protocol checks run on both: an owner asked for a community it holds
+no aggregate for, and replies that do not repeat the requests, raise
+``RuntimeError``.
 """
 
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,23 +29,13 @@ from repro.core import native
 from repro.core.community_table import CommunitySnapshot
 from repro.core.heuristics import get_heuristic
 from repro.core.local_clustering import LocalClustering
-from repro.core.sweep_kernel import NumpyLevelKernels
 from repro.graph.csr import build_symmetric_csr
 from repro.graph.generators import path_graph
 from repro.partition import delegate_partition
 from tests.core.agg_oracle import canonical_pairs
+from tests.core.numpy_kernels import NumpyLevelKernels, numpy_path
 
 HEURISTICS = ["greedy", "minlabel", "enhanced"]
-
-
-@pytest.fixture(scope="module")
-def c_kernels():
-    if not native.available():
-        pytest.skip("no C compiler: only the numpy kernels run here")
-
-
-def _numpy_path():
-    return mock.patch.object(native, "available", lambda: False)
 
 
 def _kernels(lg, rank, size, heuristic, numpy, **params):
@@ -55,7 +43,7 @@ def _kernels(lg, rank, size, heuristic, numpy, **params):
     (``params``: its ``resolution`` and ``theta``)."""
     comm = SimpleNamespace(rank=rank, size=size)
     if numpy:
-        with _numpy_path():
+        with numpy_path():
             lc = LocalClustering(comm, lg, get_heuristic(heuristic), **params)
         assert isinstance(lc._kernels, NumpyLevelKernels)
     else:
@@ -151,9 +139,7 @@ class TestPhaseKernels:
         st.sampled_from([1.0, 0.5, 1.3, 2.0]),
         st.sampled_from([1e-12, 0.0, 1e-3]),
     )
-    def test_c_matches_numpy(
-        self, c_kernels, case, heuristic, down_only, resolution, theta
-    ):
+    def test_c_matches_numpy(self, case, heuristic, down_only, resolution, theta):
         graph, p, d_high, glabel = case
         part = delegate_partition(graph, p, d_high=d_high)
         comm_ofs = [glabel[lg.global_ids] for lg in part.locals]
@@ -163,11 +149,9 @@ class TestPhaseKernels:
         _assert_phases_equal(got, ref)
 
     @pytest.mark.parametrize("numpy", [False, True], ids=["c", "numpy"])
-    def test_rank_without_rows(self, request, numpy):
+    def test_rank_without_rows(self, numpy):
         """More ranks than vertices: the idle ranks' phases run on empty
-        arrays, and both paths agree with each other."""
-        if not numpy:
-            request.getfixturevalue("c_kernels")
+        arrays, and C agrees with the numpy reference."""
         part = delegate_partition(path_graph(3), 4, d_high=10**9)
         assert any(lg.n_rows == 0 for lg in part.locals)
         comm_ofs = [lg.global_ids.astype(np.int64) * 7 for lg in part.locals]
@@ -180,11 +164,9 @@ class TestPhaseKernels:
         assert sum(q for q, _ in out[1]) < 0
 
     @pytest.mark.parametrize("numpy", [False, True], ids=["c", "numpy"])
-    def test_owner_without_the_aggregate_raises(self, request, numpy):
+    def test_owner_without_the_aggregate_raises(self, numpy):
         """An owner asked for a community it holds no aggregate for names
-        its rank and the label, on both paths."""
-        if not numpy:
-            request.getfixturevalue("c_kernels")
+        its rank and the label, in C and in the numpy reference."""
         part = delegate_partition(path_graph(4), 2, d_high=10**9)
         kernels = _kernels(part.locals[1], 1, 2, "enhanced", numpy)
         empty = (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0), np.zeros(0))

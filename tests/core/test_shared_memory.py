@@ -1,16 +1,14 @@
 """Tests for the Lu et al. shared-memory parallel Louvain baseline."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 
-from repro.core import native
 from repro.core.modularity import modularity
 from repro.core.shared_memory import shared_memory_louvain
 from repro.core import sequential_louvain
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import lfr_graph, ring_of_cliques
+from tests.core.numpy_kernels import numpy_path
 from tests.core.test_sweep_equivalence import _float_weighted
 
 
@@ -93,8 +91,9 @@ class TestSharedMemoryLouvain:
 
     @pytest.mark.parametrize("name", ["karate", "lfr_small", "web_graph", "empty"])
     def test_numpy_kernels_match_c(self, request, name):
-        """The sweep's gain pass gives the same run on the numpy kernels as
-        on the C ones, float weights and a vertex-free graph included."""
+        """The sweep's gain pass gives the same run on the numpy references
+        as on the C kernels, float weights and a vertex-free graph
+        included."""
         if name == "empty":
             graph = CSRGraph.from_edges(0, [])
         elif name == "lfr_small":
@@ -104,7 +103,7 @@ class TestSharedMemoryLouvain:
         else:
             graph = request.getfixturevalue(name)
         ref = shared_memory_louvain(graph)
-        with mock.patch.object(native, "available", lambda: False):
+        with numpy_path():
             got = shared_memory_louvain(graph)
         assert np.array_equal(got.assignment, ref.assignment)
         assert repr(got.modularity) == repr(ref.modularity)

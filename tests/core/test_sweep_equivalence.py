@@ -8,7 +8,8 @@ algorithm as the scalar Gauss–Seidel loop:
    ``LocalClustering._evaluate_vertex`` *exactly*, for every heuristic
    (same Eq. 4 arithmetic, same tie-breaking, same vetoes), at the
    singleton start and a few iterations in, with integer and non-integer
-   weights.  Below it, the pair grouping is pinned bit for bit against a
+   weights.  Below it, the pair grouping of the numpy reference
+   (``tests/core/numpy_kernels.py``) is pinned bit for bit against a
    ``lexsort`` reference with left-to-right sums;
 2. **End-to-end equivalence** — full pipeline runs in both modes land on
    equivalent final modularity (trajectories legitimately differ:
@@ -22,14 +23,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DistributedConfig, distributed_louvain, sequential_louvain
+from repro.core import DistributedConfig, distributed_louvain, native, sequential_louvain
 from repro.core.heuristics import get_heuristic
 from repro.core.local_clustering import LocalClustering
 from repro.core.modularity import modularity
-from repro.core.sweep_kernel import aggregate_neighbor_communities, level_kernels
 from repro.graph.csr import build_symmetric_csr
 from repro.partition import delegate_partition
 from repro.runtime import run_spmd
+from tests.core.numpy_kernels import aggregate_neighbor_communities
 
 # Jacobi and Gauss-Seidel visit different move orders, so they may settle
 # in different (equally good) local optima; this bounds the allowed gap.
@@ -70,7 +71,7 @@ def _snapshot_mismatches(graph, p, heuristic, warm_iters=0):
             np.array([lc.csize[c] for c in labs], dtype=np.int64),
             np.array([lc.local_members.get(c, 0) > 0 for c in labs], dtype=bool),
         )
-        kernels = level_kernels(
+        kernels = native.LevelKernels(
             lg.indptr, lg.indices, lg.weights, lg.row_weighted_degree,
             lc.comm_of.size,
         )

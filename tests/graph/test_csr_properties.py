@@ -125,13 +125,11 @@ def raw_edge_arrays(draw):
 def test_native_build_matches_numpy(data):
     """The C build (counting sort, run sums, symmetric fill) and the numpy
     reference give the same arrays, weights to the bit."""
-    from unittest import mock
-
-    from repro.core import native
+    from tests.core.numpy_kernels import numpy_path
 
     n, src, dst, w = data
     got = build_symmetric_csr(n, src, dst, w)
-    with mock.patch.object(native, "available", lambda: False):
+    with numpy_path():
         ref = build_symmetric_csr(n, src, dst, w)
     assert np.array_equal(got.indptr, ref.indptr)
     assert np.array_equal(got.indices, ref.indices)

@@ -1,20 +1,20 @@
-"""The C and numpy paths of ``build_local_graphs`` build the same ranks.
+"""``build_local_graphs`` on C and on the numpy references builds the
+same ranks.
 
 Each rank's CSR comes from :func:`repro.core.native.pair_sort`: a
-counting sort in C, one sorted int64 key in numpy.  Both must give the
-same :class:`LocalGraph`, field for field, also when the global rows list
+counting sort in C, one sorted int64 key in its numpy reference
+(``tests/core/numpy_kernels.py``).  Both must give the same
+:class:`LocalGraph`, field for field, also when the global rows list
 their neighbours out of order.
 """
-
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.core import native
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import barabasi_albert
 from repro.partition import delegate_partition, oned_partition
+from tests.core.numpy_kernels import numpy_path
 
 
 def _fields(lg):
@@ -70,7 +70,7 @@ def _partition(graph, kind, p):
 def test_c_and_numpy_partitions_identical(p, kind):
     graph = _weighted_graph()
     got = _partition(graph, kind, p)
-    with mock.patch.object(native, "available", lambda: False):
+    with numpy_path():
         ref = _partition(graph, kind, p)
     got.validate()
     _assert_same(got, ref)
@@ -88,14 +88,14 @@ def _unsorted_rows(graph):
 @pytest.mark.parametrize("kind", ["delegate", "1d"])
 def test_unsorted_rows_c_and_numpy_identical(p, kind):
     """Rows that list their neighbours out of order: each rank's rows still
-    come out sorted by local target, the same on both paths, and for the
+    come out sorted by local target, the same on C and numpy, and for the
     1D partition (whose entry placement ignores entry order) the same
     layout as from the sorted CSR."""
     graph = _weighted_graph()
     unsorted = _unsorted_rows(graph)
     assert np.any(np.diff(unsorted.indices) < 0)
     got = _partition(unsorted, kind, p)
-    with mock.patch.object(native, "available", lambda: False):
+    with numpy_path():
         ref = _partition(unsorted, kind, p)
     got.validate()
     _assert_same(got, ref)

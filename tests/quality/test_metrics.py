@@ -125,7 +125,8 @@ class TestScoreAll:
 
 class TestContingencyExact:
     """``contingency_table`` counts with one ``np.bincount``; it must equal
-    the 2-D ``np.add.at`` table it replaced, on both kernel paths."""
+    the 2-D ``np.add.at`` table it replaced, on the C label index and on
+    its numpy reference."""
 
     @staticmethod
     def _add_at_table(a, b):
@@ -137,17 +138,12 @@ class TestContingencyExact:
 
     @pytest.mark.parametrize("force_numpy", [False, True], ids=["auto", "numpy"])
     def test_matches_add_at(self, force_numpy):
-        from unittest import mock
+        import contextlib
 
-        from repro.core import native
+        from tests.core.numpy_kernels import numpy_path
 
         rng = np.random.default_rng(4)
-        patch = (
-            mock.patch.object(native, "available", lambda: False)
-            if force_numpy
-            else mock.patch.object(native, "available", native.available)
-        )
-        with patch:
+        with numpy_path() if force_numpy else contextlib.nullcontext():
             for n in (1, 2, 50, 500):
                 a = rng.integers(-5, 9, n) * 977
                 b = rng.integers(0, 40, n)
