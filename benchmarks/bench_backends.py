@@ -21,6 +21,14 @@ backend on the GIL-bound sweep workload.  On a single-core runner the
 speedup gate is skipped (process-backend overheads cannot amortize
 without parallel hardware) but the equivalence gate still applies.
 ``--quick`` shrinks the workload for CI.
+
+Script mode also writes a report-only ``collectives`` section (no gate):
+the median microseconds per collective on each backend at p=2, for
+``allreduce`` of a float, ``alltoall`` of an int64 array of m entries and
+``alltoall`` of a sync contribution of m labels (the packed int64 buffer
+of 4 m words that ``LevelKernels.send`` ships), at m = 0, 300 and 30,000,
+and on the process backend the share of frames that went raw rather than
+pickled (see ``docs/BACKENDS.md``).
 """
 
 import argparse
@@ -34,8 +42,12 @@ import pytest
 
 from repro.core import DistributedConfig, distributed_louvain
 from repro.graph.generators import barabasi_albert
+from repro.runtime import run_spmd
 
 P = 4
+# the collectives section: its rank count and payload sizes
+COLLECTIVE_P = 2
+COLLECTIVE_SIZES = (0, 300, 30000)
 
 
 def _usable_cores() -> int:
@@ -90,6 +102,60 @@ def _best_of(fn, repeats):
         elapsed = time.perf_counter() - t0
         best = elapsed if best is None else min(best, elapsed)
     return best, result
+
+
+def _contribution(m: int) -> np.ndarray:
+    """A sync contribution of ``m`` labels as ``LevelKernels.send`` ships
+    it: one int64 buffer, the labels, then the float64 bits of the
+    sigma_tot, size and sigma_in columns."""
+    rng = np.random.default_rng(m)
+    sums = rng.random(3 * m)
+    return np.concatenate([rng.integers(0, 2**40, m), sums.view(np.int64)])
+
+
+def _time_collectives(comm, sizes, reps):
+    """Median microseconds per call of each collective case, on this rank,
+    plus the frames this rank sent and how many went raw (process backend
+    only).  A barrier before each call keeps the ranks in step, so a
+    timing holds little wait for a late peer."""
+    out = {}
+    for m in sizes:
+        arr = np.arange(m, dtype=np.int64)
+        con = _contribution(m)
+        cases = {
+            "allreduce(float)": lambda: comm.allreduce(0.5),
+            "alltoall(int64[m])": lambda: comm.alltoall([arr] * comm.size),
+            "alltoall(contribution)": lambda: comm.alltoall([con] * comm.size),
+        }
+        n = reps if m < 30000 else max(reps // 10, 5)
+        for name, call in cases.items():
+            call()  # warm-up
+            times = []
+            for _ in range(n):
+                comm.barrier()
+                t0 = time.perf_counter()
+                call()
+                times.append(time.perf_counter() - t0)
+            out[f"{name} m={m}"] = float(np.median(times)) * 1e6
+    frames = getattr(comm, "frames", None)
+    raw = getattr(comm, "raw_frames", None)
+    return out, frames, raw
+
+
+def run_collectives_suite(quick=False):
+    """The ``collectives`` section of BENCH_backends.json: report-only
+    per-collective costs of both backends (see the module docstring)."""
+    reps = 200 if quick else 2000
+    section = {"p": COLLECTIVE_P, "sizes": list(COLLECTIVE_SIZES), "median_us": {}}
+    for backend in ("thread", "process"):
+        res = run_spmd(
+            COLLECTIVE_P, _time_collectives, COLLECTIVE_SIZES, reps,
+            backend=backend, timeout=600.0,
+        )
+        section["median_us"][backend], frames, raw = res.results[0]
+        if backend == "process":
+            section["raw_frame_share"] = raw / frames if frames else None
+    return section
 
 
 def run_backend_suite(quick=False):
@@ -157,6 +223,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     report = run_backend_suite(quick=args.quick)
+    report["collectives"] = run_collectives_suite(quick=args.quick)
     with open(args.json, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
@@ -166,6 +233,10 @@ def main(argv=None):
             f"{backend:8s}  {row['wall_s']:8.2f}s  Q={row['modularity']:.6f}  "
             f"levels={row['n_levels']}"
         )
+    coll = report["collectives"]
+    for backend, row in coll["median_us"].items():
+        print(f"{backend:8s}  " + ", ".join(f"{k} {v:.1f} us" for k, v in row.items()))
+    print(f"raw frame share (process): {coll['raw_frame_share']:.3f}")
     print(
         f"speedup (thread/process): {report['speedup']:.2f}x on "
         f"{report['cores']} core(s); equivalent={report['equivalent']}"

@@ -506,6 +506,21 @@ static inline int64_t owner_of(int64_t c, int64_t size)
     return r < 0 ? r + size : r;
 }
 
+/* The packed payloads of a sync.  A payload is one buffer of 8-byte
+ * words per peer, holding the bytes of its columns one after the other:
+ *
+ *   - a contribution of m labels: the labels (int64), then sigma_tot,
+ *     size and sigma_in (double), m words each;
+ *   - a reply to m requests: the requested labels (int64), then one
+ *     (sigma_tot, size) pair of doubles per request.
+ *
+ * The peers' buffers reach sync_owner and sync_place through io, an int64
+ * array of counts and addresses (see each kernel). */
+static inline const void *io_ptr(const int64_t *io, int64_t i)
+{
+    return (const void *)(intptr_t)io[i];
+}
+
 /* Send: everything a sync computes before its first collective.
  *
  * The compact index labels[0 : k], cidx of comm_of (label_index); the
@@ -516,14 +531,15 @@ static inline int64_t owner_of(int64_t c, int64_t size)
  * bucketings by owner of the ids in ascending order, which is label order:
  *
  *   - the contributions: labels, sigma_tot, size and sigma_in of every id
- *     that has a member or an internal entry, into c_lab, c_tot, c_cnt
- *     and c_sin, bucket r at bounds[r] : bounds[r + 1];
+ *     that has a member or an internal entry; owner r's m = bounds[r + 1]
+ *     - bounds[r] entries are packed at con[4 bounds[r]], 4 m words;
  *   - the requests: every label into r_lab, bucket r at bounds[size + 1
  *     + r] : bounds[size + 2 + r], with the id of each request in the
  *     scratch order, which sync_place reads.
  *
- * Every output has room for n_local entries (pair_id and pair_w for every
- * entry, bounds for 2 (size + 1)).  Returns k. */
+ * Every output has room for n_local entries (con for 4 n_local words,
+ * pair_id and pair_w for every entry, bounds for 2 (size + 1) + 1: the
+ * pair count goes last).  Returns k. */
 int64_t sync_send(
     const level_state *L,
     const int64_t *comm_of,
@@ -532,10 +548,7 @@ int64_t sync_send(
     int64_t *pair_ptr,
     int64_t *pair_id,
     double *pair_w,
-    int64_t *c_lab,
-    double *c_tot,
-    double *c_cnt,
-    double *c_sin,
+    void *con,
     int64_t *r_lab,
     int64_t *bounds)
 {
@@ -572,14 +585,17 @@ int64_t sync_send(
     }
     for (int64_t r = 0; r < size; r++)
         cursor[r] = cb[r];
+    int64_t *con_lab = con;
+    double *con_val = con;
     for (int64_t c = 0; c < k; c++) {
         if (!present[c])
             continue;
-        int64_t j = cursor[own[c]]++;
-        c_lab[j] = labels[c];
-        c_tot[j] = tot[c];
-        c_cnt[j] = (double)cnt[c];
-        c_sin[j] = s_in[c];
+        int64_t o = own[c], m = cb[o + 1] - cb[o];
+        int64_t j = 3 * cb[o] + cursor[o]++; /* 4 cb[o] + the bucket position */
+        con_lab[j] = labels[c];
+        con_val[j + m] = tot[c];
+        con_val[j + 2 * m] = (double)cnt[c];
+        con_val[j + 3 * m] = s_in[c];
     }
     for (int64_t r = 0; r < size; r++)
         cursor[r] = rb[r];
@@ -588,45 +604,46 @@ int64_t sync_send(
         r_lab[j] = labels[c];
         L->order[j] = c;
     }
+    bounds[2 * (size + 1)] = pair_ptr[L->n_rows];
     return k;
 }
 
 /* Owner: the owner table of the received contributions, its partial Q and
  * the answers to the incoming requests.
  *
- * Peer r sent n_in[r] contributions, whose four columns (labels, sigma_tot,
- * size, sigma_in) are at in[r], in[size + r], in[2 size + r] and
- * in[3 size + r].  The label hash numbers the labels in order of first
- * arrival over the peers in rank order, and each id's three sums start
- * from 0.0 and add in that order (scratch: slots, 2 cap entries, and acc,
- * three per contribution).  The partial Q is the sum in id order of
- * sigma_in / two_m - resolution * (sigma_tot / two_m)**2, the first term
- * taken as it is and every later one added, as np.cumsum does; it goes to
- * *q (0.0 without contributions).  Peer r's n_req[r] requests at req[r]
- * are answered into vals, two per request (sigma_tot, size), peer after
- * peer.  Returns -1, or the position in that order of the first request
- * for a label this owner holds no aggregate for. */
+ * io holds 4 size entries: the contribution counts n_in[r], the request
+ * counts n_req[r], the addresses of the packed contributions and the
+ * addresses of the int64 requests, rank by rank.  The label hash numbers
+ * the labels in order of first arrival over the peers in rank order, and
+ * each id's three sums start from 0.0 and add in that order (scratch:
+ * slots, 2 cap entries, and acc, three per contribution).  The partial Q
+ * is the sum in id order of sigma_in / two_m - resolution * (sigma_tot /
+ * two_m)**2, the first term taken as it is and every later one added, as
+ * np.cumsum does; it goes to *q (0.0 without contributions).  Peer r's
+ * requests are answered into rep, one packed reply per peer, peer after
+ * peer (3 n_req[r] words each).  Returns -1, or the position in that order
+ * of the first request for a label this owner holds no aggregate for. */
 int64_t sync_owner(
     const level_state *L,
-    const int64_t *n_in,
-    const void *const *in,
+    const int64_t *io,
     int64_t cap,
     int64_t *slots,
     double *acc,
-    const int64_t *n_req,
-    const int64_t *const *req,
-    double *vals,
+    void *rep,
     double *q)
 {
     int64_t size = L->size;
+    const int64_t *n_in = io, *n_req = io + size;
     uint64_t mask = (uint64_t)cap - 1;
     clear_slots(cap, slots);
     int64_t k = 0;
     for (int64_t r = 0; r < size; r++) {
-        const int64_t *lab = in[r];
-        const double *tot = in[size + r], *cnt = in[2 * size + r],
-                     *s_in = in[3 * size + r];
-        for (int64_t i = 0; i < n_in[r]; i++) {
+        int64_t m = n_in[r];
+        const int64_t *lab = io_ptr(io, 2 * size + r);
+        const double *tot = io_ptr(io, 2 * size + r);
+        tot += m;
+        const double *cnt = tot + m, *s_in = tot + 2 * m;
+        for (int64_t i = 0; i < m; i++) {
             int64_t known = k;
             double *a = acc + 3 * insert_key(slots, mask, lab[i], &k);
             if (k != known)
@@ -645,13 +662,20 @@ int64_t sync_owner(
     }
     *q = sum;
     int64_t v = 0;
+    int64_t *rep_lab = rep;
+    double *rep_val = rep;
     for (int64_t r = 0; r < size; r++) {
-        for (int64_t i = 0; i < n_req[r]; i++, v++) {
-            int64_t id = slots[2 * slot_of(slots, mask, req[r][i]) + 1];
+        int64_t m = n_req[r];
+        const int64_t *req = io_ptr(io, 3 * size + r);
+        int64_t *echo = rep_lab + 3 * v;
+        double *vals = rep_val + 3 * v + m;
+        for (int64_t i = 0; i < m; i++, v++) {
+            int64_t id = slots[2 * slot_of(slots, mask, req[i]) + 1];
             if (id < 0)
                 return v;
-            vals[2 * v] = acc[3 * id];
-            vals[2 * v + 1] = acc[3 * id + 1];
+            echo[i] = req[i];
+            vals[2 * i] = acc[3 * id];
+            vals[2 * i + 1] = acc[3 * id + 1];
         }
     }
     return -1;
@@ -672,37 +696,41 @@ static inline double round_even(double x)
 
 /* Place: the replies to sync_send's k requests on the compact index.
  *
- * Peer r's reply is n_rep[r] labels at rep_lab[r] with their (sigma_tot,
- * size) pairs at rep_vals[r]; in rank order the labels must repeat the
- * requests r_lab[0 : k] (the caller checks that the counts add up to k).
- * Each reply lands on the id of its request (sync_send's order):
- * sigma_tot as it came, size rounded (round_even).  local counts the owned
- * vertices of each id, and the scratch is_local marks the ids it counts,
- * for sync_sweep.  Returns -1, or the position of the first reply that
- * does not repeat its request, in which case the outputs are unset. */
+ * io holds 2 size entries: the reply counts n_rep[r], then the addresses
+ * of the packed replies, rank by rank.  In rank order the replies' labels
+ * must repeat the requests r_lab[0 : k] (the caller checks that the
+ * counts add up to k).  Each reply lands on the id of its request
+ * (sync_send's order): sigma_tot as it came, size rounded (round_even).
+ * local counts the owned vertices of each id, and the scratch is_local
+ * marks the ids it counts, for sync_sweep.  Returns -1, or the position of
+ * the first reply that does not repeat its request, in which case the
+ * outputs are unset. */
 int64_t sync_place(
     const level_state *L,
     int64_t k,
     const int64_t *r_lab,
     const int64_t *cidx,
-    const int64_t *n_rep,
-    const int64_t *const *rep_lab,
-    const double *const *rep_vals,
+    const int64_t *io,
     double *sigma_tot,
     int64_t *csize,
     int64_t *local)
 {
-    int64_t j = 0;
-    for (int64_t r = 0; r < L->size; r++)
-        for (int64_t i = 0; i < n_rep[r]; i++, j++)
-            if (rep_lab[r][i] != r_lab[j])
+    int64_t size = L->size, j = 0;
+    for (int64_t r = 0; r < size; r++) {
+        const int64_t *lab = io_ptr(io, size + r);
+        for (int64_t i = 0; i < io[r]; i++, j++)
+            if (lab[i] != r_lab[j])
                 return j;
+    }
     j = 0;
-    for (int64_t r = 0; r < L->size; r++) {
-        for (int64_t i = 0; i < n_rep[r]; i++, j++) {
+    for (int64_t r = 0; r < size; r++) {
+        int64_t m = io[r];
+        const double *vals = io_ptr(io, size + r);
+        vals += m;
+        for (int64_t i = 0; i < m; i++, j++) {
             int64_t c = L->order[j];
-            sigma_tot[c] = rep_vals[r][2 * i];
-            csize[c] = (int64_t)round_even(rep_vals[r][2 * i + 1]);
+            sigma_tot[c] = vals[2 * i];
+            csize[c] = (int64_t)round_even(vals[2 * i + 1]);
         }
     }
     for (int64_t c = 0; c < k; c++)

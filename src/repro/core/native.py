@@ -33,11 +33,15 @@ library, and calls it through :mod:`ctypes`.  A ``ctypes.CDLL`` call
 releases the GIL, so the thread ranks of one run compute in parallel.
 
 The kernels are bound once per level: the level's arrays and the scratch
-are checked and addressed when the level starts, into one ``level_state``
-struct, and each call passes that struct and raw addresses, so the fixed
-cost of a call stays a few microseconds.  Every array a call ships or
-returns is freshly allocated: the thread backend hands payloads to peers
-by reference.
+(one int64 and one float64 block) are checked and addressed when the level
+starts, into one ``level_state`` struct, and each call passes that struct
+and raw addresses, so the fixed cost of a call stays a few microseconds.
+A sync ships one array per peer: the contributions and the replies are
+packed into one int64 buffer of 8-byte words each, the bytes of their
+columns one after the other (see :meth:`LevelKernels.send` and
+:meth:`LevelKernels.owner`).  Every array a call ships or returns is
+freshly allocated: the thread backend hands payloads to peers by
+reference.
 
 The C kernels are the only implementation, and a C compiler is required.
 They reproduce numpy's summation and operand order (no fused
@@ -69,6 +73,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import itertools
 import logging
 import os
 import platform
@@ -202,19 +207,17 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.sync_send.argtypes = [
         state, ptr,  # level, comm_of
         ptr, ptr, ptr, ptr, ptr,  # labels, cidx, pair_ptr, pair_id, pair_w
-        ptr, ptr, ptr, ptr,  # c_lab, c_tot, c_cnt, c_sin
-        ptr, ptr,  # r_lab, bounds
+        ptr, ptr, ptr,  # con, r_lab, bounds
     ]
     lib.sync_owner.restype = n
     lib.sync_owner.argtypes = [
-        state, ptr, ptr,  # level, n_in, in
+        state, ptr,  # level, io (counts and addresses)
         n, ptr, ptr,  # cap; scratch: slots, acc
-        ptr, ptr, ptr, ptr,  # n_req, req, vals, q
+        ptr, ptr,  # rep, q
     ]
     lib.sync_place.restype = n
     lib.sync_place.argtypes = [
-        state, n, ptr, ptr,  # level, k, r_lab, cidx
-        ptr, ptr, ptr,  # n_rep, rep_lab, rep_vals
+        state, n, ptr, ptr, ptr,  # level, k, r_lab, cidx, io
         ptr, ptr, ptr,  # sigma_tot, size, local
     ]
     lib.sync_sweep.restype = n
@@ -434,47 +437,55 @@ class LevelKernels:
             raise ValueError("member rows must be rows of the level")
         if not 0 <= spec.n_owned <= self.n_rows or spec.size < 1:
             raise ValueError("the sync spec does not fit the level")
-        n = self.n_local
+        n, size = self.n_local, spec.size
         self._cap = _capacity(n)
         # a row has at most one pair per entry
-        self._gain_cap = int(np.diff(self._csr[0]).max(initial=0))
-        scratch = dict(
-            slots=np.empty(2 * self._cap, dtype=np.int64),
-            ids=np.empty(n, dtype=np.int64),
-            tmp=np.empty(n, dtype=np.int64),
-            count=np.empty(max(2048, spec.size), dtype=np.int64),
-            marks=np.empty(n, dtype=np.int64),
-            cnt=np.empty(n, dtype=np.int64),
-            order=np.empty(n, dtype=np.int64),
-            s_in=np.empty(n),
-            tot=np.empty(n),
-            gain=np.empty(self._gain_cap),
-            present=np.empty(n, dtype=np.bool_),
-            is_local=np.empty(n, dtype=np.bool_),
+        indptr = self._csr[0]
+        self._gain_cap = int((indptr[1:] - indptr[:-1]).max(initial=0))
+        # the scratch and the sync's small arrays: one int64 block and one
+        # float64 block, each addressed once
+        ints, i_off, i_at = _carve(
+            _I64, slots=2 * self._cap, ids=n, tmp=n, count=max(2048, size),
+            marks=n, cnt=n, order=n, flags=-(-2 * n // 8),
+            bounds=2 * (size + 1) + 1, io=4 * size,
         )
-        self._scratch = scratch
+        reals, f_off, f_at = _carve(_F64, s_in=n, tot=n, gain=self._gain_cap, q=1)
+        self._scratch = (ints, reals)
+        # present and is_local: n bytes each, in the flags words
+        i_at["present"], i_at["is_local"] = i_at["flags"], i_at["flags"] + n
+        self._is_local = ints[i_off["flags"] :].view(np.bool_)[n : 2 * n]
+        self._bounds = ints[i_off["bounds"] : i_off["io"]]
+        self._io = ints[i_off["io"] : i_off["io"] + 4 * size]
+        self._q = reals[f_off["q"] :]
+        self._at = {**i_at, **f_at}
         self._members = members
+        csr_at = [_addr(a) for a in (*self._csr, self._row_wdeg)]
         self._state = _LevelState(
             n_local=n, n_rows=self.n_rows, n_owned=spec.n_owned,
-            n_members=members.size, size=spec.size,
+            n_members=members.size, size=size,
             # a heuristic without a vectorized rule fails in sweep
             heuristic=_HEURISTIC_CODES.get(spec.heuristic, -1), cap=self._cap,
             two_m=spec.two_m, resolution=spec.resolution, theta=spec.theta,
-            indptr=_addr(self._csr[0]), indices=_addr(self._csr[1]),
-            weights=_addr(self._csr[2]), row_wdeg=_addr(self._row_wdeg),
-            members=_addr(members),
-            **{name: _addr(a) for name, a in scratch.items()},
+            indptr=csr_at[0], indices=csr_at[1], weights=csr_at[2],
+            row_wdeg=csr_at[3], members=_addr(members),
+            **{name: self._at[name] for name in _PTR_FIELDS[5:]},
         )
         self._level = ctypes.pointer(self._state)
-        self._csr_addr = tuple(_addr(a) for a in self._csr)
-        self._row_wdeg_addr = _addr(self._row_wdeg)
-        self._bounds = np.empty(2 * (spec.size + 1), dtype=np.int64)
-        self._q = np.empty(1)
-        # the owner table's scratch, grown to the largest stream seen
-        self._owner_slots = _EMPTY_I64
-        self._owner_acc = np.empty(0)
+        self._csr_addr = tuple(csr_at[:3])
+        self._row_wdeg_addr = csr_at[3]
+        # the layout of a send: the snapshot's columns in one int64 block
+        # (labels, cidx, pair_ptr, pair_id) and the two payloads in another
+        # (the requests, then the packed contributions)
+        self._send_cols = list(
+            itertools.accumulate((0, n, n, self.n_rows + 1, self._csr[1].size))
+        )
+        # the owner table's scratch (slots for a hash of capacity cap, acc
+        # for n contributions), grown to the largest stream seen
+        self._owner_scratch: tuple = ()
+        self._owner_cap = self._owner_n = -1
         # the state of the sync in progress and of the last snapshot
         self._sent: tuple | None = None
+        self._sent_addr: tuple = ()
         self._placed: tuple | None = None
         self._placed_addr: tuple = ()
 
@@ -584,129 +595,134 @@ class LevelKernels:
     # The phases of the inner iteration
     # ------------------------------------------------------------------
     def send(self, comm_of: np.ndarray) -> tuple[list, list]:
-        """``(contributions, requests)`` of a sync of ``comm_of``: per
-        owner rank, the 4-tuple ``(labels, sigma_tot, size, sigma_in)`` of
-        this rank's facts, pre-aggregated per label, and the int64 labels
+        """``(contributions, requests)`` of a sync of ``comm_of``, one
+        payload per owner rank: the packed contributions, this rank's
+        ``(labels, sigma_tot, size, sigma_in)`` facts pre-aggregated per
+        label (one int64 buffer of ``4 m`` words: the labels, then the
+        three sums' float64 bits, ``m`` words each), and the int64 labels
         this rank references, both in ascending label order.  Keeps the
         compact index and the scan's pairs for :meth:`place`."""
         size = self._sync_spec().size
         comm_of = self._vertex_array(comm_of)
-        n, n_entries = self.n_local, self._csr[1].size
-        labels = np.empty(n, dtype=np.int64)
-        cidx = np.empty(n, dtype=np.int64)
-        pair_ptr = np.empty(self.n_rows + 1, dtype=np.int64)
-        pair_id = np.empty(n_entries, dtype=np.int64)
-        pair_w = np.empty(n_entries)
-        c_lab = np.empty(n, dtype=np.int64)
-        c_tot, c_cnt, c_sin = np.empty(n), np.empty(n), np.empty(n)
-        r_lab = np.empty(n, dtype=np.int64)
+        n, o = self.n_local, self._send_cols
+        cols = np.empty(o[-1], dtype=np.int64)
+        ship = np.empty(5 * n, dtype=np.int64)
+        pair_w = np.empty(self._csr[1].size)
+        cols_at = _addr(cols)  # never empty: pair_ptr has n_rows + 1 entries
+        at = [cols_at + 8 * start for start in o[:4]]
+        ship_at = _addr(ship) or 0
+        w_at = _addr(pair_w)
         k = self._lib.sync_send(
-            self._level, _addr(comm_of), _addr(labels), _addr(cidx),
-            _addr(pair_ptr), _addr(pair_id), _addr(pair_w),
-            _addr(c_lab), _addr(c_tot), _addr(c_cnt), _addr(c_sin),
-            _addr(r_lab), _addr(self._bounds),
+            self._level, _addr(comm_of), *at, w_at, ship_at + 8 * n, ship_at,
+            self._at["bounds"],
         )
-        n_pairs = int(pair_ptr[-1])
         b = self._bounds.tolist()
+        r_lab, con = ship[:n], ship[n:]
         contributions = [
-            (c_lab[lo:hi], c_tot[lo:hi], c_cnt[lo:hi], c_sin[lo:hi])
-            for lo, hi in zip(b[:size], b[1 : size + 1])
+            con[4 * lo : 4 * hi] for lo, hi in zip(b[:size], b[1 : size + 1])
         ]
-        requests = [r_lab[lo:hi] for lo, hi in zip(b[size + 1 : -1], b[size + 2 :])]
+        requests = [
+            r_lab[lo:hi]
+            for lo, hi in zip(b[size + 1 : 2 * size + 1], b[size + 2 : 2 * size + 2])
+        ]
+        n_pairs = b[-1]
         self._sent = (
-            labels[:k], cidx, pair_ptr, pair_id[:n_pairs], pair_w[:n_pairs], r_lab
+            cols[:k], cols[o[1] : o[2]], cols[o[2] : o[3]],
+            cols[o[3] : o[3] + n_pairs], pair_w[:n_pairs], r_lab,
         )
+        self._sent_addr = (*at, w_at, ship_at)
         return contributions, requests
 
     def owner(self, received: list, incoming: list) -> tuple[float, list]:
         """``(q_part, replies)``: the partial modularity of the aggregates
-        of the ``received`` contributions (one 4-tuple per peer, in rank
-        order), and per peer the ``(req, vals)`` answer to its ``incoming``
-        requests, ``vals`` holding ``(sigma_tot, size)`` rows.  A request
-        for a community this owner holds no aggregate for raises
+        of the ``received`` packed contributions (one per peer, in rank
+        order), and per peer the packed answer to its ``incoming``
+        requests: one int64 buffer of ``3 m`` words, the ``m`` requested
+        labels, then a ``(sigma_tot, size)`` pair of float64 per request.
+        A request for a community this owner holds no aggregate for raises
         ``RuntimeError``."""
         spec = self._sync_spec()
         size = spec.size
         if len(received) != size or len(incoming) != size:
             raise ValueError(f"expected one payload from each of {size} ranks")
-        held = []
-        n_in = (ctypes.c_int64 * size)()
-        in_ptr = (ctypes.c_void_p * (4 * size))()
-        for r, (lab, *values) in enumerate(received):
-            cols = [_exact(lab, _I64)] + [_exact(a, _F64) for a in values]
-            m = cols[0].size
-            if len(cols) != 4 or any(a.shape != (m,) for a in cols):
+        counts, addrs, held = [], [], []
+        for r, buf in enumerate(received):
+            m, bad = divmod(buf.size, 4)
+            if bad or buf.ndim != 1 or buf.dtype != _I64:
                 raise ValueError(
                     f"rank {spec.rank}: malformed contributions from rank {r}"
                 )
-            n_in[r] = m
-            for j, a in enumerate(cols):
-                in_ptr[j * size + r] = _addr(a)
-            held.append(cols)
-        n_req = (ctypes.c_int64 * size)()
-        req_ptr = (ctypes.c_void_p * size)()
+            buf = _exact(buf, _I64)
+            counts.append(m)
+            addrs.append(_addr(buf) or 0)
+            held.append(buf)
+        n_stream = sum(counts)
+        n_req = []
         for r, req in enumerate(incoming):
             req = _exact(req, _I64)
             if req.ndim != 1:
                 raise ValueError(f"rank {spec.rank}: malformed requests from rank {r}")
-            n_req[r] = req.size
-            req_ptr[r] = _addr(req)
+            n_req.append(req.size)
+            addrs.append(_addr(req) or 0)
             held.append(req)
-        n_stream = sum(n_in)
+        self._io[:] = counts + n_req + addrs
         cap = _capacity(n_stream)
-        if self._owner_slots.size < 2 * cap:
-            self._owner_slots = np.empty(2 * cap, dtype=np.int64)
-        if self._owner_acc.size < 3 * n_stream:
-            self._owner_acc = np.empty(3 * n_stream)
-        vals = np.empty((sum(n_req), 2))
+        if cap > self._owner_cap or n_stream > self._owner_n:
+            self._owner_cap = max(cap, self._owner_cap)
+            self._owner_n = max(n_stream, self._owner_n)
+            slots = np.empty(2 * self._owner_cap, dtype=np.int64)
+            acc = np.empty(3 * self._owner_n + 1)
+            self._owner_scratch = (slots, acc, _addr(slots), _addr(acc))
+        rep = np.empty(3 * sum(n_req), dtype=np.int64)
         missing = self._lib.sync_owner(
-            self._level, n_in, in_ptr, cap, _addr(self._owner_slots),
-            _addr(self._owner_acc), n_req, req_ptr, _addr(vals), _addr(self._q),
+            self._level, self._at["io"], cap, *self._owner_scratch[2:],
+            _addr(rep), self._at["q"],
         )
         if missing >= 0:
-            label = np.concatenate([np.asarray(req) for req in incoming])[missing]
+            label = np.concatenate(held[size:])[missing]
             raise RuntimeError(
                 f"rank {spec.rank}: no aggregate for community {int(label)}"
             )
         replies, lo = [], 0
-        for req, m in zip(incoming, n_req):
-            replies.append((req, vals[lo : lo + m]))
+        for m in n_req:
+            replies.append(rep[3 * lo : 3 * (lo + m)])
             lo += m
         return float(self._q[0]), replies
 
     def place(self, answered: list) -> tuple:
         """The columns of the sync's
-        :class:`~repro.core.community_table.CommunitySnapshot`: the replies
-        to :meth:`send`'s requests (``(req, vals)`` per owner, in rank
-        order) on the compact index, with the local-member census and the
-        scan's pairs.  Replies that do not repeat the requests raise
-        ``RuntimeError``."""
+        :class:`~repro.core.community_table.CommunitySnapshot`: the packed
+        replies to :meth:`send`'s requests (one per owner, in rank order,
+        as :meth:`owner` ships them) on the compact index, with the
+        local-member census and the scan's pairs.  Replies that do not
+        repeat the requests raise ``RuntimeError``."""
         spec = self._sync_spec()
         if self._sent is None:
             raise RuntimeError("place needs a send first")
-        labels, cidx, pair_ptr, pair_id, pair_w, r_lab = self._sent
+        labels, cidx, pair_ptr, pair_id, pair_w = self._sent[:5]
         k = labels.size
         if len(answered) != spec.size:
             raise ValueError(f"expected one reply from each of {spec.size} ranks")
-        held = []
-        n_rep = (ctypes.c_int64 * spec.size)()
-        lab_ptr = (ctypes.c_void_p * spec.size)()
-        val_ptr = (ctypes.c_void_p * spec.size)()
-        for r, (req, vals) in enumerate(answered):
-            req, vals = _exact(req, _I64), _exact(vals, _F64)
-            if req.ndim != 1 or vals.shape != (req.size, 2):
+        counts, addrs, held = [], [], []
+        for buf in answered:
+            m, bad = divmod(buf.size, 3)
+            if bad or buf.ndim != 1 or buf.dtype != _I64:
                 raise RuntimeError("the pull's replies do not match its requests")
-            n_rep[r] = req.size
-            lab_ptr[r], val_ptr[r] = _addr(req), _addr(vals)
-            held.append((req, vals))
-        if sum(n_rep) != k:
+            buf = _exact(buf, _I64)
+            counts.append(m)
+            addrs.append(_addr(buf) or 0)
+            held.append(buf)
+        if sum(counts) != k:
             raise RuntimeError("the pull's replies do not match its requests")
+        self._io[: 2 * spec.size] = counts + addrs
         sigma_tot = np.empty(k)
-        csize = np.empty(k, dtype=np.int64)
-        local = np.empty(k, dtype=np.int64)
+        ints = np.empty(2 * k, dtype=np.int64)
+        csize, local = ints[:k], ints[k:]
+        st_at, ints_at = _addr(sigma_tot) or 0, _addr(ints) or 0
+        labels_at, cidx_at, ptr_at, pid_at, w_at, r_lab_at = self._sent_addr
         bad = self._lib.sync_place(
-            self._level, k, _addr(r_lab), _addr(cidx), n_rep, lab_ptr, val_ptr,
-            _addr(sigma_tot), _addr(csize), _addr(local),
+            self._level, k, r_lab_at, cidx_at, self._at["io"],
+            st_at, ints_at, ints_at + 8 * k,
         )
         if bad >= 0:
             raise RuntimeError("the pull's replies do not match its requests")
@@ -714,7 +730,9 @@ class LevelKernels:
         self._placed = (
             labels, cidx, sigma_tot, csize, local, pair_ptr, pair_id, pair_w
         )
-        self._placed_addr = tuple(_addr(a) for a in self._placed)
+        self._placed_addr = (
+            labels_at, cidx_at, st_at, ints_at, ints_at + 8 * k, ptr_at, pid_at, w_at
+        )
         return self._placed
 
     def sweep(
@@ -775,7 +793,7 @@ class LevelKernels:
             or np.diff(pair_ptr).max(initial=0) > self._gain_cap
         ):
             raise ValueError("pair_ptr does not describe the pair arrays")
-        np.greater(cols[4], 0, out=self._scratch["is_local"][:k])
+        np.greater(cols[4], 0, out=self._is_local[:k])
         return cols
 
 
@@ -906,6 +924,20 @@ def _exact(a: np.ndarray, dtype: np.dtype) -> np.ndarray:
     if a.dtype == dtype and a.flags.c_contiguous:
         return a
     return np.ascontiguousarray(a, dtype=dtype)
+
+
+def _carve(dtype: np.dtype, **lengths: int) -> tuple[np.ndarray, dict, dict]:
+    """One array of ``dtype`` cut into consecutive fields of the given
+    lengths: ``(block, offsets, addresses)``, by field name.  The block
+    has one spare element, so that it is never empty, and is addressed
+    once."""
+    block = np.empty(sum(lengths.values()) + 1, dtype=dtype)
+    base, step = _addr(block), block.itemsize
+    offsets, addresses, at = {}, {}, 0
+    for name, length in lengths.items():
+        offsets[name], addresses[name] = at, base + step * at
+        at += length
+    return block, offsets, addresses
 
 
 def _addr(a: np.ndarray) -> int | None:

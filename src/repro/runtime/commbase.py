@@ -269,15 +269,18 @@ class CommBase:
         row[self.rank] = None
         got = self._exchange(gen, row, op)
         got[self.rank] = (op, mine)
-        if any(tag != op for tag, _ in got):
-            detail = ", ".join(
-                f"rank {r}: {tag or '?'}" for r, (tag, _) in enumerate(got)
-            )
-            raise CollectiveMismatchError(
-                f"rank {self.rank}: SPMD collective order diverged at "
-                f"generation {gen} ({detail})"
-            )
-        return [payload for _, payload in got]
+        out = []
+        for tag, payload in got:
+            if tag != op:
+                detail = ", ".join(
+                    f"rank {r}: {tag or '?'}" for r, (tag, _) in enumerate(got)
+                )
+                raise CollectiveMismatchError(
+                    f"rank {self.rank}: SPMD collective order diverged at "
+                    f"generation {gen} ({detail})"
+                )
+            out.append(payload)
+        return out
 
     def barrier(self) -> None:
         t0 = time.perf_counter() if self._tracer is not None else 0.0
@@ -311,17 +314,19 @@ class CommBase:
                 f"alltoall: expected {self.size} payloads, got {len(values)}"
             )
         t0 = time.perf_counter() if self._tracer is not None else 0.0
-        nb = [payload_nbytes(v) for v in values]
-        sent = sum(b for i, b in enumerate(nb) if i != self.rank)
-        n_msgs = sum(1 for i, b in enumerate(nb) if i != self.rank and b > 0)
-        self.stats.add_sent(sent, self._phase, n_msgs)
-        for i, b in enumerate(nb):
-            if i != self.rank and b > 0:
-                self.stats.add_edge(i, b, self._phase)
+        rank, phase = self.rank, self._phase
+        # the own slot never reaches the wire: no bytes, no message
+        edges = [
+            (i, b)
+            for i, b in enumerate(map(payload_nbytes, values))
+            if i != rank and b > 0
+        ]
+        sent = sum(b for _, b in edges)
+        self.stats.add_sent(sent, phase, len(edges))
+        for i, b in edges:
+            self.stats.add_edge(i, b, phase)
         out = self._collective(list(values), op="alltoall")
-        recv = sum(
-            payload_nbytes(v) for i, v in enumerate(out) if i != self.rank
-        )
+        recv = sum(payload_nbytes(v) for i, v in enumerate(out) if i != rank)
         self.stats.add_recv(recv, self._phase)
         self.stats.close_superstep(self._phase)
         self._trace_coll(t0, "alltoall", sent, recv)

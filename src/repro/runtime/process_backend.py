@@ -62,7 +62,9 @@ matching the thread backend's drain rule.
 from __future__ import annotations
 
 import atexit
+import functools
 import gc
+import math
 import multiprocessing
 import os
 import pickle
@@ -76,6 +78,8 @@ from multiprocessing import reduction
 from multiprocessing.connection import wait
 from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable
+
+import numpy as np
 
 from repro.graph.shm import SharedArena, shm_dumps, shm_loads
 from repro.runtime.commbase import CommBase, CommError, DeadlockError
@@ -109,10 +113,131 @@ _FRAME_LEN = struct.Struct("<Q")
 # Linux caps one SCM_RIGHTS message at 253 descriptors (SCM_MAX_FD)
 _FDS_PER_MESSAGE = 200
 
+# A raw frame: the length prefix, then a body of _RAW_HEAD (the kind, the
+# array count, the op tag's length and the generation), the op tag, one
+# entry per array (its dtype code, the dtype.str in at most 4 bytes, its
+# rank as a uint32, then its int64 dimensions), zero padding to 8 bytes,
+# then each array's bytes, each padded to 8 bytes.  The kind byte tells a
+# raw body from a pickle, whose first byte is the PROTO opcode (0x80).
+_RAW_ONE, _RAW_TUPLE = 1, 2
+_PROTO = pickle.PROTO[0]
+_RAW_HEAD = struct.Struct("<BxHIq")
+_RAW_NDIM = struct.Struct("<I")  # an entry's rank, 4 bytes into it
+_RAW_KINDS = frozenset("biufc")
+_PAD = bytes(8)
+
+
+@functools.lru_cache(maxsize=256)
+def _raw_head(n_tag: int, ndims: tuple) -> struct.Struct:
+    """The packer of a raw frame's length prefix and padded header, for an
+    op tag of ``n_tag`` bytes and arrays of ranks ``ndims``."""
+    fmt = f"<Q{_RAW_HEAD.format[1:]}{n_tag}s" + "".join(f"4sI{d}q" for d in ndims)
+    return struct.Struct(fmt + f"{-(struct.calcsize(fmt) - _FRAME_LEN.size) % 8}x")
+
+
+@functools.lru_cache(maxsize=None)
+def _entry(ndim: int) -> struct.Struct:
+    """The header entry of an array of rank ``ndim``."""
+    return struct.Struct(f"<4sI{ndim}q")
+
+
+@functools.lru_cache(maxsize=None)
+def _code(dtype: np.dtype) -> bytes:
+    """``dtype``'s code in a header entry: its ``dtype.str``."""
+    return dtype.str.encode()
+
+
+@functools.lru_cache(maxsize=None)
+def _dtype(code: bytes) -> np.dtype:
+    """The dtype of a header entry's code."""
+    return np.dtype(code.rstrip(b"\0").decode())
+
+
+def _raw(a: Any) -> bool:
+    """True for a payload array whose own buffer can go on the wire: a
+    C-contiguous, native-endian numeric or bool ``ndarray`` (not a
+    subclass)."""
+    return (
+        type(a) is np.ndarray
+        and a.dtype.kind in _RAW_KINDS
+        and a.dtype.isnative
+        and a.flags.c_contiguous
+    )
+
+
+def _encode(gen: int, op: str, payload: Any) -> tuple[list, bool]:
+    """The buffers of one frame, length prefix first, for one ``sendmsg``,
+    and whether the frame is raw.
+
+    An array that :func:`_raw` accepts, or a non-empty tuple of them, goes
+    raw: a header, then the arrays' own buffers (not copied; they must not
+    change until the frame is out).  Any other payload is pickled with its
+    generation and op tag.  The payload's type alone decides.
+    """
+    if type(payload) is np.ndarray:
+        arrays = (payload,) if _raw(payload) else None
+        kind = _RAW_ONE
+    elif type(payload) is tuple and 0 < len(payload) < 1 << 16:
+        arrays = payload if all(_raw(a) for a in payload) else None
+        kind = _RAW_TUPLE
+    else:
+        arrays = None
+    if arrays is None:
+        data = pickle.dumps((gen, op, payload), protocol=pickle.HIGHEST_PROTOCOL)
+        return [_FRAME_LEN.pack(len(data)), data], False
+    tag = op.encode()
+    fields = [kind, len(arrays), len(tag), gen, tag]
+    ndims = []
+    out = [b""]
+    size = 0
+    for a in arrays:
+        fields += (_code(a.dtype), a.ndim, *a.shape)
+        ndims.append(a.ndim)
+        n = a.nbytes
+        if n:
+            out.append(memoryview(a).cast("B"))
+            size += n
+            if n % 8:
+                out.append(_PAD[n % 8 :])
+                size += 8 - n % 8
+    head = _raw_head(len(tag), tuple(ndims))
+    out[0] = head.pack(head.size - _FRAME_LEN.size + size, *fields)
+    return out, True
+
+
+def _decode(body: np.ndarray) -> tuple:
+    """``(gen, op, payload)`` of one frame body (the uint8 array it was
+    read into).  A raw frame's arrays are views of ``body``: aligned,
+    since each starts at a multiple of 8 bytes into a numpy allocation,
+    and writable."""
+    view = memoryview(body)
+    if view[0] == _PROTO:
+        return pickle.loads(view)
+    kind, count, n_tag, gen = _RAW_HEAD.unpack_from(view)
+    at = _RAW_HEAD.size + n_tag
+    op = str(view[_RAW_HEAD.size : at], "utf-8")
+    specs = []
+    for _ in range(count):
+        entry = _entry(_RAW_NDIM.unpack_from(view, at + 4)[0])
+        code, ndim, *shape = entry.unpack_from(view, at)
+        at += entry.size
+        specs.append((_dtype(code), ndim, shape))
+    at += -at % 8
+    arrays = []
+    for dtype, ndim, shape in specs:
+        n = math.prod(shape)
+        a = np.frombuffer(body, dtype, n, at)
+        arrays.append(a if ndim == 1 else a.reshape(shape))
+        at += -(-n * dtype.itemsize // 8) * 8
+    if at != body.size:  # pragma: no cover - protocol bug
+        raise CommError(f"raw frame of {body.size} bytes describes {at}")
+    return gen, op, arrays[0] if kind == _RAW_ONE else tuple(arrays)
+
 
 class _Link:
     """This rank's end of one peer link: a non-blocking stream socket that
-    carries length-prefixed pickled ``(gen, op, payload)`` frames.
+    carries length-prefixed ``(gen, op, payload)`` frames, raw or pickled
+    (:func:`_encode`).
 
     Each collective puts exactly one frame each way, and a frame is read
     exactly (header, then body), never past its end, so the next frame on
@@ -126,14 +251,15 @@ class _Link:
         self.peer = peer
         self.sock = sock
         self.events = 0  # the selector interest registered for this link
-        self._out: list[memoryview] = []  # unwritten part of our frame
+        self._out: list = []  # unwritten part of our frame (byte buffers)
         self._head = bytearray(_FRAME_LEN.size)
-        self._body: bytearray | None = None
+        self._body: np.ndarray | None = None
         self._got = 0
 
-    def put(self, frame: tuple) -> None:
-        data = pickle.dumps(frame, protocol=pickle.HIGHEST_PROTOCOL)
-        self._out = [memoryview(_FRAME_LEN.pack(len(data))), memoryview(data)]
+    def put(self, frame: tuple) -> bool:
+        """Queue the ``(gen, op, payload)`` frame; True if it goes raw."""
+        self._out, raw = _encode(*frame)
+        return raw
 
     def flush(self) -> bool:
         """Write what the socket takes; True once the frame is out, or once
@@ -147,10 +273,10 @@ class _Link:
             except (BrokenPipeError, ConnectionResetError):
                 out.clear()
                 return True
-            while out and n >= out[0].nbytes:
-                n -= out.pop(0).nbytes
+            while out and n >= len(out[0]):
+                n -= len(out.pop(0))
             if n:
-                out[0] = out[0][n:]
+                out[0] = memoryview(out[0])[n:]
         return True
 
     def pull(self) -> tuple | None:
@@ -171,10 +297,11 @@ class _Link:
                 continue
             self._got = 0
             if self._body is None:
-                self._body = bytearray(_FRAME_LEN.unpack(self._head)[0])
+                # a numpy allocation: raw arrays decoded over it are aligned
+                self._body = np.empty(_FRAME_LEN.unpack(self._head)[0], np.uint8)
             else:
                 self._body = None
-                return pickle.loads(buf)
+                return _decode(buf)
 
 
 class ProcComm(CommBase):
@@ -203,6 +330,9 @@ class ProcComm(CommBase):
         self._links = {
             peer: _Link(peer, sock) for peer, sock in (links or {}).items()
         }
+        # frames this rank sent, and how many of them went raw
+        self.frames = 0
+        self.raw_frames = 0
         self._sel = None
         if self._links:
             self._sel = selectors.DefaultSelector()
@@ -243,42 +373,63 @@ class ProcComm(CommBase):
             self._sel.modify(link.sock, events, link)
         link.events = events
 
+    def _take(self, link: _Link, gen: int, op: str, out: list) -> bool:
+        """Read ``link``'s frame for generation ``gen`` into ``out`` if it
+        has arrived; True once it has."""
+        try:
+            frame = link.pull()
+        except EOFError:
+            # a finished or failed peer closed its links
+            raise self._never_completed(gen, op) from None
+        if frame is None:
+            return False
+        frame_gen, tag, payload = frame
+        if frame_gen != gen:  # pragma: no cover - protocol bug
+            raise CommError(
+                f"rank {self.rank}: generation {frame_gen} frame from "
+                f"rank {link.peer} during generation {gen}"
+            )
+        out[link.peer] = (tag, payload)
+        return True
+
     def _exchange(
         self, gen: int, row: list[Any], op: str
     ) -> list[tuple[str | None, Any]]:
         out: list[Any] = [None] * self.size
         links = self._links
+        sending = set()
         for peer, link in links.items():
-            link.put((gen, op, row[peer]))
-        sending = {peer for peer, link in links.items() if not link.flush()}
-        waiting = set(links)
+            self.raw_frames += link.put((gen, op, row[peer]))
+            if not link.flush():
+                sending.add(peer)
+        self.frames += len(links)
+        # frames that already arrived need no trip through the selector
+        waiting = {
+            peer for peer, link in links.items()
+            if not self._take(link, gen, op, out)
+        }
+        if waiting or sending:
+            self._wait(gen, op, out, waiting, sending)
+        return out
 
-        def take(peer: int) -> None:
-            try:
-                frame = links[peer].pull()
-            except EOFError:
-                # a finished or failed peer closed its links
-                raise self._never_completed(gen, op) from None
-            if frame is not None:
-                frame_gen, tag, payload = frame
-                if frame_gen != gen:  # pragma: no cover - protocol bug
-                    raise CommError(
-                        f"rank {self.rank}: generation {frame_gen} frame from "
-                        f"rank {peer} during generation {gen}"
-                    )
-                out[peer] = (tag, payload)
-                waiting.discard(peer)
-
+    def _wait(
+        self, gen: int, op: str, out: list, waiting: set, sending: set
+    ) -> None:
+        """Finish the exchange in the selector: write the frames still in
+        ``sending`` and read those still in ``waiting``, until the world
+        aborts or the deadline passes."""
+        links = self._links
         read, write = selectors.EVENT_READ, selectors.EVENT_WRITE
         deadline = time.monotonic() + self._timeout
         while waiting or sending:
             if self._aborted:
                 # drain rule: frames already in our buffers still count
                 for peer in list(waiting):
-                    take(peer)
+                    if self._take(links[peer], gen, op, out):
+                        waiting.discard(peer)
                 if waiting:
                     raise self._never_completed(gen, op)
-                break
+                return
             for peer, link in links.items():
                 want = (read if peer in waiting else 0) | (
                     write if peer in sending else 0
@@ -299,12 +450,12 @@ class ProcComm(CommBase):
                     self._watch(link, link.events & ~write)
                 if mask & read:
                     if peer in waiting:
-                        take(peer)
+                        if self._take(link, gen, op, out):
+                            waiting.discard(peer)
                     else:
                         # the peer's next frame: leave it for the next
                         # collective, stop waking up for it
                         self._watch(link, link.events & ~read)
-        return out
 
 
 def _receive_links(conn, rank: int, size: int) -> dict[int, socket.socket]:
@@ -425,7 +576,15 @@ def _child_main(conn) -> None:
     parent returns to the pool maps no segment.  If a view outlives the job
     (the program kept one in module state), the mapping cannot be dropped:
     the worker then announces ``("exit",)`` ahead of its reply, and leaves.
+
+    A worker announces ``("ready",)`` once, when it enters this loop: a
+    worker that dies without having said so died while its interpreter
+    started, before it could run a job.
     """
+    try:
+        conn.send(("ready",))
+    except OSError:
+        return  # the parent is gone
     while True:
         try:
             frame = conn.recv()
@@ -462,16 +621,38 @@ def _send(conn, frame: tuple) -> None:
         pass  # a dead worker; _supervise reports it at pipe EOF
 
 
-def _supervise(conns, injector: FaultInjector | None) -> tuple:
+def _died(rank: int, worker: "_Worker") -> ChildCrashError:
+    """The error of a rank whose worker closed its pipe without a final
+    frame, with the worker's exit code."""
+    worker.proc.join(timeout=5.0)
+    code = worker.proc.exitcode
+    detail = f"exit code {code}" if code is not None else "still running"
+    if worker.ready:
+        return ChildCrashError(
+            f"rank {rank}: child process died without reporting a result "
+            f"({detail})"
+        )
+    return ChildCrashError(
+        f"rank {rank}: child process died without reporting a result "
+        f"({detail}) before it could start a job.  A spawned interpreter "
+        "first re-imports the parent's __main__ module, so the likely cause "
+        "is a script that starts a process-backend run at import time: put "
+        "the call under `if __name__ == \"__main__\":`"
+    )
+
+
+def _supervise(workers: list["_Worker"], injector: FaultInjector | None) -> tuple:
     """Read every rank's final frame, single-threaded, in the calling
     thread; returns ``(results, errors, stats, events, retiring)``.
 
     The first failure — an ``err`` frame, or a pipe at EOF before its
-    final frame (reported as :class:`ChildCrashError`) — sends
-    ``("abort",)`` to every rank.  Fired fault state in the final frames
-    is merged into ``injector``.  ``retiring`` is True when some worker
-    announced that it exits after this job (see :func:`_child_main`).
+    final frame (reported as :class:`ChildCrashError`, with the worker's
+    exit code) — sends ``("abort",)`` to every rank.  Fired fault state in
+    the final frames is merged into ``injector``.  ``retiring`` is True
+    when some worker announced that it exits after this job (see
+    :func:`_child_main`).
     """
+    conns = [w.conn for w in workers]
     n = len(conns)
     results: list[Any] = [None] * n
     errors: list[BaseException | None] = [None] * n
@@ -486,6 +667,9 @@ def _supervise(conns, injector: FaultInjector | None) -> tuple:
                 kind, *body = conn.recv()
             except (EOFError, OSError):
                 kind, body = "died", None
+            if kind == "ready":
+                workers[rank].ready = True
+                continue
             if kind == "exit":
                 retiring = True
                 continue
@@ -499,10 +683,7 @@ def _supervise(conns, injector: FaultInjector | None) -> tuple:
                     exc = ChildCrashError(f"rank {rank} failed: {detail}")
                 errors[rank] = exc
             else:
-                errors[rank] = ChildCrashError(
-                    f"rank {rank}: child process died without reporting "
-                    "a result"
-                )
+                errors[rank] = _died(rank, workers[rank])
             if faults is not None:
                 injector.merge(*faults)
             if errors[rank] is not None and not aborted:
@@ -543,9 +724,11 @@ def _ship_links(conn, socks: list[socket.socket]) -> None:
 
 
 class _Worker:
-    """One pooled rank interpreter and the parent's end of its pipe."""
+    """One pooled rank interpreter and the parent's end of its pipe;
+    ``ready`` once the parent has read its ``("ready",)`` frame."""
 
     def __init__(self) -> None:
+        self.ready = False
         ctx = multiprocessing.get_context("spawn")
         self.conn, child_end = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
@@ -687,9 +870,7 @@ def run_spmd_process(
             for ends in links:
                 for sock in ends:
                     sock.close()
-        results, errors, stats, events, retiring = _supervise(
-            [w.conn for w in workers], injector
-        )
+        results, errors, stats, events, retiring = _supervise(workers, injector)
         reusable = not any(errors) and not retiring
     finally:
         if reusable:

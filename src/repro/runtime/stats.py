@@ -41,10 +41,18 @@ def payload_nbytes(obj) -> int:
         return 8
     if isinstance(obj, (float, np.floating)):
         return 8
-    if isinstance(obj, tuple) and all(
-        isinstance(x, (int, float, np.integer, np.floating, np.ndarray)) for x in obj
-    ):
-        return sum(payload_nbytes(x) for x in obj)
+    if isinstance(obj, tuple):
+        # a tuple of arrays and numbers: the sum of its parts, else pickled
+        total = 0
+        for x in obj:
+            if isinstance(x, np.ndarray):
+                total += x.nbytes
+            elif isinstance(x, (int, float, np.integer, np.floating)):
+                total += 8
+            else:
+                break
+        else:
+            return total
     try:
         return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
     except Exception:

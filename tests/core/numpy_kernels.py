@@ -10,7 +10,9 @@ where no C compiler was found, moved here unchanged:
   the label index, the fused scan (:func:`internal_weight`,
   :func:`neighbour_pairs` over :func:`aggregate_neighbor_communities`), the
   gain pass and the four phases of the inner iteration (``send``,
-  ``owner``, ``place``, ``sweep``);
+  ``owner``, ``place``, ``sweep``).  Its contributions and replies are
+  tuples of columns; the C kernels ship the same bytes packed into one
+  int64 buffer, which :func:`packed` builds from a tuple;
 * :class:`SortedLabelTable` — :class:`repro.core.native.LabelTable`;
 * :class:`OwnerTable` — the owner phase's table, in first-arrival order;
 * :func:`_pair_sort_numpy`, :func:`_run_sums_numpy`, :func:`unique_inverse`
@@ -44,10 +46,22 @@ __all__ = [
     "internal_weight",
     "neighbour_pairs",
     "numpy_path",
+    "packed",
     "unique_inverse",
 ]
 
 _I64_MAX = np.iinfo(np.int64).max
+
+
+def packed(columns: tuple) -> np.ndarray:
+    """The packed form of a tuple payload of :class:`NumpyLevelKernels`
+    (a contribution ``(labels, sigma_tot, size, sigma_in)`` or a reply
+    ``(req, vals)``), as :class:`repro.core.native.LevelKernels` ships it:
+    the bytes of every column in order, as one int64 array of 8-byte
+    words."""
+    return np.concatenate(
+        [np.ascontiguousarray(c).reshape(-1).view(np.int64) for c in columns]
+    )
 
 
 def aggregate_neighbor_communities(

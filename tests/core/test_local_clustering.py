@@ -13,7 +13,7 @@ from repro.core.modularity import modularity
 from repro.partition import delegate_partition, oned_partition
 from repro.runtime import SPMDError, run_spmd
 from tests.core.agg_oracle import ScalarSyncClustering, canonical_pairs
-from tests.core.numpy_kernels import numpy_path
+from tests.core.numpy_kernels import numpy_path, packed
 
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 
@@ -289,6 +289,8 @@ class TestSyncSnapshot:
         for numpy in (False, True):
             with numpy_path() if numpy else contextlib.nullcontext():
                 kernels = LocalClustering(comm, lg, get_heuristic("enhanced"))._kernels
+            # C ships each reply packed into one int64 buffer
+            wire = (lambda reply: reply) if numpy else packed
             comm_of = np.array([3, 12, 8, 3], dtype=np.int64)
             _contributions, requests = kernels.send(comm_of)
             assert [r.tolist() for r in requests] == [[8, 12], [3]]
@@ -296,7 +298,7 @@ class TestSyncSnapshot:
                 (requests[0], np.array([[1.5, 2.0], [4.0, 1.0]])),
                 (requests[1], np.array([[2.5, 1.0]])),
             ]
-            snap = CommunitySnapshot(*kernels.place(answered))
+            snap = CommunitySnapshot(*kernels.place([wire(a) for a in answered]))
             assert snap.sigma_tot.tolist() == [2.5, 1.5, 4.0]
             assert snap.size.tolist() == [1, 2, 1]
             assert snap.local.tolist() == [1, 1, 1]
@@ -305,7 +307,7 @@ class TestSyncSnapshot:
                 (np.array([3, 8]), answered[0][1]), (np.array([12]), answered[1][1])
             ]
             with pytest.raises(RuntimeError, match="replies"):
-                kernels.place(in_label_order)
+                kernels.place([wire(a) for a in in_label_order])
 
     @pytest.mark.parametrize("sweep_mode", ["gauss-seidel", "vectorized"])
     def test_sweep_without_sync_raises(self, web_graph, sweep_mode):

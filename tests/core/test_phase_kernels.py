@@ -11,7 +11,10 @@ reference :class:`tests.core.numpy_kernels.NumpyLevelKernels`.  Every payload, t
 partial Q, the snapshot columns and the sweep's ``comm_of``, move count
 and hub proposals must agree bit for bit (the C scan lists a row's pairs
 in first-appearance order, numpy in ascending order, so pairs are compared
-through :func:`tests.core.agg_oracle.canonical_pairs`).
+through :func:`tests.core.agg_oracle.canonical_pairs`).  C ships each
+contribution and reply as one packed int64 buffer, the reference as a
+tuple of columns: C's buffer must hold the tuple's bytes exactly
+(:func:`tests.core.numpy_kernels.packed`).
 
 The protocol checks run on both: an owner asked for a community it holds
 no aggregate for, and replies that do not repeat the requests, raise
@@ -33,7 +36,7 @@ from repro.graph.csr import build_symmetric_csr
 from repro.graph.generators import path_graph
 from repro.partition import delegate_partition
 from tests.core.agg_oracle import canonical_pairs
-from tests.core.numpy_kernels import NumpyLevelKernels, numpy_path
+from tests.core.numpy_kernels import NumpyLevelKernels, numpy_path, packed
 
 HEURISTICS = ["greedy", "minlabel", "enhanced"]
 
@@ -85,16 +88,19 @@ def _run_phases(part, comm_ofs, heuristic, numpy, down_only, **params):
 
 
 def _assert_phases_equal(got, ref):
+    """``got`` from the C kernels, ``ref`` from the numpy reference."""
     for (g_con, g_req), (r_con, r_req) in zip(got[0], ref[0]):
         assert len(g_con) == len(r_con) and len(g_req) == len(r_req)
         for g, r in zip(g_con, r_con):
-            assert len(g) == len(r) == 4
-            assert all(_same(a, b) for a, b in zip(g, r))
+            assert len(r) == 4
+            assert _same(g, packed(r))
         assert all(_same(a, b) for a, b in zip(g_req, r_req))
     for (g_q, g_rep), (r_q, r_rep) in zip(got[1], ref[1]):
         assert repr(g_q) == repr(r_q)
-        for (g_lab, g_val), (r_lab, r_val) in zip(g_rep, r_rep):
-            assert _same(g_lab, r_lab) and _same(g_val, r_val)
+        assert len(g_rep) == len(r_rep)
+        for g, r in zip(g_rep, r_rep):
+            assert len(r) == 2
+            assert _same(g, packed(r))
     for g, r in zip(got[2], ref[2]):
         for name in CommunitySnapshot._fields[:5]:
             assert _same(getattr(g, name), getattr(r, name)), name
@@ -171,10 +177,37 @@ class TestPhaseKernels:
         kernels = _kernels(part.locals[1], 1, 2, "enhanced", numpy)
         empty = (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0), np.zeros(0))
         held = (np.array([5], dtype=np.int64), np.ones(1), np.ones(1), np.zeros(1))
+        if not numpy:
+            empty, held = packed(empty), packed(held)
         incoming = [np.array([5], dtype=np.int64), np.array([5, 12345], dtype=np.int64)]
         with pytest.raises(RuntimeError, match="rank 1: no aggregate for community 12345"):
             kernels.owner([empty, held], incoming)
         q, replies = kernels.owner([empty, held], incoming[:1] + [incoming[0]])
         t = 1.0 / kernels._spec.two_m
         assert q == -(t * t)
-        assert all(v.tolist() == [[1.0, 1.0]] for _req, v in replies)
+        answer = (incoming[0], np.array([[1.0, 1.0]]))
+        for reply in replies:
+            if numpy:
+                assert all(_same(a, b) for a, b in zip(reply, answer))
+            else:
+                assert _same(reply, packed(answer))
+
+    def test_malformed_packed_payloads_raise(self):
+        """C checks the shape of every packed payload a peer sent before
+        reading it: a contribution is 4 words per label, a reply 3 per
+        request, both int64."""
+        part = delegate_partition(path_graph(4), 2, d_high=10**9)
+        kernels = _kernels(part.locals[1], 1, 2, "enhanced", False)
+        held = packed((np.array([5], dtype=np.int64), np.ones(1), np.ones(1), np.zeros(1)))
+        req = [np.array([5], dtype=np.int64)] * 2
+        for bad in (held[:3], held.view(np.float64), held.reshape(2, 2)):
+            with pytest.raises(ValueError, match="malformed contributions from rank 0"):
+                kernels.owner([bad, held], req)
+        # odd labels: rank 1 owns them all, so it answers its own requests
+        comm_of = np.array([3, 5, 3, 5], dtype=np.int64)[: kernels.n_local]
+        contributions, requests = kernels.send(comm_of)
+        _q, replies = kernels.owner(contributions, requests)
+        assert replies[1].size
+        for bad in (replies[1][:-1], replies[1].view(np.float64)):
+            with pytest.raises(RuntimeError, match="replies"):
+                kernels.place([replies[0], bad])

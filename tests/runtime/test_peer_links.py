@@ -65,6 +65,61 @@ def test_large_alltoall_matches_thread_backend(p):
 
 
 # ---------------------------------------------------------------------------
+# Raw and pickled frames in one run
+# ---------------------------------------------------------------------------
+
+
+def _mixed_frames(comm):
+    """Collectives whose payloads take both wire paths, some in one row:
+    raw arrays and tuples of arrays, and pickled objects, non-contiguous
+    views and big-endian arrays."""
+    r, p = comm.rank, comm.size
+    rng = np.random.default_rng(r)
+    out = []
+    out.append(comm.alltoall([np.arange(r + d, dtype=np.int64) for d in range(p)]))
+    out.append(comm.alltoall([
+        (rng.random(3 + d), np.full((2, d), r, dtype=np.int8), np.array(d > r))
+        for d in range(p)
+    ]))
+    out.append(comm.alltoall([
+        np.arange(10.0)[::2] if d % 2 else {"from": r, "to": [d] * d}
+        for d in range(p)
+    ]))
+    out.append(comm.alltoall([np.zeros(0, dtype=np.int64)] * p))
+    out.append(comm.allgather(np.full((2, 3), r, dtype=np.float32)))
+    out.append(comm.allgather(np.arange(4, dtype=">i4") + r))
+    out.append(comm.allreduce(np.arange(5, dtype=np.uint16) * r))
+    out.append(comm.allreduce(0.5 * r))
+    out.append(comm.bcast([r, "list", None], root=1))
+    out.append(comm.bcast(np.array(7.5), root=2))
+    out.append(comm.gather((np.arange(r + 1), f"rank {r}"), root=0))
+    out.append(comm.scatter(
+        [np.arange(d + 2, dtype=np.uint32) for d in range(p)] if r == 2 else None,
+        root=2,
+    ))
+    out.append(comm.reduce(np.ones(3, dtype=np.complex128) * r, root=1))
+    frames = (getattr(comm, "frames", None), getattr(comm, "raw_frames", None))
+    return repr(out), frames
+
+
+def test_mixed_raw_and_pickled_frames_match_thread_backend():
+    runs = {
+        backend: run_spmd(3, _mixed_frames, timeout=60.0, backend=backend)
+        for backend in ("thread", "process")
+    }
+    thread, process = runs["thread"], runs["process"]
+    assert [res[0] for res in thread.results] == [res[0] for res in process.results]
+    assert _phase_counters(thread.stats) == _phase_counters(process.stats)
+    for got, want in zip(process.stats.comm_matrix(), thread.stats.comm_matrix()):
+        assert np.array_equal(got, want)
+    # every collective sends one frame to each of the two peers; both
+    # paths were taken
+    for frames, raw in (res[1] for res in process.results):
+        assert frames == 2 * 13
+        assert 0 < raw < frames
+
+
+# ---------------------------------------------------------------------------
 # A peer that is gone releases the blocked ranks at once
 # ---------------------------------------------------------------------------
 

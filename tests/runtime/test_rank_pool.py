@@ -367,3 +367,54 @@ def test_exit_without_shutdown_leaves_nothing(tmp_path):
     assert [pid for pid in workers if _alive(pid)] == []
     prefix = f"{SHM_PREFIX}{parent:x}-"
     assert [n for n in leaked_segment_files() if n.startswith(prefix)] == []
+
+
+_UNGUARDED = """
+from repro.core import DistributedConfig, distributed_louvain
+from repro.graph.generators import karate_club
+
+# no `if __name__ == "__main__":` guard: every spawned worker re-runs this
+distributed_louvain(karate_club(), 2, DistributedConfig(backend="process"))
+"""
+
+
+def test_unguarded_script_names_the_main_guard(tmp_path):
+    """A script that starts a process-backend run at import time kills
+    every worker it spawns while their interpreters start; the error says
+    so, with the exit code, instead of only that a child died."""
+    script = tmp_path / "unguarded.py"
+    script.write_text(_UNGUARDED)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode != 0
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("repro.runtime.engine.SPMDError: rank 0 failed: ")
+    assert "child process died without reporting a result (exit code 1)" in last
+    assert "before it could start a job" in last
+    assert "re-imports the parent\\'s __main__ module" in last
+    assert '`if __name__ == "__main__":`' in last
+
+
+def _exits_in_job(comm):
+    if comm.rank == 1:
+        os._exit(7)
+    comm.barrier()
+
+
+def test_worker_dying_in_a_job_reports_its_exit_code():
+    """A fresh worker that dies inside its first job reports its exit code
+    and no guard hint: it had started."""
+    with pytest.raises(SPMDError) as exc:
+        run_spmd(2, _exits_in_job, timeout=60.0, backend="process")
+    assert exc.value.rank == 1
+    message = str(exc.value.original)
+    assert message == (
+        "rank 1: child process died without reporting a result (exit code 7)"
+    )
